@@ -17,9 +17,17 @@ import numpy as np
 
 from repro.compressors.base import Compressor, MethodInfo, register
 from repro.compressors.util import bit_transpose, bit_untranspose
-from repro.encodings.lz4 import lz4_compress, lz4_decompress
+from repro.encodings.lz4 import (
+    _lz4_compress_scalar,
+    lz4_compress,
+    lz4_decompress,
+)
 from repro.encodings.varint import decode_uvarint, encode_uvarint
-from repro.encodings.zstd_like import zstd_compress, zstd_decompress
+from repro.encodings.zstd_like import (
+    _zstd_compress_scalar,
+    zstd_compress,
+    zstd_decompress,
+)
 from repro.errors import CorruptStreamError
 from repro.perf.cost import (
     CostModel,
@@ -47,10 +55,22 @@ class _BitshuffleBase(Compressor):
         raise NotImplementedError
 
     @staticmethod
+    def _encode_block_scalar(data: bytes) -> bytes:
+        """``_encode_block`` built from the seed kernels (the oracle)."""
+        raise NotImplementedError
+
+    @staticmethod
     def _decode_block(data: bytes, expected: int) -> bytes:
         raise NotImplementedError
 
     def _compress(self, array: np.ndarray) -> bytes:
+        return self._compress_blocks(array, self._encode_block)
+
+    def _compress_scalar(self, array: np.ndarray) -> bytes:
+        """The oracle :meth:`_compress` must match byte for byte."""
+        return self._compress_blocks(array, self._encode_block_scalar)
+
+    def _compress_blocks(self, array: np.ndarray, encode_block) -> bytes:
         flat = array.ravel()
         itemsize = flat.dtype.itemsize
         per_block = max(self.block_bytes // itemsize, 8)
@@ -61,7 +81,7 @@ class _BitshuffleBase(Compressor):
             transposed = bit_transpose(
                 chunk.view(np.uint32 if itemsize == 4 else np.uint64)
             )
-            encoded = self._encode_block(transposed.tobytes())
+            encoded = encode_block(transposed.tobytes())
             out += encode_uvarint(len(chunk))
             out += encode_uvarint(len(encoded))
             out += encoded
@@ -148,6 +168,10 @@ class BitshuffleLz4Compressor(_BitshuffleBase):
         return lz4_compress(data)
 
     @staticmethod
+    def _encode_block_scalar(data: bytes) -> bytes:
+        return _lz4_compress_scalar(data)
+
+    @staticmethod
     def _decode_block(data: bytes, expected: int) -> bytes:
         return lz4_decompress(data, expected_length=expected)
 
@@ -198,6 +222,10 @@ class BitshuffleZstdCompressor(_BitshuffleBase):
     @staticmethod
     def _encode_block(data: bytes) -> bytes:
         return zstd_compress(data)
+
+    @staticmethod
+    def _encode_block_scalar(data: bytes) -> bytes:
+        return _zstd_compress_scalar(data)
 
     @staticmethod
     def _decode_block(data: bytes, expected: int) -> bytes:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import Compressor, MethodInfo, register
-from repro.encodings.lz77 import Token, find_tokens
+from repro.encodings.lz77 import Token, copy_match, find_tokens
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
 from repro.perf.cost import CostModel, KernelSpec, ParallelismSpec
@@ -84,13 +84,12 @@ def _deserialize_tokens(payload: bytes, offset: int) -> bytes:
         if match_len:
             distance, offset = decode_uvarint(payload, offset)
             start = len(out) - distance
-            if start < 0:
+            if distance == 0 or start < 0:
                 raise CorruptStreamError("SPDP match distance out of range")
             if distance >= match_len:
                 out += out[start : start + match_len]
             else:
-                for index in range(match_len):
-                    out.append(out[start + index])
+                copy_match(out, distance, match_len)
     return bytes(out)
 
 

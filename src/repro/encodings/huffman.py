@@ -14,9 +14,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 
+import numpy as np
+
 from repro.encodings.bitio import BitReader, BitWriter
 from repro.encodings.rle import rle_decode, rle_encode
 from repro.encodings.varint import decode_uvarint, encode_uvarint
+from repro.encodings.vectorbit import pack_fields
 from repro.errors import CorruptStreamError
 
 __all__ = [
@@ -136,8 +139,12 @@ def _deserialize_lengths(data: bytes, offset: int) -> tuple[dict[int, int], int]
     return lengths, pos
 
 
-def huffman_encode(data: bytes) -> bytes:
-    """Compress ``data`` into a self-contained canonical-Huffman stream."""
+def _encode_scalar(data: bytes) -> bytes:
+    """The seed encoder: one ``BitWriter.write_bits`` call per byte.
+
+    Kept as the oracle for :func:`huffman_encode`, and as its fallback
+    for codes too long for a 64-bit field.
+    """
     header = encode_uvarint(len(data))
     if not data:
         return header
@@ -148,6 +155,32 @@ def huffman_encode(data: bytes) -> bytes:
         code, nbits = codes[byte]
         writer.write_bits(code, nbits)
     return header + _serialize_lengths(lengths) + writer.getvalue()
+
+
+def huffman_encode(data: bytes) -> bytes:
+    """Compress ``data`` into a self-contained canonical-Huffman stream.
+
+    Table-driven: byte frequencies come from ``np.bincount``, codes and
+    lengths become 256-entry tables, and the payload is one
+    :func:`~repro.encodings.vectorbit.pack_fields` call over the tables
+    gathered by the data.
+    """
+    if not data:
+        return encode_uvarint(0)
+    symbols = np.frombuffer(data, dtype=np.uint8)
+    counts = np.bincount(symbols, minlength=_ALPHABET)
+    lengths = build_code_lengths(dict(enumerate(counts.tolist())))
+    if max(lengths.values()) > 64:
+        return _encode_scalar(data)
+    code_table = np.zeros(_ALPHABET, dtype=np.uint64)
+    length_table = np.zeros(_ALPHABET, dtype=np.uint8)
+    for sym, (code, nbits) in canonical_codes(lengths).items():
+        code_table[sym] = code
+        length_table[sym] = nbits
+    payload = pack_fields(
+        code_table[symbols], length_table[symbols], assume_masked=True
+    )
+    return encode_uvarint(len(data)) + _serialize_lengths(lengths) + payload
 
 
 def huffman_decode(blob: bytes) -> bytes:

@@ -10,20 +10,26 @@ published LZ4 block specification:
 * 2-byte little-endian match offset,
 * length extension bytes are 255-saturated runs.
 
-The final sequence carries literals only.  Decompression handles
-overlapping matches byte-wise, exactly as the reference implementation's
-semantics require.
+The final sequence carries literals only.  Decompression expands
+overlapping matches with the byte-wise semantics of the reference
+implementation (:func:`repro.encodings.lz77.copy_match`).
 """
 
 from __future__ import annotations
 
-from repro.encodings.lz77 import Token, find_tokens
+from repro.encodings.lz77 import (
+    Token,
+    _find_tokens_scalar,
+    copy_match,
+    find_tokens,
+)
 from repro.errors import CorruptStreamError
 
 __all__ = ["lz4_compress", "lz4_decompress"]
 
 _MIN_MATCH = 4
 _MAX_OFFSET = (1 << 16) - 1
+_MAX_CHAIN = 16
 
 
 def _write_length(out: bytearray, value: int) -> None:
@@ -54,9 +60,18 @@ def _emit_sequence(out: bytearray, token: Token) -> None:
             _write_length(out, match_len - _MIN_MATCH)
 
 
-def lz4_compress(data: bytes, *, max_chain: int = 16) -> bytes:
+def lz4_compress(data: bytes, *, max_chain: int = _MAX_CHAIN) -> bytes:
     """Compress ``data`` into an LZ4 block."""
-    tokens = find_tokens(
+    return _compress_with(find_tokens, data, max_chain)
+
+
+def _lz4_compress_scalar(data: bytes) -> bytes:
+    """:func:`lz4_compress` over the seed matcher — the codecs' oracle."""
+    return _compress_with(_find_tokens_scalar, data, _MAX_CHAIN)
+
+
+def _compress_with(matcher, data: bytes, max_chain: int) -> bytes:
+    tokens = matcher(
         bytes(data), window=_MAX_OFFSET, max_chain=max_chain, min_match=_MIN_MATCH
     )
     out = bytearray()
@@ -102,12 +117,11 @@ def lz4_decompress(data: bytes, expected_length: int | None = None) -> bytes:
             raise CorruptStreamError(f"LZ4 match offset {offset} out of range")
         match_len, pos = _read_length(data, pos, token & 0x0F)
         match_len += _MIN_MATCH
-        start = len(out) - offset
         if offset >= match_len:
+            start = len(out) - offset
             out += out[start : start + match_len]
         else:
-            for index in range(match_len):
-                out.append(out[start + index])
+            copy_match(out, offset, match_len)
     if expected_length is not None and len(out) != expected_length:
         raise CorruptStreamError(
             f"LZ4 block decoded to {len(out)} bytes, expected {expected_length}"

@@ -16,8 +16,9 @@ distance) triples.
 
 from __future__ import annotations
 
+from repro.encodings.huffman import _encode_scalar as _huffman_encode_scalar
 from repro.encodings.huffman import huffman_decode, huffman_encode
-from repro.encodings.lz77 import find_tokens
+from repro.encodings.lz77 import _find_tokens_scalar, copy_match, find_tokens
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
 
@@ -27,10 +28,10 @@ _WINDOW = 1 << 17
 _MAX_CHAIN = 32
 
 
-def _entropy_segment(data: bytes) -> bytes:
+def _entropy_segment(data: bytes, encode) -> bytes:
     """Huffman-code a stream, falling back to raw storage when the coded
     form (table included) is not smaller — zstd's own raw-literals mode."""
-    coded = huffman_encode(data)
+    coded = encode(data)
     if len(coded) < len(data) + 1:
         return b"\x00" + coded
     return b"\x01" + data
@@ -48,8 +49,20 @@ def _decode_segment(segment: bytes) -> bytes:
 
 def zstd_compress(data: bytes, *, max_chain: int = _MAX_CHAIN) -> bytes:
     """Compress ``data`` with LZ77 + Huffman-coded sequence streams."""
+    return _compress_with(find_tokens, huffman_encode, data, max_chain)
+
+
+def _zstd_compress_scalar(data: bytes) -> bytes:
+    """:func:`zstd_compress` over the seed matcher and the ``BitWriter``
+    Huffman encoder — the codecs' oracle."""
+    return _compress_with(
+        _find_tokens_scalar, _huffman_encode_scalar, data, _MAX_CHAIN
+    )
+
+
+def _compress_with(matcher, entropy, data: bytes, max_chain: int) -> bytes:
     data = bytes(data)
-    tokens = find_tokens(data, window=_WINDOW, max_chain=max_chain, lazy=True)
+    tokens = matcher(data, window=_WINDOW, max_chain=max_chain, lazy=True)
     control = bytearray()
     literals = bytearray()
     for token in tokens:
@@ -58,8 +71,8 @@ def zstd_compress(data: bytes, *, max_chain: int = _MAX_CHAIN) -> bytes:
         if token.match_length:
             control += encode_uvarint(token.match_distance)
         literals += token.literals
-    control_blob = _entropy_segment(bytes(control))
-    literal_blob = _entropy_segment(bytes(literals))
+    control_blob = _entropy_segment(bytes(control), entropy)
+    literal_blob = _entropy_segment(bytes(literals), entropy)
     return (
         encode_uvarint(len(data))
         + encode_uvarint(len(control_blob))
@@ -90,15 +103,14 @@ def zstd_decompress(blob: bytes) -> bytes:
         if match_len:
             distance, ctrl_pos = decode_uvarint(control, ctrl_pos)
             start = len(out) - distance
-            if start < 0:
+            if distance == 0 or start < 0:
                 raise CorruptStreamError(
                     f"zstd-like match distance {distance} out of range"
                 )
             if distance >= match_len:
                 out += out[start : start + match_len]
             else:
-                for index in range(match_len):
-                    out.append(out[start + index])
+                copy_match(out, distance, match_len)
     if len(out) != original_size:
         raise CorruptStreamError(
             f"zstd-like stream decoded to {len(out)} bytes, "

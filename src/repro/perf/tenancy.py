@@ -27,8 +27,10 @@ snapshot:
   beats the heuristic's ratio on the same arrays (the feedback loop
   must win somewhere, or it is pure overhead).
 
-The bandit plays a fast arm set (no ``dzip``: its throughput is ~30×
-below the others, which would turn a selection benchmark into a dzip
+The bandit plays a fast arm set (no ``dzip``: even with its batched
+encoder it compresses 4,096-element chunks at 0.29 MB/s, ~10× below
+the slowest arm kept (bitshuffle-zstd, 3.1 MB/s) and ~150× below
+gorilla and buff, which would turn a selection benchmark into a dzip
 benchmark); best-fixed is computed over the same set, so the
 comparison is arm-for-arm fair.  The heuristic comparator keeps its
 full candidate list — where it picks ``dzip`` it gets ``dzip``'s

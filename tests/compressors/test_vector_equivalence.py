@@ -15,6 +15,7 @@ import pytest
 from repro.compressors import get_compressor
 from repro.compressors.mpc import MpcCompressor
 from repro.compressors.ndzip import NdzipCpuCompressor
+from repro.errors import CorruptStreamError
 
 from .conftest_vector import adversarial_cases  # noqa: F401  (fixture file)
 
@@ -33,7 +34,10 @@ def _bitexact(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-ORACLE_METHODS = ["gorilla", "chimp", "fpzip", "ndzip-cpu"]
+ORACLE_METHODS = [
+    "gorilla", "chimp", "fpzip", "ndzip-cpu",
+    "dzip", "bitshuffle-lz4", "bitshuffle-zstd",
+]  # fmt: skip
 
 
 @pytest.mark.parametrize("method", ORACLE_METHODS)
@@ -63,7 +67,7 @@ class TestByteIdentity:
             ), f"{method} failed to decode the seed payload of {name!r}"
 
 
-@pytest.mark.parametrize("method", ["gorilla", "chimp", "fpzip"])
+@pytest.mark.parametrize("method", ["gorilla", "chimp", "fpzip", "dzip"])
 def test_scalar_decoder_inverts_vector_payload(method, adversarial_cases):
     compressor = get_compressor(method)
     for name, array in adversarial_cases.items():
@@ -75,6 +79,49 @@ def test_scalar_decoder_inverts_vector_payload(method, adversarial_cases):
         assert _bitexact(np.asarray(restored).reshape(array.shape), array), (
             f"{method} vector payload not decodable by the seed on {name!r}"
         )
+
+
+class TestDzipPlanThenCode:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_contexts_seen_past_several_halvings(self, dtype):
+        # The all-zero contexts are updated far more than 1,022 + 2 x 512
+        # times, so the batched planner crosses the first halving and
+        # several of the 512-update ones.
+        array = np.zeros(6000, dtype=dtype)
+        array[::7] = 1.5
+        compressor = get_compressor("dzip")
+        payload = compressor._compress(array)
+        assert payload == compressor._compress_scalar(array)
+        for decode in (compressor._decompress, compressor._decompress_scalar):
+            assert _bitexact(decode(payload, array.shape, array.dtype), array)
+
+    def test_truncated_payload_raises_from_the_fused_decoder(self):
+        array = np.random.default_rng(21).normal(0, 1, 300)
+        compressor = get_compressor("dzip")
+        payload = compressor._compress(array)
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            compressor._decompress(payload[:-16], array.shape, array.dtype)
+
+    def test_fused_decoder_allows_exactly_the_oracles_phantom_bits(self):
+        # The format lets the decoder read MAX_PHANTOM_BITS zeros past
+        # the end, so a cut of a few bytes decodes (to wrong data) and a
+        # longer one raises; both decoders must draw the line in the
+        # same place and agree on the bytes before it.
+        array = np.random.default_rng(22).normal(0, 1, 200)
+        compressor = get_compressor("dzip")
+        payload = compressor._compress(array)
+
+        def outcome(decode, cut):
+            try:
+                return decode(payload[:-cut], array.shape, array.dtype).tobytes()
+            except CorruptStreamError:
+                return None
+
+        outcomes = [outcome(compressor._decompress, cut) for cut in range(1, 14)]
+        assert outcomes == [
+            outcome(compressor._decompress_scalar, cut) for cut in range(1, 14)
+        ]
+        assert outcomes[0] is not None and outcomes[-1] is None
 
 
 class TestNdzipBatching:

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encodings.arithmetic import (
@@ -9,6 +11,8 @@ from repro.encodings.arithmetic import (
     AdaptiveBitModel,
     BinaryArithmeticDecoder,
     BinaryArithmeticEncoder,
+    adaptive_states,
+    encode_bits,
 )
 
 
@@ -81,3 +85,67 @@ def test_encoder_finish_idempotent():
 def test_roundtrip_property(bits):
     out, _ = _roundtrip(bits)
     assert out == bits
+
+
+def _scalar_states(keys, bits):
+    models: dict[int, AdaptiveBitModel] = {}
+    ones, total = [], []
+    for key, bit in zip(keys, bits):
+        model = models.setdefault(key, AdaptiveBitModel())
+        ones.append(model._ones)
+        total.append(model._total)
+        model.update(bit)
+    return ones, total
+
+
+@pytest.mark.parametrize(
+    "count, n_keys, p_one",
+    [
+        (0, 1, 0.5),
+        (1, 1, 0.5),
+        (1022, 1, 0.5),  # one short of the first halving
+        (1023, 1, 1.0),  # the bit after it, ones == total
+        (1535, 1, 1.0),  # the bit after the second halving
+        (5000, 1, 0.0),
+        (20000, 3, 0.7),  # several models, several halvings each
+        (30000, 500, 0.3),  # many models, most never halved
+    ],
+)
+def test_adaptive_states_equal_per_key_models(count, n_keys, p_one):
+    rng = np.random.default_rng(count + n_keys)
+    keys = rng.integers(0, n_keys, count) * 70_001  # wider than 16 bits
+    bits = (rng.random(count) < p_one).astype(np.uint8)
+    ones, total = adaptive_states(keys, bits)
+    expected_ones, expected_total = _scalar_states(keys.tolist(), bits.tolist())
+    assert ones.tolist() == expected_ones
+    assert total.tolist() == expected_total
+
+
+def test_adaptive_states_accept_keys_too_wide_to_pack():
+    keys = np.array([-3, 1 << 62, -3, 1 << 62, -3], dtype=np.int64)
+    bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    ones, total = adaptive_states(keys, bits)
+    assert (ones.tolist(), total.tolist()) == _scalar_states(
+        keys.tolist(), bits.tolist()
+    )
+
+
+@pytest.mark.parametrize("mode", ["uniform", "any", "extreme", "midpoint"])
+def test_encode_bits_equals_the_encoder_class(mode):
+    rnd = random.Random(mode)
+    choices = {
+        "uniform": [PROBABILITY_ONE // 2],
+        "extreme": [0, 1, 2, PROBABILITY_ONE - 1, PROBABILITY_ONE],
+        # Splits hugging the midpoint pile up pending (underflow) bits.
+        "midpoint": [32767, 32768, 32769, 1, 65535],
+    }
+    for count in (0, 1, 7, 3000):
+        if mode == "any":
+            probs = [rnd.randint(0, PROBABILITY_ONE) for _ in range(count)]
+        else:
+            probs = [rnd.choice(choices[mode]) for _ in range(count)]
+        bits = [int(rnd.random() < 0.5) for _ in range(count)]
+        encoder = BinaryArithmeticEncoder()
+        for bit, prob in zip(bits, probs):
+            encoder.encode(bit, prob)
+        assert encode_bits(bits, probs) == encoder.finish()

@@ -6,12 +6,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.encodings import huffman
 from repro.encodings.huffman import (
+    _encode_scalar,
     build_code_lengths,
     canonical_codes,
     huffman_decode,
     huffman_encode,
 )
+from repro.encodings.varint import decode_uvarint
 from repro.errors import CorruptStreamError
 
 
@@ -78,3 +81,47 @@ def test_dense_alphabet_table_is_compact():
 @given(st.binary(max_size=3000))
 def test_roundtrip_property(data):
     assert huffman_decode(huffman_encode(data)) == data
+
+
+def _fibonacci_skewed() -> bytes:
+    # Fibonacci frequencies give the deepest tree a byte count allows:
+    # 24 symbols reach code length 23, past the 15-bit nibble table.
+    counts = [1, 1]
+    while len(counts) < 24:
+        counts.append(counts[-1] + counts[-2])
+    return b"".join(bytes([sym]) * count for sym, count in enumerate(counts))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"\x42" * 500,
+        b"ab" * 300 + b"a",
+        bytes(range(256)) * 7 + os.urandom(3000),
+        _fibonacci_skewed(),
+    ],
+    ids=["empty", "single_symbol", "two_symbols", "all_256", "fibonacci"],
+)
+def test_table_driven_encoder_equals_the_bitwriter_oracle(data):
+    blob = huffman_encode(data)
+    assert blob == _encode_scalar(data)
+    assert huffman_decode(blob) == data
+
+
+def test_fibonacci_input_uses_the_rle_table_form():
+    data = _fibonacci_skewed()
+    assert max(build_code_lengths(Counter(data)).values()) > 15
+    _, table_offset = decode_uvarint(huffman_encode(data), 0)
+    assert huffman_encode(data)[table_offset] == 1
+
+
+def test_codes_longer_than_a_word_fall_back_to_the_bitwriter(monkeypatch):
+    # No byte string short enough to build has a 65-bit code, so hand
+    # the encoder a (valid, Kraft-complete) length table that does.
+    deep = {sym: min(sym + 1, 69) for sym in range(70)}
+    monkeypatch.setattr(huffman, "build_code_lengths", lambda freqs: dict(deep))
+    data = bytes(range(70)) * 3
+    blob = huffman_encode(data)
+    assert blob == _encode_scalar(data)
+    assert huffman_decode(blob) == data
