@@ -5,11 +5,11 @@ consumes the same matrix, regenerates its table or figure, asserts the
 paper's qualitative claims, and writes the rendered text to
 benchmarks/output/.
 
-Suite execution goes through repro.core.suite, which caches each
-(method, dataset) cell individually under .fcbench_cache/cells/ — so a
-compressor edit re-runs only that method's column here — and fans cold
-cells out over a process pool when FCBENCH_JOBS (or jobs=) asks for
-parallelism.
+Suite execution goes through repro.core.suite, which keeps each
+(method, dataset) cell as one row of .fcbench_cache/results.sqlite — so
+a compressor edit re-runs only that method's column here — and fans
+cold cells out over a process pool when FCBENCH_JOBS (or jobs=) asks
+for parallelism.
 """
 
 from __future__ import annotations

@@ -16,6 +16,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["fcbench=repro.cli:main"]},
 )

@@ -360,9 +360,7 @@ def run_chaos_soak(
         ledger_mismatches: list[dict] = []
         with ClusterClient([control], pool_size=1, deadline=10.0) as reporter:
             for node_id, snapshot in reporter.stats().items():
-                admission = snapshot.get(
-                    "admission", snapshot.get("resilience")
-                )
+                admission = snapshot.get("admission")
                 if isinstance(admission, dict):
                     for key in server_totals:
                         server_totals[key] += int(admission.get(key, 0))

@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``fcbench run``    — execute (a slice of) the measurement matrix,
-  streaming per-cell status, with ``--jobs N`` parallelism and the
-  per-cell incremental cache.
+  streaming per-cell status, with ``--jobs N`` parallelism; cells
+  already in the result store (``results.sqlite``) are not re-run.
 * ``fcbench report`` — render a paper table (4/5/6) or an arbitrary
   metric matrix from suite results; with ``--db`` render per-domain
   tables plus Friedman / Nemenyi / CD-diagram statistics from an
@@ -14,12 +14,11 @@ Subcommands:
   ``init`` expands a codec x dataset x configuration grid into pending
   cells (idempotently), ``run --workers N`` drives them to completion
   with crash-safe claim/heartbeat semantics, ``status`` shows progress,
-  ``import-cache`` migrates the per-cell JSON cache into the database,
   and ``reset`` re-queues failures.  See ``docs/experiments.md``.
-* ``fcbench cache``  — inspect the cache (``inspect``, the default) or
-  delete entries (``clear``, with ``--stale`` to drop only entries
-  whose cache version or method fingerprint is out of date, plus
-  legacy monolithic ``suite_*.json`` blobs).
+* ``fcbench cache``  — inspect the result store (``inspect``, the
+  default) or delete cells from it (``clear``, with ``--stale`` to drop
+  only cells whose fingerprint — cache version, method source, runner
+  policy — is out of date).
 * ``fcbench bench``  — measure *real* encode/decode throughput per
   (method, dataset) cell (plus the scalar-oracle baselines where a
   codec retains one), write ``BENCH_<git-sha>.json`` at the repo root,
@@ -33,7 +32,7 @@ Subcommands:
 * ``fcbench select`` — the selection subsystem offline: ``explain``
   prints per-chunk features, the chosen codec, and the reason;
   ``train`` fits the learned policy's feature → winner table from the
-  suite cache.
+  result store.
 * ``fcbench serve``  — run the network compression service (an asyncio
   TCP server speaking the FCS wire protocol; see ``docs/service.md``)
   with request batching and graceful drain; ``--metrics-json`` writes
@@ -47,7 +46,7 @@ Subcommands:
 * ``fcbench list``   — enumerate the registered methods and datasets
   (``--json`` for machine-readable registry introspection).
 
-Usage — run a single cell, then clear the cache it left behind:
+Usage — run a single cell, then clear the stored cell it left behind:
 
     >>> import tempfile, os
     >>> os.environ["FCBENCH_CACHE_DIR"] = tempfile.mkdtemp()
@@ -57,7 +56,7 @@ Usage — run a single cell, then clear the cache it left behind:
     ran 1 cells in ...s (jobs=1) ok=1 failed=0 cache: 0 hits / 1 misses fingerprint=...
     0
     >>> main(["cache", "clear"])
-    cleared (all): 1 cell(s), 0 legacy blob(s), 0 kept
+    cleared (all): 1 cell(s), 0 kept
     0
 
 Stream a ``.npy`` array into the frame format and back, bit-exactly:
@@ -99,7 +98,6 @@ import sys
 from typing import Sequence
 
 from repro.compressors import compressor_names, get_compressor
-from repro.core import cache as cell_cache
 from repro.core.executor import CellTask
 from repro.core.report import format_matrix, format_table
 from repro.core.results import Measurement, ResultSet
@@ -273,33 +271,34 @@ def _metric_matrix(results: ResultSet, metric: str) -> str:
 # fcbench cache
 # ----------------------------------------------------------------------
 def _cmd_cache(args: argparse.Namespace) -> int:
-    if args.action == "clear":
-        counts = cell_cache.clear_cache(stale_only=args.stale)
-        mode = "stale" if args.stale else "all"
-        print(
-            f"cleared ({mode}): {counts['removed_cells']} cell(s), "
-            f"{counts['removed_legacy']} legacy blob(s), "
-            f"{counts['kept']} kept"
-        )
-        return 0
+    from collections import Counter
 
-    scan = cell_cache.scan_cache()
-    print(f"cache root: {scan.root}")
-    print(f"cache version: {cell_cache.CACHE_VERSION}")
-    print(
-        f"cells: {len(scan.entries)} "
-        f"({len(scan.stale_entries)} stale, {scan.total_bytes / 1024:.1f} KiB)"
-    )
-    if scan.legacy_blobs:
-        print(
-            f"legacy suite blobs: {len(scan.legacy_blobs)} "
-            "(run `fcbench cache clear --stale` to drop)"
-        )
-    per_method = scan.per_method()
+    from repro.core.runner import CACHE_VERSION
+    from repro.core.suite import open_store, stored_cells
+
+    with open_store() as store:
+        cells = list(stored_cells(store))
+        stale = [row.id for row, measurement in cells if measurement is None]
+        if args.action == "clear":
+            doomed = stale if args.stale else [row.id for row in store.cells()]
+            removed = store.delete_cells(doomed)
+            if not args.stale:
+                store.set_meta("last_run", None)
+            mode = "stale" if args.stale else "all"
+            print(
+                f"cleared ({mode}): {removed} cell(s), "
+                f"{len(cells) - len(stale) if args.stale else 0} kept"
+            )
+            return 0
+        last = store.get_meta("last_run")
+    size = store.path.stat().st_size / 1024
+    print(f"cache root: {store.path.parent}")
+    print(f"cache version: {CACHE_VERSION}")
+    print(f"cells: {len(cells)} ({len(stale)} stale, {size:.1f} KiB)")
+    per_method = Counter(row.key.codec for row, _ in cells)
     if per_method:
-        rows = [[name, str(count)] for name, count in per_method.items()]
+        rows = [[name, str(n)] for name, n in sorted(per_method.items())]
         print(format_table(["method", "cells"], rows))
-    last = cell_cache.read_last_run()
     if last:
         print(
             f"last run: {last.get('hits', 0)} hits / "
@@ -601,23 +600,6 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_import_cache(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.expdb import ExperimentStore, import_cache
-
-    root = Path(args.cache_root) if args.cache_root else None
-    with ExperimentStore(args.db) as store:
-        counts = import_cache(store, root)
-    print(
-        f"imported {counts['imported']} cells "
-        f"({counts['imported_done']} done, {counts['imported_failed']} "
-        f"failed); skipped {counts['skipped_existing']} existing, "
-        f"{counts['skipped_stale']} stale, {counts['malformed']} malformed"
-    )
-    return 0
-
-
 def _cmd_sweep_reset(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -684,7 +666,7 @@ def _add_policy_args(parser: argparse.ArgumentParser) -> None:
         "--select-table",
         default=None,
         help="learned policy: training table path "
-        "(default: the suite cache's select_table.json)",
+        "(default: select_table.json under FCBENCH_CACHE_DIR)",
     )
 
 
@@ -924,7 +906,7 @@ def _cmd_select_train(args: argparse.Namespace) -> int:
     path = save_table(rows, args.output)
     winners = Counter(row.winner for row in rows)
     summary = ", ".join(f"{k} x{v}" for k, v in sorted(winners.items()))
-    print(f"trained on {len(rows)} cached dataset cell group(s): {summary}")
+    print(f"trained on {len(rows)} stored dataset cell group(s): {summary}")
     print(f"wrote {path}")
     return 0
 
@@ -1684,7 +1666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the measurement matrix")
     _add_matrix_args(p_run)
     p_run.add_argument(
-        "--no-cache", action="store_true", help="ignore and do not write the cache"
+        "--no-cache", action="store_true", help="bypass the result store"
     )
     p_run.add_argument(
         "--quiet", action="store_true", help="summary line only, no per-cell status"
@@ -1733,7 +1715,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(p_report)
     p_report.set_defaults(func=_cmd_report)
 
-    p_cache = sub.add_parser("cache", help="inspect or clear the per-cell cache")
+    p_cache = sub.add_parser("cache", help="inspect or clear the result store")
     p_cache.add_argument(
         "action",
         nargs="?",
@@ -1743,8 +1725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "--stale",
         action="store_true",
-        help="with clear: drop only version/fingerprint-stale entries "
-        "and legacy suite blobs",
+        help="with clear: drop only cells whose fingerprint is out of date",
     )
     p_cache.set_defaults(func=_cmd_cache)
 
@@ -1930,17 +1911,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_status.add_argument("--json", action="store_true")
     s_status.set_defaults(func=_cmd_sweep_status)
 
-    s_import = sweep_sub.add_parser(
-        "import-cache",
-        help="migrate the per-cell JSON cache into the database",
-    )
-    _sweep_db_arg(s_import)
-    s_import.add_argument(
-        "--cache-root",
-        help="cache root to import (default: the active FCBENCH_CACHE_DIR)",
-    )
-    s_import.set_defaults(func=_cmd_sweep_import_cache)
-
     s_reset = sweep_sub.add_parser(
         "reset", help="flip terminal cells back to pending"
     )
@@ -2045,16 +2015,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = select_sub.add_parser(
         "train",
         help="fit the learned policy's feature->winner table from the "
-        "suite cache",
+        "result store",
     )
     p_train.add_argument(
         "--candidates",
         help="comma-separated methods the table may pick from "
-        "(default: every cached method)",
+        "(default: every stored method)",
     )
     p_train.add_argument(
         "--output",
-        help="table path (default: select_table.json in the suite cache)",
+        help="table path (default: select_table.json under "
+        "FCBENCH_CACHE_DIR)",
     )
     p_train.set_defaults(func=_cmd_select_train)
 

@@ -18,15 +18,13 @@ pair drop-in interchangeable:
   clients (``deadline=``, ``retry=``, ``attempt_timeout=``,
   ``token=``).
 
-Canonical kwarg glossary (aligned across sync/async/cluster clients,
-with deprecation shims for one release on the old spellings):
+Canonical kwarg glossary (aligned across sync/async/cluster clients):
 
 ``deadline=``
     Overall per-operation budget in seconds — every attempt, backoff
-    sleep, and failover spends from it.  (Formerly ``timeout=``.)
+    sleep, and failover spends from it.
 ``retry=``
     Transparent retry count after transient transport faults.
-    (Formerly ``retries=``.)
 ``attempt_timeout=``
     Cap on each individual socket operation / per-node attempt.
 ``token=``
@@ -37,30 +35,8 @@ with deprecation shims for one release on the old spellings):
 from __future__ import annotations
 
 import abc
-import warnings
 
 __all__ = ["CompressionClient", "connect"]
-
-
-def deprecated_kwarg(old: str, new: str, old_value, new_value):
-    """Resolve one renamed keyword, warning when the old spelling is used.
-
-    Returns the effective value; passing *both* spellings is an error —
-    silently preferring one would hide a real bug at the call site.
-    """
-    if old_value is None:
-        return new_value
-    if new_value is not None:
-        raise TypeError(
-            f"got both {new!r} and its deprecated alias {old!r}; "
-            f"pass only {new!r}"
-        )
-    warnings.warn(
-        f"the {old!r} argument is deprecated; use {new!r}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return old_value
 
 
 class CompressionClient(abc.ABC):

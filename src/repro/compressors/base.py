@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.encodings.varint import encode_uvarint
-from repro.errors import UnsupportedDtypeError
+from repro.errors import UnknownCodecError, UnsupportedDtypeError
 from repro.perf.cost import CostModel
 
 __all__ = [
@@ -245,14 +245,19 @@ def register(cls: type[Compressor]) -> type[Compressor]:
     return cls
 
 
-def get_compressor(name: str, **kwargs: object) -> Compressor:
-    """Instantiate a registered compressor by name."""
+def _lookup(name: str) -> type[Compressor]:
     try:
-        cls = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown compressor {name!r}; known: {known}") from None
-    return cls(**kwargs)
+        raise UnknownCodecError(
+            f"unknown compressor {name!r}; known: {known}"
+        ) from None
+
+
+def get_compressor(name: str, **kwargs: object) -> Compressor:
+    """Instantiate a registered compressor by name."""
+    return _lookup(name)(**kwargs)
 
 
 def compressor_names(platform: str | None = None) -> list[str]:
@@ -275,7 +280,7 @@ def paper_table_order() -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Fingerprinting (per-cell cache keys)
+# Fingerprinting (result-store staleness)
 # ----------------------------------------------------------------------
 def stable_repr(obj: object) -> str:
     """Deterministic textual form of a (possibly nested) dataclass.
@@ -303,14 +308,11 @@ def method_fingerprint(name: str) -> str:
     Hashes the source of the module implementing the compressor plus its
     metadata, cost model, and input limit.  Editing one compressor file
     therefore changes only that method's fingerprint, which is what lets
-    the per-cell suite cache re-run a single column instead of the whole
-    matrix.  Raises ``KeyError`` for unregistered names.
+    a suite run re-measure a single column of the result store instead
+    of the whole matrix.  Raises :class:`~repro.errors.UnknownCodecError` (a
+    ``KeyError``) for unregistered names.
     """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown compressor {name!r}; known: {known}") from None
+    cls = _lookup(name)
     module = sys.modules.get(cls.__module__)
     try:
         source = inspect.getsource(module) if module else ""

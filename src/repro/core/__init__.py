@@ -8,13 +8,14 @@ from repro.core.metrics import (
     method_mean_wall_ms,
     throughput_gbs,
 )
-from repro.core.cache import CacheStats, CellCache, cache_dir, clear_cache, scan_cache
 from repro.core.executor import CellTask, execute_cells, resolve_jobs
 from repro.core.recommend import Recommendation, recommend
 from repro.core.results import Measurement, ResultSet
 from repro.core.runner import BenchmarkRunner, verify_roundtrip
 from repro.core.suite import (
+    CacheStats,
     SuiteRun,
+    cache_dir,
     default_datasets,
     default_methods,
     run_suite,
@@ -24,18 +25,15 @@ from repro.core.suite import (
 __all__ = [
     "BenchmarkRunner",
     "CacheStats",
-    "CellCache",
     "CellTask",
     "Measurement",
     "Recommendation",
     "ResultSet",
     "SuiteRun",
     "cache_dir",
-    "clear_cache",
     "execute_cells",
     "resolve_jobs",
     "run_suite_detailed",
-    "scan_cache",
     "compression_ratio",
     "decompression_asymmetry",
     "default_datasets",

@@ -4,7 +4,7 @@ A :class:`Measurement` captures one (method, dataset) cell of the
 evaluation: the measured compression ratio plus the modeled throughput
 and wall-time figures.  A :class:`ResultSet` holds the full matrix and
 provides the projections the tables and figures need, plus JSON
-round-tripping so the expensive suite run is cached on disk.
+round-tripping for exporting a result matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Measurement:
     error: str = ""
     #: True for failures synthesized from unexpected worker exceptions
     #: (crashes, resource exhaustion) — potentially transient, so the
-    #: suite cache never persists them.  Policy failures recorded by the
+    #: result store never persists them.  Policy failures recorded by the
     #: runner (skips, roundtrip mismatches) stay False and are cacheable.
     transient: bool = False
     input_bytes: int = 0

@@ -36,19 +36,24 @@ executor's parent-side ``on_result`` hook instead.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Callable
 
 import numpy as np
 
 from repro.compressors import get_compressor
-from repro.compressors.base import Compressor
+from repro.compressors.base import Compressor, method_fingerprint, stable_repr
 from repro.core.results import Measurement
 from repro.data.catalog import DatasetSpec
 from repro.errors import ReproError
 from repro.perf.timing import PerformanceModel
 
-__all__ = ["BenchmarkRunner", "verify_roundtrip"]
+__all__ = ["CACHE_VERSION", "BenchmarkRunner", "verify_roundtrip"]
+
+#: Bump to invalidate every stored cell at once (format or harness
+#: changes that per-method fingerprints cannot see).
+CACHE_VERSION = "v13"
 
 
 def verify_roundtrip(original: np.ndarray, restored: np.ndarray) -> bool:
@@ -81,6 +86,28 @@ class BenchmarkRunner:
         state = self.__dict__.copy()
         state["on_result"] = None
         return state
+
+    def cell_fingerprint(self, method: str) -> str:
+        """Digest of everything that can change ``method``'s measurement.
+
+        Covers :data:`CACHE_VERSION`, the method's source fingerprint
+        (editing ``chimp.py`` invalidates only the Chimp column) and this
+        runner's type, hardware specs (frozen dataclasses, so
+        ``stable_repr`` describes them fully) and verify / paper-limit
+        policies.  A stored cell whose fingerprint differs is stale.
+        """
+        payload = "|".join(
+            [
+                CACHE_VERSION,
+                method_fingerprint(method),
+                type(self).__qualname__,
+                stable_repr(self.perf.cpu),
+                stable_repr(self.perf.gpu),
+                str(self.verify),
+                str(self.paper_limits),
+            ]
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
     def prepare_input(
         self, compressor: Compressor, array: np.ndarray

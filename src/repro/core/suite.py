@@ -1,13 +1,21 @@
-"""Full-suite orchestration: parallel execution + per-cell caching.
+"""Full-suite orchestration: parallel execution over the result store.
 
 Running all 14 table methods over all 33 datasets is ~462 independent
 (method, dataset) cells.  ``run_suite`` fans them out over the
-:mod:`~repro.core.executor` process pool and caches each cell
-individually through :mod:`~repro.core.cache`, so
+:mod:`~repro.core.executor` process pool and keeps each measured cell
+in the experiment database (:mod:`repro.expdb.store`) at
+``cache_dir()/results.sqlite`` — the same store ``fcbench sweep``
+writes — so
 
 * multi-core hardware cuts a cold run roughly by the worker count, and
 * editing one compressor re-runs only that method's column — every
-  other cell is a cache hit.
+  other cell is a hit.
+
+A suite cell is stored under the whole-array keyfields
+(``chunk_elements=0, jobs=1, policy="fixed"``) with its full
+:class:`Measurement` and the fingerprint of the code that produced it
+(:meth:`BenchmarkRunner.cell_fingerprint`).  A row is a hit only while
+that fingerprint matches; otherwise it is *stale*: re-run, overwritten.
 
 Dzip is excluded from the default method list exactly as the paper
 excludes it from the headline tables (section 4.5).
@@ -37,34 +45,108 @@ to the serial run's.
 
 from __future__ import annotations
 
+import json
+import os
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 from repro.compressors import paper_table_order
-from repro.core.cache import (
-    CACHE_VERSION,
-    CacheStats,
-    CellCache,
-    cache_dir,
-    write_last_run,
-)
 from repro.core.executor import CellCallback, CellTask, execute_cells, resolve_jobs
 from repro.core.results import Measurement, ResultSet
 from repro.core.runner import BenchmarkRunner
 from repro.data.catalog import CATALOG
 from repro.data.loader import DEFAULT_TARGET_ELEMENTS
+from repro.errors import UnknownCodecError
 
 __all__ = [
+    "CacheStats",
     "SuiteRun",
+    "cache_dir",
+    "cell_fields",
+    "open_store",
     "run_suite",
     "run_suite_detailed",
     "default_methods",
     "default_datasets",
-    "cache_dir",
+    "stored_cells",
 ]
 
-#: Re-exported for callers that keyed off the old module-level constant.
-_CACHE_VERSION = CACHE_VERSION
+_STORE_FILE = "results.sqlite"
+
+
+def cache_dir() -> Path:
+    """Root directory of the result store (override with FCBENCH_CACHE_DIR)."""
+    root = os.environ.get("FCBENCH_CACHE_DIR")
+    path = (
+        Path(root) if root
+        else Path(__file__).resolve().parents[3] / ".fcbench_cache"
+    )
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def open_store(root: Path | None = None):
+    """Open the result store under ``root`` (default :func:`cache_dir`)."""
+    # Imported here: every `import repro` (each server child, cluster
+    # node, pool worker) would otherwise pay for sqlite3.
+    from repro.expdb.store import ExperimentStore
+
+    root = Path(root) if root is not None else cache_dir()
+    root.mkdir(parents=True, exist_ok=True)
+    return ExperimentStore(root / _STORE_FILE)
+
+
+def cell_fields(measurement: Measurement, runner: BenchmarkRunner) -> dict:
+    """The result and provenance columns of one whole-array measurement."""
+    fields = {
+        "fingerprint": runner.cell_fingerprint(measurement.method),
+        "measurement": json.dumps(asdict(measurement)),
+    }
+    if measurement.ok:
+
+        def mbs(seconds: float) -> float | None:  # NaN > 0 is False
+            return measurement.input_bytes / seconds / 1e6 if seconds > 0 else None
+
+        fields.update(
+            ratio=measurement.compression_ratio,
+            input_bytes=measurement.input_bytes,
+            compressed_bytes=measurement.compressed_bytes,
+            encode_mbs=mbs(measurement.measured_compress_s),
+            decode_mbs=mbs(measurement.measured_decompress_s),
+        )
+    return fields
+
+
+def _servable(row, runner: BenchmarkRunner) -> Measurement | None:
+    """The measurement ``row`` stores, or None when it cannot serve a hit.
+
+    Missing rows, rows without provenance (pending, pre-version-2,
+    crashed), rows whose fingerprint moved on, and rows whose
+    measurement no longer parses are all just misses: the cell re-runs.
+    """
+    if row is None:
+        return None
+    try:
+        if row.fingerprint != runner.cell_fingerprint(row.key.codec):
+            return None
+        return Measurement(**json.loads(row.measurement))
+    except (UnknownCodecError, TypeError, ValueError):
+        return None
+
+
+def stored_cells(store):
+    """Yield ``(row, measurement)`` per finished whole-array cell.
+
+    ``measurement`` is None for a *stale* row — one a suite run would
+    not serve as a hit.  ``fcbench cache`` and ``fcbench select train``
+    are both views over this.
+    """
+    runner = BenchmarkRunner()
+    for row in store.cells():
+        if row.key.chunk_elements == 0 and row.status in ("done", "failed"):
+            yield row, _servable(row, runner)
 
 
 def default_methods() -> list[str]:
@@ -75,6 +157,26 @@ def default_methods() -> list[str]:
 def default_datasets() -> list[str]:
     """All 33 Table 3 datasets in catalog order."""
     return [spec.name for spec in CATALOG]
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss/store accounting for one suite run."""
+
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 @dataclass
@@ -94,15 +196,15 @@ def run_suite(
     seed: int = 0,
     use_cache: bool = True,
     runner: BenchmarkRunner | None = None,
-    progress: bool = False,
     jobs: int | None = None,
     on_cell: CellCallback | None = None,
 ) -> ResultSet:
     """Evaluate ``methods`` x ``datasets`` and return the result matrix.
 
-    Cells are cached individually on disk; pass ``use_cache=False`` (or
-    a custom ``runner``) to force re-execution.  ``jobs`` selects the
-    process-pool width (``FCBENCH_JOBS`` overrides, default serial);
+    Cells are kept individually in the result store; pass
+    ``use_cache=False`` (or a custom ``runner``) to force re-execution.
+    ``jobs`` selects the process-pool width (``FCBENCH_JOBS`` overrides,
+    default serial);
     ``on_cell(task, measurement, elapsed_s)`` streams per-cell status.
     """
     return run_suite_detailed(
@@ -112,7 +214,6 @@ def run_suite(
         seed=seed,
         use_cache=use_cache,
         runner=runner,
-        progress=progress,
         jobs=jobs,
         on_cell=on_cell,
     ).results
@@ -125,33 +226,27 @@ def run_suite_detailed(
     seed: int = 0,
     use_cache: bool = True,
     runner: BenchmarkRunner | None = None,
-    progress: bool = False,
     jobs: int | None = None,
     on_cell: CellCallback | None = None,
 ) -> SuiteRun:
     """Like :func:`run_suite` but also returns cache/timing bookkeeping."""
+    from repro.expdb.store import CellKey
+
     methods = methods or default_methods()
     datasets = datasets or default_datasets()
     jobs = resolve_jobs(jobs)
-    default_runner = runner is None
-    runner = runner or BenchmarkRunner()
     # Custom runners measure under non-default policies; never let those
-    # results shadow (or be shadowed by) the standard cache entries.
-    cache = CellCache(runner=runner) if use_cache and default_runner else None
+    # results shadow (or be shadowed by) the standard stored cells.
+    use_store = use_cache and runner is None
+    runner = runner or BenchmarkRunner()
+    stats = CacheStats()
 
-    def emit(task: CellTask, measurement: Measurement, elapsed: float,
-             cached: bool = False) -> None:
-        if progress:
-            status = (
-                f"CR={measurement.compression_ratio:.3f}"
-                if measurement.ok
-                else f"skip ({measurement.error})"
-            )
-            suffix = " (cached)" if cached else ""
-            print(f"  {task.dataset:16s} {task.method:16s} {status}{suffix}",
-                  flush=True)
-        if on_cell is not None:
-            on_cell(task, measurement, elapsed)
+    def keyfields(task: CellTask) -> CellKey:
+        # The whole-array protocol, as `fcbench sweep` spells it.
+        return CellKey(
+            task.method, task.dataset, 0, 1, "fixed", task.seed,
+            task.target_elements,
+        )
 
     start = time.perf_counter()
     tasks = [
@@ -161,42 +256,64 @@ def run_suite_detailed(
     ]
     slots: list[Measurement | None] = [None] * len(tasks)
     pending: list[tuple[int, CellTask]] = []
-    for index, task in enumerate(tasks):
-        hit = cache.get(task) if cache is not None else None
-        if hit is not None:
+    with open_store() if use_store else nullcontext() as store:
+        for index, task in enumerate(tasks):
+            hit = None
+            if store is not None:
+                hit = _servable(store.find_cell(keyfields(task)), runner)
+            if hit is None:
+                pending.append((index, task))
+                continue
             slots[index] = hit
-            emit(task, hit, 0.0, cached=True)
-        else:
-            pending.append((index, task))
+            if on_cell is not None:
+                on_cell(task, hit, 0.0)
+        if store is not None:
+            stats.misses = len(pending)
+            stats.hits = len(tasks) - len(pending)
 
-    if pending:
-        executed = execute_cells(
-            [task for _, task in pending],
-            runner=runner,
-            jobs=jobs,
-            on_result=emit,
-        )
-        for (index, task), measurement in zip(pending, executed):
-            slots[index] = measurement
-            # Never persist transient (crash-synthesized) failures: a
-            # cached MemoryError would replay forever.  Deterministic
-            # policy failures (skips, roundtrip mismatches) do cache.
-            if cache is not None and not measurement.transient:
-                cache.put(task, measurement)
+        if pending:
+            executed = execute_cells(
+                [task for _, task in pending],
+                runner=runner,
+                jobs=jobs,
+                on_result=on_cell,
+            )
+            rows = []
+            for (index, task), measurement in zip(pending, executed):
+                slots[index] = measurement
+                # Never persist transient (crash-synthesized) failures: a
+                # stored MemoryError would replay forever.  Deterministic
+                # policy failures (skips, roundtrip mismatches) do persist.
+                if store is not None and not measurement.transient:
+                    rows.append(
+                        {
+                            **keyfields(task).as_dict(),
+                            "domain": measurement.domain,
+                            "status": "done" if measurement.ok else "failed",
+                            "error": measurement.error,
+                            "source": "suite",
+                            "finished_at": time.time(),
+                            **cell_fields(measurement, runner),
+                        }
+                    )
+            if store is not None:
+                stats.stores = store.upsert_cells(rows)
 
-    results = ResultSet([m for m in slots if m is not None])
-    elapsed = time.perf_counter() - start
-    stats = cache.stats if cache is not None else CacheStats()
-    if cache is not None:
-        write_last_run(
-            stats,
-            root=cache.root,
-            cells=len(tasks),
-            methods=len(methods),
-            datasets=len(datasets),
-            jobs=jobs,
-            elapsed_seconds=round(elapsed, 3),
-        )
+        results = ResultSet([m for m in slots if m is not None])
+        elapsed = time.perf_counter() - start
+        if store is not None:
+            store.set_meta(
+                "last_run",
+                {
+                    "timestamp": time.time(),
+                    **stats.as_dict(),
+                    "cells": len(tasks),
+                    "methods": len(methods),
+                    "datasets": len(datasets),
+                    "jobs": jobs,
+                    "elapsed_seconds": round(elapsed, 3),
+                },
+            )
     return SuiteRun(
         results=results, cache_stats=stats, elapsed_seconds=elapsed, jobs=jobs
     )

@@ -21,7 +21,6 @@ All generators are deterministic in (dataset name, seed).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.catalog import DatasetSpec
 from repro.errors import DatasetError
@@ -38,6 +37,8 @@ def _fractal_field(
     amplitudes halving per octave — a cheap spectral-synthesis fractal
     with the long-range correlations scientific fields exhibit.
     """
+    from scipy import ndimage  # keep scipy off `import repro`
+
     field = np.zeros(shape, dtype=np.float64)
     for octave in range(octaves):
         coarse_shape = tuple(
@@ -177,6 +178,8 @@ def _gen_starfield(spec, extent, rng):
     frames = 1
     for dim in extent[:-2]:
         frames *= dim
+    from scipy import ndimage  # keep scipy off `import repro`
+
     out = np.empty((frames, *image_shape), dtype=np.float64)
     n_pixels = image_shape[0] * image_shape[1]
     n_stars = max(1, int(n_pixels * density))

@@ -23,6 +23,7 @@ __all__ = [
     "ServiceError",
     "StorageError",
     "StreamClosedError",
+    "UnknownCodecError",
     "UnsupportedDtypeError",
 ]
 
@@ -41,6 +42,20 @@ class UnsupportedDtypeError(ReproError):
     Mirrors Table 1 of the paper: pFPC and GFC are double-precision only,
     and every studied method is restricted to float32/float64.
     """
+
+
+class UnknownCodecError(ReproError, KeyError):
+    """A codec name is not in the compressor registry.
+
+    Also a :class:`KeyError`, which is what the registry lookup raised
+    before this class existed, so ``except KeyError`` callers keep
+    working.  Crosses the wire as ``ERR_UNKNOWN_CODEC``, so a served or
+    clustered call with a misspelled codec raises the same class as the
+    local one.
+    """
+
+    def __str__(self) -> str:  # KeyError would repr() the message
+        return str(self.args[0]) if self.args else ""
 
 
 class InputTooLargeError(ReproError):
@@ -97,8 +112,9 @@ class ServiceError(ReproError):
     The network surface (:mod:`repro.service`) reports server-side
     failures as typed error frames; the client raises the matching
     library exception where one exists (:class:`CorruptStreamError`,
-    :class:`SelectionError`, :class:`UnsupportedDtypeError`) and this
-    class for everything else — unknown codecs, internal faults.
+    :class:`SelectionError`, :class:`UnsupportedDtypeError`,
+    :class:`UnknownCodecError`) and this class for everything else —
+    internal faults.
     """
 
 

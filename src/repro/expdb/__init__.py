@@ -1,6 +1,8 @@
-"""Experiment database: resumable sweeps with paper-scale reporting.
+"""Experiment database: the one result store, resumable sweeps, reporting.
 
-The subsystem behind ``fcbench sweep`` and ``fcbench report --db``:
+The subsystem behind ``fcbench sweep`` and ``fcbench report --db``, and
+the store ``fcbench run / report / cache / select train`` keep their
+measured cells in (see :mod:`repro.core.suite`):
 
 * :mod:`repro.expdb.store` — sqlite-backed experiment store
   (keyfields × resultfields × logtables, WAL mode, versioned schema);
@@ -9,16 +11,15 @@ The subsystem behind ``fcbench sweep`` and ``fcbench report --db``:
   writers double nothing;
 * :mod:`repro.expdb.sweep` — idempotent grid expansion plus the
   multi-process worker loop;
-* :mod:`repro.expdb.importer` — migrates the per-cell JSON cache into
-  the database;
 * :mod:`repro.expdb.report` — Friedman / Nemenyi / CD-diagram
   reporting over finished cells.
 
 The design follows the keyfield/resultfield experiment-tracking pattern:
 a cell is one point of the cross product, identified by its keyfields
 (codec, dataset, chunk_elements, jobs, policy, seed, target_elements),
-carrying its measured resultfields (ratio, throughputs, byte counts)
-and a per-cell event logtable.
+carrying its measured resultfields (ratio, throughputs, byte counts),
+for whole-array cells the full measurement plus the fingerprint of the
+code that produced it, and a per-cell event logtable.
 """
 
 from repro.expdb.claim import (
@@ -30,7 +31,6 @@ from repro.expdb.claim import (
     make_owner_id,
     release_stale,
 )
-from repro.expdb.importer import import_cache
 from repro.expdb.report import (
     bench_section,
     render_report,
@@ -77,7 +77,6 @@ __all__ = [
     "claim_next",
     "execute_cell",
     "expand_grid",
-    "import_cache",
     "init_grid",
     "make_owner_id",
     "release_stale",

@@ -20,9 +20,15 @@ not failures and flip back to ``pending`` when the file appears (see
 :func:`repro.expdb.sweep.init_grid`).  ``done`` and ``failed`` are
 terminal.
 
-The schema is versioned: opening a database written by a different
-schema version raises :class:`~repro.errors.ExperimentError` instead of
-silently misreading rows.
+Whole-array cells (``chunk_elements = 0``) also carry two *provenance*
+columns — ``measurement``, the full ``Measurement`` as JSON, and
+``fingerprint``, a digest of the code that produced it — which is what
+lets ``fcbench run`` serve a stored cell as a hit (:mod:`repro.core.suite`).
+
+The schema is versioned: a version-1 database (no provenance columns)
+is upgraded in place, any other version raises
+:class:`~repro.errors.ExperimentError` instead of silently misreading
+rows.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import json
 import sqlite3
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.errors import ExperimentError
@@ -45,8 +51,9 @@ __all__ = [
     "ExperimentStore",
 ]
 
-#: Bump when the table layout changes; old databases are refused.
-SCHEMA_VERSION = 1
+#: Bump when the table layout changes.  Version 1 (before the
+#: provenance columns) is upgraded in place; anything else is refused.
+SCHEMA_VERSION = 2
 
 #: Every status a cell can be in.  ``pending`` and ``claimed`` are
 #: transient; ``done``/``failed`` are terminal; ``skipped`` can revert
@@ -91,6 +98,8 @@ CREATE TABLE IF NOT EXISTS cells (
     decode_mbs      REAL,
     input_bytes     INTEGER,
     compressed_bytes INTEGER,
+    fingerprint     TEXT,
+    measurement     TEXT,
     UNIQUE (codec, dataset, chunk_elements, jobs, policy, seed,
             target_elements)
 );
@@ -120,15 +129,7 @@ class CellKey:
     target_elements: int
 
     def as_dict(self) -> dict:
-        return {
-            "codec": self.codec,
-            "dataset": self.dataset,
-            "chunk_elements": self.chunk_elements,
-            "jobs": self.jobs,
-            "policy": self.policy,
-            "seed": self.seed,
-            "target_elements": self.target_elements,
-        }
+        return asdict(self)
 
     @property
     def method_label(self) -> str:
@@ -136,6 +137,25 @@ class CellKey:
         if self.codec == "auto":
             return f"auto/{self.policy}"
         return self.codec
+
+
+#: Keyfield columns, in schema (and UNIQUE-constraint) order.
+KEY_FIELDS = tuple(f.name for f in fields(CellKey))
+
+#: Provenance columns of whole-array cells (schema version 2).
+PROVENANCE_FIELDS = ("fingerprint", "measurement")
+
+#: Columns an insert may set, with the defaults of the ones it may omit.
+_INSERT_DEFAULTS = {
+    **dict.fromkeys(KEY_FIELDS),
+    "domain": "?",
+    "status": "pending",
+    "source": "sweep",
+    "error": "",
+    "finished_at": None,
+    "attempts": 0,
+    **dict.fromkeys(RESULT_FIELDS + PROVENANCE_FIELDS),
+}
 
 
 @dataclass(frozen=True)
@@ -158,6 +178,8 @@ class CellRow:
     decode_mbs: float | None
     input_bytes: int | None
     compressed_bytes: int | None
+    fingerprint: str | None
+    measurement: str | None
 
     def resultfields(self) -> dict:
         return {name: getattr(self, name) for name in RESULT_FIELDS}
@@ -175,33 +197,17 @@ class EventRow:
     created: float = 0.0
 
 
+def _where(**equals) -> tuple[str, list]:
+    """``WHERE`` clause and parameters for the filters that are not None."""
+    given = {name: value for name, value in equals.items() if value is not None}
+    clause = " AND ".join(f"{name} = ?" for name in given)
+    return (f"WHERE {clause}" if clause else ""), list(given.values())
+
+
 def _row_to_cell(row: sqlite3.Row) -> CellRow:
-    return CellRow(
-        id=row["id"],
-        key=CellKey(
-            codec=row["codec"],
-            dataset=row["dataset"],
-            chunk_elements=row["chunk_elements"],
-            jobs=row["jobs"],
-            policy=row["policy"],
-            seed=row["seed"],
-            target_elements=row["target_elements"],
-        ),
-        domain=row["domain"],
-        status=row["status"],
-        owner=row["owner"],
-        attempts=row["attempts"],
-        claimed_at=row["claimed_at"],
-        heartbeat=row["heartbeat"],
-        finished_at=row["finished_at"],
-        error=row["error"],
-        source=row["source"],
-        ratio=row["ratio"],
-        encode_mbs=row["encode_mbs"],
-        decode_mbs=row["decode_mbs"],
-        input_bytes=row["input_bytes"],
-        compressed_bytes=row["compressed_bytes"],
-    )
+    columns = dict(row)
+    key = CellKey(**{name: columns.pop(name) for name in KEY_FIELDS})
+    return CellRow(key=key, **columns)
 
 
 class ExperimentStore:
@@ -240,11 +246,15 @@ class ExperimentStore:
             row = self.conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-            if row is None:
-                self.conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
+            if row is None or row["value"] == "1":
+                if row is not None:
+                    # Additive upgrade: every version-1 row stays valid,
+                    # it just has no provenance (so never serves a hit).
+                    for column in PROVENANCE_FIELDS:
+                        self.conn.execute(
+                            f"ALTER TABLE cells ADD COLUMN {column} TEXT"
+                        )
+                self.set_meta("schema_version", SCHEMA_VERSION)
             elif row["value"] != str(SCHEMA_VERSION):
                 raise ExperimentError(
                     f"{self.path} uses schema version {row['value']}, this "
@@ -299,53 +309,59 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     # Cells
     # ------------------------------------------------------------------
+    def _insert(self, rows: list[dict], on_conflict: str) -> int:
+        columns = tuple(_INSERT_DEFAULTS)
+        sql = (
+            f"INSERT INTO cells ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' for _ in columns)}) "
+            f"ON CONFLICT ({', '.join(KEY_FIELDS)}) DO {on_conflict}"
+        )
+        changed = 0
+        with self.transaction("IMMEDIATE"):
+            for row in rows:
+                row = {**_INSERT_DEFAULTS, **row}
+                if row["status"] not in STATUSES:
+                    raise ExperimentError(
+                        f"unknown cell status {row['status']!r}"
+                    )
+                cur = self.conn.execute(sql, [row[name] for name in columns])
+                changed += cur.rowcount
+        return changed
+
     def insert_cells(self, rows: list[dict]) -> int:
         """Insert cells, ignoring rows whose keyfields already exist.
 
         Each row dict needs the seven keyfields plus ``domain``; it may
         carry ``status``, ``source``, ``error``, ``finished_at``, and
-        resultfields (the cache importer inserts finished rows).
-        Returns the number of rows actually added, so re-running a grid
-        init reports only the new cells.
+        result / provenance fields.  Returns the number of rows actually
+        added, so re-running a grid init reports only the new cells.
         """
-        added = 0
+        return self._insert(rows, "NOTHING")
+
+    def upsert_cells(self, rows: list[dict]) -> int:
+        """Insert cells, overwriting rows whose keyfields already exist.
+
+        How ``fcbench run`` writes a measured cell back: a stale row (or
+        a sweep's still-pending one) under the same keyfields is
+        replaced by the fresh result.  Returns the rows written.
+        """
+        updates = ", ".join(
+            f"{name} = excluded.{name}"
+            for name in _INSERT_DEFAULTS
+            if name not in KEY_FIELDS
+        )
+        return self._insert(rows, f"UPDATE SET {updates}")
+
+    def delete_cells(self, ids: list[int]) -> int:
+        """Delete the given cells and their events; returns cells deleted."""
         with self.transaction("IMMEDIATE"):
-            for row in rows:
-                status = row.get("status", "pending")
-                if status not in STATUSES:
-                    raise ExperimentError(f"unknown cell status {status!r}")
-                cur = self.conn.execute(
-                    "INSERT OR IGNORE INTO cells ("
-                    " codec, dataset, chunk_elements, jobs, policy, seed,"
-                    " target_elements, domain, status, source, error,"
-                    " finished_at, attempts,"
-                    " ratio, encode_mbs, decode_mbs, input_bytes,"
-                    " compressed_bytes"
-                    ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-                    "?, ?, ?, ?, ?)",
-                    (
-                        row["codec"],
-                        row["dataset"],
-                        row["chunk_elements"],
-                        row["jobs"],
-                        row["policy"],
-                        row["seed"],
-                        row["target_elements"],
-                        row.get("domain", "?"),
-                        row.get("status", "pending"),
-                        row.get("source", "sweep"),
-                        row.get("error", ""),
-                        row.get("finished_at"),
-                        row.get("attempts", 0),
-                        row.get("ratio"),
-                        row.get("encode_mbs"),
-                        row.get("decode_mbs"),
-                        row.get("input_bytes"),
-                        row.get("compressed_bytes"),
-                    ),
-                )
-                added += cur.rowcount
-        return added
+            marks = [(cell_id,) for cell_id in ids]
+            self.conn.executemany(
+                "DELETE FROM events WHERE cell_id = ?", marks
+            )
+            return self.conn.executemany(
+                "DELETE FROM cells WHERE id = ?", marks
+            ).rowcount
 
     def cells(
         self,
@@ -354,17 +370,7 @@ class ExperimentStore:
         codec: str | None = None,
     ) -> list[CellRow]:
         """Cells in id order, optionally filtered."""
-        clauses, params = [], []
-        if status is not None:
-            clauses.append("status = ?")
-            params.append(status)
-        if dataset is not None:
-            clauses.append("dataset = ?")
-            params.append(dataset)
-        if codec is not None:
-            clauses.append("codec = ?")
-            params.append(codec)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, params = _where(status=status, dataset=dataset, codec=codec)
         rows = self.conn.execute(
             f"SELECT * FROM cells {where} ORDER BY id", params
         ).fetchall()
@@ -377,19 +383,9 @@ class ExperimentStore:
         return _row_to_cell(row) if row is not None else None
 
     def find_cell(self, key: CellKey) -> CellRow | None:
+        where, params = _where(**key.as_dict())
         row = self.conn.execute(
-            "SELECT * FROM cells WHERE codec = ? AND dataset = ? AND "
-            "chunk_elements = ? AND jobs = ? AND policy = ? AND seed = ? "
-            "AND target_elements = ?",
-            (
-                key.codec,
-                key.dataset,
-                key.chunk_elements,
-                key.jobs,
-                key.policy,
-                key.seed,
-                key.target_elements,
-            ),
+            f"SELECT * FROM cells {where}", params
         ).fetchone()
         return _row_to_cell(row) if row is not None else None
 
@@ -425,7 +421,8 @@ class ExperimentStore:
                 f"write_result only accepts terminal statuses, got {status!r}"
             )
         fields = dict(resultfields or {})
-        unknown = set(fields) - set(RESULT_FIELDS)
+        writable = RESULT_FIELDS + PROVENANCE_FIELDS
+        unknown = set(fields) - set(writable)
         if unknown:
             raise ExperimentError(
                 f"unknown resultfields: {', '.join(sorted(unknown))}"
@@ -433,7 +430,7 @@ class ExperimentStore:
         now = time.time() if now is None else now
         sets = ["status = ?", "finished_at = ?", "error = ?"]
         params: list = [status, now, error]
-        for name in RESULT_FIELDS:
+        for name in writable:
             if name in fields:
                 sets.append(f"{name} = ?")
                 params.append(fields[name])
@@ -483,14 +480,7 @@ class ExperimentStore:
     def events(
         self, cell_id: int | None = None, kind: str | None = None
     ) -> list[EventRow]:
-        clauses, params = [], []
-        if cell_id is not None:
-            clauses.append("cell_id = ?")
-            params.append(cell_id)
-        if kind is not None:
-            clauses.append("kind = ?")
-            params.append(kind)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, params = _where(cell_id=cell_id, kind=kind)
         rows = self.conn.execute(
             f"SELECT * FROM events {where} ORDER BY id", params
         ).fetchall()
@@ -500,14 +490,5 @@ class ExperimentStore:
                 payload = json.loads(row["payload"])
             except json.JSONDecodeError:
                 payload = {}
-            out.append(
-                EventRow(
-                    id=row["id"],
-                    cell_id=row["cell_id"],
-                    worker=row["worker"],
-                    kind=row["kind"],
-                    payload=payload,
-                    created=row["created"],
-                )
-            )
+            out.append(EventRow(**{**dict(row), "payload": payload}))
         return out

@@ -12,9 +12,9 @@ re-claimed by any survivor (see :mod:`repro.expdb.claim`).
 Cell execution reuses the existing measurement machinery:
 
 * ``chunk_elements == 0`` cells run the legacy whole-array protocol
-  through :class:`~repro.core.runner.BenchmarkRunner` — exactly the
-  path the per-cell JSON cache used, so cache-imported rows and fresh
-  runs of the same keyfields agree on every deterministic resultfield;
+  through :class:`~repro.core.runner.BenchmarkRunner` and store the
+  full measurement plus its fingerprint — exactly what ``fcbench run``
+  does, so the two commands serve each other's hits;
 * ``chunk_elements > 0`` cells measure the streaming surface — an FCF
   frame stream at the keyfield's chunk size, with ``jobs`` fanning
   chunk compression over the :mod:`repro.core.executor` process pool
@@ -275,30 +275,6 @@ def _load_cell_array(
     return load(key.dataset, key.target_elements, key.seed), spec
 
 
-def _measurement_resultfields(measurement) -> dict:
-    """Map a legacy :class:`Measurement` onto the DB resultfields."""
-    import math
-
-    def _mbs(nbytes: int, seconds: float) -> float | None:
-        if not (isinstance(seconds, float) and math.isfinite(seconds)):
-            return None
-        if seconds <= 0:
-            return None
-        return nbytes / seconds / 1e6
-
-    return {
-        "ratio": measurement.compression_ratio,
-        "input_bytes": measurement.input_bytes,
-        "compressed_bytes": measurement.compressed_bytes,
-        "encode_mbs": _mbs(
-            measurement.input_bytes, measurement.measured_compress_s
-        ),
-        "decode_mbs": _mbs(
-            measurement.input_bytes, measurement.measured_decompress_s
-        ),
-    }
-
-
 def execute_cell(
     key: CellKey, corpus: ExternalCorpus | None = None
 ) -> tuple[str, dict, str, list[dict]]:
@@ -325,8 +301,9 @@ def execute_cell(
 
 
 def _execute_legacy_cell(key: CellKey, array, spec):
-    """Whole-array protocol — byte-compatible with the suite cache path."""
+    """Whole-array protocol — the same cell ``fcbench run`` measures."""
     from repro.core.runner import BenchmarkRunner
+    from repro.core.suite import cell_fields
 
     if key.codec == "auto":
         return (
@@ -335,14 +312,14 @@ def _execute_legacy_cell(key: CellKey, array, spec):
             "codec 'auto' requires chunk_elements > 0",
             [],
         )
+    runner = BenchmarkRunner()
     try:
-        measurement = BenchmarkRunner().run_cell(key.codec, array, spec)
+        measurement = runner.run_cell(key.codec, array, spec)
     except Exception as exc:  # fault isolation
         return "failed", {}, f"{type(exc).__name__}: {exc}", []
     events = [{"kind": "protocol", "payload": {"protocol": "legacy"}}]
-    if not measurement.ok:
-        return "failed", {}, measurement.error, events
-    return "done", _measurement_resultfields(measurement), "", events
+    status = "done" if measurement.ok else "failed"
+    return status, cell_fields(measurement, runner), measurement.error, events
 
 
 def _execute_stream_cell(key: CellKey, array):

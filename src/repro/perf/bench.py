@@ -109,6 +109,14 @@ def git_sha() -> str:
         return "unknown"
 
 
+def source_lines() -> int:
+    """Line count of ``src/repro/**/*.py`` — the size the ROADMAP tracks."""
+    package = Path(__file__).resolve().parents[1]
+    return sum(
+        len(path.read_text().splitlines()) for path in package.rglob("*.py")
+    )
+
+
 def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -264,6 +272,7 @@ def run_bench(
         "host": platform.node(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "source_lines": source_lines(),
         "elements": elements,
         "repeats": repeats,
         "cells": [],

@@ -13,8 +13,8 @@ from cheap chunk statistics.
 * :mod:`repro.select.online` — the ``online`` bandit policy that keeps
   learning from served outcomes (the multi-tenant server's feedback
   loop),
-* :mod:`repro.select.train` — fit the learned policy from the suite
-  cache (``fcbench select train``).
+* :mod:`repro.select.train` — fit the learned policy from the result
+  store (``fcbench select train``).
 
 Entry points: pass ``codec="auto"`` to any :mod:`repro.api` writer, or
 ``--codec auto`` to ``fcbench compress``; ``fcbench select explain``

@@ -13,7 +13,7 @@ Three policies, in increasing cost:
   the chunk with every candidate and keeps the smallest output; ties
   break toward the earlier candidate, so selection is deterministic.
 * :class:`LearnedPolicy` — nearest-neighbour lookup in a feature →
-  winner table fit offline from the suite cache
+  winner table fit offline from the result store
   (:mod:`repro.select.train`, ``fcbench select train``).
 
 Policies are plain picklable objects: the chunk-parallel write path

@@ -1,11 +1,14 @@
-"""Fit the learned selection policy from the per-cell suite cache.
+"""Fit the learned selection policy from the result store.
 
-Every suite run leaves (method, dataset) measurements in the cell cache
-(:mod:`repro.core.cache`).  Those cells already contain the ground
-truth selection needs — which codec achieved the best compression ratio
-on which data — so training is a scan, not a re-run:
+Every suite run (and every whole-array sweep) leaves (method, dataset)
+measurements in the result store (:mod:`repro.core.suite`).  Those
+cells already contain the ground truth selection needs — which codec
+achieved the best compression ratio on which data — so training is a
+query, not a re-run:
 
-1. group cached cells by (dataset, element budget, seed),
+1. group the fresh stored cells by (dataset, element budget, seed) —
+   stale rows were measured by code that has since changed and are
+   ignored,
 2. keep the best-CR method per group (optionally restricted to a
    candidate set),
 3. materialize the dataset at that budget/seed and extract its
@@ -23,7 +26,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.cache import cache_dir, scan_cache
+from repro.core.suite import cache_dir, open_store, stored_cells
 from repro.errors import SelectionError
 from repro.select.features import FEATURE_ORDER, extract_features
 from repro.select.policy import LearnedPolicy
@@ -64,27 +67,22 @@ class TableRow:
 
 
 def _winners_from_cells(
-    cells: list[dict], candidates: tuple[str, ...] | None
+    cells, candidates: tuple[str, ...] | None
 ) -> dict[tuple[str, int, int], tuple[str, float]]:
     best: dict[tuple[str, int, int], tuple[str, float]] = {}
-    for payload in cells:
-        measurement = payload.get("measurement", {})
-        method = payload.get("method", "")
+    # Method order plus strict > below keeps the alphabetically first
+    # method on exact ties, so training is deterministic.
+    for row, measurement in sorted(cells, key=lambda cell: cell[0].key.codec):
+        method = row.key.codec
         if candidates is not None and method not in candidates:
             continue
-        if not measurement.get("ok"):
+        if measurement is None or not measurement.ok:
             continue
-        ratio = measurement.get("compression_ratio")
+        ratio = measurement.compression_ratio
         if not isinstance(ratio, (int, float)) or not ratio > 0:
             continue
-        key = (
-            payload.get("dataset", ""),
-            int(payload.get("target_elements", 0)),
-            int(payload.get("seed", 0)),
-        )
+        key = (row.key.dataset, row.key.target_elements, row.key.seed)
         incumbent = best.get(key)
-        # Strict > keeps the first-seen method on exact ties, and cells
-        # are scanned in sorted path order, so training is deterministic.
         if incumbent is None or ratio > incumbent[1]:
             best[key] = (method, float(ratio))
     return best
@@ -94,28 +92,22 @@ def build_table(
     root: Path | None = None,
     candidates: tuple[str, ...] | None = None,
 ) -> list[TableRow]:
-    """Scan the suite cache into a feature → winner table.
+    """Query the result store into a feature → winner table.
 
-    Raises :class:`SelectionError` when the cache holds no usable cells
+    Raises :class:`SelectionError` when the store holds no usable cells
     — training needs at least one completed suite run.
     """
     from repro.data.loader import load
 
-    scan = scan_cache(root)
-    cells = []
-    for entry in scan.entries:
-        try:
-            cells.append(json.loads(entry.path.read_text()))
-        except (OSError, json.JSONDecodeError):
-            continue
-    winners = _winners_from_cells(cells, candidates)
+    with open_store(root) as store:
+        winners = _winners_from_cells(stored_cells(store), candidates)
     rows = []
     for (dataset, target_elements, seed), (winner, ratio) in sorted(
         winners.items()
     ):
         try:
             array = load(dataset, target_elements, seed)
-        except Exception:  # noqa: BLE001 - stale cache naming a gone dataset
+        except Exception:  # noqa: BLE001 - stored row naming a gone dataset
             continue
         rows.append(
             TableRow(
@@ -129,7 +121,7 @@ def build_table(
         )
     if not rows:
         raise SelectionError(
-            "the suite cache holds no usable cells to train from "
+            "the result store holds no usable cells to train from "
             "(run `fcbench run` first, then `fcbench select train`)"
         )
     return rows
@@ -141,7 +133,7 @@ def table_from_results(
     seed: int = 0,
     candidates: tuple[str, ...] | None = None,
 ) -> list[TableRow]:
-    """Build a table straight from a :class:`ResultSet` (no cache)."""
+    """Build a table straight from a :class:`ResultSet` (no store)."""
     from repro.data.loader import load
 
     best: dict[str, tuple[str, float]] = {}

@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from repro.api.frames import DEFAULT_CHUNK_ELEMENTS
-from repro.client import CompressionClient, deprecated_kwarg
+from repro.client import CompressionClient
 from repro.errors import ProtocolError, ServerOverloadedError
 from repro.obs import NULL_SPAN, SpanRecorder
 from repro.service import protocol
@@ -169,14 +169,11 @@ class ServiceClient(CompressionClient):
         functions, so replaying one is always safe.  Shorthand for a
         default :class:`~repro.service.resilience.RetryPolicy` with
         ``retry + 1`` attempts; ignored when ``retry_policy`` is
-        given.  (Formerly spelled ``retries=``; the old keyword still
-        works with a :class:`DeprecationWarning` for one release.)
+        given.
     deadline:
         The *overall operation budget* in seconds: one budget that
         every attempt, backoff sleep, and re-dial spends from.  A
         per-call ``deadline=`` argument overrides it per request.
-        (Formerly spelled ``timeout=``; the old keyword still works
-        with a :class:`DeprecationWarning` for one release.)
     attempt_timeout:
         Cap on each individual socket operation (connect, send, recv).
         Defaults to ``deadline``, preserving the historical behavior
@@ -223,8 +220,8 @@ class ServiceClient(CompressionClient):
         port: int,
         *,
         pool_size: int = 2,
-        retry: int | None = None,
-        deadline: float | None = None,
+        retry: int = 1,
+        deadline: float = 30.0,
         attempt_timeout: float | None = None,
         token: str | None = None,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
@@ -232,15 +229,9 @@ class ServiceClient(CompressionClient):
         retry_budget: RetryBudget | None = None,
         propagate_deadline: bool = False,
         trace: bool | SpanRecorder = False,
-        retries: int | None = None,
-        timeout: float | None = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be positive")
-        retry = deprecated_kwarg("retries", "retry", retries, retry)
-        deadline = deprecated_kwarg("timeout", "deadline", timeout, deadline)
-        retry = 1 if retry is None else retry
-        deadline = 30.0 if deadline is None else deadline
         self.host = host
         self.port = int(port)
         self.pool_size = int(pool_size)
@@ -270,11 +261,6 @@ class ServiceClient(CompressionClient):
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-
-    @property
-    def timeout(self) -> float:
-        """Deprecated alias of :attr:`deadline` (kept for one release)."""
-        return self.deadline
 
     # -- pooling -------------------------------------------------------
     def _checkout(self, connect_timeout: float | None = None) -> _Connection:
@@ -595,18 +581,13 @@ class AsyncServiceClient:
         host: str,
         port: int,
         *,
-        attempt_timeout: float | None = None,
+        attempt_timeout: float = 30.0,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         token: str | None = None,
         trace: bool | SpanRecorder = False,
-        timeout: float | None = None,
     ) -> "AsyncServiceClient":
-        attempt_timeout = deprecated_kwarg(
-            "timeout", "attempt_timeout", timeout, attempt_timeout
-        )
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port),
-            30.0 if attempt_timeout is None else attempt_timeout,
+            asyncio.open_connection(host, port), attempt_timeout
         )
         return cls(
             reader, writer, max_payload=max_payload, token=token, trace=trace

@@ -55,6 +55,7 @@ from repro.errors import (
     SelectionError,
     ServerOverloadedError,
     ServiceError,
+    UnknownCodecError,
     UnsupportedDtypeError,
 )
 
@@ -235,7 +236,7 @@ _ERROR_EXCEPTIONS = {
     ERR_CORRUPT_STREAM: CorruptStreamError,
     ERR_SELECTION: SelectionError,
     ERR_UNSUPPORTED_DTYPE: UnsupportedDtypeError,
-    ERR_UNKNOWN_CODEC: ServiceError,
+    ERR_UNKNOWN_CODEC: UnknownCodecError,
     ERR_TOO_LARGE: ProtocolError,
     ERR_INTERNAL: ServiceError,
     ERR_DEADLINE: DeadlineExceededError,
@@ -914,7 +915,7 @@ def error_code_for(exc: BaseException) -> int:
         return ERR_SELECTION
     if isinstance(exc, UnsupportedDtypeError):
         return ERR_UNSUPPORTED_DTYPE
-    if isinstance(exc, KeyError):  # unknown compressor name
+    if isinstance(exc, UnknownCodecError):
         return ERR_UNKNOWN_CODEC
     return ERR_INTERNAL
 

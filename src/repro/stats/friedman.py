@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.stats.ranking import rank_matrix
 
@@ -38,6 +37,8 @@ def friedman_test(
     scores: np.ndarray, higher_is_better: bool = True
 ) -> FriedmanResult:
     """Run the Friedman test on a (datasets x methods) score matrix."""
+    from scipy import stats as scipy_stats  # 1 s import; keep off `import repro`
+
     scores = np.asarray(scores, dtype=np.float64)
     n, k = scores.shape
     if n < 2 or k < 2:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["NemenyiResult", "critical_difference", "nemenyi_test"]
 
@@ -25,6 +24,8 @@ def critical_difference(k: int, n: int, alpha: float = 0.05) -> float:
     """The Nemenyi critical difference for k methods over n datasets."""
     if k < 2 or n < 1:
         raise ValueError(f"need k >= 2 methods and n >= 1 datasets, got {k}, {n}")
+    from scipy import stats as scipy_stats  # 1 s import; keep off `import repro`
+
     q_alpha = scipy_stats.studentized_range.ppf(1.0 - alpha, k, np.inf) / math.sqrt(2.0)
     return float(q_alpha * math.sqrt(k * (k + 1) / (6.0 * n)))
 

@@ -40,7 +40,7 @@ def cluster():
 @pytest.fixture()
 def client(cluster):
     with ClusterClient(
-        [(cluster.control_host, cluster.control_port)], timeout=60.0
+        [(cluster.control_host, cluster.control_port)], deadline=60.0
     ) as client:
         yield client
 
@@ -172,7 +172,7 @@ def test_hammer_with_mid_run_kill_zero_errors(cluster, client):
     def _drive(index: int) -> None:
         stream = f"t4/hammer/{index}"
         own = ClusterClient(
-            [(cluster.control_host, cluster.control_port)], timeout=60.0
+            [(cluster.control_host, cluster.control_port)], deadline=60.0
         )
         barrier.wait()
         try:
@@ -230,7 +230,7 @@ def test_whole_replica_set_loss_is_a_cluster_error():
     supervisor.start()
     try:
         with ClusterClient(
-            [(supervisor.control_host, supervisor.control_port)], timeout=5.0
+            [(supervisor.control_host, supervisor.control_port)], deadline=5.0
         ) as client:
             arr = _sample(seed=5)
             blob = client.compress_stream("t6/only", arr, "gorilla")

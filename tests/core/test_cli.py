@@ -93,23 +93,28 @@ def test_cache_inspect_and_clear(tmp_path, capsys):
             "--target-elements", "512",
         ]
     )
-    (tmp_path / "suite_oldformat.json").write_text("[]")
     capsys.readouterr()
 
     assert main(["cache"]) == 0
     out = capsys.readouterr().out
+    assert f"cache root: {tmp_path}" in out
     assert "cells: 2 (0 stale" in out
-    assert "legacy suite blobs: 1" in out
+    assert "chimp" in out and "gorilla" in out
     assert "last run: 0 hits / 2 misses" in out
 
     assert main(["cache", "clear", "--stale"]) == 0
-    out = capsys.readouterr().out
-    assert "0 cell(s), 1 legacy blob(s), 2 kept" in out
-    assert not list(tmp_path.glob("suite_*.json"))
-    assert len(list(tmp_path.glob("cells/*/*.json"))) == 2
+    assert "0 cell(s), 2 kept" in capsys.readouterr().out
+    assert main(["cache"]) == 0
+    assert "cells: 2 (0 stale" in capsys.readouterr().out
 
     assert main(["cache", "clear"]) == 0
-    assert not list(tmp_path.glob("cells/*/*.json"))
+    assert "2 cell(s), 0 kept" in capsys.readouterr().out
+    assert main(["cache"]) == 0
+    out = capsys.readouterr().out
+    assert "cells: 0 (0 stale" in out
+    assert "last run" not in out
+    # The store is one file; nothing else accumulates beside it.
+    assert [p.name for p in tmp_path.iterdir()] == ["results.sqlite"]
 
 
 def test_report_table4(capsys):

@@ -139,4 +139,4 @@ def test_unknown_dataset_becomes_failed_measurement():
 def test_unknown_method_becomes_failed_measurement():
     [m] = execute_cells([CellTask("no-such-method", "citytemp", 512)], jobs=1)
     assert not m.ok
-    assert "KeyError" in m.error
+    assert m.error.startswith("UnknownCodecError: unknown compressor")

@@ -1,11 +1,17 @@
-"""Tests for suite orchestration and the per-cell incremental cache."""
+"""Tests for suite orchestration over the result store."""
 
 from repro.core.suite import (
     default_datasets,
     default_methods,
+    open_store,
     run_suite,
     run_suite_detailed,
 )
+
+
+def _stored(codec=None) -> int:
+    with open_store() as store:
+        return len(store.cells(status="done", codec=codec))
 
 
 def test_default_methods_are_table_order():
@@ -28,10 +34,15 @@ def test_mini_suite_and_cache(tmp_path, monkeypatch):
     )
     assert len(results) == 4
     assert all(m.ok for m in results.measurements)
-    # One JSON file per cell, grouped by method.
-    assert len(list(tmp_path.glob("cells/*/*.json"))) == 4
-    assert len(list(tmp_path.glob("cells/chimp/*.json"))) == 2
-    # Second call must be served entirely from the cache, bit-identical.
+    # One row per cell, under the whole-array keyfields.
+    assert _stored() == 4
+    assert _stored("chimp") == 2
+    with open_store() as store:
+        assert {
+            (c.key.chunk_elements, c.key.jobs, c.key.policy, c.source)
+            for c in store.cells()
+        } == {(0, 1, "fixed", "suite")}
+    # Second call must be served entirely from the store, bit-identical.
     rerun = run_suite_detailed(
         methods=["chimp", "gorilla"],
         datasets=["citytemp", "gas-price"],
@@ -48,14 +59,14 @@ def test_cache_key_depends_on_scale(tmp_path, monkeypatch):
     monkeypatch.setenv("FCBENCH_CACHE_DIR", str(tmp_path))
     run_suite(methods=["gorilla"], datasets=["citytemp"], target_elements=512)
     run_suite(methods=["gorilla"], datasets=["citytemp"], target_elements=1024)
-    assert len(list(tmp_path.glob("cells/gorilla/*.json"))) == 2
+    assert _stored("gorilla") == 2
 
 
 def test_cache_key_depends_on_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("FCBENCH_CACHE_DIR", str(tmp_path))
     run_suite(methods=["gorilla"], datasets=["citytemp"], target_elements=512)
     run_suite(methods=["gorilla"], datasets=["citytemp"], target_elements=512, seed=7)
-    assert len(list(tmp_path.glob("cells/gorilla/*.json"))) == 2
+    assert _stored("gorilla") == 2
 
 
 def test_results_keep_dataset_major_order(tmp_path, monkeypatch):

@@ -145,24 +145,9 @@ def test_report_json_without_db_rejected(capsys):
     assert "--db" in capsys.readouterr().err
 
 
-def test_sweep_import_cache_cli(db, tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("FCBENCH_CACHE_DIR", str(cache))
-    main(
-        [
-            "run",
-            "--methods",
-            "gorilla",
-            "--datasets",
-            "citytemp",
-            "--target-elements",
-            "512",
-            "--quiet",
-        ]
-    )
-    capsys.readouterr()
-    assert main(["sweep", "import-cache", "--db", db]) == 0
-    assert "imported 1 cells" in capsys.readouterr().out
-    with ExperimentStore(db) as store:
-        assert store.counts()["done"] == 1
+def test_sweep_import_cache_cli(db, capsys):
+    """The verb is retired: `fcbench run` writes the database directly."""
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "import-cache", "--db", db])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -201,3 +201,125 @@ def test_two_connections_share_one_database(tmp_path):
     with ExperimentStore(path) as a, ExperimentStore(path) as b:
         a.insert_cells([_row()])
         assert b.counts()["total"] == 1
+
+
+# ----------------------------------------------------------------------
+# Schema version 2: provenance columns, upsert, delete, in-place upgrade
+# ----------------------------------------------------------------------
+def test_provenance_columns_round_trip(store):
+    from repro.expdb.claim import claim_next
+
+    store.insert_cells([_row()])
+    cell = claim_next(store, "w")
+    assert (cell.fingerprint, cell.measurement) == (None, None)
+    store.write_result(
+        cell.id, "w", "done",
+        {"ratio": 1.5, "fingerprint": "abc", "measurement": '{"ok": true}'},
+    )
+    row = store.cell_by_id(cell.id)
+    assert (row.fingerprint, row.measurement) == ("abc", '{"ok": true}')
+    # Provenance rides beside the resultfields, it is not one of them.
+    assert set(row.resultfields()) == set(RESULT_FIELDS)
+
+
+def test_upsert_overwrites_where_insert_ignores(store):
+    store.insert_cells([_row(status="done", ratio=1.0, fingerprint="old")])
+    [before] = store.cells()
+    assert store.insert_cells([_row(status="done", ratio=9.0)]) == 0
+    assert store.cells()[0].ratio == 1.0
+    assert store.upsert_cells(
+        [_row(status="failed", error="boom", fingerprint="new", source="suite")]
+    ) == 1
+    [after] = store.cells()
+    assert after.id == before.id  # same row, so its events stay attached
+    assert (after.status, after.error, after.source) == ("failed", "boom", "suite")
+    assert (after.ratio, after.fingerprint) == (None, "new")
+    assert store.upsert_cells([_row(codec="chimp")]) == 1
+    assert store.counts()["total"] == 2
+    with pytest.raises(ExperimentError, match="status"):
+        store.upsert_cells([_row(status="wedged")])
+
+
+def test_delete_cells_takes_their_events_along(store):
+    store.insert_cells([_row(), _row(codec="chimp"), _row(codec="fpzip")])
+    ids = [cell.id for cell in store.cells()]
+    for cell_id in ids:
+        store.log_event(cell_id, "w", "done")
+    assert store.delete_cells([ids[0], ids[2]]) == 2
+    assert [cell.id for cell in store.cells()] == [ids[1]]
+    assert [event.cell_id for event in store.events()] == [ids[1]]
+    assert store.delete_cells([]) == 0
+    assert store.delete_cells([ids[1], 999]) == 1
+    assert store.counts()["total"] == 0 and store.events() == []
+
+
+_V1_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE cells (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    codec TEXT NOT NULL, dataset TEXT NOT NULL,
+    chunk_elements INTEGER NOT NULL, jobs INTEGER NOT NULL,
+    policy TEXT NOT NULL, seed INTEGER NOT NULL,
+    target_elements INTEGER NOT NULL,
+    domain TEXT NOT NULL DEFAULT '?',
+    status TEXT NOT NULL DEFAULT 'pending'
+        CHECK (status IN ('pending', 'claimed', 'done', 'failed', 'skipped')),
+    owner TEXT, attempts INTEGER NOT NULL DEFAULT 0,
+    claimed_at REAL, heartbeat REAL, finished_at REAL,
+    error TEXT NOT NULL DEFAULT '', source TEXT NOT NULL DEFAULT 'sweep',
+    ratio REAL, encode_mbs REAL, decode_mbs REAL,
+    input_bytes INTEGER, compressed_bytes INTEGER,
+    UNIQUE (codec, dataset, chunk_elements, jobs, policy, seed,
+            target_elements)
+);
+CREATE TABLE events (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    cell_id INTEGER NOT NULL REFERENCES cells (id),
+    worker TEXT NOT NULL, kind TEXT NOT NULL,
+    payload TEXT NOT NULL DEFAULT '{}', created REAL NOT NULL
+);
+INSERT INTO meta VALUES ('schema_version', '1');
+INSERT INTO meta VALUES ('grid', '{"codecs": ["gorilla"]}');
+INSERT INTO cells (codec, dataset, chunk_elements, jobs, policy, seed,
+                   target_elements, domain, status, ratio, input_bytes)
+VALUES ('gorilla', 'citytemp', 0, 1, 'fixed', 0, 1024, 'TS', 'done',
+        1.25, 8192),
+       ('chimp', 'citytemp', 512, 1, 'fixed', 0, 1024, 'TS', 'pending',
+        NULL, NULL);
+INSERT INTO events (cell_id, worker, kind, created) VALUES (1, 'w', 'done', 1.0);
+"""
+
+
+def test_schema_v1_database_is_upgraded_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "old.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript(_V1_SCHEMA)
+    conn.close()
+
+    with ExperimentStore(path) as s:
+        assert s.get_meta("schema_version") == str(SCHEMA_VERSION) == "2"
+        assert s.get_meta("grid") == {"codecs": ["gorilla"]}
+        done, pending = s.cells()
+        assert (done.status, done.ratio, done.input_bytes) == ("done", 1.25, 8192)
+        assert (done.fingerprint, done.measurement) == (None, None)
+        assert pending.status == "pending"
+        assert [e.kind for e in s.events(cell_id=done.id)] == ["done"]
+    # Reopening an upgraded database is a no-op, not a second ALTER.
+    with ExperimentStore(path) as s:
+        assert s.counts()["total"] == 2
+
+    # The kept whole-array row has no provenance, so a suite run re-measures
+    # and overwrites it; `report --db` reads the database either way.
+    from repro.core.suite import run_suite_detailed
+
+    monkeypatch.setenv("FCBENCH_CACHE_DIR", str(tmp_path))
+    path.rename(tmp_path / "results.sqlite")
+    run = run_suite_detailed(
+        methods=["gorilla"], datasets=["citytemp"], target_elements=1024
+    )
+    assert (run.cache_stats.hits, run.cache_stats.misses) == (0, 1)
+    with ExperimentStore(tmp_path / "results.sqlite") as s:
+        done, pending = s.cells()
+        assert done.id == 1 and done.fingerprint is not None
+        assert done.ratio == run.results.measurements[0].compression_ratio
+        assert pending.status == "pending"

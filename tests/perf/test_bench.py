@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,13 @@ class TestRunBench:
             assert key in cell
         assert cell["compress_mbs"] > 0
         assert cell["decompress_mbs"] > 0
+
+    def test_source_lines_in_metadata(self, tiny_report):
+        # The ROADMAP's shrink-the-system trajectory, as a number.
+        package = Path(bench.__file__).resolve().parents[1]
+        own = len((package / "perf" / "bench.py").read_text().splitlines())
+        assert own < tiny_report["source_lines"] == bench.source_lines()
+        assert tiny_report["source_lines"] > 10_000
 
     def test_oracle_fields_present_for_rewritten_codecs(self, tiny_report):
         for cell in tiny_report["cells"]:

@@ -1,11 +1,10 @@
-"""Training the learned policy from the suite cache and ResultSets."""
-
-from types import SimpleNamespace
+"""Training the learned policy from the result store and ResultSets."""
 
 import pytest
 
-from repro.core.cache import CellCache
 from repro.core.results import Measurement, ResultSet
+from repro.core.runner import BenchmarkRunner
+from repro.core.suite import cell_fields, open_store
 from repro.errors import SelectionError
 from repro.select import (
     LearnedPolicy,
@@ -29,20 +28,32 @@ def _measurement(method, dataset, ratio, ok=True):
     )
 
 
-def _seed_cache(tmp_path):
-    cache = CellCache(root=tmp_path)
-    cells = [
+def _seed_cache(tmp_path, cells=None, fingerprint=None):
+    cells = cells or [
         ("gorilla", "citytemp", 2.0),
         ("chimp", "citytemp", 3.5),
         ("gorilla", "tpcH-order", 1.9),
         ("chimp", "tpcH-order", 1.2),
     ]
-    for method, dataset, ratio in cells:
-        task = SimpleNamespace(
-            method=method, dataset=dataset, target_elements=512, seed=0
+    runner = BenchmarkRunner()
+    with open_store(tmp_path) as store:
+        store.upsert_cells(
+            [
+                {
+                    "codec": method,
+                    "dataset": dataset,
+                    "chunk_elements": 0,
+                    "jobs": 1,
+                    "policy": "fixed",
+                    "seed": 0,
+                    "target_elements": 512,
+                    "status": "done",
+                    **cell_fields(_measurement(method, dataset, ratio), runner),
+                    **({"fingerprint": fingerprint} if fingerprint else {}),
+                }
+                for method, dataset, ratio in cells
+            ]
         )
-        cache.put(task, _measurement(method, dataset, ratio))
-    return cache
 
 
 def test_build_table_picks_best_cr_per_dataset(tmp_path):
@@ -63,6 +74,24 @@ def test_build_table_respects_candidate_restriction(tmp_path):
 def test_build_table_on_empty_cache_raises(tmp_path):
     with pytest.raises(SelectionError):
         build_table(root=tmp_path)
+
+
+def test_build_table_ignores_stale_rows(tmp_path):
+    """A stale row's ratio was measured by code that has since changed."""
+    _seed_cache(tmp_path)
+    # A stale fpzip row that would win citytemp if it were trusted.
+    _seed_cache(tmp_path, [("fpzip", "citytemp", 99.0)], fingerprint="0" * 20)
+    winners = {row.dataset: row.winner for row in build_table(root=tmp_path)}
+    assert winners == {"citytemp": "chimp", "tpcH-order": "gorilla"}
+    # Once re-measured under the current fingerprint it counts again.
+    _seed_cache(tmp_path, [("fpzip", "citytemp", 99.0)])
+    winners = {row.dataset: row.winner for row in build_table(root=tmp_path)}
+    assert winners["citytemp"] == "fpzip"
+
+
+def test_build_table_ties_go_to_the_alphabetically_first_method(tmp_path):
+    _seed_cache(tmp_path, [("gorilla", "citytemp", 2.0), ("chimp", "citytemp", 2.0)])
+    assert [row.winner for row in build_table(root=tmp_path)] == ["chimp"]
 
 
 def test_table_round_trips_through_json(tmp_path):

@@ -14,6 +14,7 @@ from repro.errors import (
     ProtocolError,
     SelectionError,
     ServiceError,
+    UnknownCodecError,
     UnsupportedDtypeError,
 )
 from repro.service import protocol
@@ -409,7 +410,11 @@ def test_error_code_mapping_is_bidirectional():
         (SelectionError("x"), ERR_SELECTION, SelectionError),
         (UnsupportedDtypeError("x"), protocol.ERR_UNSUPPORTED_DTYPE,
          UnsupportedDtypeError),
-        (KeyError("nosuch"), protocol.ERR_UNKNOWN_CODEC, ServiceError),
+        (UnknownCodecError("nosuch"), protocol.ERR_UNKNOWN_CODEC,
+         UnknownCodecError),
+        # A KeyError from inside a codec is an internal fault, not a
+        # misspelled codec name.
+        (KeyError("nosuch"), protocol.ERR_INTERNAL, ServiceError),
         (RuntimeError("boom"), protocol.ERR_INTERNAL, ServiceError),
     ]
     for exc, expected_code, expected_type in cases:

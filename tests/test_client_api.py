@@ -1,29 +1,34 @@
-"""The unified client surface: ``connect()``, the ABC, kwarg shims.
+"""The unified client surface: ``connect()``, the ABC, kwarg spellings.
 
 ``ServiceClient`` and ``ClusterClient`` must be drop-in
 interchangeable behind :class:`repro.CompressionClient` — the same
 helper drives a byte round-trip through both without knowing which
 topology it holds.  The canonical kwarg spellings (``deadline=``,
-``retry=``) must work on every client, the deprecated ones
-(``timeout=``, ``retries=``) must warn exactly once and keep working,
-and passing both spellings is a hard ``TypeError``.
+``retry=``) work on every client; the spellings they replaced
+(``timeout=``, ``retries=``) are a ``TypeError`` like any other
+unknown keyword.
 
 Also audits every public module's ``__all__``: each exported name must
 resolve, so ``from repro.x import *`` never breaks.
 """
 
+import asyncio
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro import CompressionClient, connect
-from repro.client import deprecated_kwarg
 from repro.cluster.client import ClusterClient
-from repro.service import ServiceClient, serve_background
+from repro.errors import ReproError, UnknownCodecError
+from repro.service import AsyncServiceClient, ServiceClient, serve_background
 
 
 @pytest.fixture(scope="module")
@@ -92,30 +97,56 @@ class TestConnect:
             connect("no-port-here")
 
 
-class TestDeprecatedKwargs:
-    def test_service_client_timeout_alias_warns(self, handle):
-        with pytest.warns(DeprecationWarning, match="'timeout'"):
-            client = ServiceClient(handle.host, handle.port, timeout=2.0)
-        with client:
-            assert client.deadline == 2.0
-            assert client.timeout == 2.0  # legacy property still reads
+class TestUnknownCodec:
+    """A misspelled codec is the same typed error local, served, clustered."""
 
-    def test_service_client_retries_alias_warns(self, handle):
-        with pytest.warns(DeprecationWarning, match="'retries'"):
-            client = ServiceClient(handle.host, handle.port, retries=2)
-        client.close()
+    def _assert_typed(self, call):
+        with pytest.raises(UnknownCodecError, match="unknown compressor") as info:
+            call()
+        assert isinstance(info.value, KeyError)
+        assert isinstance(info.value, ReproError)
+        assert not str(info.value).startswith(("'", '"'))  # no KeyError repr
+
+    def test_local(self, array):
+        self._assert_typed(lambda: repro.compress_array(array, "nope"))
+
+    def test_service_client(self, handle, array):
+        with connect((handle.host, handle.port)) as client:
+            self._assert_typed(lambda: client.compress_array(array, "nope"))
+            assert round_trip(client, array)  # the connection survives
+
+    def test_cluster_client(self, handle, array):
+        with connect(cluster_seeds=[(handle.host, handle.port)]) as client:
+            self._assert_typed(lambda: client.compress_array(array, "nope"))
+            assert client.resilience_snapshot()["failovers"] == 0
+
+
+class TestDeprecatedKwargs:
+    """The PR 9 spellings (``timeout=`` / ``retries=``) are gone."""
+
+    def test_service_client_timeout_is_a_type_error(self, handle):
+        with pytest.raises(TypeError, match="timeout"):
+            ServiceClient(handle.host, handle.port, timeout=2.0)
+
+    def test_service_client_retries_is_a_type_error(self, handle):
+        with pytest.raises(TypeError, match="retries"):
+            ServiceClient(handle.host, handle.port, retries=2)
 
     def test_both_spellings_is_an_error(self, handle):
-        with pytest.raises(TypeError, match="deprecated alias"):
+        with pytest.raises(TypeError, match="timeout"):
             ServiceClient(handle.host, handle.port, deadline=1.0, timeout=2.0)
 
-    def test_cluster_client_timeout_alias_warns(self, handle):
-        with pytest.warns(DeprecationWarning, match="'timeout'"):
-            client = ClusterClient(
-                [(handle.host, handle.port)], timeout=4.0
+    def test_cluster_client_timeout_is_a_type_error(self, handle):
+        with pytest.raises(TypeError, match="timeout"):
+            ClusterClient([(handle.host, handle.port)], timeout=4.0)
+
+    def test_async_connect_timeout_is_a_type_error(self, handle):
+        with pytest.raises(TypeError, match="timeout"):
+            asyncio.run(
+                AsyncServiceClient.connect(
+                    handle.host, handle.port, timeout=1.0
+                )
             )
-        with client:
-            assert client.deadline == 4.0
 
     def test_canonical_spelling_does_not_warn(self, handle):
         with warnings.catch_warnings():
@@ -124,13 +155,12 @@ class TestDeprecatedKwargs:
                 handle.host, handle.port, deadline=2.0, retry=1
             ) as client:
                 assert client.deadline == 2.0
-
-    def test_helper_contract(self):
-        assert deprecated_kwarg("old", "new", None, 7) == 7
-        with pytest.warns(DeprecationWarning):
-            assert deprecated_kwarg("old", "new", 3, None) == 3
-        with pytest.raises(TypeError):
-            deprecated_kwarg("old", "new", 3, 7)
+                assert not hasattr(client, "timeout")
+            with ClusterClient(
+                [(handle.host, handle.port)], deadline=4.0
+            ) as cluster:
+                assert cluster.deadline == 4.0
+                assert not hasattr(cluster, "timeout")
 
 
 class TestPublicSurface:
@@ -139,6 +169,27 @@ class TestPublicSurface:
                      "connect", "CompressionClient"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+
+    def test_import_repro_loads_neither_scipy_nor_sqlite(self):
+        # Every `fcbench serve` child, cluster node and pool worker pays
+        # for `import repro`; scipy.stats alone was 1 s of its 1.3 s.
+        probe = (
+            "import sys, repro; "
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'sqlite3', '_sqlite3')])"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        path = src + (os.pathsep + inherited if inherited else "")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_every_all_name_resolves(self):
         modules = ["repro"]
