@@ -1070,10 +1070,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 f"restored (shape {'x'.join(map(str, array.shape))})"
             )
         return 0
-    except ConnectionRefusedError as exc:
-        raise SystemExit(
-            f"error: no server at {args.host}:{args.port} ({exc})"
-        ) from exc
     except ReproError as exc:
         raise SystemExit(f"error: {exc}") from exc
 
@@ -1183,10 +1179,6 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
             args.host, args.port, deadline=args.timeout
         ) as client:
             stats = client.stats()
-    except ConnectionRefusedError as exc:
-        raise SystemExit(
-            f"error: no server at {args.host}:{args.port} ({exc})"
-        ) from exc
     except ReproError as exc:
         raise SystemExit(f"error: {exc}") from exc
     body = {
@@ -1302,8 +1294,6 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
     try:
         with _cluster_control_client(args) as client:
             status = client.cluster_control("status")
-    except ConnectionRefusedError as exc:
-        raise SystemExit(f"error: no cluster supervisor reachable ({exc})") from exc
     except ReproError as exc:
         raise SystemExit(f"error: {exc}") from exc
     if args.json:
@@ -1379,10 +1369,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 limit=getattr(args, "limit", None),
                 trace_id=getattr(args, "trace_id", None),
             )
-    except ConnectionRefusedError as exc:
-        raise SystemExit(
-            f"error: no server at {args.host}:{args.port} ({exc})"
-        ) from exc
     except ReproError as exc:
         raise SystemExit(f"error: {exc}") from exc
 
@@ -1417,8 +1403,6 @@ def _cmd_cluster_trace(args: argparse.Namespace) -> int:
     try:
         with _cluster_control_client(args) as client:
             doc = client.trace(limit=args.limit, trace_id=args.trace_id)
-    except ConnectionRefusedError as exc:
-        raise SystemExit(f"error: no cluster supervisor reachable ({exc})") from exc
     except ReproError as exc:
         raise SystemExit(f"error: {exc}") from exc
 
@@ -1454,8 +1438,6 @@ def _cmd_cluster_drain(args: argparse.Namespace) -> int:
     try:
         with _cluster_control_client(args) as client:
             entry = client.cluster_control("drain", args.node)
-    except ConnectionRefusedError as exc:
-        raise SystemExit(f"error: no cluster supervisor reachable ({exc})") from exc
     except ReproError as exc:
         raise SystemExit(f"error: {exc}") from exc
     print(

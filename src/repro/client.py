@@ -82,15 +82,6 @@ class CompressionClient(abc.ABC):
         self.close()
 
 
-def _split_address(address: str) -> tuple[str, int]:
-    host, sep, port = str(address).rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"address {address!r} is not 'host:port'"
-        )
-    return host, int(port)
-
-
 def connect(
     target=None, *, cluster_seeds=None, **options
 ) -> CompressionClient:
@@ -132,17 +123,10 @@ def connect(
             )
         ):
             seeds = list(target)
-    if seeds is not None:
-        from repro.cluster.client import ClusterClient
+    from repro.cluster.client import ClusterClient, parse_seed
 
-        pairs = [
-            _split_address(seed) if isinstance(seed, str) else tuple(seed)
-            for seed in seeds
-        ]
-        return ClusterClient(pairs, **options)
+    if seeds is not None:
+        return ClusterClient(seeds, **options)
     from repro.service.client import ServiceClient
 
-    host, port = (
-        _split_address(target) if isinstance(target, str) else target
-    )
-    return ServiceClient(host, port, **options)
+    return ServiceClient(*parse_seed(target), **options)

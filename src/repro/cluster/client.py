@@ -45,7 +45,8 @@ from repro.client import CompressionClient
 from repro.cluster.ring import HashRing
 from repro.errors import ClusterError, ProtocolError, ServerOverloadedError
 from repro.obs import SpanRecorder
-from repro.service.client import DEFAULT_CODEC, ServiceClient
+from repro.service.client import DEFAULT_CODEC, RequestSurface, ServiceClient
+from repro.service.protocol import DEFAULT_MAX_PAYLOAD
 from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
 
 __all__ = ["ClusterClient", "parse_seed", "DEFAULT_STREAM_ID"]
@@ -75,6 +76,24 @@ def parse_seed(seed) -> tuple[str, int]:
         return host, int(port)
     host, port = seed
     return str(host), int(port)
+
+
+def _error_entry(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+class _StreamSurface(RequestSurface):
+    """The request surface, routed to one stream's replica set."""
+
+    def __init__(self, cluster: "ClusterClient", stream_id: str) -> None:
+        self._cluster = cluster
+        self._stream_id = stream_id
+
+    def _call(self, request_type: int, payload: bytes, decode, deadline):
+        frame = self._cluster._execute(
+            self._stream_id, request_type, payload, deadline
+        )
+        return decode(frame.payload)
 
 
 class ClusterClient(CompressionClient):
@@ -161,7 +180,9 @@ class ClusterClient(CompressionClient):
         self._replication_override = replication
         self.pool_size = int(pool_size)
         self.deadline = float(deadline)
-        self.max_payload = max_payload
+        self.max_payload = (
+            DEFAULT_MAX_PAYLOAD if max_payload is None else int(max_payload)
+        )
         self.attempt_timeout = (
             float(attempt_timeout) if attempt_timeout is not None
             else self.deadline
@@ -178,11 +199,7 @@ class ClusterClient(CompressionClient):
             key: parse_seed(value)
             for key, value in (address_overrides or {}).items()
         }
-        self.recorder = (
-            trace
-            if isinstance(trace, SpanRecorder)
-            else SpanRecorder(enabled=bool(trace))
-        )
+        self.recorder = SpanRecorder.for_option(trace)
         self._lock = threading.Lock()
         self._clients: dict[str, ServiceClient] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -229,26 +246,20 @@ class ClusterClient(CompressionClient):
                     f"expired (last probe failure: {last})"
                 ) from last
             dial_host, dial_port = self._dial_address(host, port)
-            probe = ServiceClient(
-                dial_host,
-                dial_port,
-                pool_size=1,
-                retry=0,
-                deadline=self.deadline,
-                token=self.token,
-                **(
-                    {"max_payload": self.max_payload}
-                    if self.max_payload is not None
-                    else {}
-                ),
-            )
             try:
-                topology = probe.cluster_topology(deadline=deadline)
+                with ServiceClient(
+                    dial_host,
+                    dial_port,
+                    pool_size=1,
+                    retry=0,
+                    deadline=self.deadline,
+                    token=self.token,
+                    max_payload=self.max_payload,
+                ) as probe:
+                    topology = probe.cluster_topology(deadline=deadline)
             except _FAILOVER_ERRORS as exc:
                 last = exc
                 continue
-            finally:
-                probe.close()
             self._adopt(topology)
             return topology
         raise ClusterError(
@@ -314,11 +325,7 @@ class ClusterClient(CompressionClient):
                     token=self.token,
                     propagate_deadline=self.propagate_deadline,
                     trace=self.recorder,
-                    **(
-                        {"max_payload": self.max_payload}
-                        if self.max_payload is not None
-                        else {}
-                    ),
+                    max_payload=self.max_payload,
                 )
                 self._clients[node_id] = client
             return client
@@ -347,8 +354,10 @@ class ClusterClient(CompressionClient):
             f"{node}: {type(exc).__name__}: {exc}" for node, exc in failures
         )
 
-    def _execute(self, stream_id: str, op, deadline=None):
-        """Run ``op(client, deadline)`` on the replica set with failover.
+    def _execute(
+        self, stream_id: str, request_type: int, payload: bytes, deadline=None
+    ):
+        """One request on the replica set, with failover; the reply frame.
 
         One :class:`Deadline` (the client's ``deadline``, or the
         per-call override) spans the whole walk: both passes, the
@@ -367,104 +376,85 @@ class ClusterClient(CompressionClient):
         fails over to the next replica but is *not* a breaker strike —
         a shedding node is alive, just busy.
         """
-        if not isinstance(deadline, Deadline):
-            deadline = Deadline.after(
-                self.deadline if deadline is None else deadline
-            )
-        root = self.recorder.span(
+        deadline = Deadline.after(self.deadline if deadline is None else deadline)
+        with self.recorder.span(
             "cluster.request", attributes={"stream_id": stream_id}
-        )
-        try:
-            result = self._execute_with_failover(
-                stream_id, op, deadline, root
-            )
-        except BaseException as exc:
-            root.set_error(exc)
-            root.finish()
-            raise
-        root.finish()
-        return result
-
-    def _execute_with_failover(self, stream_id: str, op, deadline, root):
-        failures: list[tuple[str, Exception]] = []
-        for attempt in range(2):
-            replicas = self.nodes_for(stream_id)
-            with self._lock:
-                states = dict(self._states)
-            for node_id in replicas:
-                if deadline.expired:
-                    raise ClusterError(
-                        f"operation deadline ({self.deadline}s) exhausted "
-                        f"serving stream {stream_id!r}: "
-                        f"{self._failure_detail(failures) or 'no attempts'}"
+        ) as root:
+            failures: list[tuple[str, Exception]] = []
+            for attempt in range(2):
+                replicas = self.nodes_for(stream_id)
+                with self._lock:
+                    states = dict(self._states)
+                for node_id in replicas:
+                    if deadline.expired:
+                        raise ClusterError(
+                            f"operation deadline ({self.deadline}s) exhausted "
+                            f"serving stream {stream_id!r}: "
+                            f"{self._failure_detail(failures) or 'no attempts'}"
+                        )
+                    if attempt == 0 and states.get(node_id) not in _ROUTABLE_STATES:
+                        continue
+                    breaker = self._breaker(node_id)
+                    replica_span = self.recorder.span(
+                        "cluster.replica",
+                        parent=root,
+                        attributes={"node": node_id, "pass": attempt},
                     )
-                if attempt == 0 and states.get(node_id) not in _ROUTABLE_STATES:
-                    continue
-                breaker = self._breaker(node_id)
-                replica_span = self.recorder.span(
-                    "cluster.replica",
-                    parent=root,
-                    attributes={"node": node_id, "pass": attempt},
-                )
-                if not breaker.allow(force_probe=attempt == 1):
-                    with self._lock:
-                        self._breaker_skips += 1
-                    failures.append(
-                        (node_id, ClusterError("circuit breaker open"))
-                    )
-                    replica_span.set_error("circuit breaker open")
-                    replica_span.finish()
-                    continue
-                try:
-                    client = self._client_for(node_id)
-                    # The per-node client parents its request spans
-                    # under this replica attempt (thread-local, so
-                    # concurrent cluster calls do not cross wires).
-                    client._trace_parent.ctx = replica_span.context
+                    if not breaker.allow(force_probe=attempt == 1):
+                        with self._lock:
+                            self._breaker_skips += 1
+                        failures.append(
+                            (node_id, ClusterError("circuit breaker open"))
+                        )
+                        replica_span.set_error("circuit breaker open")
+                        replica_span.finish()
+                        continue
                     try:
-                        result = op(client, deadline)
-                    finally:
-                        client._trace_parent.ctx = None
-                except ServerOverloadedError as exc:
+                        # The per-node client parents its request spans
+                        # under this replica attempt.
+                        result = self._client_for(node_id)._request(
+                            request_type, payload, deadline, parent=replica_span
+                        )
+                    except ServerOverloadedError as exc:
+                        breaker.record_success()
+                        failures.append((node_id, exc))
+                        replica_span.set_error(exc)
+                        replica_span.finish()
+                        continue
+                    except _FAILOVER_ERRORS as exc:
+                        breaker.record_failure()
+                        with self._lock:
+                            self._failovers += 1
+                        failures.append((node_id, exc))
+                        replica_span.set_error(exc)
+                        replica_span.finish()
+                        self._drop_client(node_id)
+                        continue
                     breaker.record_success()
-                    failures.append((node_id, exc))
-                    replica_span.set_error(exc)
                     replica_span.finish()
-                    continue
-                except _FAILOVER_ERRORS as exc:
-                    breaker.record_failure()
-                    with self._lock:
-                        self._failovers += 1
-                    failures.append((node_id, exc))
-                    replica_span.set_error(exc)
-                    replica_span.finish()
-                    self._drop_client(node_id)
-                    continue
-                breaker.record_success()
-                replica_span.finish()
-                return result
-            if attempt == 0:
-                time.sleep(deadline.clamp(self.retry_policy.delay(0)))
-                if deadline.expired:
-                    raise ClusterError(
-                        f"operation deadline ({self.deadline}s) exhausted "
-                        f"before the topology refresh for stream "
-                        f"{stream_id!r}: {self._failure_detail(failures)}"
-                    )
-                with self.recorder.span(
-                    "cluster.refresh", parent=root
-                ) as refresh_span:
-                    try:
-                        self.refresh(deadline=deadline)
-                    except ClusterError as exc:
-                        refresh_span.set_error(exc)
-                        failures.append(("<refresh>", exc))
-                        break
-        raise ClusterError(
-            f"no replica could serve stream {stream_id!r} "
-            f"(replication {self.replication}): "
-            f"{self._failure_detail(failures) or 'no live nodes'}"
-        )
+                    return result
+                if attempt == 0:
+                    time.sleep(deadline.clamp(self.retry_policy.delay(0)))
+                    if deadline.expired:
+                        raise ClusterError(
+                            f"operation deadline ({self.deadline}s) exhausted "
+                            f"before the topology refresh for stream "
+                            f"{stream_id!r}: {self._failure_detail(failures)}"
+                        )
+                    with self.recorder.span(
+                        "cluster.refresh", parent=root
+                    ) as refresh_span:
+                        try:
+                            self.refresh(deadline=deadline)
+                        except ClusterError as exc:
+                            refresh_span.set_error(exc)
+                            failures.append(("<refresh>", exc))
+                            break
+            raise ClusterError(
+                f"no replica could serve stream {stream_id!r} "
+                f"(replication {self.replication}): "
+                f"{self._failure_detail(failures) or 'no live nodes'}"
+            )
 
     def resilience_snapshot(self) -> dict:
         """Metrics-visible view of breakers and failover accounting."""
@@ -497,28 +487,18 @@ class ClusterClient(CompressionClient):
         :func:`repro.api.compress_array` call whichever replica serves
         it — including ``codec="auto"`` v2 mixed-codec streams.
         """
-        array = np.asarray(array)
-        return self._execute(
-            stream_id,
-            lambda client, deadline: client.compress_array(
-                array,
-                codec,
-                chunk_elements=chunk_elements,
-                policy=policy,
-                deadline=deadline,
-            ),
-            deadline,
+        return _StreamSurface(self, stream_id).compress_array(
+            array,
+            codec,
+            chunk_elements=chunk_elements,
+            policy=policy,
+            deadline=deadline,
         )
 
     def decompress_stream(self, stream_id: str, blob, *, deadline=None) -> np.ndarray:
         """Decompress ``blob`` on ``stream_id``'s shard."""
-        blob = bytes(blob)
-        return self._execute(
-            stream_id,
-            lambda client, deadline: client.decompress_array(
-                blob, deadline=deadline
-            ),
-            deadline,
+        return _StreamSurface(self, stream_id).decompress_array(
+            blob, deadline=deadline
         )
 
     def select_explain_stream(
@@ -531,16 +511,11 @@ class ClusterClient(CompressionClient):
         deadline=None,
     ) -> dict:
         """Per-chunk selection decisions from ``stream_id``'s shard."""
-        array = np.asarray(array)
-        return self._execute(
-            stream_id,
-            lambda client, deadline: client.select_explain(
-                array,
-                policy=policy,
-                chunk_elements=chunk_elements,
-                deadline=deadline,
-            ),
-            deadline,
+        return _StreamSurface(self, stream_id).select_explain(
+            array,
+            policy=policy,
+            chunk_elements=chunk_elements,
+            deadline=deadline,
         )
 
     # -- drop-in CompressionClient surface -----------------------------
@@ -554,19 +529,11 @@ class ClusterClient(CompressionClient):
         codec: str = DEFAULT_CODEC,
         *,
         stream_id: str = DEFAULT_STREAM_ID,
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        policy: str = "heuristic",
-        deadline=None,
+        **options,
     ) -> bytes:
-        """Cluster spelling of :meth:`ServiceClient.compress_array`."""
-        return self.compress_stream(
-            stream_id,
-            array,
-            codec,
-            chunk_elements=chunk_elements,
-            policy=policy,
-            deadline=deadline,
-        )
+        """Cluster spelling of :meth:`ServiceClient.compress_array`;
+        ``options`` are :meth:`compress_stream`'s."""
+        return self.compress_stream(stream_id, array, codec, **options)
 
     def decompress_array(
         self, blob, *, stream_id: str = DEFAULT_STREAM_ID, deadline=None
@@ -575,45 +542,34 @@ class ClusterClient(CompressionClient):
         return self.decompress_stream(stream_id, blob, deadline=deadline)
 
     def select_explain(
-        self,
-        array,
-        *,
-        stream_id: str = DEFAULT_STREAM_ID,
-        policy: str = "heuristic",
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        deadline=None,
+        self, array, *, stream_id: str = DEFAULT_STREAM_ID, **options
     ) -> dict:
-        """Cluster spelling of :meth:`ServiceClient.select_explain`."""
-        return self.select_explain_stream(
-            stream_id,
-            array,
-            policy=policy,
-            chunk_elements=chunk_elements,
-            deadline=deadline,
-        )
+        """Cluster spelling of :meth:`ServiceClient.select_explain`;
+        ``options`` are :meth:`select_explain_stream`'s."""
+        return self.select_explain_stream(stream_id, array, **options)
 
     # -- cluster-wide probes -------------------------------------------
+    def _each_node(self, probe, on_error) -> dict:
+        """``probe(client)`` per known node; ``on_error(exc)`` where it
+        failed (the node's pooled client is dropped)."""
+        with self._lock:
+            known = sorted(self._addresses)
+        answers = {}
+        for node_id in known:
+            try:
+                answers[node_id] = probe(self._client_for(node_id))
+            except _FAILOVER_ERRORS as exc:
+                self._drop_client(node_id)
+                answers[node_id] = on_error(exc)
+        return answers
+
     def ping(self) -> dict[str, float]:
         """Round-trip seconds per reachable node (unreachable → NaN)."""
-        answers: dict[str, float] = {}
-        for node_id in self._known_nodes():
-            try:
-                answers[node_id] = self._client_for(node_id).ping()
-            except _FAILOVER_ERRORS:
-                self._drop_client(node_id)
-                answers[node_id] = float("nan")
-        return answers
+        return self._each_node(ServiceClient.ping, lambda exc: float("nan"))
 
     def stats(self) -> dict[str, dict]:
         """Per-node metrics snapshots (unreachable nodes report error)."""
-        answers: dict[str, dict] = {}
-        for node_id in self._known_nodes():
-            try:
-                answers[node_id] = self._client_for(node_id).stats()
-            except _FAILOVER_ERRORS as exc:
-                self._drop_client(node_id)
-                answers[node_id] = {"error": f"{type(exc).__name__}: {exc}"}
-        return answers
+        return self._each_node(ServiceClient.stats, _error_entry)
 
     def trace(
         self, limit: int | None = None, trace_id: str | None = None
@@ -631,26 +587,19 @@ class ClusterClient(CompressionClient):
             if trace_id is not None
             else self.recorder.snapshot(limit)
         )
-        nodes: dict[str, dict] = {}
-        for node_id in self._known_nodes():
-            try:
-                answer = self._client_for(node_id).trace(limit, trace_id)
-            except _FAILOVER_ERRORS as exc:
-                self._drop_client(node_id)
-                nodes[node_id] = {"error": f"{type(exc).__name__}: {exc}"}
-                continue
-            nodes[node_id] = answer.get("stats", {})
+
+        def merge(client: ServiceClient) -> dict:
+            answer = client.trace(limit, trace_id)
             spans.extend(answer.get("spans", []))
+            return answer.get("stats", {})
+
+        nodes = self._each_node(merge, _error_entry)
         spans.sort(key=lambda span: span.get("start", 0.0))
         return {
             "client": self.recorder.stats(),
             "nodes": nodes,
             "spans": spans,
         }
-
-    def _known_nodes(self) -> list[str]:
-        with self._lock:
-            return sorted(self._addresses)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -659,9 +608,3 @@ class ClusterClient(CompressionClient):
             clients, self._clients = list(self._clients.values()), {}
         for client in clients:
             client.close()
-
-    def __enter__(self) -> "ClusterClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

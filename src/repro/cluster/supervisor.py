@@ -49,7 +49,6 @@ from repro.service.protocol import (
     CLUSTER_CONTROL,
     CLUSTER_TOPOLOGY,
     DEFAULT_VNODES,
-    ERR_INTERNAL,
     ERR_PROTOCOL,
     ERROR,
     HEALTH,
@@ -58,7 +57,6 @@ from repro.service.protocol import (
     FrameParser,
     encode_error,
     encode_frame,
-    response_type,
 )
 
 __all__ = ["ClusterSupervisor", "NodeSpec", "free_port"]
@@ -206,6 +204,7 @@ class ClusterSupervisor:
         self._control_loop: asyncio.AbstractEventLoop | None = None
         self._control_thread: threading.Thread | None = None
         self._control_server: asyncio.base_events.Server | None = None
+        self._control = self._control_handlers()
         self.started_at = 0.0
 
     # -- paths ---------------------------------------------------------
@@ -353,15 +352,13 @@ class ClusterSupervisor:
         node.state = final_state
 
     def _probe(self, spec: NodeSpec, timeout: float = 2.0) -> dict | None:
-        client = ServiceClient(
-            spec.host, spec.port, pool_size=1, retry=0, deadline=timeout
-        )
         try:
-            return client.health()
+            with ServiceClient(
+                spec.host, spec.port, pool_size=1, retry=0, deadline=timeout
+            ) as client:
+                return client.health()
         except Exception:
             return None
-        finally:
-            client.close()
 
     def _wait_all_healthy(self, deadline_seconds: float = 30.0) -> None:
         deadline = time.monotonic() + deadline_seconds
@@ -582,18 +579,16 @@ class ClusterSupervisor:
         nodes: dict[str, dict] = {}
         spans: list[dict] = []
         for spec in specs:
-            client = ServiceClient(
-                spec.host, spec.port, pool_size=1, retry=0, deadline=2.0
-            )
             try:
-                answer = client.trace(limit, trace_id)
+                with ServiceClient(
+                    spec.host, spec.port, pool_size=1, retry=0, deadline=2.0
+                ) as client:
+                    answer = client.trace(limit, trace_id)
             except Exception as exc:
                 nodes[spec.node_id] = {
                     "error": f"{type(exc).__name__}: {exc}"
                 }
                 continue
-            finally:
-                client.close()
             nodes[spec.node_id] = answer.get("stats", {})
             spans.extend(answer.get("spans", []))
         spans.sort(key=lambda span: span.get("start", 0.0))
@@ -683,60 +678,55 @@ class ClusterSupervisor:
             except (ConnectionError, OSError):
                 pass
 
-    async def _answer_control(self, writer, frame) -> None:
-        try:
-            if frame.frame_type == PING:
-                answer_type, payload = response_type(PING), frame.payload
-            elif frame.frame_type == CLUSTER_TOPOLOGY:
-                answer_type = response_type(CLUSTER_TOPOLOGY)
-                payload = protocol.encode_topology(self.topology())
-            elif frame.frame_type == HEALTH:
-                answer_type = response_type(HEALTH)
-                payload = protocol.encode_json(
-                    {
-                        "status": "ok",
-                        "role": "supervisor",
-                        "uptime_seconds": time.time() - self.started_at,
-                        "pid": os.getpid(),
-                        "nodes": {
-                            entry["id"]: entry["state"]
-                            for entry in self.status()["nodes"]
-                        },
-                    }
-                )
-            elif frame.frame_type == CLUSTER_CONTROL:
-                action, node = protocol.decode_control(frame.payload)
-                answer_type = response_type(CLUSTER_CONTROL)
-                payload = protocol.encode_json(
-                    await self._run_control_action(action, node)
-                )
-            elif frame.frame_type == TRACE:
-                limit, trace_id = protocol.decode_trace_request(frame.payload)
-                answer_type = response_type(TRACE)
-                loop = asyncio.get_running_loop()
-                # Reading N node recorders over the wire blocks on N
-                # sockets; keep the control loop answerable meanwhile.
-                payload = protocol.encode_json(
-                    await loop.run_in_executor(
-                        None, self.trace_document, limit, trace_id
-                    )
-                )
-            else:
-                answer_type = ERROR
-                payload = encode_error(
-                    ERR_PROTOCOL,
-                    f"the control endpoint does not serve request type "
-                    f"{frame.frame_type:#04x}",
-                )
-        except ProtocolError as exc:
-            answer_type, payload = ERROR, encode_error(ERR_PROTOCOL, str(exc))
-        except ClusterError as exc:
-            answer_type, payload = ERROR, encode_error(ERR_INTERNAL, str(exc))
-        except Exception as exc:  # never kill the control loop
-            answer_type = ERROR
-            payload = encode_error(
-                ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
+    def _control_handlers(self) -> dict:
+        """What the control endpoint serves: ``{request type: handler}``."""
+
+        def health(frame) -> bytes:
+            return protocol.encode_json(
+                {
+                    "status": "ok",
+                    "role": "supervisor",
+                    "uptime_seconds": time.time() - self.started_at,
+                    "pid": os.getpid(),
+                    "nodes": {
+                        entry["id"]: entry["state"]
+                        for entry in self.status()["nodes"]
+                    },
+                }
             )
+
+        async def control(frame) -> bytes:
+            action, node = protocol.decode_control(frame.payload)
+            return protocol.encode_json(
+                await self._run_control_action(action, node)
+            )
+
+        async def trace(frame) -> bytes:
+            limit, trace_id = protocol.decode_trace_request(frame.payload)
+            # Reading N node recorders over the wire blocks on N
+            # sockets; keep the control loop answerable meanwhile.
+            return protocol.encode_json(
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self.trace_document, limit, trace_id
+                )
+            )
+
+        return {
+            PING: lambda frame: frame.payload,
+            CLUSTER_TOPOLOGY: lambda frame: protocol.encode_topology(
+                self.topology()
+            ),
+            HEALTH: health,
+            CLUSTER_CONTROL: control,
+            TRACE: trace,
+        }
+
+    async def _answer_control(self, writer, frame) -> None:
+        answer_type, payload = await protocol.answer_inline(
+            self._control,
+            frame,
+            "the control endpoint does not serve request type {:#04x}",
+        )
         writer.write(encode_frame(answer_type, frame.request_id, payload))
         await writer.drain()
 

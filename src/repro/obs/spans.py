@@ -293,6 +293,12 @@ class SpanRecorder:
         self._recorded = 0
         self._dropped = 0
 
+    @classmethod
+    def for_option(cls, trace: "bool | SpanRecorder") -> "SpanRecorder":
+        """What a client's ``trace=`` names: a recorder to share, or
+        whether its own fresh one records at all."""
+        return trace if isinstance(trace, cls) else cls(enabled=bool(trace))
+
     # -- recording -----------------------------------------------------
     def span(
         self,

@@ -1,14 +1,19 @@
-"""Clients for the compression service.
+"""Clients for the compression service: one exchange core, two drivers.
 
-:class:`ServiceClient` is the synchronous client: a small connection
+How a request becomes a reply is the sans-I/O
+:class:`~repro.service.exchange.Exchange`; which operations exist, and
+how their payloads encode and decode, is spelled once on
+``RequestSurface``.  The clients only move bytes:
+
+:class:`ServiceClient` is the synchronous driver: a small connection
 pool over blocking sockets, transparent retry on transient disconnects,
 and ``compress_array`` / ``decompress_array`` methods that mirror the
 local :mod:`repro.api` surface — the compressed bytes a served call
 returns are exactly the FCF stream the local call would produce.
 
-:class:`AsyncServiceClient` is the asyncio twin (one connection, same
-request surface as coroutines) for callers already living on an event
-loop.
+:class:`AsyncServiceClient` is the asyncio driver (one connection, the
+same request surface as awaitables) for callers already living on an
+event loop.
 
 Usage::
 
@@ -28,6 +33,7 @@ raises :class:`~repro.errors.ProtocolError`.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import socket
 import threading
 import time
@@ -37,25 +43,11 @@ import numpy as np
 from repro.api.frames import DEFAULT_CHUNK_ELEMENTS
 from repro.client import CompressionClient
 from repro.errors import ProtocolError, ServerOverloadedError
-from repro.obs import NULL_SPAN, SpanRecorder
+from repro.obs import SpanRecorder
 from repro.service import protocol
+from repro.service.exchange import Exchange
 from repro.service.resilience import Deadline, RetryBudget, RetryPolicy
-from repro.service.protocol import (
-    CLUSTER_CONTROL,
-    CLUSTER_TOPOLOGY,
-    COMPRESS,
-    DECOMPRESS,
-    DEFAULT_MAX_PAYLOAD,
-    HEALTH,
-    PING,
-    SELECT_EXPLAIN,
-    STATS,
-    TRACE,
-    Frame,
-    FrameParser,
-    encode_frame,
-    response_type,
-)
+from repro.service.protocol import DEFAULT_MAX_PAYLOAD, Frame
 
 __all__ = ["ServiceClient", "AsyncServiceClient", "DEFAULT_CODEC"]
 
@@ -66,66 +58,180 @@ DEFAULT_CODEC = "bitshuffle-zstd"
 _TRANSIENT = (ConnectionError, BrokenPipeError, EOFError, OSError)
 
 
-class _Connection:
-    """One pooled socket plus its incremental frame parser."""
+class RequestSurface:
+    """Every FCS operation, declared once: request type, payload
+    encoder, reply decoder.
 
-    def __init__(self, host: str, port: int, timeout: float, max_payload: int):
-        self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.settimeout(timeout)
-        self.parser = FrameParser(max_payload)
+    Each method funnels into ``_call(request_type, payload, decode,
+    deadline)``.  :class:`ServiceClient` returns the decoded answer and
+    :class:`AsyncServiceClient` an awaitable of it (the annotations
+    name the answer); the cluster client routes the same calls to a
+    stream's replica set.  ``deadline`` is seconds (or a pre-built
+    :class:`~repro.service.resilience.Deadline`) bounding the whole
+    operation across retries; ``None`` falls back to the client's own.
+    """
 
-    def request(
+    def _call(self, request_type: int, payload: bytes, decode, deadline):
+        raise NotImplementedError
+
+    def ping(self, payload: bytes = b"fcbench", *, deadline=None) -> float:
+        """Round-trip ``payload``; returns the wall-clock seconds taken."""
+        sent, start = bytes(payload), time.perf_counter()
+
+        def seconds(echo: bytes) -> float:
+            if echo != sent:
+                raise ProtocolError("pong payload does not echo the ping")
+            return time.perf_counter() - start
+
+        return self._call(protocol.PING, sent, seconds, deadline)
+
+    def compress_array(
         self,
-        frame_type: int,
-        request_id: int,
-        payload: bytes,
+        array,
+        codec: str = DEFAULT_CODEC,
+        *,
+        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
+        policy: str = "heuristic",
+        deadline=None,
+    ) -> bytes:
+        """Served mirror of :func:`repro.api.compress_array`.
+
+        Returns the FCF stream bytes — verbatim what the local call
+        produces, including v2 mixed-codec streams for
+        ``codec="auto"``.
+        """
+        payload = protocol.encode_compress_request(
+            np.asarray(array), codec, chunk_elements, policy
+        )
+        return self._call(protocol.COMPRESS, payload, bytes, deadline)
+
+    def decompress_array(self, blob, *, deadline=None) -> np.ndarray:
+        """Served mirror of :func:`repro.api.decompress_array`."""
+        return self._call(
+            protocol.DECOMPRESS, bytes(blob), protocol.decode_array, deadline
+        )
+
+    def select_explain(
+        self,
+        array,
+        *,
+        policy: str = "heuristic",
+        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
+        deadline=None,
+    ) -> dict:
+        """Per-chunk selection decisions, as ``fcbench select explain``."""
+        payload = protocol.encode_explain_request(
+            np.asarray(array), policy, chunk_elements
+        )
+        return self._json(protocol.SELECT_EXPLAIN, payload, deadline)
+
+    def _json(self, request_type: int, payload: bytes, deadline) -> dict:
+        return self._call(request_type, payload, protocol.decode_json, deadline)
+
+    def stats(self, *, deadline=None) -> dict:
+        """The server's :meth:`ServiceMetrics.snapshot`."""
+        return self._json(protocol.STATS, b"", deadline)
+
+    def health(self, *, deadline=None) -> dict:
+        """The peer's liveness document (status, node id, uptime, pid)."""
+        return self._json(protocol.HEALTH, b"", deadline)
+
+    def cluster_topology(self, *, deadline=None) -> dict:
+        """The peer's validated cluster topology document.
+
+        A standalone server answers with a single-node topology
+        pointing at itself; a cluster node or supervisor answers with
+        the full ring membership.
+        """
+        return self._call(
+            protocol.CLUSTER_TOPOLOGY, b"", protocol.decode_topology, deadline
+        )
+
+    def cluster_control(
+        self, action: str, node: str | None = None, *, deadline=None
+    ) -> dict:
+        """Send a supervisor control verb (``drain``/``restart``/``status``).
+
+        Only the cluster supervisor's control endpoint serves these;
+        a compression node answers with a typed protocol error.
+        """
+        payload = protocol.encode_control(action, node)
+        return self._json(protocol.CLUSTER_CONTROL, payload, deadline)
+
+    def trace(
+        self,
+        limit: int | None = None,
+        trace_id: str | None = None,
+        *,
+        deadline=None,
+    ) -> dict:
+        """The peer's span-recorder document (``fcbench trace`` remote).
+
+        ``trace_id`` narrows the answer to one trace; otherwise the
+        most recent ``limit`` spans.  A peer with tracing disabled
+        answers honestly (``stats.enabled: false``, no spans).
+        """
+        payload = protocol.encode_trace_request(limit, trace_id)
+        return self._json(protocol.TRACE, payload, deadline)
+
+
+def _request_span(client, request_type: int, request_id: int, parent=None):
+    return client.recorder.span(
+        "client.request",
+        parent=parent,
+        attributes={
+            "op": protocol.REQUEST_NAMES.get(request_type, "unknown"),
+            "request_id": request_id,
+        },
+    )
+
+
+def _stamped(client, span, request_type, request_id, payload, deadline_ms=None):
+    """The exchange for one attempt, carrying ``client``'s tenant token
+    and ``span``'s context: the server span becomes that span's child,
+    so a redialed retry is a *sibling* attempt in the same trace."""
+    ctx = span.context
+    return Exchange(
+        request_type,
+        request_id,
+        payload,
+        max_payload=client.max_payload,
+        deadline_ms=deadline_ms,
+        tenant_token=client.token,
+        trace_context=ctx.to_wire() if ctx else None,
+    )
+
+
+class _Connection:
+    """Blocking-socket driver: moves one exchange's bytes, on the clock."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+
+    def run(
+        self,
+        exchange: Exchange,
         *,
         timeout: float,
         deadline: Deadline | None = None,
-        deadline_ms: int | None = None,
-        tenant_token: str | None = None,
-        trace_context: bytes | None = None,
     ) -> Frame:
         """One round trip.  ``timeout`` caps each socket operation;
-        ``deadline`` (when given) additionally caps the *whole* wait,
-        and ``deadline_ms`` / ``tenant_token`` / ``trace_context`` ride
-        on the wire for the server to enforce (or join, for tracing).
+        ``deadline`` (when given) additionally caps the *whole* wait.
         """
-        if deadline is not None:
-            remaining = deadline.remaining()
-            if remaining <= 0:
-                raise TimeoutError("operation deadline expired before send")
-            self.sock.settimeout(min(timeout, remaining))
-        else:
-            self.sock.settimeout(timeout)
-        self.sock.sendall(
-            encode_frame(
-                frame_type,
-                request_id,
-                payload,
-                deadline_ms,
-                tenant_token=tenant_token,
-                trace_context=trace_context,
-            )
-        )
+        self._arm(timeout, deadline, "before send")
+        self.sock.sendall(exchange.request)
         while True:
-            if deadline is not None:
-                remaining = deadline.remaining()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        "operation deadline expired awaiting the reply"
-                    )
-                self.sock.settimeout(min(timeout, remaining))
-            data = self.sock.recv(1 << 16)
-            if not data:
-                raise ConnectionError("server closed the connection mid-reply")
-            frames = self.parser.feed(data)
-            if frames:
-                if len(frames) > 1:
-                    raise ProtocolError(
-                        f"server answered one request with {len(frames)} frames"
-                    )
-                return frames[0]
+            self._arm(timeout, deadline, "awaiting the reply")
+            reply = exchange.feed(self.sock.recv(1 << 16))
+            if reply is not None:
+                return reply
+
+    def _arm(self, timeout: float, deadline: Deadline | None, when: str) -> None:
+        if deadline is not None:
+            timeout = min(timeout, deadline.remaining())
+            if timeout <= 0:
+                raise TimeoutError(f"operation deadline expired {when}")
+        self.sock.settimeout(timeout)
 
     def close(self) -> None:
         try:
@@ -134,24 +240,7 @@ class _Connection:
             pass
 
 
-def _check_response(frame: Frame, frame_type: int, request_id: int) -> Frame:
-    """Validate a reply: typed errors raise, mismatches are protocol bugs."""
-    if frame.is_error:
-        protocol.raise_for_error(frame)
-    if frame.frame_type != response_type(frame_type):
-        raise ProtocolError(
-            f"response type {frame.frame_type:#04x} does not answer "
-            f"request type {frame_type:#04x}"
-        )
-    if frame.request_id != request_id:
-        raise ProtocolError(
-            f"response id {frame.request_id} does not match "
-            f"request id {request_id}"
-        )
-    return frame
-
-
-class ServiceClient(CompressionClient):
+class ServiceClient(RequestSurface, CompressionClient):
     """Synchronous client with connection pooling and retries.
 
     Parameters
@@ -238,7 +327,6 @@ class ServiceClient(CompressionClient):
         if retry_policy is None:
             retry_policy = RetryPolicy(max_attempts=max(0, int(retry)) + 1)
         self.retry_policy = retry_policy
-        self.retries = retry_policy.max_attempts - 1
         self.retry_budget = (
             retry_budget if retry_budget is not None else RetryBudget()
         )
@@ -249,31 +337,21 @@ class ServiceClient(CompressionClient):
             deadline if attempt_timeout is None else attempt_timeout
         )
         self.max_payload = int(max_payload)
-        self.recorder = (
-            trace
-            if isinstance(trace, SpanRecorder)
-            else SpanRecorder(enabled=bool(trace))
-        )
-        # The cluster client parents this client's request spans under
-        # its per-replica spans; plain callers leave it unset.
-        self._trace_parent = threading.local()
+        self.recorder = SpanRecorder.for_option(trace)
         self._pool: list[_Connection] = []
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
 
     # -- pooling -------------------------------------------------------
-    def _checkout(self, connect_timeout: float | None = None) -> _Connection:
+    def _checkout(self, connect_timeout: float) -> _Connection:
         with self._lock:
             if self._closed:
                 raise ProtocolError("client is closed")
             if self._pool:
                 return self._pool.pop()
         return _Connection(
-            self.host,
-            self.port,
-            self.attempt_timeout if connect_timeout is None else connect_timeout,
-            self.max_payload,
+            socket.create_connection((self.host, self.port), connect_timeout)
         )
 
     def _checkin(self, conn: _Connection) -> None:
@@ -288,11 +366,6 @@ class ServiceClient(CompressionClient):
             self._next_id += 1
             return self._next_id
 
-    def _resolve_deadline(self, deadline) -> Deadline:
-        if isinstance(deadline, Deadline):
-            return deadline
-        return Deadline.after(self.deadline if deadline is None else deadline)
-
     def _may_retry(self, attempts: int, deadline: Deadline) -> bool:
         """Common gate for every retry: attempts, budget, and deadline."""
         return (
@@ -301,67 +374,51 @@ class ServiceClient(CompressionClient):
             and self.retry_budget.try_spend()
         )
 
+    def _call(self, request_type: int, payload: bytes, decode, deadline):
+        return decode(self._request(request_type, payload, deadline).payload)
+
     def _request(
-        self, frame_type: int, payload: bytes, deadline=None
+        self, frame_type: int, payload: bytes, deadline=None, parent=None
     ) -> Frame:
-        op_deadline = self._resolve_deadline(deadline)
+        """The retry loop around one exchange per attempt.
+
+        ``parent`` is the span (or wire context) the ``client.request``
+        root hangs under — the cluster client passes its per-replica
+        span; plain callers start a fresh trace.
+        """
+        op_deadline = Deadline.after(
+            self.deadline if deadline is None else deadline
+        )
         request_id = self._request_id()
         self.retry_budget.record_call()
-        root = self.recorder.span(
-            "client.request",
-            parent=getattr(self._trace_parent, "ctx", None),
-            attributes={
-                "op": protocol.REQUEST_NAMES.get(frame_type, "unknown"),
-                "request_id": request_id,
-            },
-        )
         last: BaseException | None = None
-        attempts = 0
-        attempt = NULL_SPAN
-        try:
-            while True:
-                attempts += 1
-                conn: _Connection | None = None
-                kept = False
-                attempt = self.recorder.span(
-                    "client.attempt",
-                    parent=root,
-                    attributes={"attempt": attempts},
-                )
-                # The attempt span's context rides the wire: the server
-                # span becomes this attempt's child, so a redialed retry
-                # is a *sibling* attempt in the same trace.
-                ctx = attempt.context
+        with _request_span(self, frame_type, request_id, parent) as root:
+            for attempts in itertools.count(1):
                 try:
-                    connect_timeout = op_deadline.clamp(self.attempt_timeout)
-                    if connect_timeout <= 0:
-                        raise TimeoutError(
-                            f"operation deadline expired after {attempts - 1} "
-                            f"attempt(s): {last}"
+                    with self.recorder.span(
+                        "client.attempt",
+                        parent=root,
+                        attributes={"attempt": attempts},
+                    ) as attempt:
+                        connect_timeout = op_deadline.clamp(self.attempt_timeout)
+                        if connect_timeout <= 0:
+                            raise TimeoutError(
+                                f"operation deadline expired after "
+                                f"{attempts - 1} attempt(s): {last}"
+                            )
+                        exchange = _stamped(
+                            self,
+                            attempt,
+                            frame_type,
+                            request_id,
+                            payload,
+                            op_deadline.remaining_ms()
+                            if self.propagate_deadline
+                            else None,
                         )
-                    conn = self._checkout(connect_timeout)
-                    deadline_ms = (
-                        op_deadline.remaining_ms()
-                        if self.propagate_deadline
-                        else None
-                    )
-                    frame = conn.request(
-                        frame_type,
-                        request_id,
-                        payload,
-                        timeout=self.attempt_timeout,
-                        deadline=op_deadline,
-                        deadline_ms=deadline_ms,
-                        tenant_token=self.token,
-                        trace_context=ctx.to_wire() if ctx else None,
-                    )
-                    self._checkin(conn)
-                    kept = True
-                    result = _check_response(frame, frame_type, request_id)
-                    attempt.finish()
-                    attempt = NULL_SPAN
-                    root.finish()
-                    return result
+                        return self._attempt(
+                            attempt, exchange, connect_timeout, op_deadline
+                        )
                 except TimeoutError:
                     # A slow request is not a transport fault: the server
                     # may still be executing it, so replaying would double
@@ -372,9 +429,6 @@ class ServiceClient(CompressionClient):
                     # replay is free of double-execution risk — wait out
                     # the server's hint (budget permitting) and try again.
                     last = exc
-                    attempt.set_error(exc)
-                    attempt.finish()
-                    attempt = NULL_SPAN
                     if not self._may_retry(attempts, op_deadline):
                         raise
                     delay = self.retry_policy.delay(attempts - 1)
@@ -382,153 +436,50 @@ class ServiceClient(CompressionClient):
                         delay = max(delay, exc.retry_after_ms / 1e3)
                     if delay >= op_deadline.remaining():
                         raise
-                    with self.recorder.span(
-                        "client.backoff", parent=root
-                    ) as nap:
-                        nap.set_attribute("seconds", delay)
-                        time.sleep(delay)
+                    self._back_off(root, delay)
                 except _TRANSIENT as exc:
-                    # The connection is poisoned either way; retry dials a
+                    # The connection is gone either way; retry dials a
                     # fresh one.  ProtocolError is deliberately NOT retried:
                     # the server is answering, just not speaking FCS.
                     last = exc
-                    attempt.set_error(exc)
-                    attempt.set_attribute("redial", True)
-                    attempt.finish()
-                    attempt = NULL_SPAN
                     if not self._may_retry(attempts, op_deadline):
                         raise ProtocolError(
                             f"request failed after {attempts} attempt(s): "
                             f"{last}"
                         ) from last
-                    delay = op_deadline.clamp(
-                        self.retry_policy.delay(attempts - 1)
+                    self._back_off(
+                        root,
+                        op_deadline.clamp(self.retry_policy.delay(attempts - 1)),
                     )
-                    with self.recorder.span(
-                        "client.backoff", parent=root
-                    ) as nap:
-                        nap.set_attribute("seconds", delay)
-                        time.sleep(delay)
-                finally:
-                    # Satellite of the resilience work: every checked-out
-                    # connection is either back in the pool or closed, on
-                    # *every* exit path — success, typed error, timeout,
-                    # transport fault, or an exception raised between
-                    # checkout and checkin.
-                    if conn is not None and not kept:
-                        conn.close()
-        except BaseException as exc:
-            if attempt:
-                attempt.set_error(exc)
-                attempt.finish()
-            root.set_error(exc)
-            root.finish()
+
+    def _attempt(
+        self, span, exchange: Exchange, connect_timeout: float, deadline: Deadline
+    ) -> Frame:
+        """Run ``exchange`` on one pooled (or freshly dialed) connection."""
+        try:
+            conn = self._checkout(connect_timeout)
+            try:
+                return conn.run(
+                    exchange, timeout=self.attempt_timeout, deadline=deadline
+                )
+            finally:
+                # Every checked-out connection is back in the pool or
+                # closed on *every* exit path, and only one the exchange
+                # left in sync (an answer or a typed data error) is pooled.
+                if exchange.in_sync:
+                    self._checkin(conn)
+                else:
+                    conn.close()
+        except TimeoutError:
+            raise
+        except _TRANSIENT:
+            span.set_attribute("redial", True)
             raise
 
-    # -- request surface -----------------------------------------------
-    # Every method takes an optional ``deadline``: seconds (or a
-    # pre-built Deadline) bounding the whole operation across retries;
-    # ``None`` falls back to the client's ``timeout``.
-    def ping(self, payload: bytes = b"fcbench", *, deadline=None) -> float:
-        """Round-trip ``payload``; returns the wall-clock seconds taken."""
-        start = time.perf_counter()
-        frame = self._request(PING, bytes(payload), deadline)
-        if frame.payload != bytes(payload):
-            raise ProtocolError("pong payload does not echo the ping")
-        return time.perf_counter() - start
-
-    def compress_array(
-        self,
-        array,
-        codec: str = DEFAULT_CODEC,
-        *,
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        policy: str = "heuristic",
-        deadline=None,
-    ) -> bytes:
-        """Served mirror of :func:`repro.api.compress_array`.
-
-        Returns the FCF stream bytes — verbatim what the local call
-        produces, including v2 mixed-codec streams for
-        ``codec="auto"``.
-        """
-        payload = protocol.encode_compress_request(
-            np.asarray(array), codec, chunk_elements, policy
-        )
-        return self._request(COMPRESS, payload, deadline).payload
-
-    def decompress_array(self, blob, *, deadline=None) -> np.ndarray:
-        """Served mirror of :func:`repro.api.decompress_array`."""
-        frame = self._request(DECOMPRESS, bytes(blob), deadline)
-        return protocol.decode_array(frame.payload)
-
-    def select_explain(
-        self,
-        array,
-        *,
-        policy: str = "heuristic",
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        deadline=None,
-    ) -> dict:
-        """Per-chunk selection decisions, as ``fcbench select explain``."""
-        payload = protocol.encode_explain_request(
-            np.asarray(array), policy, chunk_elements
-        )
-        return protocol.decode_json(
-            self._request(SELECT_EXPLAIN, payload, deadline).payload
-        )
-
-    def stats(self, *, deadline=None) -> dict:
-        """The server's :meth:`ServiceMetrics.snapshot`."""
-        return protocol.decode_json(self._request(STATS, b"", deadline).payload)
-
-    def health(self, *, deadline=None) -> dict:
-        """The peer's liveness document (status, node id, uptime, pid)."""
-        return protocol.decode_json(
-            self._request(HEALTH, b"", deadline).payload
-        )
-
-    def cluster_topology(self, *, deadline=None) -> dict:
-        """The peer's validated cluster topology document.
-
-        A standalone server answers with a single-node topology
-        pointing at itself; a cluster node or supervisor answers with
-        the full ring membership.
-        """
-        return protocol.decode_topology(
-            self._request(CLUSTER_TOPOLOGY, b"", deadline).payload
-        )
-
-    def cluster_control(
-        self, action: str, node: str | None = None, *, deadline=None
-    ) -> dict:
-        """Send a supervisor control verb (``drain``/``restart``/``status``).
-
-        Only the cluster supervisor's control endpoint serves these;
-        a compression node answers with a typed protocol error.
-        """
-        payload = protocol.encode_control(action, node)
-        return protocol.decode_json(
-            self._request(CLUSTER_CONTROL, payload, deadline).payload
-        )
-
-    def trace(
-        self,
-        limit: int | None = None,
-        trace_id: str | None = None,
-        *,
-        deadline=None,
-    ) -> dict:
-        """The peer's span-recorder document (``fcbench trace`` remote).
-
-        ``trace_id`` narrows the answer to one trace; otherwise the
-        most recent ``limit`` spans.  A peer with tracing disabled
-        answers honestly (``stats.enabled: false``, no spans).
-        """
-        payload = protocol.encode_trace_request(limit, trace_id)
-        return protocol.decode_json(
-            self._request(TRACE, payload, deadline).payload
-        )
+    def _back_off(self, root, delay: float) -> None:
+        with self.recorder.span("client.backoff", parent=root) as nap:
+            nap.set_attribute("seconds", delay)
+            time.sleep(delay)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -538,20 +489,21 @@ class ServiceClient(CompressionClient):
         for conn in pool:
             conn.close()
 
-    def __enter__(self) -> "ServiceClient":
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class AsyncServiceClient:
+class AsyncServiceClient(RequestSurface):
     """Asyncio client: one connection, the same request surface.
 
     Use :meth:`connect` (or the async context manager) to dial::
 
         async with await AsyncServiceClient.connect(host, port) as client:
             blob = await client.compress_array(array, codec="auto")
+
+    There is no pool to re-dial from, so the client lives exactly as
+    long as its one connection stays in sync: a request that ends by
+    cancellation, timeout, EOF or ``ProtocolError`` closes it, and every
+    later call raises ``ProtocolError("client is closed")``.  A per-call
+    ``deadline=`` bounds the wait for the reply; without one a call
+    waits as long as the caller lets it.
     """
 
     def __init__(
@@ -565,15 +517,12 @@ class AsyncServiceClient:
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self._parser = FrameParser(max_payload)
+        self.max_payload = int(max_payload)
         self._next_id = 0
+        self._closed = False
         self._lock = asyncio.Lock()
         self.token = token
-        self.recorder = (
-            trace
-            if isinstance(trace, SpanRecorder)
-            else SpanRecorder(enabled=bool(trace))
-        )
+        self.recorder = SpanRecorder.for_option(trace)
 
     @classmethod
     async def connect(
@@ -593,113 +542,41 @@ class AsyncServiceClient:
             reader, writer, max_payload=max_payload, token=token, trace=trace
         )
 
-    async def _request(self, frame_type: int, payload: bytes) -> Frame:
+    async def _call(self, request_type: int, payload: bytes, decode, deadline):
+        return decode((await self._request(request_type, payload, deadline)).payload)
+
+    async def _request(
+        self, frame_type: int, payload: bytes, deadline=None
+    ) -> Frame:
+        if deadline is not None:
+            deadline = Deadline.after(deadline).remaining()
         async with self._lock:  # one in-flight request per connection
+            if self._closed:
+                raise ProtocolError("client is closed")
             self._next_id += 1
-            request_id = self._next_id
-            span = self.recorder.span(
-                "client.request",
-                attributes={
-                    "op": protocol.REQUEST_NAMES.get(frame_type, "unknown"),
-                    "request_id": request_id,
-                },
-            )
-            ctx = span.context
-            try:
-                self._writer.write(
-                    encode_frame(
-                        frame_type,
-                        request_id,
-                        payload,
-                        tenant_token=self.token,
-                        trace_context=ctx.to_wire() if ctx else None,
-                    )
+            with _request_span(self, frame_type, self._next_id) as span:
+                exchange = _stamped(
+                    self, span, frame_type, self._next_id, payload
                 )
-                await self._writer.drain()
-                while True:
-                    data = await self._reader.read(1 << 16)
-                    if not data:
-                        raise ConnectionError(
-                            "server closed the connection mid-reply"
-                        )
-                    frames = self._parser.feed(data)
-                    if frames:
-                        if len(frames) > 1:
-                            raise ProtocolError(
-                                "server answered one request with "
-                                f"{len(frames)} frames"
-                            )
-                        return _check_response(
-                            frames[0], frame_type, request_id
-                        )
-            except BaseException as exc:
-                span.set_error(exc)
-                raise
-            finally:
-                span.finish()
+                try:
+                    return await asyncio.wait_for(self._run(exchange), deadline)
+                finally:
+                    if not exchange.in_sync:
+                        # The reply may still arrive; nothing could pair
+                        # it with its request any more.
+                        self._closed = True
+                        self._writer.close()
 
-    async def ping(self, payload: bytes = b"fcbench") -> float:
-        start = time.perf_counter()
-        frame = await self._request(PING, bytes(payload))
-        if frame.payload != bytes(payload):
-            raise ProtocolError("pong payload does not echo the ping")
-        return time.perf_counter() - start
-
-    async def compress_array(
-        self,
-        array,
-        codec: str = DEFAULT_CODEC,
-        *,
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        policy: str = "heuristic",
-    ) -> bytes:
-        payload = protocol.encode_compress_request(
-            np.asarray(array), codec, chunk_elements, policy
-        )
-        return (await self._request(COMPRESS, payload)).payload
-
-    async def decompress_array(self, blob) -> np.ndarray:
-        frame = await self._request(DECOMPRESS, bytes(blob))
-        return protocol.decode_array(frame.payload)
-
-    async def select_explain(
-        self,
-        array,
-        *,
-        policy: str = "heuristic",
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    ) -> dict:
-        payload = protocol.encode_explain_request(
-            np.asarray(array), policy, chunk_elements
-        )
-        frame = await self._request(SELECT_EXPLAIN, payload)
-        return protocol.decode_json(frame.payload)
-
-    async def stats(self) -> dict:
-        return protocol.decode_json((await self._request(STATS, b"")).payload)
-
-    async def health(self) -> dict:
-        return protocol.decode_json((await self._request(HEALTH, b"")).payload)
-
-    async def cluster_topology(self) -> dict:
-        frame = await self._request(CLUSTER_TOPOLOGY, b"")
-        return protocol.decode_topology(frame.payload)
-
-    async def cluster_control(
-        self, action: str, node: str | None = None
-    ) -> dict:
-        payload = protocol.encode_control(action, node)
-        frame = await self._request(CLUSTER_CONTROL, payload)
-        return protocol.decode_json(frame.payload)
-
-    async def trace(
-        self, limit: int | None = None, trace_id: str | None = None
-    ) -> dict:
-        payload = protocol.encode_trace_request(limit, trace_id)
-        frame = await self._request(TRACE, payload)
-        return protocol.decode_json(frame.payload)
+    async def _run(self, exchange: Exchange) -> Frame:
+        self._writer.write(exchange.request)
+        await self._writer.drain()
+        while True:
+            reply = exchange.feed(await self._reader.read(1 << 16))
+            if reply is not None:
+                return reply
 
     async def close(self) -> None:
+        self._closed = True
         self._writer.close()
         try:
             await self._writer.wait_closed()

@@ -39,6 +39,7 @@ hang.
 
 from __future__ import annotations
 
+import inspect
 import json
 import zlib
 from dataclasses import dataclass
@@ -122,6 +123,7 @@ __all__ = [
     "encode_quota_error",
     "error_code_for",
     "raise_for_error",
+    "answer_inline",
 ]
 
 #: Frame magic: "FCS" + protocol version digit.
@@ -546,28 +548,7 @@ def encode_array(array: np.ndarray) -> bytes:
 
 def decode_array(payload: bytes, pos: int = 0) -> np.ndarray:
     """Invert :func:`encode_array`; validates shape against byte count."""
-    if pos >= len(payload):
-        raise ProtocolError("truncated array payload (missing dtype)")
-    dtype = _CODE_DTYPES.get(payload[pos])
-    if dtype is None:
-        raise ProtocolError(f"unknown array dtype code {payload[pos]}")
-    ndim, pos = _decode_varint(payload, pos + 1, "array rank")
-    if ndim > _MAX_RANK:
-        raise ProtocolError(f"implausible array rank {ndim}")
-    shape = []
-    for _ in range(ndim):
-        extent, pos = _decode_varint(payload, pos, "array extent")
-        shape.append(extent)
-    count = 1
-    for extent in shape:
-        count *= extent
-    body = payload[pos:]
-    if len(body) != count * dtype.itemsize:
-        raise ProtocolError(
-            f"array payload holds {len(body)} bytes, shape "
-            f"{tuple(shape)} x {dtype} needs {count * dtype.itemsize}"
-        )
-    return np.frombuffer(body, dtype=dtype).reshape(shape).copy()
+    return decode_array_view(payload, pos).copy()
 
 
 def decode_array_view(payload: bytes, pos: int = 0) -> np.ndarray:
@@ -625,11 +606,7 @@ def decode_compress_request(
     payload: bytes,
 ) -> tuple[str, str, int, np.ndarray]:
     """Parse a ``COMPRESS`` payload -> (codec, policy, chunking, array)."""
-    codec, pos = _decode_name(payload, 0, "codec name")
-    policy, pos = _decode_name(payload, pos, "policy name")
-    chunk_elements, pos = _decode_varint(payload, pos, "chunk_elements")
-    if chunk_elements < 1:
-        raise ProtocolError(f"implausible chunk_elements {chunk_elements}")
+    codec, policy, chunk_elements, pos = peek_compress_request(payload)
     return codec, policy, chunk_elements, decode_array(payload, pos)
 
 
@@ -927,15 +904,36 @@ def raise_for_error(frame: Frame) -> None:
     newer server never crashes an older client with a bare ``KeyError``.
     """
     code, message = decode_error(frame.payload)
-    if code == ERR_OVERLOADED:
-        text, retry_after_ms = _parse_overload_message(message)
-        raise ServerOverloadedError(
-            f"server error {code}: {text}", retry_after_ms=retry_after_ms
-        )
-    if code == ERR_QUOTA:
-        text, retry_after_ms = _parse_overload_message(message)
-        raise QuotaExceededError(
-            f"server error {code}: {text}", retry_after_ms=retry_after_ms
-        )
     exc_type = _ERROR_EXCEPTIONS.get(code, ServiceError)
+    if code in (ERR_OVERLOADED, ERR_QUOTA):
+        text, retry_after_ms = _parse_overload_message(message)
+        raise exc_type(
+            f"server error {code}: {text}", retry_after_ms=retry_after_ms
+        )
     raise exc_type(f"server error {code}: {message}")
+
+
+async def answer_inline(handlers: dict, frame: Frame, refusal: str) -> tuple:
+    """Answer one inline request from a ``{request type: handler}`` table.
+
+    ``handler(frame)`` returns the reply payload, or an awaitable of
+    it.  The result is ``(frame type, payload)`` for the reply: the
+    answering type, or :data:`ERROR` with the typed code of whatever the
+    handler raised — ``refusal.format(frame type)`` when the endpoint
+    has no handler for the type.  It never raises: an inline answer
+    must not kill the connection that asked.
+    """
+    handler = handlers.get(frame.frame_type)
+    try:
+        if handler is None:
+            raise ProtocolError(refusal.format(frame.frame_type))
+        payload = handler(frame)
+        if inspect.isawaitable(payload):
+            payload = await payload
+    except ProtocolError as exc:
+        return ERROR, encode_error(ERR_PROTOCOL, str(exc))
+    except Exception as exc:
+        return ERROR, encode_error(
+            error_code_for(exc), f"{type(exc).__name__}: {exc}"
+        )
+    return response_type(frame.frame_type), payload

@@ -55,8 +55,14 @@ class Deadline:
         self._expiry = float(expiry)
 
     @classmethod
-    def after(cls, seconds: float | None) -> "Deadline":
-        """A deadline ``seconds`` from now; ``None`` means unbounded."""
+    def after(cls, seconds: "float | Deadline | None") -> "Deadline":
+        """A deadline ``seconds`` from now; ``None`` means unbounded.
+
+        A :class:`Deadline` passes through, so a per-call ``deadline=``
+        may be either a budget or the caller's own running clock.
+        """
+        if isinstance(seconds, Deadline):
+            return seconds
         if seconds is None:
             return cls(float("inf"))
         return cls(time.monotonic() + float(seconds))

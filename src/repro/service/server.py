@@ -76,7 +76,6 @@ from repro.service.protocol import (
     DECOMPRESS,
     DEFAULT_MAX_PAYLOAD,
     ERR_DEADLINE,
-    ERR_INTERNAL,
     ERR_PROTOCOL,
     ERR_UNAUTHENTICATED,
     ERROR,
@@ -109,6 +108,11 @@ _READ_SIZE = 1 << 16
 #: deadline enforcement; everything else is answered inline.
 _HEAVY_TYPES = (COMPRESS, DECOMPRESS, SELECT_EXPLAIN)
 _OP_NAMES = dict(protocol.REQUEST_NAMES)
+#: The typed refusal for a well-formed frame of a type nobody speaks.
+_UNKNOWN_TYPE = (
+    "unknown request type {:#04x} "
+    f"(this server speaks {sorted(REQUEST_TYPES)})"
+)
 
 
 # ----------------------------------------------------------------------
@@ -474,6 +478,7 @@ class CompressionServer:
         # service.server` free of the selection stack.
         self._online_hub = None
         self._online_lock = threading.Lock()
+        self._inline = self._inline_handlers()
         self._server: asyncio.base_events.Server | None = None
         self._tasks: set[asyncio.Task] = set()
         self._drain = asyncio.Event()
@@ -1057,101 +1062,47 @@ class CompressionServer:
                 writer, ERROR, frame.request_id, encode_error(code, message)
             )
 
+    def _inline_handlers(self) -> dict:
+        """The inline request types: ``{request type: frame -> payload}``."""
+        return {
+            PING: lambda frame: frame.payload,
+            STATS: lambda frame: protocol.encode_json(self.stats_document()),
+            CLUSTER_TOPOLOGY: lambda frame: protocol.encode_topology(
+                self.topology_document()
+            ),
+            HEALTH: lambda frame: protocol.encode_json(self.health_document()),
+            TRACE: lambda frame: protocol.encode_json(
+                self.trace_document(
+                    *protocol.decode_trace_request(frame.payload)
+                )
+            ),
+            CLUSTER_CONTROL: self._refuse_control,
+        }
+
+    def _refuse_control(self, frame: Frame) -> bytes:
+        # A compression node takes orders from its supervisor's process
+        # signals, not from the wire: typed error, the connection lives on.
+        raise ProtocolError(
+            "cluster-control frames are only served by the "
+            "cluster supervisor's control endpoint"
+        )
+
     async def _respond_light(self, writer, frame: Frame) -> None:
-        """Answer the inline request types (ping, stats, unknown)."""
+        """Answer the inline request types (ping, stats, ..., unknown).
+
+        A well-formed frame with a type this server does not speak gets
+        a typed error; the connection lives on.
+        """
         start = time.perf_counter()
-        if frame.frame_type == PING:
-            self.metrics.record_request("ping", time.perf_counter() - start)
-            await self._send(
-                writer, response_type(PING), frame.request_id, frame.payload
-            )
-        elif frame.frame_type == STATS:
-            try:
-                payload = protocol.encode_json(self.stats_document())
-            except Exception as exc:  # never let stats kill a connection
-                self.metrics.record_request(
-                    "stats", time.perf_counter() - start, ok=False
-                )
-                await self._send(
-                    writer,
-                    ERROR,
-                    frame.request_id,
-                    encode_error(ERR_INTERNAL, f"{type(exc).__name__}: {exc}"),
-                )
-                return
-            self.metrics.record_request("stats", time.perf_counter() - start)
-            await self._send(
-                writer, response_type(STATS), frame.request_id, payload
-            )
-        elif frame.frame_type == CLUSTER_TOPOLOGY:
-            payload = protocol.encode_topology(self.topology_document())
-            self.metrics.record_request("topology", time.perf_counter() - start)
-            await self._send(
-                writer, response_type(CLUSTER_TOPOLOGY), frame.request_id,
-                payload,
-            )
-        elif frame.frame_type == HEALTH:
-            payload = protocol.encode_json(self.health_document())
-            self.metrics.record_request("health", time.perf_counter() - start)
-            await self._send(
-                writer, response_type(HEALTH), frame.request_id, payload
-            )
-        elif frame.frame_type == TRACE:
-            try:
-                limit, trace_id = protocol.decode_trace_request(frame.payload)
-                payload = protocol.encode_json(
-                    self.trace_document(limit, trace_id)
-                )
-            except Exception as exc:
-                self.metrics.record_request(
-                    "trace", time.perf_counter() - start, ok=False
-                )
-                await self._send(
-                    writer,
-                    ERROR,
-                    frame.request_id,
-                    encode_error(
-                        protocol.error_code_for(exc),
-                        f"{type(exc).__name__}: {exc}",
-                    ),
-                )
-                return
-            self.metrics.record_request("trace", time.perf_counter() - start)
-            await self._send(
-                writer, response_type(TRACE), frame.request_id, payload
-            )
-        elif frame.frame_type == CLUSTER_CONTROL:
-            # A compression node takes orders from its supervisor's
-            # process signals, not from the wire: typed error, the
-            # connection lives on.
-            self.metrics.record_request(
-                "control", time.perf_counter() - start, ok=False
-            )
-            await self._send(
-                writer,
-                ERROR,
-                frame.request_id,
-                encode_error(
-                    ERR_PROTOCOL,
-                    "cluster-control frames are only served by the "
-                    "cluster supervisor's control endpoint",
-                ),
-            )
-        else:
-            # A well-formed frame with a type this server does not
-            # speak: typed error, connection lives on.
-            op = _OP_NAMES.get(frame.frame_type, "unknown")
-            self.metrics.record_request(op, time.perf_counter() - start, ok=False)
-            await self._send(
-                writer,
-                ERROR,
-                frame.request_id,
-                encode_error(
-                    ERR_PROTOCOL,
-                    f"unknown request type {frame.frame_type:#04x} "
-                    f"(this server speaks {sorted(REQUEST_TYPES)})",
-                ),
-            )
+        answer_type, payload = await protocol.answer_inline(
+            self._inline, frame, _UNKNOWN_TYPE
+        )
+        self.metrics.record_request(
+            _OP_NAMES.get(frame.frame_type, "unknown"),
+            time.perf_counter() - start,
+            ok=answer_type != ERROR,
+        )
+        await self._send(writer, answer_type, frame.request_id, payload)
 
     def _run_batch(self, items: list[tuple]) -> list[tuple]:
         """Execute one slice's heavy items (runs on an executor thread).

@@ -22,6 +22,7 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.service import ServiceClient, serve_background
+from repro.service.exchange import Exchange
 from repro.service.protocol import (
     COMPRESS,
     ERR_DEADLINE,
@@ -163,15 +164,13 @@ def test_deadline_exceeded_error_is_typed_not_failover_bait(server):
             # Hand-roll the frame so only the *server-side* check fires.
             payload = encode_compress_request(_array(), "gorilla", 128)
             request_id = client._request_id()
-            conn = client._checkout()
+            exchange = Exchange(COMPRESS, request_id, payload, deadline_ms=0)
+            conn = client._checkout(30.0)
             try:
-                frame = conn.request(
-                    COMPRESS, request_id, payload,
-                    timeout=30.0, deadline_ms=0,
-                )
-                raise_for_error(frame)
+                conn.run(exchange, timeout=30.0)
             finally:
                 conn.close()
+    assert exchange.in_sync  # a typed data error leaves the stream usable
     assert not issubclass(DeadlineExceededError, TimeoutError)
 
 

@@ -438,3 +438,47 @@ def test_empty_error_payload_is_a_protocol_error():
 
 def test_response_type_sets_high_bit():
     assert response_type(COMPRESS) == COMPRESS | 0x80
+
+
+# ----------------------------------------------------------------------
+# Inline answers: one table per endpoint, one "answer or typed error"
+# ----------------------------------------------------------------------
+def test_answer_inline_answers_or_types_the_error():
+    import asyncio
+
+    async def later(frame):
+        return frame.payload[::-1]
+
+    def corrupt(frame):
+        raise CorruptStreamError("bad bytes")
+
+    def boom(frame):
+        raise RuntimeError("boom")
+
+    def refuse(frame):
+        raise ProtocolError("not here")
+
+    handlers = {
+        PING: lambda frame: frame.payload,
+        COMPRESS: later,
+        protocol.STATS: corrupt,
+        protocol.HEALTH: boom,
+        protocol.TRACE: refuse,
+    }
+
+    def answer(frame_type):
+        return asyncio.run(
+            protocol.answer_inline(
+                handlers, Frame(frame_type, 1, b"abc"), "nobody serves {:#04x}"
+            )
+        )
+
+    assert answer(PING) == (response_type(PING), b"abc")
+    assert answer(COMPRESS) == (response_type(COMPRESS), b"cba")
+    for frame_type, code, message in (
+        (protocol.STATS, ERR_CORRUPT_STREAM, "CorruptStreamError: bad bytes"),
+        (protocol.HEALTH, protocol.ERR_INTERNAL, "RuntimeError: boom"),
+        (protocol.TRACE, protocol.ERR_PROTOCOL, "not here"),
+        (0x6E, protocol.ERR_PROTOCOL, "nobody serves 0x6e"),
+    ):
+        assert answer(frame_type) == (ERROR, protocol.encode_error(code, message))

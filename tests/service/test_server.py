@@ -360,6 +360,25 @@ def test_stats_request_reflects_served_traffic():
         handle.stop()
 
 
+def test_failing_stats_answer_is_typed_and_keeps_the_connection(monkeypatch):
+    with serve_background() as handle:
+        with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+            def corrupt():
+                raise CorruptStreamError("ledger unreadable")
+
+            monkeypatch.setattr(handle.server, "stats_document", corrupt)
+            # Mapped through error_code_for like every other inline answer,
+            # not flattened to the generic internal code.
+            with pytest.raises(CorruptStreamError, match="ledger unreadable"):
+                client.stats()
+            monkeypatch.undo()
+            opened = handle.metrics.snapshot()["connections"]["opened"]
+            snapshot = client.stats()
+            assert snapshot["ops"]["stats"]["errors"] == 1
+            assert snapshot["connections"]["opened"] == opened
+        handle.stop()
+
+
 def test_async_client_roundtrip():
     import asyncio
 

@@ -96,6 +96,17 @@ class TestConnect:
         with pytest.raises(ValueError):
             connect("no-port-here")
 
+    def test_one_address_parser_for_connect_and_cluster_seeds(self):
+        from repro.cluster import parse_seed
+
+        for bad in ("host:abc", ":9000", "host:", "host:-1"):
+            with pytest.raises(ValueError, match="is not 'host:port'"):
+                parse_seed(bad)
+            with pytest.raises(ValueError, match="is not 'host:port'"):
+                connect(bad)
+            with pytest.raises(ValueError, match="is not 'host:port'"):
+                connect(cluster_seeds=[bad])
+
 
 class TestUnknownCodec:
     """A misspelled codec is the same typed error local, served, clustered."""
