@@ -31,7 +31,7 @@ def build_workload() -> np.ndarray:
 def main() -> None:
     array = build_workload()
 
-    with serve_background(batch_window=0.002) as server:
+    with serve_background() as server:
         print(f"server up on {server.host}:{server.port}\n")
         with ServiceClient(server.host, server.port) as client:
             rtt = client.ping()

@@ -173,7 +173,6 @@ def run_chaos_soak(
     op_deadline: float = 8.0,
     attempt_timeout: float = 2.0,
     node_jobs: Optional[int] = None,
-    batch_window: float = 0.002,
     tenants: bool = False,
     trace: bool = False,
     on_cluster: Optional[Callable[[object], None]] = None,
@@ -244,7 +243,6 @@ def run_chaos_soak(
         nodes,
         replication=min(replication, nodes),
         jobs=node_jobs,
-        batch_window=batch_window,
         tenants=tenants_file,
         trace=trace,
     )

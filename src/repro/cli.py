@@ -947,9 +947,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"gateway on {gateway.host}:{gateway.port}", flush=True)
         if not args.quiet:
             print(
-                f"  jobs={server.jobs or 1} batch_max={server.batch_max} "
-                f"batch_window={server.batch_window}s  (Ctrl-C drains "
-                "gracefully)",
+                f"  jobs={server.jobs or 1} batch_max={server.batch_max}  "
+                "(Ctrl-C drains gracefully)",
                 flush=True,
             )
             if tenants is not None:
@@ -975,7 +974,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             on_ready=on_ready,
             jobs=args.jobs,
             batch_max=args.batch_max,
-            batch_window=args.batch_window,
             grace=args.grace,
             max_queued_requests=args.max_queued_requests,
             max_queued_bytes=args.max_queued_bytes,
@@ -1207,7 +1205,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             replication=args.replication,
             vnodes=args.vnodes,
             jobs=args.jobs,
-            batch_window=args.batch_window,
             health_interval=args.health_interval,
             auto_restart=not args.no_restart,
             node_grace=args.grace,
@@ -2038,13 +2035,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="most requests coalesced into one fan-out (default %(default)s)",
     )
     p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="seconds to wait for more pipelined requests before "
-        "executing a batch; 0 disables (default %(default)s)",
-    )
-    p_serve.add_argument(
         "--grace",
         type=float,
         default=5.0,
@@ -2406,13 +2396,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes per node request batch (default: serial)",
-    )
-    cl_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        help="per-node pipelining batch window in seconds "
-        "(default %(default)s)",
     )
     cl_serve.add_argument(
         "--control-port",

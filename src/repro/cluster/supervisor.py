@@ -112,7 +112,7 @@ class ClusterSupervisor:
     vnodes:
         Virtual nodes per physical node — the ring's balance knob,
         identical for every participant.
-    jobs, batch_max, batch_window:
+    jobs, batch_max:
         Forwarded to each node's ``fcbench serve``.
     health_interval:
         Seconds between health sweeps.
@@ -145,7 +145,6 @@ class ClusterSupervisor:
         vnodes: int = DEFAULT_VNODES,
         jobs: int | None = None,
         batch_max: int = 16,
-        batch_window: float = 0.0,
         health_interval: float = 0.25,
         auto_restart: bool = True,
         node_grace: float = 3.0,
@@ -171,7 +170,6 @@ class ClusterSupervisor:
         self.vnodes = int(vnodes)
         self.jobs = jobs
         self.batch_max = int(batch_max)
-        self.batch_window = float(batch_window)
         self.health_interval = float(health_interval)
         self.auto_restart = bool(auto_restart)
         self.node_grace = float(node_grace)
@@ -283,8 +281,6 @@ class ClusterSupervisor:
             str(self.topology_path),
             "--batch-max",
             str(self.batch_max),
-            "--batch-window",
-            str(self.batch_window),
             "--grace",
             str(self.node_grace),
             "--quiet",

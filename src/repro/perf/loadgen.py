@@ -11,8 +11,7 @@ latency becomes a point on the same per-commit trajectory as codec
 throughput.
 
 When no ``host`` is given the generator starts its own in-process
-server on an ephemeral port (batching window enabled so pipelined
-requests actually coalesce) and tears it down afterwards — the
+server on an ephemeral port and tears it down afterwards — the
 self-contained mode CI and the bench harness use.
 
 Usage — tiny self-served run:
@@ -117,7 +116,6 @@ def run_loadgen(
     dataset: str = DEFAULT_DATASET,
     seed: int = 0,
     server_jobs: int | None = None,
-    batch_window: float = 0.002,
     verify: bool = True,
     trace: bool = False,
     on_result: Callable[[dict], None] | None = None,
@@ -143,9 +141,7 @@ def run_loadgen(
     if host is None:
         from repro.service.server import serve_background
 
-        handle = serve_background(
-            jobs=server_jobs, batch_window=batch_window, trace=trace
-        )
+        handle = serve_background(jobs=server_jobs, trace=trace)
         host, port = handle.host, handle.port
     if port is None:
         raise ValueError("port is required when host is given")
@@ -285,7 +281,6 @@ def run_tracing_overhead(
     dataset: str = DEFAULT_DATASET,
     seed: int = 0,
     server_jobs: int | None = None,
-    batch_window: float = 0.002,
     repeats: int = 3,
     budget_pct: float = 2.0,
 ) -> dict:
@@ -313,7 +308,6 @@ def run_tracing_overhead(
             dataset=dataset,
             seed=seed,
             server_jobs=server_jobs,
-            batch_window=batch_window,
             verify=False,
             trace=trace,
         )
@@ -393,7 +387,6 @@ def run_cluster_loadgen(
     seed: int = 0,
     replication: int = 2,
     node_jobs: int | None = None,
-    batch_window: float = 0.002,
     verify: bool = True,
     on_result: Callable[[dict], None] | None = None,
 ) -> dict:
@@ -441,7 +434,6 @@ def run_cluster_loadgen(
             count,
             replication=min(replication, count),
             jobs=node_jobs,
-            batch_window=batch_window,
         )
         supervisor.start()
         try:

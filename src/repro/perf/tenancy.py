@@ -127,7 +127,6 @@ def run_tenancy_bench(
             "candidates": tuple(FAST_ARMS),
             "exploration": exploration,
         },
-        batch_window=0.0,
     )
     served: list[dict] = []  # one row per gold stream, in serving order
     try:

@@ -203,6 +203,18 @@ def render_prometheus(document: dict, node_id: str | None = None) -> str:
         ("quota", "quota_rejected"),
     ):
         fam.add({**base, "reason": reason}, admission.get(key, 0))
+    fam = family(
+        "fcbench_queue_depth",
+        "gauge",
+        "Heavy requests admitted and not yet finished, all connections.",
+    )
+    fam.add(base, admission.get("queued_requests", 0))
+    fam = family(
+        "fcbench_queued_bytes",
+        "gauge",
+        "Payload bytes of the requests counted in fcbench_queue_depth.",
+    )
+    fam.add(base, admission.get("queued_bytes", 0))
 
     ops = document.get("ops", {})
     req = family("fcbench_requests_total", "counter", "Requests served, by op.")

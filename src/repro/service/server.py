@@ -3,24 +3,16 @@
 :class:`CompressionServer` accepts connections, parses frames with the
 sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
 ``compress`` / ``decompress`` / ``select-explain`` / ``stats`` /
-``ping`` requests.  Three serving behaviors matter beyond the happy
-path:
+``ping`` requests.  What matters beyond the happy path:
 
-* **Backpressure** — a connection's pending requests are bounded in
-  bytes (``max_inflight_bytes``): the handler simply stops reading the
-  socket while a batch is executing, and oversized pipelines are split
-  into bounded slices, so one greedy client cannot balloon server
-  memory.  TCP flow control pushes the stall back to the sender.
-* **Batching** — requests that arrive together (a pipelining client, or
-  many small frames in one TCP segment) are coalesced and executed
-  through a single :func:`repro.core.executor.map_ordered` fan-out,
-  sidestepping the GIL on codec hot paths when ``jobs > 1``.  Responses
-  are written in request order, and because every request is an
-  independent pure function of its payload, a batched execution is
-  byte-identical to a serial one.
-* **Graceful drain** — :meth:`CompressionServer.stop` stops accepting,
-  lets every in-flight batch finish and flush its responses, wakes idle
-  connections immediately, and only then force-closes stragglers.
+* **Batching, backpressure, graceful drain** — work-conserving, with
+  nothing to tune: a request on an idle connection is dispatched the
+  moment it arrives, frames that arrive while that connection's slice
+  executes become the next slice (one
+  :func:`repro.core.executor.map_ordered` fan-out, byte-identical to
+  serial execution), the unexecuted backlog is bounded, and
+  :meth:`CompressionServer.stop` answers what was admitted before it
+  closes.  :class:`_Connection` spells the contract out.
 * **Tenancy** — with a :class:`~repro.service.tenants.TenantRegistry`
   configured, every heavy request must carry a tenant token
   (``FLAG_TENANT`` on the frame): unknown tokens are answered with
@@ -54,7 +46,6 @@ import os
 import threading
 import time
 from concurrent import futures
-from functools import partial
 
 from repro.core.executor import map_ordered, resolve_jobs
 from repro.errors import AuthenticationError, ProtocolError, ReproError
@@ -103,7 +94,6 @@ __all__ = [
     "run_server",
 ]
 
-_READ_SIZE = 1 << 16
 #: Request types that go through batching, the admission gate, and
 #: deadline enforcement; everything else is answered inline.
 _HEAVY_TYPES = (COMPRESS, DECOMPRESS, SELECT_EXPLAIN)
@@ -308,24 +298,26 @@ class _Pending:
         "stamped",
         "rejection",
         "admitted",
-        "released",
         "tenant_id",
         "priority",
         "charged",
         "executed",
+        "outcome",
         "span",
     )
 
-    def __init__(
-        self, frame: Frame, expiry: float | None, stamped: float
-    ) -> None:
+    def __init__(self, frame: Frame, stamped: float) -> None:
         self.frame = frame
-        #: monotonic instant the request's budget runs out (None = no
-        #: deadline was propagated).
-        self.expiry = expiry
         #: monotonic instant the frame was parsed; queue-wait spans
         #: measure from here.
         self.stamped = stamped
+        #: monotonic instant the request's budget runs out (None = no
+        #: deadline was propagated).
+        self.expiry = (
+            None
+            if frame.deadline_ms is None
+            else stamped + frame.deadline_ms / 1e3
+        )
         #: the request's server-side trace span (NULL_SPAN when tracing
         #: is off — call sites never branch).
         self.span = NULL_SPAN
@@ -334,7 +326,6 @@ class _Pending:
         #: while queued.
         self.rejection: bytes | None = None
         self.admitted = False
-        self.released = False
         #: resolved tenant identity (None on a tenant-less server).
         self.tenant_id: str | None = None
         self.priority = 0
@@ -342,6 +333,197 @@ class _Pending:
         self.charged = False
         #: the request reached execution (charges stick; see _release).
         self.executed = False
+        #: what execution returned: ("ok"|"err", type|code, payload, meta).
+        self.outcome: tuple | None = None
+
+
+# ----------------------------------------------------------------------
+# One connection
+# ----------------------------------------------------------------------
+class _Connection(asyncio.Protocol):
+    """One client connection: dispatch on arrival, coalesce on backlog.
+
+    ``data_received`` parses, stamps and admits whatever a read finished
+    and appends it to the ``backlog``; a ``pump`` task, alive only while
+    there is a backlog, takes bounded slices off its front, runs each
+    through :meth:`CompressionServer._execute_slice` and writes the
+    slice's responses in one call.  A request that finds the connection
+    idle executes one loop turn after its bytes arrived; requests that
+    arrive while a slice runs wait for that slice, then run together.
+    The contract (each clause has a test in ``tests/service/``):
+
+    * **Stamped at parse**: backlog waiting counts against a propagated
+      deadline; a budget that lapses there gets ``ERR_DEADLINE`` unrun.
+    * **Admitted at arrival**, deadline → auth → gate → quota.  Admitted
+      work that never executes (peer gone, budget lapsed) releases its
+      gate capacity and refunds its quota charge.
+    * **Ordered**: responses leave in request order; with a tenant
+      registry the backlog is stably sorted by descending priority
+      before each slice (clients match responses by request id).
+    * **Batched bytes are serial bytes**: a slice is one fan-out of pure
+      functions of each payload.
+    * **No timer**: a light request (ping, stats, health, topology,
+      trace) waits only for requests ahead of it on its connection.
+    * **Bounded**: reading pauses while the backlog holds ``batch_max``
+      requests or ``max_inflight_bytes``, executing while the write
+      buffer is above its high-water mark.
+    * **Drain answers what it admitted**: :meth:`shut` stops reading;
+      the transport closes, flushed, once the backlog is answered.
+    * **Same spans, same stats**: ``server.request`` → parse / deadline
+      / (auth) / gate / (quota) / queue_wait / execute, ``queue_wait``
+      backdated to the stamp and carrying ``batch_size``; ``stats``
+      keeps ``batches.*`` and ``admission.*``.
+    """
+
+    def __init__(self, server: "CompressionServer") -> None:
+        self.server = server
+        self.parser = FrameParser(server.max_payload)
+        self.transport: asyncio.Transport | None = None
+        #: resolved by ``connection_lost`` — what :meth:`stop` waits on.
+        self.closed = asyncio.get_running_loop().create_future()
+        #: admitted (or rejected) at arrival, not yet handed to a slice.
+        self.backlog: list[_Pending] = []
+        self.backlog_bytes = 0
+        #: the task working the backlog off; ``None`` while idle.
+        self.pump: asyncio.Task | None = None
+        #: no further requests are read (drain, EOF, broken framing).
+        self.closing = False
+        #: sent after the last response, before closing.
+        self.farewell = b""
+        self.writable = asyncio.Event()
+        self.writable.set()
+
+    # -- transport callbacks -------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.metrics.connection_opened()
+        if self.server._draining:
+            self.shut()
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        parse_started = time.perf_counter()
+        try:
+            frames = self.parser.feed(data)
+        except ProtocolError as exc:
+            # Broken framing cannot be re-synchronized: a typed error
+            # after whatever is still owed, then drop the connection.
+            server.metrics.record_protocol_error()
+            self.shut(
+                encode_frame(ERROR, 0, encode_error(ERR_PROTOCOL, str(exc)))
+            )
+            return
+        if not frames:
+            return
+        # Stamped now: backlog time counts against a propagated deadline.
+        now = time.monotonic()
+        pending = [_Pending(frame, now) for frame in frames]
+        server._open_spans(pending, time.perf_counter() - parse_started)
+        server._admit(pending)
+        self.backlog += pending
+        self.backlog_bytes += sum(len(item.frame.payload) for item in pending)
+        if self.pump is None:
+            self.pump = asyncio.get_running_loop().create_task(self._pump())
+        self._throttle()
+
+    def eof_received(self) -> bool:
+        # The peer is done sending; keep the transport open only for
+        # the responses it is still owed.
+        self.shut()
+        return self.pump is not None
+
+    def pause_writing(self) -> None:
+        self.writable.clear()
+
+    def resume_writing(self) -> None:
+        self.writable.set()
+
+    def connection_lost(self, exc) -> None:
+        server = self.server
+        server._connections.discard(self)
+        server.metrics.connection_closed()
+        # Admitted work that will never run must not strand gate
+        # capacity or a quota charge.
+        for item in self.backlog:
+            server._release(item)
+        self.backlog.clear()
+        self.backlog_bytes = 0
+        self.writable.set()
+        self.closed.set_result(None)
+
+    # -- lifecycle -----------------------------------------------------
+    def shut(self, farewell: bytes = b"") -> None:
+        """Stop reading; close once the backlog is answered (now, if idle)."""
+        self.closing = True
+        self.farewell = self.farewell or farewell
+        self.transport.pause_reading()
+        if self.pump is None:
+            self._close()
+
+    def abort(self) -> None:
+        """Out of grace: drop the connection with whatever it still owes."""
+        if self.pump is not None:
+            self.pump.cancel()
+        self.transport.abort()
+
+    def _close(self) -> None:
+        if self.farewell and not self.transport.is_closing():
+            self.transport.write(self.farewell)
+        self.transport.close()
+
+    # -- the backlog ---------------------------------------------------
+    def _throttle(self) -> None:
+        """Read only while the backlog has room (the backpressure bound)."""
+        server = self.server
+        if (
+            len(self.backlog) >= server.batch_max
+            or self.backlog_bytes >= server.max_inflight_bytes
+        ):
+            self.transport.pause_reading()
+        elif not self.closing:
+            self.transport.resume_reading()
+
+    def _take_slice(self) -> list[_Pending]:
+        """The backlog's front (by priority under tenancy), within bounds."""
+        server = self.server
+        backlog = self.backlog
+        if server.tenants is not None and len(backlog) > 1:
+            backlog.sort(key=lambda item: -item.priority)
+        end = 1
+        total = len(backlog[0].frame.payload)
+        while (
+            end < len(backlog)
+            and end < server.batch_max
+            and total + len(backlog[end].frame.payload)
+            <= server.max_inflight_bytes
+        ):
+            total += len(backlog[end].frame.payload)
+            end += 1
+        batch = backlog[:end]
+        del backlog[:end]
+        self.backlog_bytes -= total
+        self._throttle()
+        return batch
+
+    async def _pump(self) -> None:
+        try:
+            while self.backlog:
+                responses = await self.server._execute_slice(
+                    self._take_slice()
+                )
+                if self.transport.is_closing():
+                    break  # the peer is gone; connection_lost releases the rest
+                self.transport.writelines(responses)
+                await self.writable.wait()
+        except Exception:
+            # An unanswerable slice breaks response order for good.
+            self.server._log.exception("connection handler failed")
+            self.transport.abort()
+        finally:
+            self.pump = None
+        if self.closing:
+            self._close()
 
 
 # ----------------------------------------------------------------------
@@ -360,17 +542,15 @@ class CompressionServer:
         (``None`` → serial, ``0`` → auto-detect, mirroring the suite
         executor).
     batch_max:
-        Most requests one fan-out executes together.
-    batch_window:
-        Extra seconds a handler waits for more pipelined requests
-        before executing a batch.  ``0`` (default) batches only what
-        has already arrived — no added latency.
+        Most requests one fan-out executes together, and most a
+        connection holds unexecuted before it stops reading.
     max_payload:
         Per-frame payload bound; larger declared lengths are a
         protocol error (the allocation never happens).
     max_inflight_bytes:
         Per-connection bound on the summed payload bytes of one
-        executing slice — the backpressure knob.
+        executing slice, and of the backlog waiting behind it — the
+        backpressure knob.
     max_queued_requests, max_queued_bytes:
         Server-wide admission gate over *all* connections' heavy
         requests that are admitted but not yet finished.  A heavy frame
@@ -429,7 +609,6 @@ class CompressionServer:
         *,
         jobs: int | None = None,
         batch_max: int = 16,
-        batch_window: float = 0.0,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         max_inflight_bytes: int = 1 << 26,
         max_queued_requests: int = 256,
@@ -456,7 +635,6 @@ class CompressionServer:
         self.started_at = time.time()
         self.jobs = jobs
         self.batch_max = int(batch_max)
-        self.batch_window = float(batch_window)
         self.max_payload = int(max_payload)
         self.max_inflight_bytes = int(max_inflight_bytes)
         if shed_retry_after_ms < 0:
@@ -480,8 +658,8 @@ class CompressionServer:
         self._online_lock = threading.Lock()
         self._inline = self._inline_handlers()
         self._server: asyncio.base_events.Server | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._drain = asyncio.Event()
+        self._connections: set[_Connection] = set()
+        self._draining = False
         self._stopped = asyncio.Event()
         # Persistent worker pool for jobs > 1: paying process startup
         # per batch would dwarf the codec work batching parallelizes.
@@ -493,8 +671,8 @@ class CompressionServer:
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting; resolves the ephemeral port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._log.info(
@@ -514,22 +692,26 @@ class CompressionServer:
         await self._stopped.wait()
 
     async def stop(self, grace: float = 5.0) -> None:
-        """Graceful drain: stop accepting, finish in-flight batches.
+        """Graceful drain: stop accepting, answer what was admitted.
 
-        Idle connections wake immediately via the drain event; busy
-        ones get ``grace`` seconds to flush their current batch before
-        being cancelled.
+        Idle connections are closed directly; busy ones stop reading
+        and get ``grace`` seconds to answer their backlog and flush
+        before being aborted.
         """
-        self._drain.set()
+        self._draining = True
         if self._server is not None:
             self._server.close()
+        for conn in list(self._connections):
+            conn.shut()
+        closing = [conn.closed for conn in self._connections]
+        if closing:
+            await asyncio.wait(closing, timeout=grace)
+        stragglers = list(self._connections)
+        for conn in stragglers:
+            conn.abort()
+        await asyncio.gather(*(conn.closed for conn in stragglers))
+        if self._server is not None:
             await self._server.wait_closed()
-        tasks = {task for task in self._tasks if not task.done()}
-        if tasks:
-            _, pending = await asyncio.wait(tasks, timeout=grace)
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
         if isinstance(self._pool, futures.ProcessPoolExecutor):
             self._pool.shutdown(wait=False, cancel_futures=True)
         self._pool = None
@@ -579,9 +761,12 @@ class CompressionServer:
         The metrics snapshot, extended with the quota registry's
         per-tenant accounting (``tenancy``) and the online bandit's arm
         statistics (``online``) when those subsystems are live — one
-        document serves the wire, the gateway, and the CLI.
+        document serves the wire, the gateway, and the CLI.  The
+        ``admission`` section also carries the gate's live occupancy
+        (``queued_requests`` / ``queued_bytes``: admitted, not finished).
         """
         body = self.metrics.snapshot()
+        body["admission"].update(self._admission.snapshot())
         if self.tenants is not None:
             body["tenancy"] = self.tenants.snapshot()
         with self._online_lock:
@@ -617,118 +802,12 @@ class CompressionServer:
 
     def health_document(self) -> dict:
         """The JSON body answering a ``health`` probe."""
-        import os
-
         return {
-            "status": "draining" if self._drain.is_set() else "ok",
+            "status": "draining" if self._draining else "ok",
             "node_id": self.effective_node_id,
             "uptime_seconds": time.time() - self.started_at,
             "pid": os.getpid(),
         }
-
-    # -- connection handling -------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        self.metrics.connection_opened()
-        parser = FrameParser(self.max_payload)
-        try:
-            await self._connection_loop(reader, writer, parser)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-conversation; nothing to answer
-        finally:
-            self.metrics.connection_closed()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    def _stamp(frames: list[Frame]) -> list[_Pending]:
-        """Pin each frame's deadline budget to the monotonic clock.
-
-        Stamping happens the moment the frame is parsed, so time spent
-        waiting in the batch window or behind earlier slices counts
-        against the budget — exactly the queueing delay the deadline
-        is meant to bound.
-        """
-        now = time.monotonic()
-        return [
-            _Pending(
-                frame,
-                None
-                if frame.deadline_ms is None
-                else now + frame.deadline_ms / 1e3,
-                now,
-            )
-            for frame in frames
-        ]
-
-    async def _connection_loop(self, reader, writer, parser) -> None:
-        while not self._drain.is_set():
-            data = await self._read_or_drain(reader)
-            if not data:
-                return
-            try:
-                parse_started = time.perf_counter()
-                frames = parser.feed(data)
-                parse_seconds = time.perf_counter() - parse_started
-                pending = self._stamp(frames)
-                if pending and self.batch_window > 0:
-                    pending = await self._gather_batch(reader, parser, pending)
-            except ProtocolError as exc:
-                # Broken framing cannot be re-synchronized: answer with
-                # a typed error, then drop the connection.
-                self.metrics.record_protocol_error()
-                await self._send(
-                    writer, ERROR, 0, encode_error(ERR_PROTOCOL, str(exc))
-                )
-                return
-            if pending:
-                self._open_spans(pending, parse_seconds)
-                await self._process_frames(writer, pending)
-
-    async def _read_or_drain(self, reader) -> bytes:
-        """Read socket data, waking immediately when drain begins."""
-        read = asyncio.ensure_future(reader.read(_READ_SIZE))
-        drain = asyncio.ensure_future(self._drain.wait())
-        done, _ = await asyncio.wait(
-            {read, drain}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if read in done:
-            drain.cancel()
-            return read.result()
-        read.cancel()
-        try:
-            await read
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        return b""
-
-    async def _gather_batch(
-        self, reader, parser, pending: list[_Pending]
-    ) -> list[_Pending]:
-        """Wait ``batch_window`` for more pipelined frames (bounded)."""
-        inflight = sum(len(item.frame.payload) for item in pending)
-        while (
-            len(pending) < self.batch_max
-            and inflight < self.max_inflight_bytes
-        ):
-            try:
-                data = await asyncio.wait_for(
-                    reader.read(_READ_SIZE), self.batch_window
-                )
-            except (asyncio.TimeoutError, TimeoutError):
-                break
-            if not data:
-                break
-            more = self._stamp(parser.feed(data))  # ProtocolError -> caller
-            pending.extend(more)
-            inflight += sum(len(item.frame.payload) for item in more)
-        return pending
 
     # -- tracing -------------------------------------------------------
     def _open_spans(
@@ -740,14 +819,12 @@ class CompressionServer:
         ``FLAG_TRACE`` (a malformed context falls back to a fresh
         trace rather than rejecting the request — tracing is best-
         effort observability, never admission).  Each span is backdated
-        to when its frame was stamped, so batch-window waiting is
-        inside the request span, and a completed ``server.parse`` child
-        records the frame-decode cost.
+        over the parse that just finished, which a completed
+        ``server.parse`` child records.
         """
         if not self.recorder.enabled:
             return
         node = self.effective_node_id
-        now = time.monotonic()
         for item in pending:
             frame = item.frame
             if frame.frame_type not in _HEAVY_TYPES:
@@ -767,9 +844,8 @@ class CompressionServer:
                     "node": node,
                 },
             )
-            offset = (now - item.stamped) + parse_seconds
-            span.start -= offset
-            span._t0 -= offset
+            span.start -= parse_seconds
+            span._t0 -= parse_seconds
             item.span = span
             parse = Span(
                 "server.parse",
@@ -786,25 +862,6 @@ class CompressionServer:
         if not item.span:
             return NULL_SPAN
         return self.recorder.span(name, parent=item.span)
-
-    def _finish_rejected(self, item: _Pending) -> None:
-        """Close a rejected request's span as an error (idempotent)."""
-        if item.span:
-            item.span.set_error("rejected")
-            item.span.finish()
-            item.span = NULL_SPAN
-
-    def _log_slow(self, op: str, seconds: float, item: _Pending, span) -> None:
-        if self._slow is None:
-            return
-        self._slow.observe(
-            op,
-            seconds,
-            trace_id=span.trace_id or None,
-            tenant=item.tenant_id,
-            request_id=item.frame.request_id,
-            node=self.effective_node_id,
-        )
 
     # -- admission -----------------------------------------------------
     def _admit(self, pending: list[_Pending]) -> None:
@@ -903,8 +960,7 @@ class CompressionServer:
                         )
 
     def _release(self, item: _Pending) -> None:
-        if item.admitted and not item.released:
-            item.released = True
+        if item.admitted:
             self._admission.release(len(item.frame.payload))
             if item.charged and not item.executed and self.tenants is not None:
                 # The request never ran (dropped connection, deadline
@@ -915,152 +971,120 @@ class CompressionServer:
                 self.tenants.release(item.tenant_id, len(item.frame.payload))
 
     # -- batch execution -----------------------------------------------
-    async def _process_frames(self, writer, pending: list[_Pending]) -> None:
-        """Execute frames in bounded slices.
-
-        Without tenancy, slices run (and responses flush) in arrival
-        order.  With a tenant registry, admitted frames are stably
-        sorted by descending tenant priority first, so a paying
-        tenant's pipelined work jumps the coalescing queue; clients
-        match responses by request id, so reordering is safe.
-        """
-        self._admit(pending)
-        if self.tenants is not None and len(pending) > 1:
-            pending = sorted(pending, key=lambda item: -item.priority)
-        start = 0
-        try:
-            while start < len(pending):
-                end = start + 1
-                total = len(pending[start].frame.payload)
-                while (
-                    end < len(pending)
-                    and end - start < self.batch_max
-                    and total + len(pending[end].frame.payload)
-                    <= self.max_inflight_bytes
-                ):
-                    total += len(pending[end].frame.payload)
-                    end += 1
-                await self._execute_slice(writer, pending[start:end])
-                start = end
-        finally:
-            # A dropped connection mid-pipeline must not strand gate
-            # capacity for the slices that never ran.
-            for item in pending[start:]:
-                self._release(item)
-
-    async def _execute_slice(self, writer, pending: list[_Pending]) -> None:
+    async def _execute_slice(self, pending: list[_Pending]) -> list[bytes]:
+        """Run one slice; its encoded responses, in slice order."""
         try:
             now = time.monotonic()
             heavy = []
-            for index, item in enumerate(pending):
+            for item in pending:
                 if not item.admitted or item.rejection is not None:
                     continue
                 if item.expiry is not None and item.expiry <= now:
-                    # The budget lapsed while the request waited behind
-                    # earlier slices: skip the work, answer the error.
+                    # The budget lapsed while the request waited in the
+                    # backlog: skip the work, answer the error.
                     op = _OP_NAMES[item.frame.frame_type]
                     self.metrics.record_deadline_expired()
-                    self.metrics.record_request(op, 0.0, ok=False)
+                    self.metrics.record_request(
+                        op, 0.0, ok=False, tenant=item.tenant_id
+                    )
                     item.rejection = encode_error(
                         ERR_DEADLINE,
                         f"deadline budget ({item.frame.deadline_ms} ms) "
                         "expired while queued",
                     )
                     continue
-                heavy.append((index, item))
-            results: dict[int, tuple] = {}
-            if heavy:
-                items = []
-                for _, item in heavy:
-                    if item.span:
-                        # Time spent between stamping and execution is
-                        # queue wait: record it as a completed child.
-                        waited = now - item.stamped
-                        wait = self.recorder.span(
-                            "server.queue_wait", parent=item.span
-                        )
-                        wait.start -= waited
-                        wait._t0 -= waited
-                        wait.set_attribute("batch_size", len(heavy))
-                        wait.finish()
-                    items.append(
-                        (
-                            item.frame.frame_type,
-                            item.frame.payload,
-                            item.tenant_id,
-                            item.span.context.to_tuple()
-                            if item.span
-                            else None,
-                        )
+                heavy.append(item)
+            items = []
+            for item in heavy:
+                trace = None
+                if item.span:
+                    # Time spent between stamping and execution is
+                    # queue wait: record it as a completed child.
+                    waited = now - item.stamped
+                    wait = self.recorder.span(
+                        "server.queue_wait", parent=item.span
                     )
-                for _, item in heavy:
-                    item.executed = True
+                    wait.start -= waited
+                    wait._t0 -= waited
+                    wait.set_attribute("batch_size", len(heavy))
+                    wait.finish()
+                    trace = item.span.context.to_tuple()
+                item.executed = True
+                frame = item.frame
+                items.append(
+                    (frame.frame_type, frame.payload, item.tenant_id, trace)
+                )
+            if items:
                 # One fan-out for the whole slice.  Run it off the event
                 # loop so other connections stay responsive while this
                 # one crunches; with jobs > 1 the fan-out crosses process
                 # boundaries and sidesteps the GIL entirely.
-                loop = asyncio.get_running_loop()
-                outcomes = await loop.run_in_executor(
-                    None, partial(self._run_batch, items)
+                outcomes = await asyncio.get_running_loop().run_in_executor(
+                    None, self._run_batch, items
                 )
                 self.metrics.record_batch(len(items))
-                for (index, _), outcome in zip(heavy, outcomes):
-                    results[index] = outcome
-            for index, item in enumerate(pending):
+                for item, outcome in zip(heavy, outcomes):
+                    item.outcome = outcome
+            out = []
+            for item in pending:
                 if item.rejection is not None:
-                    self._finish_rejected(item)
-                    await self._send(
-                        writer, ERROR, item.frame.request_id, item.rejection
+                    if item.span:
+                        item.span.set_error("rejected")
+                        item.span.finish()
+                    out.append(
+                        encode_frame(
+                            ERROR, item.frame.request_id, item.rejection
+                        )
                     )
-                elif index in results:
-                    await self._respond(writer, item, results[index])
+                elif item.outcome is not None:
+                    out.append(self._respond(item))
                 else:
-                    await self._respond_light(writer, item.frame)
+                    out.append(await self._respond_light(item.frame))
+            return out
         finally:
             for item in pending:
                 self._release(item)
 
-    async def _respond(self, writer, item: _Pending, outcome: tuple) -> None:
-        frame = item.frame
-        meta = outcome[3]
+    def _respond(self, item: _Pending) -> bytes:
+        status, answer, payload, meta = item.outcome
+        ok = status == "ok"
         seconds = meta.pop("seconds", 0.0)
         worker_spans = meta.pop("spans", None)
         if worker_spans:
             # Execute spans measured inside pool workers ride back on
             # the result meta; fold them into this process's recorder.
             self.recorder.record_dicts(worker_spans)
+        served = {}
+        if ok:
+            served = {
+                "codec": meta.get("codec"),
+                "bytes_in": meta.get("bytes_in", 0),
+                "bytes_out": meta.get("bytes_out", 0),
+            }
+        self.metrics.record_request(
+            meta["op"], seconds, ok=ok, tenant=item.tenant_id, **served
+        )
         span = item.span
-        if outcome[0] == "ok":
-            _, ftype, payload, _ = outcome
-            self.metrics.record_request(
+        if span:
+            for key, value in served.items():
+                span.set_attribute(key, value)
+            if not ok:
+                span.set_error(payload)
+            span.finish()
+        if self._slow is not None:
+            self._slow.observe(
                 meta["op"],
                 seconds,
-                codec=meta.get("codec"),
-                bytes_in=meta.get("bytes_in", 0),
-                bytes_out=meta.get("bytes_out", 0),
+                trace_id=span.trace_id or None,
                 tenant=item.tenant_id,
+                request_id=item.frame.request_id,
+                node=self.effective_node_id,
             )
-            if span:
-                span.set_attribute("codec", meta.get("codec"))
-                span.set_attribute("bytes_in", meta.get("bytes_in", 0))
-                span.set_attribute("bytes_out", meta.get("bytes_out", 0))
-                span.finish()
-                item.span = NULL_SPAN
-            self._log_slow(meta["op"], seconds, item, span)
-            await self._send(writer, ftype, frame.request_id, payload)
-        else:
-            _, code, message, _ = outcome
-            self.metrics.record_request(
-                meta["op"], seconds, ok=False, tenant=item.tenant_id
-            )
-            if span:
-                span.set_error(message)
-                span.finish()
-                item.span = NULL_SPAN
-            self._log_slow(meta["op"], seconds, item, span)
-            await self._send(
-                writer, ERROR, frame.request_id, encode_error(code, message)
-            )
+        if ok:
+            return encode_frame(answer, item.frame.request_id, payload)
+        return encode_frame(
+            ERROR, item.frame.request_id, encode_error(answer, payload)
+        )
 
     def _inline_handlers(self) -> dict:
         """The inline request types: ``{request type: frame -> payload}``."""
@@ -1087,7 +1111,7 @@ class CompressionServer:
             "cluster supervisor's control endpoint"
         )
 
-    async def _respond_light(self, writer, frame: Frame) -> None:
+    async def _respond_light(self, frame: Frame) -> bytes:
         """Answer the inline request types (ping, stats, ..., unknown).
 
         A well-formed frame with a type this server does not speak gets
@@ -1102,7 +1126,7 @@ class CompressionServer:
             time.perf_counter() - start,
             ok=answer_type != ERROR,
         )
-        await self._send(writer, answer_type, frame.request_id, payload)
+        return encode_frame(answer_type, frame.request_id, payload)
 
     def _run_batch(self, items: list[tuple]) -> list[tuple]:
         """Execute one slice's heavy items (runs on an executor thread).
@@ -1229,13 +1253,6 @@ class CompressionServer:
             pool = self._pool
         return pool if isinstance(pool, futures.ProcessPoolExecutor) else None
 
-    async def _send(
-        self, writer, frame_type: int, request_id: int, payload: bytes
-    ) -> None:
-        writer.write(encode_frame(frame_type, request_id, payload))
-        await writer.drain()
-
-
 # ----------------------------------------------------------------------
 # Background-thread embedding (tests, load generator, examples, CLI-less)
 # ----------------------------------------------------------------------
@@ -1294,8 +1311,8 @@ def serve_background(
     started = threading.Event()
 
     async def _main() -> None:
-        server = CompressionServer(host, port, **kwargs)
         try:
+            server = CompressionServer(host, port, **kwargs)
             await server.start()
         except BaseException as exc:
             handle._error = exc

@@ -17,7 +17,7 @@ from repro.service import ServiceClient, serve_background
 
 @pytest.fixture(scope="module")
 def server():
-    handle = serve_background(batch_window=0.0)
+    handle = serve_background()
     yield handle
     handle.stop()
 
@@ -113,7 +113,7 @@ def test_retry_through_a_sometimes_faulty_proxy_succeeds(server):
 
 
 def test_proxy_survives_target_death():
-    handle = serve_background(batch_window=0.0)
+    handle = serve_background()
     with ChaosProxy(handle.host, handle.port, FaultPlan()) as proxy:
         with _client(proxy) as client:
             client.ping()

@@ -30,7 +30,6 @@ SLOW_CODEC = "bitshuffle-zstd"  # ~1 s server-side on _big(): a wide
 def cluster():
     supervisor = ClusterSupervisor(
         3, replication=2, health_interval=0.15, node_grace=1.5,
-        batch_window=0.002,
     )
     supervisor.start()
     yield supervisor

@@ -25,7 +25,6 @@ pytestmark = pytest.mark.cluster
 def cluster():
     supervisor = ClusterSupervisor(
         3, replication=2, health_interval=0.15, node_grace=1.5,
-        batch_window=0.002,
     )
     supervisor.start()
     yield supervisor

@@ -45,7 +45,6 @@ def traced_run():
         health_interval=60.0,
         auto_restart=False,
         trace=True,
-        batch_window=0.002,
     )
     supervisor.start()
     client = ClusterClient(

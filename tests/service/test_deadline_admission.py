@@ -128,7 +128,7 @@ def test_overload_error_carries_retry_after_hint():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def server():
-    handle = serve_background(batch_window=0.002)
+    handle = serve_background()
     yield handle
     handle.stop()
 
@@ -179,7 +179,7 @@ def test_deadline_exceeded_error_is_typed_not_failover_bait(server):
 # ----------------------------------------------------------------------
 def test_admission_gate_sheds_with_retryable_overload():
     handle = serve_background(
-        batch_window=0.05, max_queued_requests=1, shed_retry_after_ms=7
+        max_queued_requests=1, shed_retry_after_ms=7
     )
     try:
         payload = encode_compress_request(_array(), "gorilla", 128)
@@ -207,7 +207,7 @@ def test_admission_gate_sheds_with_retryable_overload():
 def test_gate_never_starves_a_lone_request():
     # A request larger than max_queued_bytes must still be admitted
     # when the gate is empty — shedding it forever would livelock.
-    handle = serve_background(batch_window=0.0, max_queued_bytes=1)
+    handle = serve_background(max_queued_bytes=1)
     try:
         arr = _array(256)
         with ServiceClient(handle.host, handle.port) as client:

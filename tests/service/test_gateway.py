@@ -100,6 +100,17 @@ class TestRenderPrometheus:
         assert families["fcbench_requests_total"] == "counter"
         assert families["fcbench_tenant_requests_total"] == "counter"
 
+    def test_admission_gate_occupancy_exported_as_gauges(self, stack):
+        document = stack.server.stats_document()
+        assert document["admission"]["queued_requests"] == 0  # idle stack
+        document["admission"].update(queued_requests=3, queued_bytes=98_304)
+        text = render_prometheus(document, node_id="node-7")
+        families = validate_exposition(text)
+        assert families["fcbench_queue_depth"] == "gauge"
+        assert families["fcbench_queued_bytes"] == "gauge"
+        assert 'fcbench_queue_depth{node="node-7"} 3\n' in text
+        assert 'fcbench_queued_bytes{node="node-7"} 98304\n' in text
+
     def test_node_label_threaded_through(self, stack):
         document = stack.server.stats_document()
         text = render_prometheus(document, node_id="node-7")
@@ -118,6 +129,9 @@ class TestEndpoints:
         status, body = _get(stack, "/metrics")
         assert status == 200
         families = validate_exposition(body)
+        # The fixture's traffic is done: the admission gate reads empty.
+        assert re.search(r"^fcbench_queue_depth\{[^}]*\} 0$", body, re.M)
+        assert re.search(r"^fcbench_queued_bytes\{[^}]*\} 0$", body, re.M)
         # Per-tenant counters attribute the traffic the fixture drove.
         acme = re.search(
             r'fcbench_tenant_requests_total\{[^}]*tenant="acme"\} (\d+)',

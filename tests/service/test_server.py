@@ -34,7 +34,7 @@ ALL_METHODS = compressor_names()
 
 @pytest.fixture(scope="module")
 def server():
-    handle = serve_background(batch_window=0.002)
+    handle = serve_background()
     yield handle
     handle.stop()
 
@@ -157,7 +157,7 @@ def test_parallel_jobs_batch_byte_identical_to_serial():
     # responses must still be the serial bytes, across several batches
     # (the pool is reused, not rebuilt per batch).
     arrays = [np.cumsum(np.ones(400) * s) for s in (0.25, 0.5, 1.0, 2.0)]
-    with serve_background(jobs=2, batch_window=0.002) as parallel:
+    with serve_background(jobs=2) as parallel:
         for _ in range(2):  # second round reuses the pool
             frames = _pipeline_compress(parallel.host, parallel.port, arrays)
             for frame, array in zip(frames, arrays):
@@ -171,7 +171,7 @@ def test_backpressure_slicing_preserves_order_and_bytes():
     # A server whose in-flight bound forces one-request slices must
     # still answer everything, in order, with identical bytes.
     arrays = [np.linspace(s, s + 1, 500) for s in range(5)]
-    with serve_background(max_inflight_bytes=1024, batch_window=0.002) as tiny:
+    with serve_background(max_inflight_bytes=1024) as tiny:
         frames = _pipeline_compress(tiny.host, tiny.port, arrays)
         assert [f.request_id for f in frames] == [1, 2, 3, 4, 5]
         for frame, array in zip(frames, arrays):

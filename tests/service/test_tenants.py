@@ -10,7 +10,9 @@ audits across node failover).
 """
 
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,16 @@ from repro.errors import (
     ReproError,
 )
 from repro.service import ServiceClient, serve_background
+from repro.service.protocol import (
+    COMPRESS,
+    ERR_DEADLINE,
+    ERROR,
+    FrameParser,
+    decode_error,
+    encode_compress_request,
+    encode_frame,
+    response_type,
+)
 from repro.service.tenants import (
     TenantConfig,
     TenantRegistry,
@@ -51,7 +63,7 @@ def _registry() -> TenantRegistry:
 
 @pytest.fixture(scope="module")
 def server():
-    handle = serve_background(tenants=_registry(), batch_window=0.002)
+    handle = serve_background(tenants=_registry())
     yield handle
     handle.stop()
 
@@ -210,17 +222,57 @@ class TestServedTenancy:
         assert stats["admission"]["quota_rejected"] == 1
         assert "resilience" not in stats  # the pre-tenancy alias is gone
 
+    def test_request_expiring_in_the_backlog_counts_as_the_tenants_error(self):
+        slow = encode_frame(
+            COMPRESS,
+            1,
+            encode_compress_request(
+                np.cumsum(np.random.default_rng(1).normal(0, 1, 12_000)),
+                "dzip",
+                12_000,
+            ),
+            tenant_token="tok-acme",
+        )
+        lapsing = encode_frame(
+            COMPRESS,
+            2,
+            encode_compress_request(np.linspace(0, 1, 64), "gorilla", 64),
+            deadline_ms=50,  # alive at admission, dead behind the dzip
+            tenant_token="tok-acme",
+        )
+        parser, frames = FrameParser(), []
+        with serve_background(tenants=_registry()) as handle:
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=30
+            ) as sock:
+                sock.sendall(slow)
+                while not handle.metrics.snapshot()["tenants"]:
+                    time.sleep(0.002)  # admitted, hence already executing
+                sock.sendall(lapsing)
+                while len(frames) < 2:
+                    data = sock.recv(1 << 16)
+                    assert data, "server closed before answering"
+                    frames.extend(parser.feed(data))
+            stats = handle.server.stats_document()
+        assert [frame.frame_type for frame in frames] == [
+            response_type(COMPRESS),
+            ERROR,
+        ]
+        assert decode_error(frames[1].payload)[0] == ERR_DEADLINE
+        assert stats["admission"]["deadline_expired"] == 1
+        row = stats["tenants"]["acme"]
+        assert (row["requests"], row["errors"]) == (2, 1)
+        assert row["admitted_requests"] == 2
+        # The lapsed request never ran: its window charge was refunded.
+        assert stats["tenancy"]["tenants"]["acme"]["window_requests"] == 1
+
     def test_priority_orders_batch_execution(self):
-        # Two tenants pipeline into the same coalescing window; the
-        # higher-priority tenant's requests must execute first.  Order
-        # is observed server-side via the online hub's per-tenant
-        # bucket totals... simpler: use a slow batch window and check
-        # both still answer correctly (responses match by request id).
+        # Two tenants of different priority, served concurrently, both
+        # answer correctly (responses match by request id).  The order
+        # a backlog is taken in is asserted in test_batching.py.
         registry = _registry()
         array = np.linspace(0.0, 1.0, 256).astype(np.float64)
-        with serve_background(
-            tenants=registry, batch_window=0.05, batch_max=8
-        ) as handle:
+        with serve_background(tenants=registry, batch_max=8) as handle:
             out = {}
 
             def work(token, key):

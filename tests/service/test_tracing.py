@@ -132,7 +132,7 @@ def traced():
     registry = TenantRegistry()
     registry.add(TenantConfig("acme", token="tr-acme"))
     handle = serve_background(
-        trace=True, tenants=registry, batch_window=0.002
+        trace=True, tenants=registry
     )
     array = np.cumsum(np.random.default_rng(7).normal(0, 1, 4096))
     with ServiceClient(
@@ -210,7 +210,7 @@ def test_stats_document_exposes_ring_counters_when_traced(traced):
 
 
 def test_untraced_server_answers_trace_requests_honestly():
-    handle = serve_background(batch_window=0.002)
+    handle = serve_background()
     try:
         assert "tracing" not in handle.server.stats_document()
         with ServiceClient(handle.host, handle.port) as client:
@@ -223,7 +223,7 @@ def test_untraced_server_answers_trace_requests_honestly():
 
 
 def test_untraced_client_mints_no_spans():
-    handle = serve_background(batch_window=0.002)
+    handle = serve_background()
     try:
         with ServiceClient(handle.host, handle.port) as client:
             client.compress_array(np.arange(64, dtype=np.float64), "gorilla")
