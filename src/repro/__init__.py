@@ -29,7 +29,6 @@ from repro.api import (
 )
 from repro.client import CompressionClient, connect
 from repro.compressors import compressor_names, get_compressor
-from repro.core import run_suite
 from repro.data import dataset_names, load
 
 try:
@@ -38,6 +37,17 @@ try:
     __version__ = _distribution_version("fcbench-repro")
 except PackageNotFoundError:  # running from a checkout via PYTHONPATH=src
     __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # Lazy: a serving process (server child, cluster node, pool worker)
+    # imports `repro` without paying for the benchmark harness.
+    if name == "run_suite":
+        from repro.core.suite import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CompressionClient",

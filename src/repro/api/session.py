@@ -3,7 +3,7 @@
 :class:`CompressSession` accepts arrays of any size through
 :meth:`~CompressSession.write`, cuts them into fixed-element chunk
 frames, compresses each frame independently — optionally fanning frames
-out over the :func:`repro.core.executor.map_ordered` process pool — and
+out over the :func:`repro.parallel.map_ordered` process pool — and
 writes a seekable FCF stream with bounded memory: at most one partial
 chunk plus one flush batch is ever buffered, regardless of how much
 data passes through.
@@ -53,9 +53,9 @@ from repro.api.frames import (
     read_layout,
     resolve_codec,
 )
-from repro.core.executor import map_ordered, resolve_jobs
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import SelectionError, StreamClosedError, UnsupportedDtypeError
+from repro.parallel import map_ordered, resolve_jobs
 
 __all__ = [
     "CompressSession",
@@ -135,7 +135,7 @@ class CompressSession:
         this many elements.
     jobs:
         Worker processes for frame compression (``None`` → serial,
-        ``0`` → auto-detect; same resolution as the suite executor).
+        ``0`` → auto-detect; same resolution as the suite).
     shape:
         Optional logical shape recorded in the index; defaults to the
         flat ``(total_elements,)``.  The element product must match the

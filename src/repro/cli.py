@@ -97,16 +97,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.compressors import compressor_names, get_compressor
-from repro.core.executor import CellTask
-from repro.core.report import format_matrix, format_table
-from repro.core.results import Measurement, ResultSet
-from repro.core.suite import (
-    default_datasets,
-    default_methods,
-    run_suite_detailed,
-)
-from repro.data.catalog import CATALOG
+from repro.compressors import compressor_names, get_compressor, paper_table_order
+from repro.data.catalog import CATALOG, dataset_names
 from repro.data.loader import DEFAULT_TARGET_ELEMENTS
 
 __all__ = ["main", "build_parser"]
@@ -134,12 +126,14 @@ def _validate(kind: str, names: list[str] | None, known: list[str]) -> list[str]
 # fcbench run
 # ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.suite import run_suite_detailed
+
     methods = _validate("methods", _csv(args.methods), compressor_names())
-    datasets = _validate("datasets", _csv(args.datasets), default_datasets())
-    total = len(methods or default_methods()) * len(datasets or default_datasets())
+    datasets = _validate("datasets", _csv(args.datasets), dataset_names())
+    total = len(methods or paper_table_order()) * len(datasets or dataset_names())
     done = {"n": 0}
 
-    def on_cell(task: CellTask, measurement: Measurement, elapsed: float) -> None:
+    def on_cell(key, measurement, elapsed: float) -> None:
         done["n"] += 1
         if args.quiet:
             return
@@ -149,7 +143,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             status = f"skip ({measurement.error})"
         timing = "   cached" if elapsed == 0.0 else f"{elapsed * 1e3:7.1f}ms"
         print(
-            f"[{done['n']:4d}/{total}] {task.dataset:<16} {task.method:<16} "
+            f"[{done['n']:4d}/{total}] {key.dataset:<16} {key.codec:<16} "
             f"{timing}  {status}",
             flush=True,
         )
@@ -191,8 +185,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "error: --json/--artifacts render the experiment database; "
             "pass --db PATH"
         )
+    from repro.core.suite import run_suite_detailed
+
     methods = _validate("methods", _csv(args.methods), compressor_names())
-    datasets = _validate("datasets", _csv(args.datasets), default_datasets())
+    datasets = _validate("datasets", _csv(args.datasets), dataset_names())
     run = run_suite_detailed(
         methods=methods,
         datasets=datasets,
@@ -247,8 +243,11 @@ def _cmd_report_db(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_matrix(results: ResultSet, metric: str) -> str:
+def _metric_matrix(results, metric: str) -> str:
     import dataclasses
+
+    from repro.core.report import format_matrix
+    from repro.core.results import Measurement
 
     numeric = [
         f.name
@@ -273,6 +272,7 @@ def _metric_matrix(results: ResultSet, metric: str) -> str:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from collections import Counter
 
+    from repro.core.report import format_table
     from repro.core.runner import CACHE_VERSION
     from repro.core.suite import open_store, stored_cells
 
@@ -322,7 +322,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "methods", _csv(args.methods), compressor_names()
     ) or list(bench.DEFAULT_METHODS)
     datasets = _validate(
-        "datasets", _csv(args.datasets), default_datasets()
+        "datasets", _csv(args.datasets), dataset_names()
     ) or list(bench.DEFAULT_DATASETS)
 
     def on_cell(cell: dict) -> None:
@@ -816,7 +816,6 @@ def _explain_input(args: argparse.Namespace):
     """``select explain`` takes a .npy path or a catalog dataset name."""
     import os
 
-    from repro.data.catalog import dataset_names
     from repro.data.loader import load
 
     if os.path.exists(args.input):
@@ -830,61 +829,40 @@ def _explain_input(args: argparse.Namespace):
 
 
 def _cmd_select_explain(args: argparse.Namespace) -> int:
-    import dataclasses
     import json
 
-    import numpy as np
+    from repro.select import explain
 
-    policy = _build_policy(args)
-    array = np.ascontiguousarray(_explain_input(args)).ravel()
-    step = max(1, args.chunk_elements)
-    decisions = []
-    for start in range(0, max(array.size, 1), step):
-        chunk = array[start : start + step]
-        if chunk.size == 0:
-            break
-        decisions.append((start, policy.decide(chunk)))
+    document = explain(
+        _explain_input(args), _build_policy(args), max(1, args.chunk_elements)
+    )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "policy": policy.name,
-                    "candidates": list(policy.candidates),
-                    "chunks": [
-                        {
-                            "start": start,
-                            "codec": decision.codec,
-                            "reason": decision.reason,
-                            "features": dataclasses.asdict(decision.features),
-                        }
-                        for start, decision in decisions
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(document, indent=2, sort_keys=True))
         return 0
-    print(f"policy {policy.name}  candidates: {', '.join(policy.candidates)}")
-    for index, (start, decision) in enumerate(decisions):
-        features = decision.features
+    chunks = document["chunks"]
+    print(
+        f"policy {document['policy']}  "
+        f"candidates: {', '.join(document['candidates'])}"
+    )
+    for index, chunk in enumerate(chunks):
         print(
-            f"chunk {index:4d} @ {start:>10d}  -> {decision.codec:<16} "
-            f"({decision.reason})"
+            f"chunk {index:4d} @ {chunk['start']:>10d}  -> {chunk['codec']:<16} "
+            f"({chunk['reason']})"
         )
         if args.verbose:
+            features = chunk["features"]
             print(
-                f"            frac_unique={features.frac_unique:.3f} "
-                f"autocorr={features.lag1_autocorr:+.3f} "
-                f"byte_entropy={features.byte_entropy:.2f} "
-                f"xor_sig={features.xor_significant_fraction:.2f} "
-                f"decimals={features.decimal_digits}"
+                f"            frac_unique={features['frac_unique']:.3f} "
+                f"autocorr={features['lag1_autocorr']:+.3f} "
+                f"byte_entropy={features['byte_entropy']:.2f} "
+                f"xor_sig={features['xor_significant_fraction']:.2f} "
+                f"decimals={features['decimal_digits']}"
             )
     from collections import Counter
 
-    counts = Counter(decision.codec for _, decision in decisions)
+    counts = Counter(chunk["codec"] for chunk in chunks)
     summary = ", ".join(f"{k} x{v}" for k, v in sorted(counts.items()))
-    print(f"{len(decisions)} chunk(s): {summary}")
+    print(f"{len(chunks)} chunk(s): {summary}")
     return 0
 
 
@@ -1286,6 +1264,7 @@ def _cluster_control_client(args: argparse.Namespace):
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.report import format_table
     from repro.errors import ReproError
 
     try:
@@ -1535,7 +1514,7 @@ def _list_json() -> str:
     from repro.api import available_codecs
 
     methods = []
-    for name in default_methods():
+    for name in paper_table_order():
         info = get_compressor(name).info
         record = dataclasses.asdict(info)
         record["precisions"] = sorted(record["precisions"])
@@ -1558,11 +1537,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if args.json:
         print(_list_json())
         return 0
+    from repro.core.report import format_table
+
     show_methods = args.methods or not args.datasets
     show_datasets = args.datasets or not args.methods
     if show_methods:
         rows = []
-        for name in default_methods():
+        for name in paper_table_order():
             info = get_compressor(name).info
             rows.append(
                 [

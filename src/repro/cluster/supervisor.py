@@ -112,7 +112,7 @@ class ClusterSupervisor:
     vnodes:
         Virtual nodes per physical node — the ring's balance knob,
         identical for every participant.
-    jobs, batch_max:
+    jobs:
         Forwarded to each node's ``fcbench serve``.
     health_interval:
         Seconds between health sweeps.
@@ -144,7 +144,6 @@ class ClusterSupervisor:
         replication: int = 2,
         vnodes: int = DEFAULT_VNODES,
         jobs: int | None = None,
-        batch_max: int = 16,
         health_interval: float = 0.25,
         auto_restart: bool = True,
         node_grace: float = 3.0,
@@ -169,7 +168,6 @@ class ClusterSupervisor:
         self.replication = min(int(replication), len(specs))
         self.vnodes = int(vnodes)
         self.jobs = jobs
-        self.batch_max = int(batch_max)
         self.health_interval = float(health_interval)
         self.auto_restart = bool(auto_restart)
         self.node_grace = float(node_grace)
@@ -279,8 +277,6 @@ class ClusterSupervisor:
             spec.node_id,
             "--topology-json",
             str(self.topology_path),
-            "--batch-max",
-            str(self.batch_max),
             "--grace",
             str(self.node_grace),
             "--quiet",

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.encodings.varint import encode_uvarint
 from repro.errors import UnknownCodecError, UnsupportedDtypeError
 from repro.perf.cost import CostModel
 
@@ -37,9 +36,7 @@ __all__ = [
     "PAPER_TABLE_ORDER",
 ]
 
-_MAGIC = 0xFC
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 #: One deprecation notice per process: the shims sit under hot loops
 #: (the suite runner calls them per cell), so warning on every call
@@ -190,14 +187,6 @@ class Compressor(ABC):
                 f"got {array.nbytes}"
             )
         return np.ascontiguousarray(array)
-
-    @staticmethod
-    def _pack_header(array: np.ndarray) -> bytes:
-        parts = [bytes([_MAGIC, _DTYPE_CODES[array.dtype]])]
-        parts.append(encode_uvarint(array.ndim))
-        for extent in array.shape:
-            parts.append(encode_uvarint(extent))
-        return b"".join(parts)
 
     @staticmethod
     def _unpack_header(blob: bytes) -> tuple[tuple[int, ...], np.dtype, int]:

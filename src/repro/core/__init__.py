@@ -8,7 +8,6 @@ from repro.core.metrics import (
     method_mean_wall_ms,
     throughput_gbs,
 )
-from repro.core.executor import CellTask, execute_cells, resolve_jobs
 from repro.core.recommend import Recommendation, recommend
 from repro.core.results import Measurement, ResultSet
 from repro.core.runner import BenchmarkRunner, verify_roundtrip
@@ -21,17 +20,16 @@ from repro.core.suite import (
     run_suite,
     run_suite_detailed,
 )
+from repro.parallel import resolve_jobs
 
 __all__ = [
     "BenchmarkRunner",
     "CacheStats",
-    "CellTask",
     "Measurement",
     "Recommendation",
     "ResultSet",
     "SuiteRun",
     "cache_dir",
-    "execute_cells",
     "resolve_jobs",
     "run_suite_detailed",
     "compression_ratio",

@@ -3,8 +3,7 @@
 A :class:`Measurement` captures one (method, dataset) cell of the
 evaluation: the measured compression ratio plus the modeled throughput
 and wall-time figures.  A :class:`ResultSet` holds the full matrix and
-provides the projections the tables and figures need, plus JSON
-round-tripping for exporting a result matrix.
+provides the projections the tables and figures need.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -45,6 +43,18 @@ class Measurement:
     measured_compress_s: float = float("nan")  # actual Python runtime
     measured_decompress_s: float = float("nan")
     memory_footprint_bytes: float = float("nan")
+
+    @classmethod
+    def failed(cls, method, dataset, spec, error, precision=None, transient=False):
+        """A failed cell of ``dataset``, whose ``spec`` is None when the
+        name is unknown; ``precision`` defaults to the spec's."""
+        if precision is None:
+            precision = ("D" if spec.dtype == "f64" else "S") if spec else "?"
+        domain = spec.domain if spec else "?"
+        return cls(
+            method, dataset, domain, precision,
+            ok=False, error=error, transient=transient,
+        )
 
 
 @dataclass
@@ -149,17 +159,3 @@ class ResultSet:
         """Digest of the deterministic content (serial == parallel)."""
         payload = json.dumps(self.canonical(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_json(self, path: str | os.PathLike) -> None:
-        payload = [asdict(m) for m in self.measurements]
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def from_json(cls, path: str | os.PathLike) -> "ResultSet":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls([Measurement(**entry) for entry in payload])

@@ -28,17 +28,15 @@ Usage — run one cell and inspect the measurement:
     >>> cell.compression_ratio > 0.5
     True
 
-A runner can stream per-cell progress through an ``on_result`` callback
-(the CLI uses this to print live status); the callback is dropped when
-a runner is pickled to pool workers, so parallel callers should use the
-executor's parent-side ``on_result`` hook instead.
+A runner is plain picklable state: ``run_suite`` ships it to pool
+workers, and streams per-cell progress through its own parent-side
+``on_cell`` hook.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable
 
 import numpy as np
 
@@ -72,20 +70,10 @@ class BenchmarkRunner:
         perf: PerformanceModel | None = None,
         verify: bool = True,
         paper_limits: bool = True,
-        on_result: Callable[[Measurement, float], None] | None = None,
     ) -> None:
         self.perf = perf or PerformanceModel()
         self.verify = verify
         self.paper_limits = paper_limits
-        #: Fired after every cell as ``on_result(measurement, elapsed_s)``.
-        self.on_result = on_result
-
-    def __getstate__(self) -> dict:
-        # Callbacks are process-local (often closures over live objects);
-        # drop them so runners can ship to ProcessPoolExecutor workers.
-        state = self.__dict__.copy()
-        state["on_result"] = None
-        return state
 
     def cell_fingerprint(self, method: str) -> str:
         """Digest of everything that can change ``method``'s measurement.
@@ -133,30 +121,11 @@ class BenchmarkRunner:
         array: np.ndarray,
         spec: DatasetSpec,
     ) -> Measurement:
-        """Evaluate one method on one dataset (fires ``on_result``)."""
-        start = time.perf_counter()
-        measurement = self._run_cell(method, array, spec)
-        if self.on_result is not None:
-            self.on_result(measurement, time.perf_counter() - start)
-        return measurement
-
-    def _run_cell(
-        self,
-        method: str,
-        array: np.ndarray,
-        spec: DatasetSpec,
-    ) -> Measurement:
+        """Evaluate one method on one dataset."""
         compressor = get_compressor(method)
         skip = self._paper_scale_skip(compressor, spec)
         if skip:
-            return Measurement(
-                method=method,
-                dataset=spec.name,
-                domain=spec.domain,
-                precision="D" if spec.dtype == "f64" else "S",
-                ok=False,
-                error=skip,
-            )
+            return Measurement.failed(method, spec.name, spec, skip)
 
         work = self.prepare_input(compressor, array)
         precision = "D" if work.dtype == np.float64 else "S"
@@ -167,22 +136,14 @@ class BenchmarkRunner:
             restored = compressor.decompress(blob)
             t2 = time.perf_counter()
         except ReproError as exc:
-            return Measurement(
-                method=method,
-                dataset=spec.name,
-                domain=spec.domain,
+            return Measurement.failed(
+                method, spec.name, spec, f"{type(exc).__name__}: {exc}",
                 precision=precision,
-                ok=False,
-                error=f"{type(exc).__name__}: {exc}",
             )
         if self.verify and not verify_roundtrip(work, restored):
-            return Measurement(
-                method=method,
-                dataset=spec.name,
-                domain=spec.domain,
+            return Measurement.failed(
+                method, spec.name, spec, "roundtrip verification failed",
                 precision=precision,
-                ok=False,
-                error="roundtrip verification failed",
             )
 
         ratio = work.nbytes / len(blob)

@@ -1,15 +1,24 @@
 """Full-suite orchestration: parallel execution over the result store.
 
 Running all 14 table methods over all 33 datasets is ~462 independent
-(method, dataset) cells.  ``run_suite`` fans them out over the
-:mod:`~repro.core.executor` process pool and keeps each measured cell
-in the experiment database (:mod:`repro.expdb.store`) at
+(method, dataset) cells.  ``run_suite`` serves what it can from the
+experiment database (:mod:`repro.expdb.store`) at
 ``cache_dir()/results.sqlite`` — the same store ``fcbench sweep``
-writes — so
+writes — and fans the misses out over the :mod:`repro.parallel` process
+pool, each one executed by the sweep's own experiment function
+(:func:`repro.expdb.sweep.execute_cell`) and stored the moment it
+finishes, so
 
-* multi-core hardware cuts a cold run roughly by the worker count, and
+* multi-core hardware cuts a cold run roughly by the worker count,
 * editing one compressor re-runs only that method's column — every
-  other cell is a hit.
+  other cell is a hit, and
+* an interrupted run keeps what it measured.
+
+The suite schedules on the in-process pool rather than the sweep's
+claim loop because it promises what a claim loop cannot: results in
+dataset-major order, ``on_cell`` callbacks in the calling process, and
+private runs (a custom ``runner``, ``use_cache=False``) that touch no
+store.
 
 A suite cell is stored under the whole-array keyfields
 (``chunk_elements=0, jobs=1, policy="fixed"``) with its full
@@ -50,15 +59,17 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from repro.compressors import paper_table_order
-from repro.core.executor import CellCallback, CellTask, execute_cells, resolve_jobs
 from repro.core.results import Measurement, ResultSet
 from repro.core.runner import BenchmarkRunner
 from repro.data.catalog import CATALOG
 from repro.data.loader import DEFAULT_TARGET_ELEMENTS
 from repro.errors import UnknownCodecError
+from repro.parallel import map_ordered, resolve_jobs
 
 __all__ = [
     "CacheStats",
@@ -189,6 +200,15 @@ class SuiteRun:
     jobs: int
 
 
+def _execute_timed(runner: BenchmarkRunner, key) -> tuple[tuple, float]:
+    """Pool-side half of a miss: the one experiment function, timed."""
+    from repro.expdb.sweep import execute_cell
+
+    start = time.perf_counter()
+    outcome = execute_cell(key, runner=runner)
+    return outcome, time.perf_counter() - start
+
+
 def run_suite(
     methods: list[str] | None = None,
     datasets: list[str] | None = None,
@@ -197,15 +217,16 @@ def run_suite(
     use_cache: bool = True,
     runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
-    on_cell: CellCallback | None = None,
+    on_cell: Callable[..., None] | None = None,
 ) -> ResultSet:
     """Evaluate ``methods`` x ``datasets`` and return the result matrix.
 
     Cells are kept individually in the result store; pass
     ``use_cache=False`` (or a custom ``runner``) to force re-execution.
     ``jobs`` selects the process-pool width (``FCBENCH_JOBS`` overrides,
-    default serial);
-    ``on_cell(task, measurement, elapsed_s)`` streams per-cell status.
+    default serial); ``on_cell(key, measurement, elapsed_s)`` streams
+    per-cell status in the calling process (``key`` is the cell's
+    :class:`~repro.expdb.store.CellKey`; a hit reports 0.0 seconds).
     """
     return run_suite_detailed(
         methods=methods,
@@ -227,7 +248,7 @@ def run_suite_detailed(
     use_cache: bool = True,
     runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
-    on_cell: CellCallback | None = None,
+    on_cell: Callable[..., None] | None = None,
 ) -> SuiteRun:
     """Like :func:`run_suite` but also returns cache/timing bookkeeping."""
     from repro.expdb.store import CellKey
@@ -241,65 +262,52 @@ def run_suite_detailed(
     runner = runner or BenchmarkRunner()
     stats = CacheStats()
 
-    def keyfields(task: CellTask) -> CellKey:
-        # The whole-array protocol, as `fcbench sweep` spells it.
-        return CellKey(
-            task.method, task.dataset, 0, 1, "fixed", task.seed,
-            task.target_elements,
-        )
-
     start = time.perf_counter()
-    tasks = [
-        CellTask(method, dataset, target_elements, seed)
+    # The whole-array protocol, as `fcbench sweep` spells it.
+    keys = [
+        CellKey(method, dataset, 0, 1, "fixed", seed, target_elements)
         for dataset in datasets
         for method in methods
     ]
-    slots: list[Measurement | None] = [None] * len(tasks)
-    pending: list[tuple[int, CellTask]] = []
+    measured: dict = {}
     with open_store() if use_store else nullcontext() as store:
-        for index, task in enumerate(tasks):
-            hit = None
-            if store is not None:
-                hit = _servable(store.find_cell(keyfields(task)), runner)
-            if hit is None:
-                pending.append((index, task))
-                continue
-            slots[index] = hit
-            if on_cell is not None:
-                on_cell(task, hit, 0.0)
         if store is not None:
-            stats.misses = len(pending)
-            stats.hits = len(tasks) - len(pending)
+            for key in keys:
+                hit = _servable(store.find_cell(key), runner)
+                if hit is not None:
+                    measured[key] = hit
+                    if on_cell is not None:
+                        on_cell(key, hit, 0.0)
+        missing = [key for key in keys if key not in measured]
+        if store is not None:
+            stats.hits, stats.misses = len(keys) - len(missing), len(missing)
 
-        if pending:
-            executed = execute_cells(
-                [task for _, task in pending],
-                runner=runner,
-                jobs=jobs,
-                on_result=on_cell,
-            )
-            rows = []
-            for (index, task), measurement in zip(pending, executed):
-                slots[index] = measurement
-                # Never persist transient (crash-synthesized) failures: a
-                # stored MemoryError would replay forever.  Deterministic
-                # policy failures (skips, roundtrip mismatches) do persist.
-                if store is not None and not measurement.transient:
-                    rows.append(
-                        {
-                            **keyfields(task).as_dict(),
-                            "domain": measurement.domain,
-                            "status": "done" if measurement.ok else "failed",
-                            "error": measurement.error,
-                            "source": "suite",
-                            "finished_at": time.time(),
-                            **cell_fields(measurement, runner),
-                        }
-                    )
-            if store is not None:
-                stats.stores = store.upsert_cells(rows)
+        def finished(position: int, result: tuple) -> None:
+            (status, fields, error, _), elapsed = result
+            key = missing[position]
+            measurement = Measurement(**json.loads(fields["measurement"]))
+            measured[key] = measurement
+            # Never persist transient (crash-synthesized) failures: a
+            # stored MemoryError would replay forever.  Deterministic
+            # policy failures (skips, roundtrip mismatches) do persist.
+            if store is not None and not measurement.transient:
+                row = {
+                    **key.as_dict(),
+                    "domain": measurement.domain,
+                    "status": status,
+                    "error": error,
+                    "source": "suite",
+                    "finished_at": time.time(),
+                    **fields,
+                }
+                stats.stores += store.upsert_cells([row])
+            if on_cell is not None:
+                on_cell(key, measurement, elapsed)
 
-        results = ResultSet([m for m in slots if m is not None])
+        map_ordered(
+            partial(_execute_timed, runner), missing, jobs=jobs, on_result=finished
+        )
+        results = ResultSet([measured[key] for key in keys])
         elapsed = time.perf_counter() - start
         if store is not None:
             store.set_meta(
@@ -307,7 +315,7 @@ def run_suite_detailed(
                 {
                     "timestamp": time.time(),
                     **stats.as_dict(),
-                    "cells": len(tasks),
+                    "cells": len(keys),
                     "methods": len(methods),
                     "datasets": len(datasets),
                     "jobs": jobs,

@@ -9,15 +9,21 @@ transactionally.  Workers are crash-safe by construction: a SIGKILLed
 worker's claim expires via the heartbeat timeout and its cell is
 re-claimed by any survivor (see :mod:`repro.expdb.claim`).
 
-Cell execution reuses the existing measurement machinery:
+This claim loop is one of two schedulers over one experiment function,
+:func:`execute_cell`; ``run_suite`` (:mod:`repro.core.suite`) is the
+other.  It exists because a claim lets OS worker processes outlive a
+SIGKILLed sibling, where one dead ``ProcessPoolExecutor`` worker breaks
+the in-process pool for all.
+
+:func:`execute_cell` measures two kinds of cell:
 
 * ``chunk_elements == 0`` cells run the legacy whole-array protocol
-  through :class:`~repro.core.runner.BenchmarkRunner` and store the
-  full measurement plus its fingerprint — exactly what ``fcbench run``
-  does, so the two commands serve each other's hits;
+  through :class:`~repro.core.runner.BenchmarkRunner` and yield the
+  full measurement plus its fingerprint — the very cell ``fcbench run``
+  executes, so the two commands serve each other's hits;
 * ``chunk_elements > 0`` cells measure the streaming surface — an FCF
   frame stream at the keyfield's chunk size, with ``jobs`` fanning
-  chunk compression over the :mod:`repro.core.executor` process pool
+  chunk compression over the :mod:`repro.parallel` process pool
   and ``codec="auto"`` cells resolving their ``policy`` keyfield.
 
 External-corpus datasets without a local file mark their cells
@@ -38,13 +44,13 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.data.catalog import ExternalCorpus, dataset_names, get_spec
-from repro.errors import DatasetError, ExperimentError, ReproError
+from repro.errors import DatasetError, ExperimentError
 from repro.expdb.claim import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
@@ -175,12 +181,6 @@ def expand_grid(grid: GridSpec) -> list[CellKey]:
     return keys
 
 
-def _dataset_domain(name: str, corpus: ExternalCorpus | None) -> str:
-    if corpus is not None and name in corpus:
-        return corpus.entry(name).domain
-    return get_spec(name).domain
-
-
 @dataclass
 class InitSummary:
     """What one ``sweep init`` changed."""
@@ -219,7 +219,7 @@ def init_grid(
     rows = []
     for key in expand_grid(grid):
         row = key.as_dict()
-        row["domain"] = _dataset_domain(key.dataset, corpus)
+        row["domain"] = _cell_spec(key, corpus).domain
         if key.dataset in offline:
             row["status"] = "skipped"
             row["error"] = "corpus file not present locally"
@@ -260,63 +260,84 @@ def init_grid(
 # ----------------------------------------------------------------------
 # Cell execution
 # ----------------------------------------------------------------------
-def _load_cell_array(
-    key: CellKey, corpus: ExternalCorpus | None
-) -> tuple[np.ndarray, object]:
-    """Materialize the cell's dataset and its spec (catalog or corpus)."""
+def _cell_spec(key: CellKey, corpus: ExternalCorpus | None):
+    """The dataset's spec, from the corpus manifest or the catalog."""
+    if corpus is not None and key.dataset in corpus:
+        return corpus.spec(key.dataset)
+    return get_spec(key.dataset)
+
+
+def _load_cell_array(key: CellKey, corpus: ExternalCorpus | None) -> np.ndarray:
+    """Materialize the cell's dataset (catalog or corpus)."""
     if corpus is not None and key.dataset in corpus:
         array = corpus.load(key.dataset)
         if key.target_elements > 0 and array.size > key.target_elements:
             array = array[: key.target_elements]
-        return array, corpus.spec(key.dataset)
+        return array
     from repro.data.loader import load
 
-    spec = get_spec(key.dataset)
-    return load(key.dataset, key.target_elements, key.seed), spec
+    return load(key.dataset, key.target_elements, key.seed)
 
 
 def execute_cell(
-    key: CellKey, corpus: ExternalCorpus | None = None
+    key: CellKey, corpus: ExternalCorpus | None = None, runner=None
 ) -> tuple[str, dict, str, list[dict]]:
     """Run one cell; returns ``(status, resultfields, error, events)``.
 
-    Never raises: any failure becomes a ``failed`` (or, for an offline
-    corpus file, ``skipped``) status, mirroring the executor's
-    fault-isolation contract so one bad cell cannot take a worker down.
+    The one experiment function: the sweep's claim loop and
+    ``run_suite`` both call it with the keyfields (``runner`` replaces
+    the default :class:`~repro.core.runner.BenchmarkRunner` of a
+    whole-array cell).  Never raises: any failure becomes a ``failed``
+    (or, for an offline corpus file, ``skipped``) status, so one bad
+    cell cannot take a worker down; whether a failure is persisted is
+    the caller's decision.
     """
+    spec = None  # stays None when the dataset name itself is the problem
     try:
-        array, spec = _load_cell_array(key, corpus)
-    except DatasetError as exc:
-        if corpus is not None and key.dataset in corpus and not corpus.available(
-            key.dataset
+        spec = _cell_spec(key, corpus)
+        array = _load_cell_array(key, corpus)
+        if key.chunk_elements > 0:
+            return _execute_stream_cell(key, array)
+        if key.codec == "auto":
+            return _failed(key, spec, "codec 'auto' requires chunk_elements > 0")
+        return _execute_legacy_cell(key, array, spec, runner)
+    except Exception as exc:  # fault isolation: one bad cell != dead sweep
+        if (
+            isinstance(exc, DatasetError)
+            and corpus is not None
+            and key.dataset in corpus
+            and not corpus.available(key.dataset)
         ):
             return "skipped", {}, f"{exc}", []
-        return "failed", {}, f"{type(exc).__name__}: {exc}", []
-    except Exception as exc:  # unknown dataset, generator bug
-        return "failed", {}, f"{type(exc).__name__}: {exc}", []
+        return _failed(key, spec, f"{type(exc).__name__}: {exc}")
 
+
+def _failed(key: CellKey, spec, error: str):
+    """A ``failed`` outcome no measurement backs (a crash, a bad key).
+
+    A whole-array cell still carries a :class:`Measurement` — marked
+    ``transient``, so ``run_suite`` returns it but never stores it —
+    and no fingerprint, so the row the sweep loop persists (to be
+    retried by ``sweep reset``) can never serve a hit.
+    """
+    fields = {}
     if key.chunk_elements == 0:
-        return _execute_legacy_cell(key, array, spec)
-    return _execute_stream_cell(key, array)
+        from repro.core.results import Measurement
+
+        measurement = Measurement.failed(
+            key.codec, key.dataset, spec, error, transient=True
+        )
+        fields["measurement"] = json.dumps(asdict(measurement))
+    return "failed", fields, error, []
 
 
-def _execute_legacy_cell(key: CellKey, array, spec):
+def _execute_legacy_cell(key: CellKey, array, spec, runner):
     """Whole-array protocol — the same cell ``fcbench run`` measures."""
     from repro.core.runner import BenchmarkRunner
     from repro.core.suite import cell_fields
 
-    if key.codec == "auto":
-        return (
-            "failed",
-            {},
-            "codec 'auto' requires chunk_elements > 0",
-            [],
-        )
-    runner = BenchmarkRunner()
-    try:
-        measurement = runner.run_cell(key.codec, array, spec)
-    except Exception as exc:  # fault isolation
-        return "failed", {}, f"{type(exc).__name__}: {exc}", []
+    runner = runner or BenchmarkRunner()
+    measurement = runner.run_cell(key.codec, array, spec)
     events = [{"kind": "protocol", "payload": {"protocol": "legacy"}}]
     status = "done" if measurement.ok else "failed"
     return status, cell_fields(measurement, runner), measurement.error, events
@@ -329,27 +350,22 @@ def _execute_stream_cell(key: CellKey, array):
 
     work = np.ascontiguousarray(array)
     buf = io.BytesIO()
-    try:
-        t0 = time.perf_counter()
-        session = CompressSession(
-            buf,
-            key.codec,
-            work.dtype,
-            chunk_elements=key.chunk_elements,
-            jobs=key.jobs,
-            shape=work.shape,
-            policy=key.policy if key.codec == "auto" else "heuristic",
-        )
-        session.write(work)
-        session.close()
-        t1 = time.perf_counter()
-        blob = buf.getvalue()
-        restored = decompress_array(blob, jobs=key.jobs)
-        t2 = time.perf_counter()
-    except ReproError as exc:
-        return "failed", {}, f"{type(exc).__name__}: {exc}", []
-    except Exception as exc:  # fault isolation
-        return "failed", {}, f"{type(exc).__name__}: {exc}", []
+    t0 = time.perf_counter()
+    session = CompressSession(
+        buf,
+        key.codec,
+        work.dtype,
+        chunk_elements=key.chunk_elements,
+        jobs=key.jobs,
+        shape=work.shape,
+        policy=key.policy if key.codec == "auto" else "heuristic",
+    )
+    session.write(work)
+    session.close()
+    t1 = time.perf_counter()
+    blob = buf.getvalue()
+    restored = decompress_array(blob, jobs=key.jobs)
+    t2 = time.perf_counter()
     if not verify_roundtrip(work, restored):
         return "failed", {}, "roundtrip verification failed", []
 

@@ -42,6 +42,7 @@ from repro.select.policy import (
     SelectionDecision,
     SelectionPolicy,
     codec_instance,
+    explain,
     pick_smallest,
     resolve_policy,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "SelectionDecision",
     "SelectionPolicy",
     "codec_instance",
+    "explain",
     "feature_bucket",
     "pick_smallest",
     "resolve_policy",

@@ -24,7 +24,7 @@ to the serial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "MeasuredPolicy",
     "LearnedPolicy",
     "resolve_policy",
+    "explain",
     "codec_instance",
     "pick_smallest",
 ]
@@ -341,3 +342,28 @@ def resolve_policy(policy, **options) -> SelectionPolicy:
     raise SelectionError(
         f"unknown selection policy {policy!r}; known: {', '.join(POLICY_NAMES)}"
     )
+
+
+def explain(array, policy: SelectionPolicy, chunk_elements: int) -> dict:
+    """``policy``'s decision for every chunk of ``array``, as one document.
+
+    The JSON-ready answer behind both ``fcbench select explain --json``
+    and a served ``select-explain`` request.
+    """
+    flat = np.ascontiguousarray(array).ravel()
+    chunks = []
+    for start in range(0, flat.size, chunk_elements):
+        decision = policy.decide(flat[start : start + chunk_elements])
+        chunks.append(
+            {
+                "start": start,
+                "codec": decision.codec,
+                "reason": decision.reason,
+                "features": asdict(decision.features),
+            }
+        )
+    return {
+        "policy": policy.name,
+        "candidates": list(policy.candidates),
+        "chunks": chunks,
+    }

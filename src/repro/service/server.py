@@ -9,7 +9,7 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
   nothing to tune: a request on an idle connection is dispatched the
   moment it arrives, frames that arrive while that connection's slice
   executes become the next slice (one
-  :func:`repro.core.executor.map_ordered` fan-out, byte-identical to
+  :class:`repro.parallel.WorkerPool` fan-out, byte-identical to
   serial execution), the unexecuted backlog is bounded, and
   :meth:`CompressionServer.stop` answers what was admitted before it
   closes.  :class:`_Connection` spells the contract out.
@@ -47,7 +47,6 @@ import threading
 import time
 from concurrent import futures
 
-from repro.core.executor import map_ordered, resolve_jobs
 from repro.errors import AuthenticationError, ProtocolError, ReproError
 from repro.obs import (
     NULL_SPAN,
@@ -58,6 +57,7 @@ from repro.obs import (
     configure_logging,
     get_logger,
 )
+from repro.parallel import WorkerPool
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
@@ -106,7 +106,7 @@ _UNKNOWN_TYPE = (
 
 
 # ----------------------------------------------------------------------
-# Request execution (top-level and picklable: map_ordered may ship these
+# Request execution (top-level and picklable: the pool may ship these
 # to worker processes when the server runs with jobs > 1)
 # ----------------------------------------------------------------------
 def _error_result(op: str, exc: BaseException) -> tuple:
@@ -203,32 +203,10 @@ def _execute_decompress(payload: bytes) -> tuple:
 
 
 def _execute_explain(payload: bytes) -> tuple:
-    import dataclasses
-
-    from repro.select import resolve_policy
+    from repro.select import explain, resolve_policy
 
     policy_name, chunk_elements, array = protocol.decode_explain_request(payload)
-    policy = resolve_policy(policy_name)
-    flat = array.ravel()
-    chunks = []
-    for start in range(0, max(flat.size, 1), chunk_elements):
-        chunk = flat[start : start + chunk_elements]
-        if chunk.size == 0:
-            break
-        decision = policy.decide(chunk)
-        chunks.append(
-            {
-                "start": start,
-                "codec": decision.codec,
-                "reason": decision.reason,
-                "features": dataclasses.asdict(decision.features),
-            }
-        )
-    answer = {
-        "policy": policy.name,
-        "candidates": list(policy.candidates),
-        "chunks": chunks,
-    }
+    answer = explain(array, resolve_policy(policy_name), chunk_elements)
     meta = {"op": "select-explain", "bytes_in": int(array.nbytes)}
     return ("ok", response_type(SELECT_EXPLAIN), protocol.encode_json(answer), meta)
 
@@ -538,9 +516,8 @@ class CompressionServer:
         Bind address; ``port=0`` picks an ephemeral port, published as
         :attr:`port` after :meth:`start`.
     jobs:
-        Worker processes for each batch's ``map_ordered`` fan-out
-        (``None`` → serial, ``0`` → auto-detect, mirroring the suite
-        executor).
+        Worker processes for each batch's fan-out (``None`` → serial,
+        ``0`` → auto-detect, mirroring the suite).
     batch_max:
         Most requests one fan-out executes together, and most a
         connection holds unexecuted before it stops reading.
@@ -661,12 +638,9 @@ class CompressionServer:
         self._connections: set[_Connection] = set()
         self._draining = False
         self._stopped = asyncio.Event()
-        # Persistent worker pool for jobs > 1: paying process startup
+        # One pool for the server's lifetime: paying process startup
         # per batch would dwarf the codec work batching parallelizes.
-        # None = not yet created, False = unavailable (sandbox).
-        self._pool: futures.ProcessPoolExecutor | None | bool = None
-        # _run_batch executes on per-connection executor threads.
-        self._pool_lock = threading.Lock()
+        self._pool = WorkerPool(jobs)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -712,9 +686,7 @@ class CompressionServer:
         await asyncio.gather(*(conn.closed for conn in stragglers))
         if self._server is not None:
             await self._server.wait_closed()
-        if isinstance(self._pool, futures.ProcessPoolExecutor):
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = None
+        self._pool.shutdown(wait=False)
         self._stopped.set()
         self._log.info(
             "server stopped", extra={"node": self.effective_node_id}
@@ -1139,29 +1111,16 @@ class CompressionServer:
         feedback loop closes entirely on this thread, so worker
         processes never see mutable server state.
 
-        With ``jobs > 1`` the work goes to a *persistent* process pool
-        — created once, reused across batches, so per-batch latency
-        carries no pool-startup cost.  A pool that cannot start
-        (sandboxes) or breaks mid-batch degrades to
-        :func:`~repro.core.executor.map_ordered`'s serial path; the
-        results are identical either way because every item is a pure
-        function of its payload.
+        With ``jobs > 1`` a slice of two or more items crosses into the
+        server's :class:`~repro.parallel.WorkerPool` — started once,
+        reused across batches, so per-batch latency carries no
+        pool-startup cost.  Otherwise, or when the pool cannot start
+        (sandboxes) or breaks mid-batch, items run here on this thread;
+        the results are identical either way because every item is a
+        pure function of its payload.
         """
         prepared, decisions = self._decide_batch(items)
-        outcomes = None
-        pool = self._worker_pool()
-        if pool is not None and len(prepared) > 1:
-            try:
-                outcomes = list(pool.map(_execute_request, prepared))
-            except Exception:
-                # Broken pool: drop it (a later batch may rebuild) and
-                # answer this one serially.
-                pool.shutdown(wait=False, cancel_futures=True)
-                with self._pool_lock:
-                    if self._pool is pool:
-                        self._pool = None
-        if outcomes is None:
-            outcomes = map_ordered(_execute_request, prepared, jobs=1)
+        outcomes = self._pool.map(_execute_request, prepared)
         self._observe_batch(decisions, outcomes)
         return outcomes
 
@@ -1236,22 +1195,6 @@ class CompressionServer:
                     meta.get("bytes_out", 0),
                     meta.get("seconds", 0.0),
                 )
-
-    def _worker_pool(self) -> futures.ProcessPoolExecutor | None:
-        with self._pool_lock:
-            if self._pool is None:
-                jobs = resolve_jobs(self.jobs)
-                if jobs <= 1:
-                    self._pool = False
-                else:
-                    try:
-                        self._pool = futures.ProcessPoolExecutor(
-                            max_workers=jobs
-                        )
-                    except (OSError, PermissionError):
-                        self._pool = False  # fork-less sandbox: stay serial
-            pool = self._pool
-        return pool if isinstance(pool, futures.ProcessPoolExecutor) else None
 
 # ----------------------------------------------------------------------
 # Background-thread embedding (tests, load generator, examples, CLI-less)

@@ -76,26 +76,13 @@ def test_bumping_cache_version_reruns_everything(monkeypatch):
 
 
 def test_transient_failures_are_never_cached(monkeypatch):
-    from repro.core import suite as suite_mod
-    from repro.core.results import Measurement
-
-    def crash_all(tasks, runner=None, jobs=None, on_result=None):
-        return [
-            Measurement(
-                method=t.method,
-                dataset=t.dataset,
-                domain="?",
-                precision="?",
-                ok=False,
-                error="MemoryError: injected",
-                transient=True,
-            )
-            for t in tasks
-        ]
+    def crash(self, method, array, spec):
+        raise MemoryError("injected")
 
     with monkeypatch.context() as patched:
-        patched.setattr(suite_mod, "execute_cells", crash_all)
+        patched.setattr(BenchmarkRunner, "run_cell", crash)
         run = run_suite_detailed(**_ONE)
+    assert run.results.measurements[0].error == "MemoryError: injected"
     assert not run.results.measurements[0].ok
     # The crash-synthesized failure must not be persisted...
     assert run.cache_stats.stores == 0
@@ -104,6 +91,23 @@ def test_transient_failures_are_never_cached(monkeypatch):
     healthy = run_suite_detailed(**_ONE)
     assert healthy.cache_stats.misses == 1
     assert healthy.results.measurements[0].ok
+
+
+def test_interrupted_run_keeps_what_it_measured():
+    kw = dict(_KW, datasets=["citytemp", "gas-price", "nyc-taxi"])
+    seen = []
+
+    def interrupt_after_three(key, measurement, elapsed):
+        seen.append(key)
+        if len(seen) == 3:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_suite_detailed(on_cell=interrupt_after_three, **kw)
+    # Each cell was stored as it finished, so the re-run resumes.
+    resumed = run_suite_detailed(**kw)
+    assert (resumed.cache_stats.hits, resumed.cache_stats.misses) == (3, 3)
+    assert resumed.cache_stats.stores == 3
 
 
 def test_deterministic_failures_are_stored_and_served():

@@ -1,19 +1,27 @@
-"""Tests for the parallel execution engine (repro.core.executor)."""
+"""Suite cells over the parallel fan-out (repro.parallel + execute_cell)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.executor import CellTask, execute_cells, resolve_jobs
-from repro.core.results import ResultSet
 from repro.core.runner import BenchmarkRunner
 from repro.core.suite import run_suite
+from repro.parallel import resolve_jobs
 
-_TASKS = [
-    CellTask(method, dataset, target_elements=512)
-    for dataset in ("citytemp", "gas-price")
-    for method in ("gorilla", "chimp")
-]
+_METHODS = ("gorilla", "chimp")
+_DATASETS = ("citytemp", "gas-price")
+_CELLS = [(dataset, method) for dataset in _DATASETS for method in _METHODS]
+
+
+def _run(methods=_METHODS, datasets=_DATASETS, **kwargs):
+    """A private run: no store, so every cell really executes."""
+    return run_suite(
+        methods=list(methods),
+        datasets=list(datasets),
+        target_elements=512,
+        use_cache=False,
+        **kwargs,
+    )
 
 
 class ExplodingRunner(BenchmarkRunner):
@@ -70,16 +78,12 @@ def test_resolve_jobs_zero_auto_detects_cpu_count(monkeypatch):
 # Serial vs parallel equivalence
 # ----------------------------------------------------------------------
 def test_serial_and_parallel_results_identical():
-    serial = ResultSet(execute_cells(_TASKS, jobs=1))
-    parallel = ResultSet(execute_cells(_TASKS, jobs=2))
-    assert len(serial) == len(parallel) == len(_TASKS)
-    # Task order is preserved regardless of completion order...
-    assert [(m.dataset, m.method) for m in serial.measurements] == [
-        (t.dataset, t.method) for t in _TASKS
-    ]
-    assert [(m.dataset, m.method) for m in parallel.measurements] == [
-        (t.dataset, t.method) for t in _TASKS
-    ]
+    serial = _run(jobs=1)
+    parallel = _run(jobs=2)
+    assert len(serial) == len(parallel) == len(_CELLS)
+    # Dataset-major order is preserved regardless of completion order...
+    assert [(m.dataset, m.method) for m in serial.measurements] == _CELLS
+    assert [(m.dataset, m.method) for m in parallel.measurements] == _CELLS
     # ...and every deterministic field matches bit-for-bit.
     assert serial.canonical() == parallel.canonical()
     assert serial.fingerprint() == parallel.fingerprint()
@@ -105,13 +109,13 @@ def test_run_suite_parallel_matches_serial(tmp_path, monkeypatch):
 def test_on_result_fires_per_cell(jobs):
     seen: list[tuple[str, str]] = []
 
-    def on_result(task, measurement, elapsed):
+    def on_cell(key, measurement, elapsed):
         assert measurement.ok
         assert elapsed >= 0.0
-        seen.append((task.dataset, task.method))
+        seen.append((key.dataset, key.codec))
 
-    execute_cells(_TASKS, jobs=jobs, on_result=on_result)
-    assert sorted(seen) == sorted((t.dataset, t.method) for t in _TASKS)
+    _run(jobs=jobs, on_cell=on_cell)
+    assert sorted(seen) == sorted(_CELLS)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +124,8 @@ def test_on_result_fires_per_cell(jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_one_failing_cell_does_not_kill_the_suite(jobs):
     runner = ExplodingRunner("chimp", "citytemp")
-    results = ResultSet(execute_cells(_TASKS, runner=runner, jobs=jobs))
-    assert len(results) == len(_TASKS)
+    results = _run(runner=runner, jobs=jobs)
+    assert len(results) == len(_CELLS)
     failed = results.cell("chimp", "citytemp")
     assert failed is not None and not failed.ok
     assert "RuntimeError" in failed.error
@@ -131,12 +135,12 @@ def test_one_failing_cell_does_not_kill_the_suite(jobs):
 
 
 def test_unknown_dataset_becomes_failed_measurement():
-    [m] = execute_cells([CellTask("gorilla", "no-such-dataset")], jobs=1)
-    assert not m.ok
+    [m] = _run(["gorilla"], ["no-such-dataset"], jobs=1).measurements
+    assert not m.ok and m.transient
     assert "DatasetError" in m.error
 
 
 def test_unknown_method_becomes_failed_measurement():
-    [m] = execute_cells([CellTask("no-such-method", "citytemp", 512)], jobs=1)
-    assert not m.ok
+    [m] = _run(["no-such-method"], ["citytemp"], jobs=1).measurements
+    assert not m.ok and m.transient
     assert m.error.startswith("UnknownCodecError: unknown compressor")

@@ -37,18 +37,3 @@ def test_matrix_shape_and_nan_for_failures():
 def test_values_filters_failures():
     rs = ResultSet([_m("a", "x", cr=2.0), _m("b", "x", ok=False)])
     np.testing.assert_array_equal(rs.values("compression_ratio"), [2.0])
-
-
-def test_json_roundtrip(tmp_path):
-    rs = ResultSet([_m("a", "x"), _m("b", "y", ok=False)])
-    path = tmp_path / "results.json"
-    rs.to_json(path)
-    loaded = ResultSet.from_json(path)
-    assert len(loaded) == 2
-    first = loaded.measurements[0]
-    assert (first.method, first.dataset, first.compression_ratio) == (
-        "a", "x", 1.5,
-    )
-    # NaN fields survive the JSON trip as NaN (not null/zero).
-    assert math.isnan(loaded.measurements[1].compression_ratio)
-    assert loaded.measurements[1].ok is False

@@ -91,13 +91,13 @@ def test_on_cell_reports_cached_and_fresh(tmp_path, monkeypatch):
         methods=["gorilla"],
         datasets=["citytemp"],
         target_elements=512,
-        on_cell=lambda task, m, elapsed: seen.append((task.method, task.dataset)),
+        on_cell=lambda key, m, elapsed: seen.append((key.codec, key.dataset)),
     )
     run_suite(
         methods=["gorilla"],
         datasets=["citytemp"],
         target_elements=512,
-        on_cell=lambda task, m, elapsed: seen.append((task.method, task.dataset)),
+        on_cell=lambda key, m, elapsed: seen.append((key.codec, key.dataset)),
     )
     # The callback fires for the executed cell and again for the cache hit.
     assert seen == [("gorilla", "citytemp")] * 2

@@ -186,6 +186,46 @@ def test_execute_cell_unknown_dataset_fails():
     assert error
 
 
+def test_execute_cell_honours_the_runner():
+    from repro.core.runner import BenchmarkRunner
+
+    key = _key(chunk_elements=0)
+    default = execute_cell(key)[1]
+    unverified = execute_cell(key, runner=BenchmarkRunner(verify=False))[1]
+    assert unverified["fingerprint"] != default["fingerprint"]
+    assert unverified["fingerprint"] == BenchmarkRunner(
+        verify=False
+    ).cell_fingerprint("gorilla")
+    assert unverified["ratio"] == default["ratio"]
+
+
+def test_sweep_and_suite_rows_carry_the_same_measurement(tmp_path, monkeypatch):
+    from repro.core.suite import open_store, run_suite
+
+    def stored_measurement(root):
+        with open_store(root) as store:
+            [row] = store.cells()
+        assert row.status == "done" and row.fingerprint
+        measurement = json.loads(row.measurement)
+        for name in ("measured_compress_s", "measured_decompress_s"):
+            assert measurement.pop(name) > 0
+        return row.fingerprint, measurement
+
+    swept, suite = tmp_path / "swept", tmp_path / "suite"
+    with open_store(swept) as store:
+        init_grid(
+            store,
+            GridSpec(
+                codecs=("gorilla",), datasets=("citytemp",),
+                chunk_elements=(0,), target_elements=1024,
+            ),
+        )
+    assert worker_loop(swept / "results.sqlite")["done"] == 1
+    monkeypatch.setenv("FCBENCH_CACHE_DIR", str(suite))
+    run_suite(methods=["gorilla"], datasets=["citytemp"], target_elements=1024)
+    assert stored_measurement(swept) == stored_measurement(suite)
+
+
 # ----------------------------------------------------------------------
 # Worker loop
 # ----------------------------------------------------------------------

@@ -164,6 +164,29 @@ def test_parallel_jobs_batch_byte_identical_to_serial():
                 assert frame.payload == compress_array(
                     array, "gorilla", chunk_elements=64
                 )
+        pool = parallel.server._pool
+        assert pool._executor is not None
+        parallel.stop()
+        assert pool._executor is None  # stop() shut the workers down
+
+
+def test_killed_pool_worker_between_batches_loses_nothing():
+    import os
+    import signal
+
+    arrays = [np.cumsum(np.ones(400) * s) for s in (0.25, 0.5, 1.0, 2.0)]
+    expected = [compress_array(a, "gorilla", chunk_elements=64) for a in arrays]
+    with serve_background(jobs=2) as parallel:
+        frames = _pipeline_compress(parallel.host, parallel.port, arrays)
+        assert [f.payload for f in frames] == expected
+        pool = parallel.server._pool
+        os.kill(next(iter(pool._executor._processes)), signal.SIGKILL)
+        # The broken executor is answered around, then replaced: same
+        # pool object, same bytes.
+        for _ in range(2):
+            frames = _pipeline_compress(parallel.host, parallel.port, arrays)
+            assert [f.payload for f in frames] == expected
+        assert parallel.server._pool is pool
         parallel.stop()
 
 
@@ -377,6 +400,27 @@ def test_failing_stats_answer_is_typed_and_keeps_the_connection(monkeypatch):
             assert snapshot["ops"]["stats"]["errors"] == 1
             assert snapshot["connections"]["opened"] == opened
         handle.stop()
+
+
+def test_cli_select_explain_json_equals_the_served_answer(
+    client, tmp_path, capsys
+):
+    import json
+
+    from repro.cli import main
+
+    array = np.cumsum(np.random.default_rng(3).normal(0, 1, 1000))
+    path = tmp_path / "field.npy"
+    np.save(path, array.reshape(10, 100))
+    for policy in ("heuristic", "measured"):
+        argv = ["select", "explain", str(path), "--json",
+                "--policy", policy, "--chunk-elements", "300"]
+        assert main(argv) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert [c["start"] for c in local["chunks"]] == [0, 300, 600, 900]
+        assert local == client.select_explain(
+            array, policy=policy, chunk_elements=300
+        )
 
 
 def test_async_client_roundtrip():
