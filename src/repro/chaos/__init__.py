@@ -16,9 +16,9 @@ A first-class fault-injection subsystem usable against *real* servers:
   harness: a supervised cluster behind per-node proxies, hammered by
   deadline-carrying workers while faults (and optionally a node kill
   or drain) land, reporting availability, shed rate, deadline-miss
-  rate, and latency-under-faults for ``BENCH_<sha>.json``.
+  rate, and latency-under-faults (``fcbench chaos --output``).
 
-The load generator's byte-identity contract survives chaos by
+The served path's byte-identity contract survives chaos by
 construction: a corrupted response fails the frame CRC and is retried
 or failed over, so every round trip that *succeeds* still returns
 exactly the bytes a local call would produce — the soak verifies this

@@ -4,8 +4,8 @@
 :class:`~repro.chaos.proxy.ChaosProxy` per node, and hammers it with
 deadline-carrying :class:`~repro.cluster.ClusterClient` workers while
 faults land — optionally SIGKILLing (and auto-restarting) or draining
-a node mid-run.  The report is JSON-ready and lands under
-``service.resilience`` in ``BENCH_<sha>.json``:
+a node mid-run.  The report is JSON-ready; ``fcbench chaos --output``
+writes it and CI gates it with ``--min-availability``:
 
 * ``availability`` — successful round trips / attempted round trips.
 * ``deadline_misses`` — operations lost to the deadline budget
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,27 @@ from repro.errors import (
 )
 
 __all__ = ["run_chaos_soak"]
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Exact quantile: the ceil(q*n)-th smallest sample."""
+    if not samples:
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile {q} outside [0, 1]")
+    ordered = sorted(samples)
+    rank = max(0, min(len(ordered) - 1, int(np.ceil(q * len(ordered))) - 1))
+    return ordered[rank]
+
+
+def _latency_summary(samples: list[float]) -> dict:
+    return {
+        "count": len(samples),
+        "mean_ms": float(np.mean(samples)) * 1e3 if samples else 0.0,
+        "p50_ms": percentile(samples, 0.50) * 1e3,
+        "p95_ms": percentile(samples, 0.95) * 1e3,
+        "p99_ms": percentile(samples, 0.99) * 1e3,
+    }
 
 
 def _soak_worker(
@@ -402,8 +423,6 @@ def run_chaos_soak(
             for result in results
             for sample in result.get("latencies", [])
         ]
-        from repro.perf.loadgen import _latency_summary
-
         injected: dict[str, int] = {}
         proxied_connections = 0
         for proxy in proxies:

@@ -22,7 +22,9 @@ Subcommands:
 * ``fcbench bench``  — measure *real* encode/decode throughput per
   (method, dataset) cell (plus the scalar-oracle baselines where a
   codec retains one), write ``BENCH_<git-sha>.json`` at the repo root,
-  and diff against the previous snapshot.
+  and diff against the previous snapshot.  Served latency, cluster
+  routing, tracing overhead and auto-vs-best-fixed are measured by
+  ``python3 bench/run.py`` (``BENCHMARK.json``), not here.
 * ``fcbench compress / decompress / inspect`` — the streaming codec
   surface: turn a ``.npy`` array into a seekable ``.fcf`` frame stream
   (``--codec``, ``--chunk-elements``, ``--jobs``), restore it
@@ -328,19 +330,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     def on_cell(cell: dict) -> None:
         if args.quiet:
             return
-        if "throughput_mbs" in cell:  # a loadgen (service/cluster) cell
-            label = (
-                f"cluster[{cell['nodes']}]" if "nodes" in cell else "service"
-            )
-            print(
-                f"{label:<10} {cell['codec']:<16} "
-                f"{cell['completed_round_trips']:3d} round trips  "
-                f"p50 {cell['compress']['p50_ms']:6.1f}ms  "
-                f"p99 {cell['compress']['p99_ms']:6.1f}ms  "
-                f"{cell['throughput_mbs']:7.1f} MB/s",
-                flush=True,
-            )
-            return
         if "online_ratio" in cell:  # a tenancy regime row
             verdict = "beats" if cell["beats_heuristic"] else "trails"
             print(
@@ -349,20 +338,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{cell['online_vs_best_fixed'] * 100:5.1f}% of best fixed "
                 f"({cell['best_fixed_arm']} {cell['best_fixed_ratio']:.3f}) "
                 f"{verdict} heuristic {cell['heuristic_ratio']:.3f}",
-                flush=True,
-            )
-            return
-        if "auto_cr" in cell:
-            chunks = ", ".join(
-                f"{name} x{count}"
-                for name, count in sorted(cell["frame_codecs"].items())
-            )
-            print(
-                f"{cell['dataset']:<14} auto/{cell['policy']:<9} "
-                f"CR {cell['auto_cr']:6.3f} = "
-                f"{cell['fraction_of_best'] * 100:5.1f}% of best fixed "
-                f"({cell['best_fixed_method']} {cell['best_fixed_cr']:.3f}) "
-                f"[{chunks}]",
                 flush=True,
             )
             return
@@ -382,12 +357,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         oracle=not args.no_oracle,
         guard=not args.no_guard,
-        auto=args.auto,
-        service=args.service,
-        resilience=args.resilience,
         tenancy=args.tenancy,
         seed=args.seed,
-        sweep_db=args.sweep_db,
         on_cell=on_cell,
     )
     root = Path(args.output).parent if args.output else bench.repo_root()
@@ -1727,36 +1698,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the small regression-guard cells",
     )
     p_bench.add_argument(
-        "--auto",
-        action="store_true",
-        help="also measure the auto codec against the best fixed "
-        "candidate on one dataset per domain",
-    )
-    p_bench.add_argument(
-        "--service",
-        action="store_true",
-        help="also run the service load generator (self-hosted server, "
-        "4 concurrent connections per codec) and record its latency "
-        "percentiles in the snapshot",
-    )
-    p_bench.add_argument(
-        "--resilience",
-        action="store_true",
-        help="also run the chaos soak (supervised cluster behind "
-        "fault-injecting proxies, mid-run node kill) and record "
-        "availability / shed / deadline-miss rates in the snapshot",
-    )
-    p_bench.add_argument(
         "--tenancy",
         action="store_true",
         help="also run the multi-tenant regime-shift workload (online "
         "selection bandit vs best fixed arm vs static heuristic, "
         "per-tenant accounting) and record it in the snapshot",
-    )
-    p_bench.add_argument(
-        "--sweep-db",
-        help="fold this experiment database's statistical summary "
-        "(counts, Friedman, Nemenyi CD, ranking) into the snapshot",
     )
     p_bench.add_argument(
         "--output", help="write the snapshot to this path instead"

@@ -11,10 +11,11 @@ The supervisor runs three things:
 
 * a **health loop** that probes every node with ``health`` frames and
   respawns any process that died (unless it is being drained);
-* a **control endpoint** — a small asyncio server speaking the same
-  FCS protocol (``cluster-topology`` / ``health`` / ``cluster-control``
-  / ``ping``) — that ``fcbench cluster status|drain`` and cluster
-  clients talk to;
+* a **control endpoint** — the compression server's own listener on a
+  background thread, given the supervisor's handler table
+  (``cluster-topology`` / ``health`` / ``cluster-control`` / ``trace``
+  / ``ping``) in place of the node request types — that
+  ``fcbench cluster status|drain`` and cluster clients talk to;
 * a **state file** (JSON, atomically rewritten on every change) with
   the control address and per-node pids/states, so CLI commands and CI
   scripts can find the cluster without parsing logs.
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ClusterError, ProtocolError
+from repro.errors import ClusterError
 from repro.obs import get_logger
 from repro.service import protocol
 from repro.service.client import ServiceClient
@@ -49,14 +50,9 @@ from repro.service.protocol import (
     CLUSTER_CONTROL,
     CLUSTER_TOPOLOGY,
     DEFAULT_VNODES,
-    ERR_PROTOCOL,
-    ERROR,
     HEALTH,
     PING,
     TRACE,
-    FrameParser,
-    encode_error,
-    encode_frame,
 )
 
 __all__ = ["ClusterSupervisor", "NodeSpec", "free_port"]
@@ -197,10 +193,7 @@ class ClusterSupervisor:
         self._started = False
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
-        self._control_loop: asyncio.AbstractEventLoop | None = None
-        self._control_thread: threading.Thread | None = None
-        self._control_server: asyncio.base_events.Server | None = None
-        self._control = self._control_handlers()
+        self._control = None  # the endpoint's ServerHandle once started
         self.started_at = 0.0
 
     # -- paths ---------------------------------------------------------
@@ -598,77 +591,26 @@ class ClusterSupervisor:
 
     # -- control endpoint ------------------------------------------------
     def _start_control(self) -> None:
-        started = threading.Event()
-        error: list[BaseException] = []
+        # Imported here: only a started supervisor needs the server.
+        from repro.service.server import serve_background
 
-        async def _main() -> None:
-            try:
-                server = await asyncio.start_server(
-                    self._handle_control, self.control_host, self.control_port
-                )
-            except BaseException as exc:
-                error.append(exc)
-                started.set()
-                return
-            self._control_server = server
-            self.control_port = server.sockets[0].getsockname()[1]
-            self._control_loop = asyncio.get_running_loop()
-            started.set()
-            async with server:
-                await server.serve_forever()
-
-        def _run() -> None:
-            try:
-                asyncio.run(_main())
-            except BaseException:
-                started.set()
-
-        self._control_thread = threading.Thread(
-            target=_run, name="fcbench-cluster-control", daemon=True
-        )
-        self._control_thread.start()
-        if not started.wait(timeout=10.0):
-            raise ClusterError("control endpoint failed to start")
-        if error:
+        try:
+            self._control = serve_background(
+                self.control_host,
+                self.control_port,
+                handlers=self._control_handlers(),
+                refusal="the control endpoint does not serve "
+                "request type {:#04x}",
+            )
+        except OSError as exc:
             raise ClusterError(
-                f"control endpoint failed to bind: {error[0]}"
-            ) from error[0]
+                f"control endpoint failed to bind: {exc}"
+            ) from exc
+        self.control_port = self._control.port
 
     def _stop_control(self) -> None:
-        loop = self._control_loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._control_thread is not None:
-            self._control_thread.join(timeout=5.0)
-        self._control_loop = None
-
-    async def _handle_control(self, reader, writer) -> None:
-        parser = FrameParser()
-        try:
-            while True:
-                data = await reader.read(1 << 16)
-                if not data:
-                    return
-                try:
-                    frames = parser.feed(data)
-                except ProtocolError as exc:
-                    writer.write(
-                        encode_frame(
-                            ERROR, 0, encode_error(ERR_PROTOCOL, str(exc))
-                        )
-                    )
-                    await writer.drain()
-                    return
-                for frame in frames:
-                    await self._answer_control(writer, frame)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        if self._control is not None:
+            self._control.stop()
 
     def _control_handlers(self) -> dict:
         """What the control endpoint serves: ``{request type: handler}``."""
@@ -712,15 +654,6 @@ class ClusterSupervisor:
             CLUSTER_CONTROL: control,
             TRACE: trace,
         }
-
-    async def _answer_control(self, writer, frame) -> None:
-        answer_type, payload = await protocol.answer_inline(
-            self._control,
-            frame,
-            "the control endpoint does not serve request type {:#04x}",
-        )
-        writer.write(encode_frame(answer_type, frame.request_id, payload))
-        await writer.drain()
 
     async def _run_control_action(self, action: str, node: str | None) -> dict:
         if action == "status":

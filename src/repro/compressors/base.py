@@ -14,7 +14,6 @@ import hashlib
 import inspect
 import json
 import sys
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,26 +36,6 @@ __all__ = [
 ]
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-
-#: One deprecation notice per process: the shims sit under hot loops
-#: (the suite runner calls them per cell), so warning on every call
-#: would bury real warnings; warning never would hide the migration.
-_SHIM_WARNING_EMITTED = False
-
-
-def _warn_shim_deprecated() -> None:
-    global _SHIM_WARNING_EMITTED
-    if _SHIM_WARNING_EMITTED:
-        return
-    _SHIM_WARNING_EMITTED = True
-    warnings.warn(
-        "Compressor.compress/decompress are deprecated single-frame "
-        "shims; use repro.api.compress_array/decompress_array or the "
-        "session API (see docs/streaming.md)",
-        DeprecationWarning,
-        stacklevel=3,  # _warn_shim_deprecated -> shim -> the caller
-    )
-
 
 @dataclass(frozen=True)
 class MethodInfo:
@@ -88,12 +67,14 @@ class Compressor(ABC):
     round-trips to the exact original array (bit-exact, NaN payloads
     included).
 
-    Framing lives in :mod:`repro.api.frames`: the one-shot
-    :meth:`compress`/:meth:`decompress` pair below is kept as a thin
-    single-frame shim over that protocol.  New code that streams,
-    chunks, or needs random access should use the session API
-    (:mod:`repro.api`) instead — see ``docs/streaming.md`` for the
-    migration guide.
+    Framing lives in :mod:`repro.api.frames`.  The one-shot
+    :meth:`compress`/:meth:`decompress` pair below is the whole-array
+    surface: one frame that hands the codec the array's N-d shape
+    (ndzip's multi-dimensional Lorenzo, the Table 9 dimension study),
+    the header BUFF's scans parse, and what the suite runner and the
+    storage query model measure through.  Code that streams, chunks, or
+    needs random access uses the session API (:mod:`repro.api`) — see
+    ``docs/streaming.md``.
     """
 
     info: MethodInfo
@@ -108,39 +89,29 @@ class Compressor(ABC):
     max_decode_expansion: int | None = 256
 
     # ------------------------------------------------------------------
-    # Public API (deprecated one-shot shims)
+    # Public API (whole-array, one frame)
     # ------------------------------------------------------------------
     def compress(self, array: np.ndarray) -> bytes:
         """Compress ``array`` into a self-describing one-shot stream.
 
-        .. deprecated::
-            This is the legacy single-frame surface, kept for
-            compatibility.  Migrate to ``repro.api``:
-            ``compress_array(array, codec)`` for in-memory streams, or
-            ``open_stream(path, "wb", codec=...)`` for files — both add
-            chunked framing, bounded memory, random access, and
-            ``jobs=N`` parallelism.
+        One frame over the whole array, shape included.  For chunked
+        framing, bounded memory, random access and ``jobs=N``
+        parallelism use ``repro.api``: ``compress_array(array, codec)``
+        in memory, ``open_stream(path, "wb", codec=...)`` for files.
         """
         from repro.api import frames
 
-        _warn_shim_deprecated()
         return frames.encode_legacy_frame(self, self._validate(array))
 
     def decompress(self, blob: bytes) -> np.ndarray:
         """Reconstruct the exact original array from a compressed stream.
 
-        Accepts both this method's legacy one-shot output and the FCF
-        streams produced by the ``repro.api`` sessions (detected by
-        magic), so readers keep working mid-migration.
-
-        .. deprecated::
-            Legacy shim — new code should use
-            ``repro.api.decompress_array`` / ``DecompressSession``.
+        Accepts both this method's one-shot output and the FCF streams
+        produced by the ``repro.api`` sessions (detected by magic).
         """
         from repro.api import frames
         from repro.api.session import decompress_array
 
-        _warn_shim_deprecated()
         if bytes(blob[:4]) == frames.FRAME_MAGIC:
             return decompress_array(blob)
         return frames.decode_legacy_frame(self, blob)

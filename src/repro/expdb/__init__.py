@@ -32,7 +32,6 @@ from repro.expdb.claim import (
     release_stale,
 )
 from repro.expdb.report import (
-    bench_section,
     render_report,
     score_matrix,
     sweep_report,
@@ -73,7 +72,6 @@ __all__ = [
     "GridSpec",
     "Heartbeat",
     "beat",
-    "bench_section",
     "claim_next",
     "execute_cell",
     "expand_grid",

@@ -5,8 +5,7 @@
 comparison apparatus: per-domain ratio/throughput tables, a Friedman
 omnibus test over the codec×dataset ratio matrix, Nemenyi post-hoc
 critical differences, and a text critical-difference diagram — plus a
-machine-readable JSON summary that ``fcbench bench`` folds into the
-``BENCH_<sha>.json`` snapshot.
+machine-readable JSON summary (``--json``).
 
 Aggregation rules:
 
@@ -36,7 +35,6 @@ from repro.errors import ExperimentError
 from repro.expdb.store import ExperimentStore
 
 __all__ = [
-    "bench_section",
     "render_report",
     "score_matrix",
     "sweep_report",
@@ -297,23 +295,3 @@ def write_artifacts(report: dict, directory: str | Path) -> list[Path]:
     written.append(report_txt)
     return written
 
-
-def bench_section(db_path: str | Path, alpha: float = 0.05) -> dict:
-    """Compact sweep summary for the ``BENCH_<sha>.json`` snapshot."""
-    with ExperimentStore(db_path) as store:
-        report = sweep_report(store, alpha=alpha)
-    stats = report["stats"]
-    section = {
-        "database": report["database"],
-        "counts": report["counts"],
-        "methods": report["methods"],
-        "datasets": len(report["datasets"]),
-    }
-    if stats.get("available"):
-        section["friedman_chi_square"] = stats["friedman"]["chi_square"]
-        section["friedman_pvalue"] = stats["friedman"]["chi_square_pvalue"]
-        section["critical_difference"] = stats["nemenyi"]["critical_difference"]
-        section["ranking"] = stats["ranking"]
-    else:
-        section["stats_unavailable"] = stats.get("reason", "unknown")
-    return section

@@ -85,8 +85,8 @@ def configure_logging(
     """Attach the JSON formatter to ``logger`` (default: ``repro``).
 
     Idempotent: an existing JSON handler on the logger is replaced, not
-    duplicated, so repeated server starts in one process (tests, the
-    loadgen's self-served mode) do not multiply log lines.  The logger
+    duplicated, so repeated server starts in one process (tests,
+    embedded servers) do not multiply log lines.  The logger
     stops propagating to the root logger — the service owns its stream
     (stderr by default) and pytest's root capture should not duplicate
     it.

@@ -62,10 +62,6 @@ DEFAULT_ELEMENTS = 1_000_000
 GUARD_ELEMENTS = 200_000
 GUARD_METHODS = ("gorilla", "chimp")
 GUARD_DATASET = "tpcH-order"
-#: Auto-vs-best-fixed cells: one dataset per paper domain, sized so the
-#: slowest candidate (the arithmetic-coded trials) stays re-measurable.
-AUTO_DATASETS = ("num-brain", "citytemp", "hst-wfc3-ir", "tpcH-order")
-AUTO_ELEMENTS = 16_384
 
 
 def repo_root() -> Path:
@@ -190,63 +186,6 @@ def bench_cell(
     return cell
 
 
-def bench_auto_cell(
-    dataset: str,
-    elements: int = AUTO_ELEMENTS,
-    chunk_elements: int = 4096,
-    policy: str = "heuristic",
-    repeats: int = 3,
-    seed: int = 0,
-) -> dict:
-    """Compare the ``auto`` codec against the best fixed candidate.
-
-    Measures the full selection + compression path (`compress_array`
-    with ``codec="auto"``) and every fixed candidate on the same data,
-    recording the compression-ratio fraction auto achieves and which
-    codec each chunk went to — the online answer to the paper's offline
-    per-domain winner tables.
-    """
-    from repro.api.session import DecompressSession, compress_array
-    from repro.data.catalog import get_spec
-    from repro.data.loader import load
-    from repro.select import resolve_policy
-
-    spec = get_spec(dataset)
-    array = load(dataset, elements, seed)
-    selection = resolve_policy(policy)
-    auto_blob = compress_array(array, selection, chunk_elements=chunk_elements)
-    auto_s = _best_seconds(
-        lambda: compress_array(array, selection, chunk_elements=chunk_elements),
-        repeats,
-    )
-    from collections import Counter
-
-    with DecompressSession(auto_blob) as stream:
-        frame_codecs = dict(Counter(stream.frame_codec_names()))
-    best_method, best_bytes = "", None
-    for name in selection.candidates:
-        fixed = len(compress_array(array, name, chunk_elements=chunk_elements))
-        if best_bytes is None or fixed < best_bytes:
-            best_method, best_bytes = name, fixed
-    auto_cr = array.nbytes / max(len(auto_blob), 1)
-    best_cr = array.nbytes / max(best_bytes, 1)
-    return {
-        "dataset": dataset,
-        "domain": spec.domain,
-        "policy": selection.name,
-        "elements": int(array.size),
-        "chunk_elements": chunk_elements,
-        "auto_compressed_bytes": len(auto_blob),
-        "auto_cr": auto_cr,
-        "auto_compress_s": auto_s,
-        "auto_mbs": array.nbytes / 1e6 / auto_s,
-        "best_fixed_method": best_method,
-        "best_fixed_cr": best_cr,
-        "fraction_of_best": auto_cr / best_cr if best_cr else 0.0,
-        "frame_codecs": frame_codecs,
-    }
-
-
 def run_bench(
     methods: Sequence[str] | None = None,
     datasets: Sequence[str] | None = None,
@@ -254,12 +193,8 @@ def run_bench(
     repeats: int = 3,
     oracle: bool = True,
     guard: bool = True,
-    auto: bool = False,
-    service: bool = False,
-    resilience: bool = False,
     tenancy: bool = False,
     seed: int = 0,
-    sweep_db: str | Path | None = None,
     on_cell: Callable[[dict], None] | None = None,
 ) -> dict:
     """Measure the (methods x datasets) matrix plus the guard cells."""
@@ -277,7 +212,6 @@ def run_bench(
         "repeats": repeats,
         "cells": [],
         "guard": [],
-        "auto": [],
     }
     for dataset in datasets:
         for method in methods:
@@ -298,51 +232,6 @@ def run_bench(
             report["guard"].append(cell)
             if on_cell is not None:
                 on_cell(cell)
-    if auto:
-        for dataset in AUTO_DATASETS:
-            cell = bench_auto_cell(dataset, repeats=repeats, seed=seed)
-            report["auto"].append(cell)
-            if on_cell is not None:
-                on_cell(cell)
-    if service:
-        # Served-path latency/throughput: a self-hosted server on an
-        # ephemeral port, 4 concurrent connections per codec (see
-        # repro/perf/loadgen.py).  Lands in the same snapshot so the
-        # serving trajectory is tracked per commit like codec speed.
-        from repro.perf.loadgen import (
-            run_cluster_loadgen,
-            run_loadgen,
-            run_tracing_overhead,
-        )
-
-        report["service"] = run_loadgen(
-            seed=seed,
-            on_result=on_cell if on_cell is not None else None,
-        )
-        # Cluster scaling curve: the same matrix against 1→3-node
-        # clusters (real supervised node processes), so the snapshot
-        # records whether sharding actually buys aggregate throughput.
-        report["service"]["cluster"] = run_cluster_loadgen(
-            seed=seed,
-            on_result=on_cell if on_cell is not None else None,
-        )
-        # Tracing tax: the same loadgen with distributed tracing off vs
-        # on (span recording on both ends plus 24 wire bytes per
-        # request).  The snapshot pins the cost so a span added on the
-        # hot path shows up as a per-commit regression, budget 2%.
-        report["service"]["tracing_overhead"] = run_tracing_overhead(
-            seed=seed
-        )
-    if resilience:
-        # Availability / shed / deadline-miss under injected faults and
-        # a mid-run node kill (see repro/chaos/soak.py), so the snapshot
-        # tracks graceful degradation per commit, not just clean-path
-        # speed.
-        from repro.chaos import run_chaos_soak
-
-        report.setdefault("service", {})["resilience"] = run_chaos_soak(
-            seed=seed
-        )
     if tenancy:
         # Multi-tenant regime-shift workload: the online selection
         # bandit versus every fixed arm and the static heuristic, over
@@ -350,18 +239,9 @@ def run_bench(
         # py).  Snapshots the feedback loop's convergence per commit.
         from repro.perf.tenancy import run_tenancy_bench
 
-        report.setdefault("service", {})["tenancy"] = run_tenancy_bench(
-            seed=seed,
-            on_result=on_cell if on_cell is not None else None,
-        )
-    if sweep_db is not None:
-        # Fold the experiment database's statistical summary (counts,
-        # Friedman chi-square, Nemenyi CD, method ranking) into the
-        # snapshot so sweep-scale conclusions are versioned per commit
-        # alongside raw throughput.
-        from repro.expdb.report import bench_section
-
-        report["sweep"] = bench_section(sweep_db)
+        report["service"] = {
+            "tenancy": run_tenancy_bench(seed=seed, on_result=on_cell)
+        }
     return report
 
 

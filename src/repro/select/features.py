@@ -109,11 +109,23 @@ def _lag1_autocorr(values: np.ndarray) -> float:
     finite = np.nan_to_num(
         values.astype(np.float64, copy=False), posinf=0.0, neginf=0.0
     )
-    centered = finite - finite.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = _centered_lag1(finite)
+        if np.isnan(corr):
+            # Squares overflow above ~1e154; the statistic is scale-free.
+            corr = _centered_lag1(finite / np.abs(finite).max())
+    return corr
+
+
+def _centered_lag1(values: np.ndarray) -> float:
+    """Lag-1 autocorrelation; NaN when a sum of products overflowed."""
+    centered = values - values.mean()
     x, y = centered[:-1], centered[1:]
     denom = np.sqrt(float((x * x).sum()) * float((y * y).sum()))
     if denom == 0.0:
         return 0.0
+    if not np.isfinite(denom):
+        return float("nan")
     return float((x * y).sum() / denom)
 
 
@@ -127,7 +139,14 @@ def _decimal_digits(values: np.ndarray) -> int:
     # otherwise any large-magnitude continuous field would "round
     # clean" and be misclassified as decimal-quantized.
     relative = 1e-6 if values.dtype == np.float32 else 1e-10
-    noise = relative * max(1.0, float(np.abs(finite).max()))
+    magnitude = np.abs(finite)
+    peak = float(magnitude.max())
+    # From 2^(mantissa bits) up every float is an integer: a chunk that
+    # lives there rounds clean whatever its data, which is no evidence.
+    integral = 2.0 ** (np.finfo(values.dtype).nmant + 1)
+    if peak >= integral and magnitude[magnitude > 0].min() >= integral:
+        return -1
+    noise = relative * max(1.0, peak)
     finite = finite.astype(np.float64, copy=False)
     for digits in range(MAX_DECIMAL_DIGITS + 1):
         tolerance = min(noise, 0.05 * 10.0**-digits)

@@ -291,11 +291,6 @@ def render_prometheus(document: dict, node_id: str | None = None) -> str:
                 "counter",
                 "Payload bytes past quota admission, by tenant.",
             ),
-            "auth_rejected": family(
-                "fcbench_tenant_auth_rejected_total",
-                "counter",
-                "Authentication rejections, by tenant.",
-            ),
             "quota_rejected": family(
                 "fcbench_tenant_quota_rejected_total",
                 "counter",

@@ -13,9 +13,9 @@ Latencies go into a fixed log-spaced :class:`LatencyHistogram` rather
 than a sample list, so a server that has handled a hundred million
 requests still answers ``stats`` in O(buckets) with O(buckets)
 memory.  Percentiles are therefore bucket-resolution estimates (upper
-bucket bound), which is what serving dashboards want; the load
-generator (:mod:`repro.perf.loadgen`) keeps exact client-side samples
-when precision matters.
+bucket bound), which is what serving dashboards want; the repository
+benchmark (``bench/``) and the chaos soak keep exact client-side
+samples when precision matters.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class ServiceMetrics:
                 "bytes_out": 0,
                 "admitted_requests": 0,
                 "admitted_bytes": 0,
-                "auth_rejected": 0,
                 "quota_rejected": 0,
             }
         )
@@ -214,11 +213,11 @@ class ServiceMetrics:
             row["admitted_requests"] += 1
             row["admitted_bytes"] += int(nbytes)
 
-    def record_auth_rejected(self, tenant: str | None = None) -> None:
+    def record_auth_rejected(self) -> None:
+        # Server-wide only: a request that fails authentication has no
+        # tenant to count it under.
         with self._lock:
             self.auth_rejected += 1
-            if tenant is not None:
-                self.tenants[tenant]["auth_rejected"] += 1
 
     def record_quota_rejected(self, tenant: str) -> None:
         with self._lock:

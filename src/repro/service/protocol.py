@@ -233,19 +233,24 @@ ERR_UNAUTHENTICATED = 10
 #: ``retry_after_ms`` points at the window reset.
 ERR_QUOTA = 11
 
-_ERROR_EXCEPTIONS = {
-    ERR_PROTOCOL: ProtocolError,
-    ERR_CORRUPT_STREAM: CorruptStreamError,
-    ERR_SELECTION: SelectionError,
-    ERR_UNSUPPORTED_DTYPE: UnsupportedDtypeError,
-    ERR_UNKNOWN_CODEC: UnknownCodecError,
-    ERR_TOO_LARGE: ProtocolError,
-    ERR_INTERNAL: ServiceError,
-    ERR_DEADLINE: DeadlineExceededError,
-    ERR_OVERLOADED: ServerOverloadedError,
-    ERR_UNAUTHENTICATED: AuthenticationError,
-    ERR_QUOTA: QuotaExceededError,
-}
+#: ``(code, exception class)``, declared once.  Decoding looks the code
+#: up; encoding (:func:`error_code_for`) answers the first entry the
+#: exception is an instance of, so subclasses precede their bases and,
+#: of two codes that decode to one class, the first is what it encodes to.
+_ERROR_TABLE = (
+    (ERR_DEADLINE, DeadlineExceededError),
+    (ERR_OVERLOADED, ServerOverloadedError),
+    (ERR_UNAUTHENTICATED, AuthenticationError),
+    (ERR_QUOTA, QuotaExceededError),
+    (ERR_PROTOCOL, ProtocolError),
+    (ERR_TOO_LARGE, ProtocolError),
+    (ERR_CORRUPT_STREAM, CorruptStreamError),
+    (ERR_SELECTION, SelectionError),
+    (ERR_UNSUPPORTED_DTYPE, UnsupportedDtypeError),
+    (ERR_UNKNOWN_CODEC, UnknownCodecError),
+    (ERR_INTERNAL, ServiceError),
+)
+_ERROR_EXCEPTIONS = dict(_ERROR_TABLE)
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
@@ -876,24 +881,9 @@ def _parse_overload_message(message: str) -> tuple[str, int | None]:
 
 def error_code_for(exc: BaseException) -> int:
     """Map a server-side exception to the wire error code."""
-    if isinstance(exc, DeadlineExceededError):
-        return ERR_DEADLINE
-    if isinstance(exc, ServerOverloadedError):
-        return ERR_OVERLOADED
-    if isinstance(exc, AuthenticationError):
-        return ERR_UNAUTHENTICATED
-    if isinstance(exc, QuotaExceededError):
-        return ERR_QUOTA
-    if isinstance(exc, ProtocolError):
-        return ERR_PROTOCOL
-    if isinstance(exc, CorruptStreamError):
-        return ERR_CORRUPT_STREAM
-    if isinstance(exc, SelectionError):
-        return ERR_SELECTION
-    if isinstance(exc, UnsupportedDtypeError):
-        return ERR_UNSUPPORTED_DTYPE
-    if isinstance(exc, UnknownCodecError):
-        return ERR_UNKNOWN_CODEC
+    for code, exc_type in _ERROR_TABLE:
+        if isinstance(exc, exc_type):
+            return code
     return ERR_INTERNAL
 
 

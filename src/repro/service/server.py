@@ -35,8 +35,8 @@ request-level failures (corrupt FCF payloads, unknown codecs, selection
 misconfiguration) get a typed error frame and the connection lives on.
 
 :func:`serve_background` runs a server on a daemon thread with its own
-event loop — the embedding used by the tests, the load generator, and
-``examples/compression_service.py``.
+event loop — the embedding used by the tests, the cluster supervisor's
+control endpoint, and ``examples/compression_service.py``.
 """
 
 from __future__ import annotations
@@ -577,6 +577,11 @@ class CompressionServer:
         When set, request completions slower than this threshold are
         written to the structured log (trace-correlated); ``None``
         disables slow-request logging.
+    handlers, refusal:
+        The cluster supervisor's control plane: a ``{request type:
+        handler}`` table served in place of the inline types (nothing is
+        heavy, so nothing batches, gates or authenticates), and the
+        message format refusing every other type.
     """
 
     def __init__(
@@ -600,6 +605,8 @@ class CompressionServer:
         trace: bool = False,
         trace_capacity: int = 4096,
         slow_request_ms: float | None = None,
+        handlers: dict | None = None,
+        refusal: str = _UNKNOWN_TYPE,
     ) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be positive")
@@ -633,7 +640,9 @@ class CompressionServer:
         # service.server` free of the selection stack.
         self._online_hub = None
         self._online_lock = threading.Lock()
-        self._inline = self._inline_handlers()
+        self._heavy = _HEAVY_TYPES if handlers is None else ()
+        self._inline = self._inline_handlers() if handlers is None else handlers
+        self._refusal = refusal
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()
         self._draining = False
@@ -799,7 +808,7 @@ class CompressionServer:
         node = self.effective_node_id
         for item in pending:
             frame = item.frame
-            if frame.frame_type not in _HEAVY_TYPES:
+            if frame.frame_type not in self._heavy:
                 continue
             parent = None
             if frame.trace_context is not None:
@@ -854,7 +863,7 @@ class CompressionServer:
         now = time.monotonic()
         for item in pending:
             frame = item.frame
-            if frame.frame_type not in _HEAVY_TYPES:
+            if frame.frame_type not in self._heavy:
                 continue
             op = _OP_NAMES[frame.frame_type]
             with self._stage(item, "server.deadline") as stage:
@@ -1091,7 +1100,7 @@ class CompressionServer:
         """
         start = time.perf_counter()
         answer_type, payload = await protocol.answer_inline(
-            self._inline, frame, _UNKNOWN_TYPE
+            self._inline, frame, self._refusal
         )
         self.metrics.record_request(
             _OP_NAMES.get(frame.frame_type, "unknown"),
@@ -1197,7 +1206,7 @@ class CompressionServer:
                 )
 
 # ----------------------------------------------------------------------
-# Background-thread embedding (tests, load generator, examples, CLI-less)
+# Background-thread embedding (tests, control endpoint, examples, CLI-less)
 # ----------------------------------------------------------------------
 class ServerHandle:
     """A server running on a daemon thread with its own event loop."""

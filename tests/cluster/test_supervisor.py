@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterSupervisor
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ClusterError, ProtocolError, ServiceError
 from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.protocol import validate_topology
@@ -146,3 +146,40 @@ def test_supervisor_rejects_bad_parameters():
         ClusterSupervisor(0)
     with pytest.raises(ValueError, match="replication"):
         ClusterSupervisor(2, replication=0)
+
+
+def test_stop_with_an_open_control_connection_is_clean(caplog):
+    # A pooled client (an operator's monitoring loop) still holds its
+    # control connection when the supervisor stops: the endpoint must
+    # close it gracefully, not pull the event loop out from under it.
+    supervisor = ClusterSupervisor(1, replication=1, node_grace=1.5).start()
+    client = ServiceClient(
+        supervisor.control_host, supervisor.control_port, pool_size=1
+    )
+    try:
+        assert client.cluster_control("status")["nodes"][0]["state"] == "up"
+        with caplog.at_level("WARNING", logger="asyncio"):
+            supervisor.stop()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+    finally:
+        client.close()
+        supervisor.stop()
+
+
+def test_occupied_control_port_is_a_cluster_error():
+    import socket
+
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        supervisor = ClusterSupervisor(
+            1, replication=1, node_grace=1.5,
+            control_port=taken.getsockname()[1],
+        )
+        try:
+            with pytest.raises(
+                ClusterError, match="control endpoint failed to bind: .*in use"
+            ):
+                supervisor.start()
+        finally:
+            supervisor.stop()

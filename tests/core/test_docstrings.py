@@ -17,7 +17,6 @@ import repro.core.runner
 import repro.core.suite
 import repro.encodings.vectorbit
 import repro.perf.bench
-import repro.perf.loadgen
 
 
 @pytest.mark.parametrize(
@@ -28,7 +27,6 @@ import repro.perf.loadgen
         repro.cli,
         repro.encodings.vectorbit,
         repro.perf.bench,
-        repro.perf.loadgen,
     ],
     ids=lambda m: m.__name__,
 )

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.expdb.report import (
-    bench_section,
     render_report,
     score_matrix,
     sweep_report,
@@ -165,16 +164,6 @@ def test_artifacts_json_is_finite_even_with_degenerate_stats(tmp_path, store):
     report = sweep_report(store)
     written = write_artifacts(report, tmp_path / "art")
     json.loads((tmp_path / "art" / "summary.json").read_text())
-
-
-def test_bench_section_compact_summary(tmp_path):
-    with ExperimentStore(tmp_path / "exp.sqlite") as store:
-        _fill_grid(store)
-    section = bench_section(tmp_path / "exp.sqlite")
-    assert section["counts"]["done"] == 24
-    assert section["ranking"][0] == "m-best"
-    assert section["critical_difference"] > 0
-    assert section["datasets"] == 6
 
 
 def test_report_is_deterministic(store):

@@ -82,6 +82,48 @@ class TestRunBench:
         )
         assert seen == ["gorilla"]
 
+    def test_report_sections(self, tiny_report, monkeypatch):
+        # Served latency, auto-vs-best-fixed and the sweep summary are
+        # measured by bench/run.py and `fcbench report --db`, not here.
+        assert not {"auto", "service", "sweep"} & set(tiny_report)
+        import repro.perf.tenancy as tenancy
+
+        monkeypatch.setattr(
+            tenancy,
+            "run_tenancy_bench",
+            lambda **kwargs: {"stub": kwargs["seed"]},
+        )
+        report = bench.run_bench(
+            methods=["gorilla"],
+            datasets=["citytemp"],
+            elements=512,
+            repeats=1,
+            oracle=False,
+            guard=False,
+            tenancy=True,
+            seed=3,
+        )
+        assert report["service"] == {"tenancy": {"stub": 3}}
+
+    @pytest.mark.parametrize(
+        "argv, parameter",
+        [
+            (["--auto"], "auto"),
+            (["--service"], "service"),
+            (["--resilience"], "resilience"),
+            (["--sweep-db", "exp.sqlite"], "sweep_db"),
+        ],
+    )
+    def test_retired_sections_are_errors(self, argv, parameter, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["bench", *argv])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            bench.run_bench(**{parameter: True})
+
 
 class TestSnapshots:
     def test_write_find_latest_and_diff(self, tiny_report, tmp_path):

@@ -103,3 +103,25 @@ def test_nan_and_inf_do_not_poison_features():
 def test_integer_dtype_rejected():
     with pytest.raises(UnsupportedDtypeError):
         extract_features(np.arange(16))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_features_and_decision_are_scale_invariant(scale):
+    # Squares of centred values overflow float64 above ~1e154 (the
+    # product of the two sums well before that), and every float past
+    # 2^53 is an integer: neither may change what the chunk looks like.
+    import warnings
+
+    from repro.select.policy import HeuristicPolicy
+
+    walk = np.cumsum(np.random.default_rng(3).normal(0.0, 1.0, 4096))
+    policy = HeuristicPolicy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = extract_features(walk)
+        scaled = extract_features(walk * scale)
+        codecs = [policy.decide(walk).codec, policy.decide(walk * scale).codec]
+    assert plain.lag1_autocorr > 0.99
+    assert scaled.lag1_autocorr == pytest.approx(plain.lag1_autocorr, abs=1e-12)
+    assert scaled.decimal_digits == plain.decimal_digits == -1
+    assert codecs == ["fpzip", "fpzip"]

@@ -1,9 +1,9 @@
-"""Client pooling/retry behavior and the metrics/loadgen instruments."""
+"""Client pooling/retry behavior and the metrics instruments."""
 
 import pytest
 
 from repro.errors import ProtocolError
-from repro.perf.loadgen import percentile, run_loadgen
+from repro.chaos.soak import percentile
 from repro.service import ServiceClient, serve_background
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 
@@ -200,7 +200,7 @@ def test_service_metrics_concurrent_hammer_is_never_torn():
 
 
 # ----------------------------------------------------------------------
-# Load generator
+# Exact client-side percentiles (the chaos soak's latency summary)
 # ----------------------------------------------------------------------
 def test_percentile_exact_ranks():
     samples = [float(v) for v in range(1, 101)]
@@ -211,44 +211,3 @@ def test_percentile_exact_ranks():
     assert percentile(samples, 1.0) == 100.0
     assert percentile([], 0.5) == 0.0
 
-
-def test_loadgen_sustains_four_connections_with_batching():
-    report = run_loadgen(
-        connections=4,
-        requests=2,
-        elements=1024,
-        chunk_elements=256,
-        codecs=("gorilla", "auto"),
-        verify=True,
-    )
-    assert report["connections"] == 4
-    assert report["self_served"] is True
-    for cell in report["codecs"]:
-        assert cell["errors"] == 0
-        assert cell["completed_round_trips"] == 8
-        assert cell["byte_identical_with_local"] is True
-        assert cell["compress"]["p50_ms"] <= cell["compress"]["p99_ms"]
-        assert cell["throughput_mbs"] > 0
-    assert report["server"]["protocol_errors"] == 0
-    assert report["server"]["connections_opened"] >= 4
-
-
-def test_loadgen_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        run_loadgen(connections=0)
-    with pytest.raises(ValueError):
-        run_loadgen(host="127.0.0.1")  # port required with explicit host
-
-
-def test_bench_report_carries_service_section():
-    from repro.perf.bench import run_bench
-
-    report = run_bench(
-        methods=["gorilla"],
-        datasets=["citytemp"],
-        elements=512,
-        repeats=1,
-        guard=False,
-        service=False,
-    )
-    assert "service" not in report

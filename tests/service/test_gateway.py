@@ -16,6 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.errors import AuthenticationError, QuotaExceededError
 from repro.service import ServiceClient, serve_background
 from repro.service.gateway import ObservabilityGateway, render_prometheus
 from repro.service.tenants import TenantConfig, TenantRegistry
@@ -99,6 +100,37 @@ class TestRenderPrometheus:
         assert families["fcbench_uptime_seconds"] == "gauge"
         assert families["fcbench_requests_total"] == "counter"
         assert families["fcbench_tenant_requests_total"] == "counter"
+
+    def test_rejections_are_counted_where_they_can_be_attributed(self):
+        # A failed authentication has no tenant: it counts server-wide
+        # only.  A quota rejection counts server-wide and under its tenant.
+        registry = TenantRegistry()
+        registry.add(
+            TenantConfig("frozen", token="gw-frozen", max_requests_per_window=0)
+        )
+        array = np.linspace(0.0, 1.0, 256)
+        with serve_background(tenants=registry) as handle:
+            for token, error in (
+                ("gw-nobody", AuthenticationError),
+                ("gw-frozen", QuotaExceededError),
+            ):
+                with ServiceClient(
+                    handle.host, handle.port, token=token
+                ) as client, pytest.raises(error):
+                    client.compress_array(array, "gorilla")
+            document = handle.server.stats_document()
+        assert document["admission"]["auth_rejected"] == 1
+        assert document["admission"]["quota_rejected"] == 1
+        assert document["tenants"]["frozen"]["quota_rejected"] == 1
+        assert "auth_rejected" not in document["tenants"]["frozen"]
+        text = render_prometheus(document)
+        families = validate_exposition(text)
+        assert "fcbench_tenant_auth_rejected_total" not in families
+        assert 'fcbench_admission_rejected_total{reason="auth"} 1\n' in text
+        assert 'fcbench_admission_rejected_total{reason="quota"} 1\n' in text
+        assert (
+            'fcbench_tenant_quota_rejected_total{tenant="frozen"} 1\n' in text
+        )
 
     def test_admission_gate_occupancy_exported_as_gauges(self, stack):
         document = stack.server.stats_document()

@@ -425,6 +425,27 @@ def test_error_code_mapping_is_bidirectional():
             protocol.raise_for_error(frame)
 
 
+def test_error_table_covers_every_code_and_round_trips_every_class():
+    codes = {
+        getattr(protocol, name)
+        for name in protocol.__all__
+        if name.startswith("ERR_")
+    }
+    assert codes == {code for code, _ in protocol._ERROR_TABLE}
+    assert len(codes) == len(protocol._ERROR_TABLE)
+    for code, exc_type in protocol._ERROR_TABLE:
+        frame = Frame(ERROR, 1, protocol.encode_error(code, "x"))
+        with pytest.raises(exc_type) as info:
+            protocol.raise_for_error(frame)
+        assert type(info.value) is exc_type  # the code decodes to its class
+        # ... and the class encodes to a code that decodes to it again
+        # (ERR_TOO_LARGE shares ProtocolError with ERR_PROTOCOL).
+        encoded = protocol.error_code_for(info.value)
+        assert protocol._ERROR_EXCEPTIONS[encoded] is exc_type
+        if code != protocol.ERR_TOO_LARGE:
+            assert encoded == code
+
+
 def test_unknown_error_code_degrades_to_service_error():
     frame = Frame(ERROR, 1, protocol.encode_error(0xEE, "from the future"))
     with pytest.raises(ServiceError, match="future"):
