@@ -193,7 +193,6 @@ def run_chaos_soak(
     drain_after_fraction: float = 0.33,
     op_deadline: float = 8.0,
     attempt_timeout: float = 2.0,
-    node_jobs: Optional[int] = None,
     tenants: bool = False,
     trace: bool = False,
     on_cluster: Optional[Callable[[object], None]] = None,
@@ -263,7 +262,6 @@ def run_chaos_soak(
     supervisor = ClusterSupervisor(
         nodes,
         replication=min(replication, nodes),
-        jobs=node_jobs,
         tenants=tenants_file,
         trace=trace,
     )

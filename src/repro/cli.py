@@ -894,14 +894,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             gateways.append(gateway)
             # Machine-parseable: CI greps this line for the scrape port.
             print(f"gateway on {gateway.host}:{gateway.port}", flush=True)
-        if not args.quiet:
-            print(
-                f"  jobs={server.jobs or 1} batch_max={server.batch_max}  "
-                "(Ctrl-C drains gracefully)",
-                flush=True,
-            )
-            if tenants is not None:
-                print(f"  tenants={len(tenants)} from {args.tenants}", flush=True)
+        if not args.quiet and tenants is not None:
+            print(f"  tenants={len(tenants)} from {args.tenants}", flush=True)
 
     topology = None
     if args.topology_json:
@@ -921,8 +915,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.host,
             args.port,
             on_ready=on_ready,
-            jobs=args.jobs,
-            batch_max=args.batch_max,
             grace=args.grace,
             max_queued_requests=args.max_queued_requests,
             max_queued_bytes=args.max_queued_bytes,
@@ -1153,7 +1145,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             host=args.host,
             replication=args.replication,
             vnodes=args.vnodes,
-            jobs=args.jobs,
             health_interval=args.health_interval,
             auto_restart=not args.no_restart,
             node_grace=args.grace,
@@ -1949,19 +1940,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 picks an ephemeral port (default %(default)s)",
     )
     p_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes per request batch; 0 = all cores "
-        "(default: FCBENCH_JOBS env or 1)",
-    )
-    p_serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=16,
-        help="most requests coalesced into one fan-out (default %(default)s)",
-    )
-    p_serve.add_argument(
         "--grace",
         type=float,
         default=5.0,
@@ -2317,12 +2295,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=128,
         help="virtual nodes per physical node on the hash ring "
         "(default %(default)s)",
-    )
-    cl_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes per node request batch (default: serial)",
     )
     cl_serve.add_argument(
         "--control-port",

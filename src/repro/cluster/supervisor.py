@@ -108,8 +108,6 @@ class ClusterSupervisor:
     vnodes:
         Virtual nodes per physical node — the ring's balance knob,
         identical for every participant.
-    jobs:
-        Forwarded to each node's ``fcbench serve``.
     health_interval:
         Seconds between health sweeps.
     auto_restart:
@@ -139,7 +137,6 @@ class ClusterSupervisor:
         host: str = "127.0.0.1",
         replication: int = 2,
         vnodes: int = DEFAULT_VNODES,
-        jobs: int | None = None,
         health_interval: float = 0.25,
         auto_restart: bool = True,
         node_grace: float = 3.0,
@@ -163,7 +160,6 @@ class ClusterSupervisor:
             raise ValueError("replication must be positive")
         self.replication = min(int(replication), len(specs))
         self.vnodes = int(vnodes)
-        self.jobs = jobs
         self.health_interval = float(health_interval)
         self.auto_restart = bool(auto_restart)
         self.node_grace = float(node_grace)
@@ -274,8 +270,6 @@ class ClusterSupervisor:
             str(self.node_grace),
             "--quiet",
         ]
-        if self.jobs is not None:
-            cmd += ["--jobs", str(self.jobs)]
         if self.tenants_path is not None:
             cmd += ["--tenants", str(self.tenants_path)]
         if self.trace:

@@ -17,8 +17,8 @@ bytes on the wire: :meth:`TraceContext.to_wire` packs exactly
 the tenant field when ``FLAG_TRACE`` is set.
 
 Durations are measured on the monotonic clock; the wall-clock start is
-kept alongside so spans recorded by different processes on the same
-host (the ProcessPoolExecutor workers) order correctly in one tree.
+kept alongside so spans recorded by different processes (a client, the
+cluster's nodes) order correctly in one tree.
 
 Cost discipline: tracing must stay under a 2% throughput tax, so a
 disabled recorder does one attribute load and returns a shared no-op
@@ -66,10 +66,8 @@ def new_span_id() -> str:
 class TraceContext:
     """The propagated part of a trace: which trace, which parent span.
 
-    Immutable value object; this is what crosses process boundaries —
-    serialized to 24 fixed bytes for the wire (:meth:`to_wire`) and to
-    a plain picklable tuple for the ProcessPoolExecutor hop
-    (:meth:`to_tuple`).
+    Immutable value object; this is what crosses process boundaries,
+    serialized to 24 fixed bytes for the wire (:meth:`to_wire`).
     """
 
     __slots__ = ("trace_id", "span_id")
@@ -98,15 +96,6 @@ class TraceContext:
                 f"got {len(blob)}"
             )
         return cls(blob[:TRACE_ID_BYTES].hex(), blob[TRACE_ID_BYTES:].hex())
-
-    def to_tuple(self) -> tuple:
-        return (self.trace_id, self.span_id)
-
-    @classmethod
-    def from_tuple(cls, pair) -> "TraceContext | None":
-        if pair is None:
-            return None
-        return cls(pair[0], pair[1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,21 +204,6 @@ class Span:
             "attributes": dict(self.attributes),
         }
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "Span":
-        span = cls(
-            record["name"],
-            trace_id=record["trace_id"],
-            span_id=record.get("span_id"),
-            parent_id=record.get("parent_id"),
-        )
-        span.start = float(record.get("start", span.start))
-        span.duration = float(record.get("duration_ms", 0.0)) / 1e3
-        span.status = record.get("status", "ok")
-        for key, value in (record.get("attributes") or {}).items():
-            span.set_attribute(key, value)
-        return span
-
 
 class _NullSpan:
     """The no-op span a disabled recorder hands out.
@@ -335,14 +309,6 @@ class SpanRecorder:
                 self._dropped += 1
             self._spans.append(span)
             self._recorded += 1
-
-    def record_dicts(self, records) -> int:
-        """Ingest span dicts produced elsewhere (pool workers, peers)."""
-        count = 0
-        for record in records:
-            self.record(Span.from_dict(record))
-            count += 1
-        return count
 
     # -- reading -------------------------------------------------------
     def snapshot(self, limit: int | None = None) -> list:

@@ -384,7 +384,11 @@ class FrameParser:
     frame and keeps the remainder buffered.  Any framing violation —
     bad magic, implausible payload length, CRC mismatch — raises
     :class:`~repro.errors.ProtocolError`, after which the stream cannot
-    be re-synchronized and the connection must be closed.
+    be re-synchronized and the connection must be closed.  Frames that
+    completed ahead of a violation in the same ``feed`` are returned
+    first: the offending bytes stay buffered, so the next ``feed``
+    (``feed(b"")`` will do) raises — and every one after it — and what
+    a peer is answered does not depend on how TCP segmented its bytes.
     """
 
     def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD) -> None:
@@ -400,7 +404,12 @@ class FrameParser:
         self._buffer.extend(data)
         frames = []
         while True:
-            frame, consumed = self._try_parse()
+            try:
+                frame, consumed = self._try_parse()
+            except ProtocolError:
+                if not frames:
+                    raise
+                break  # hand these over; the next feed raises it again
             if frame is None:
                 break
             del self._buffer[:consumed]

@@ -8,11 +8,11 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
 * **Batching, backpressure, graceful drain** — work-conserving, with
   nothing to tune: a request on an idle connection is dispatched the
   moment it arrives, frames that arrive while that connection's slice
-  executes become the next slice (one
-  :class:`repro.parallel.WorkerPool` fan-out, byte-identical to
-  serial execution), the unexecuted backlog is bounded, and
-  :meth:`CompressionServer.stop` answers what was admitted before it
-  closes.  :class:`_Connection` spells the contract out.
+  executes become the next slice (one hop to an executor thread,
+  byte-identical to serial execution), the unexecuted backlog is
+  bounded, and :meth:`CompressionServer.stop` answers what was
+  admitted before it closes.  :class:`_Connection` spells the contract
+  out.
 * **Tenancy** — with a :class:`~repro.service.tenants.TenantRegistry`
   configured, every heavy request must carry a tenant token
   (``FLAG_TENANT`` on the frame): unknown tokens are answered with
@@ -24,7 +24,7 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
 * **Online selection** — ``codec="auto"`` requests naming the
   ``online`` policy are decided by a server-resident per-tenant bandit
   (:class:`~repro.select.online.OnlineSelectorHub`): the server picks
-  the arm before the batch executes and folds the served outcome
+  the arm before the slice executes and folds the served outcome
   (bytes in/out, seconds) back in afterwards, so codec choice tracks
   each tenant's live regime.
 
@@ -57,7 +57,6 @@ from repro.obs import (
     configure_logging,
     get_logger,
 )
-from repro.parallel import WorkerPool
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
@@ -98,6 +97,9 @@ __all__ = [
 #: deadline enforcement; everything else is answered inline.
 _HEAVY_TYPES = (COMPRESS, DECOMPRESS, SELECT_EXPLAIN)
 _OP_NAMES = dict(protocol.REQUEST_NAMES)
+#: Most requests one slice executes together, and most a connection
+#: holds unexecuted before it stops reading.
+_SLICE_MAX = 16
 #: The typed refusal for a well-formed frame of a type nobody speaks.
 _UNKNOWN_TYPE = (
     "unknown request type {:#04x} "
@@ -106,57 +108,13 @@ _UNKNOWN_TYPE = (
 
 
 # ----------------------------------------------------------------------
-# Request execution (top-level and picklable: the pool may ship these
-# to worker processes when the server runs with jobs > 1)
+# Request execution: pure functions of the payload (plus the codec the
+# bandit chose), which is what makes a slice's bytes serial bytes
 # ----------------------------------------------------------------------
 def _error_result(op: str, exc: BaseException) -> tuple:
     code = protocol.error_code_for(exc)
     message = f"{type(exc).__name__}: {exc}"
     return ("err", code, message, {"op": op})
-
-
-def _execute_request(item: tuple) -> tuple:
-    """Execute one heavy request; returns an ("ok"|"err", ...) tuple.
-
-    Pure function of the request payload (plus an optional codec
-    override the bandit decided before the fan-out, plus an optional
-    ``(trace_id, parent_span_id)`` pair) — no server state — which is
-    what makes batched execution byte-identical to serial execution and
-    lets the fan-out cross process boundaries.  When trace context
-    rides along, the execute span is measured here in the worker and
-    shipped back as a dict in the result meta (a worker process has no
-    access to the server's recorder).
-    """
-    frame_type, payload, override, trace = item
-    op = _OP_NAMES[frame_type]
-    span = None
-    if trace is not None:
-        span = Span(
-            "server.execute",
-            trace_id=trace[0],
-            parent_id=trace[1],
-            attributes={"op": op, "pid": os.getpid()},
-        )
-    start = time.perf_counter()
-    try:
-        if frame_type == COMPRESS:
-            result = _execute_compress(payload, override)
-        elif frame_type == DECOMPRESS:
-            result = _execute_decompress(payload)
-        else:
-            result = _execute_explain(payload)
-    except Exception as exc:
-        result = _error_result(op, exc)
-    result[3]["seconds"] = time.perf_counter() - start
-    if span is not None:
-        if result[0] == "ok":
-            span.set_attribute("codec", result[3].get("codec"))
-            span.set_attribute("bytes_out", result[3].get("bytes_out", 0))
-        else:
-            span.set_error(result[2])
-        span.finish()
-        result[3]["spans"] = [span.to_dict()]
-    return result
 
 
 def _execute_compress(payload: bytes, override: str | None = None) -> tuple:
@@ -280,6 +238,8 @@ class _Pending:
         "priority",
         "charged",
         "executed",
+        "arm",
+        "bucket",
         "outcome",
         "span",
     )
@@ -311,6 +271,10 @@ class _Pending:
         self.charged = False
         #: the request reached execution (charges stick; see _release).
         self.executed = False
+        #: the codec the online bandit chose, and the feature bucket it
+        #: chose it for (None unless ``auto`` + ``online``).
+        self.arm: str | None = None
+        self.bucket: str | None = None
         #: what execution returned: ("ok"|"err", type|code, payload, meta).
         self.outcome: tuple | None = None
 
@@ -338,13 +302,13 @@ class _Connection(asyncio.Protocol):
     * **Ordered**: responses leave in request order; with a tenant
       registry the backlog is stably sorted by descending priority
       before each slice (clients match responses by request id).
-    * **Batched bytes are serial bytes**: a slice is one fan-out of pure
-      functions of each payload.
+    * **Batched bytes are serial bytes**: each request of a slice is a
+      pure function of its payload.
     * **No timer**: a light request (ping, stats, health, topology,
       trace) waits only for requests ahead of it on its connection.
-    * **Bounded**: reading pauses while the backlog holds ``batch_max``
-      requests or ``max_inflight_bytes``, executing while the write
-      buffer is above its high-water mark.
+    * **Bounded**: reading pauses while the backlog holds 16 requests
+      or ``max_inflight_bytes``, executing while the write buffer is
+      above its high-water mark.
     * **Drain answers what it admitted**: :meth:`shut` stops reading;
       the transport closes, flushed, once the backlog is answered.
     * **Same spans, same stats**: ``server.request`` → parse / deadline
@@ -384,6 +348,11 @@ class _Connection(asyncio.Protocol):
         parse_started = time.perf_counter()
         try:
             frames = self.parser.feed(data)
+            if frames:
+                self._enqueue(frames, time.perf_counter() - parse_started)
+                if self.parser.buffered_bytes:
+                    # A violation behind those frames surfaces now.
+                    self.parser.feed(b"")
         except ProtocolError as exc:
             # Broken framing cannot be re-synchronized: a typed error
             # after whatever is still owed, then drop the connection.
@@ -391,13 +360,13 @@ class _Connection(asyncio.Protocol):
             self.shut(
                 encode_frame(ERROR, 0, encode_error(ERR_PROTOCOL, str(exc)))
             )
-            return
-        if not frames:
-            return
+
+    def _enqueue(self, frames: list[Frame], parse_seconds: float) -> None:
+        server = self.server
         # Stamped now: backlog time counts against a propagated deadline.
         now = time.monotonic()
         pending = [_Pending(frame, now) for frame in frames]
-        server._open_spans(pending, time.perf_counter() - parse_started)
+        server._open_spans(pending, parse_seconds)
         server._admit(pending)
         self.backlog += pending
         self.backlog_bytes += sum(len(item.frame.payload) for item in pending)
@@ -455,7 +424,7 @@ class _Connection(asyncio.Protocol):
         """Read only while the backlog has room (the backpressure bound)."""
         server = self.server
         if (
-            len(self.backlog) >= server.batch_max
+            len(self.backlog) >= _SLICE_MAX
             or self.backlog_bytes >= server.max_inflight_bytes
         ):
             self.transport.pause_reading()
@@ -472,7 +441,7 @@ class _Connection(asyncio.Protocol):
         total = len(backlog[0].frame.payload)
         while (
             end < len(backlog)
-            and end < server.batch_max
+            and end < _SLICE_MAX
             and total + len(backlog[end].frame.payload)
             <= server.max_inflight_bytes
         ):
@@ -515,12 +484,6 @@ class CompressionServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port, published as
         :attr:`port` after :meth:`start`.
-    jobs:
-        Worker processes for each batch's fan-out (``None`` → serial,
-        ``0`` → auto-detect, mirroring the suite).
-    batch_max:
-        Most requests one fan-out executes together, and most a
-        connection holds unexecuted before it stops reading.
     max_payload:
         Per-frame payload bound; larger declared lengths are a
         protocol error (the allocation never happens).
@@ -563,7 +526,8 @@ class CompressionServer:
     online_options:
         Extra keyword options for each tenant's
         :class:`~repro.select.online.OnlinePolicy` (e.g. a custom
-        ``candidates`` arm set, ``exploration``, ``latency_weight``).
+        ``candidates`` arm set, ``exploration``, ``latency_weight``);
+        options the policy cannot accept are a ``ValueError`` here.
     trace:
         Enable distributed tracing: every heavy request grows a span
         tree (parse → admission stages → queue wait → execute) in a
@@ -589,8 +553,6 @@ class CompressionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        jobs: int | None = None,
-        batch_max: int = 16,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         max_inflight_bytes: int = 1 << 26,
         max_queued_requests: int = 256,
@@ -608,8 +570,6 @@ class CompressionServer:
         handlers: dict | None = None,
         refusal: str = _UNKNOWN_TYPE,
     ) -> None:
-        if batch_max < 1:
-            raise ValueError("batch_max must be positive")
         if max_inflight_bytes < 1:
             raise ValueError("max_inflight_bytes must be positive")
         self.host = host
@@ -617,8 +577,6 @@ class CompressionServer:
         self.node_id = node_id
         self.topology = validate_topology(topology) if topology else None
         self.started_at = time.time()
-        self.jobs = jobs
-        self.batch_max = int(batch_max)
         self.max_payload = int(max_payload)
         self.max_inflight_bytes = int(max_inflight_bytes)
         if shed_retry_after_ms < 0:
@@ -636,6 +594,15 @@ class CompressionServer:
         self.tenants = tenants
         self.online_seed = int(online_seed)
         self.online_options = dict(online_options or {})
+        if self.online_options:
+            # Fail where the mistake is made, not on the first online
+            # request (a default server still loads no selection stack).
+            from repro.select.online import OnlinePolicy
+
+            try:
+                OnlinePolicy(seed=self.online_seed, **self.online_options)
+            except (TypeError, ReproError) as exc:
+                raise ValueError(f"bad online_options: {exc}") from exc
         # Created on first online-policy request: keeps `import repro.
         # service.server` free of the selection stack.
         self._online_hub = None
@@ -647,9 +614,6 @@ class CompressionServer:
         self._connections: set[_Connection] = set()
         self._draining = False
         self._stopped = asyncio.Event()
-        # One pool for the server's lifetime: paying process startup
-        # per batch would dwarf the codec work batching parallelizes.
-        self._pool = WorkerPool(jobs)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -695,7 +659,6 @@ class CompressionServer:
         await asyncio.gather(*(conn.closed for conn in stragglers))
         if self._server is not None:
             await self._server.wait_closed()
-        self._pool.shutdown(wait=False)
         self._stopped.set()
         self._log.info(
             "server stopped", extra={"node": self.effective_node_id}
@@ -839,7 +802,7 @@ class CompressionServer:
             self.recorder.record(parse)
 
     def _stage(self, item: _Pending, name: str):
-        """An admission-stage child span (no-op when untraced)."""
+        """A child span of the request's own (no-op when untraced)."""
         if not item.span:
             return NULL_SPAN
         return self.recorder.span(name, parent=item.span)
@@ -975,9 +938,7 @@ class CompressionServer:
                     )
                     continue
                 heavy.append(item)
-            items = []
             for item in heavy:
-                trace = None
                 if item.span:
                     # Time spent between stamping and execution is
                     # queue wait: record it as a completed child.
@@ -989,23 +950,14 @@ class CompressionServer:
                     wait._t0 -= waited
                     wait.set_attribute("batch_size", len(heavy))
                     wait.finish()
-                    trace = item.span.context.to_tuple()
                 item.executed = True
-                frame = item.frame
-                items.append(
-                    (frame.frame_type, frame.payload, item.tenant_id, trace)
+            if heavy:
+                # Off the event loop, so other connections stay
+                # responsive while this one crunches.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self._run_slice, heavy
                 )
-            if items:
-                # One fan-out for the whole slice.  Run it off the event
-                # loop so other connections stay responsive while this
-                # one crunches; with jobs > 1 the fan-out crosses process
-                # boundaries and sidesteps the GIL entirely.
-                outcomes = await asyncio.get_running_loop().run_in_executor(
-                    None, self._run_batch, items
-                )
-                self.metrics.record_batch(len(items))
-                for item, outcome in zip(heavy, outcomes):
-                    item.outcome = outcome
+                self.metrics.record_batch(len(heavy))
             out = []
             for item in pending:
                 if item.rejection is not None:
@@ -1030,11 +982,6 @@ class CompressionServer:
         status, answer, payload, meta = item.outcome
         ok = status == "ok"
         seconds = meta.pop("seconds", 0.0)
-        worker_spans = meta.pop("spans", None)
-        if worker_spans:
-            # Execute spans measured inside pool workers ride back on
-            # the result meta; fold them into this process's recorder.
-            self.recorder.record_dicts(worker_spans)
         served = {}
         if ok:
             served = {
@@ -1109,29 +1056,25 @@ class CompressionServer:
         )
         return encode_frame(answer_type, frame.request_id, payload)
 
-    def _run_batch(self, items: list[tuple]) -> list[tuple]:
-        """Execute one slice's heavy items (runs on an executor thread).
+    def _run_slice(self, heavy: list[_Pending]) -> None:
+        """Execute one slice's heavy requests (runs on an executor thread).
 
-        Online-policy compress requests are decided *here*, before the
-        fan-out: the bandit picks each item's concrete codec from the
-        request's (tenant, feature-bucket), the pool executes pure
-        ``(frame_type, payload, override)`` items, and the served
-        outcomes are folded back into the bandit afterwards — the
-        feedback loop closes entirely on this thread, so worker
-        processes never see mutable server state.
-
-        With ``jobs > 1`` a slice of two or more items crosses into the
-        server's :class:`~repro.parallel.WorkerPool` — started once,
-        reused across batches, so per-batch latency carries no
-        pool-startup cost.  Otherwise, or when the pool cannot start
-        (sandboxes) or breaks mid-batch, items run here on this thread;
-        the results are identical either way because every item is a
-        pure function of its payload.
+        Three passes over the slice — decide, execute, observe — so the
+        bandit sees every decision of a slice before any of its
+        outcomes, and a seeded one replays the same arms.  A raise in
+        any step is that one request's typed error; the rest of the
+        slice, and the connection, live on.
         """
-        prepared, decisions = self._decide_batch(items)
-        outcomes = self._pool.map(_execute_request, prepared)
-        self._observe_batch(decisions, outcomes)
-        return outcomes
+        for step in (self._decide, self._execute, self._observe):
+            for item in heavy:
+                started = time.perf_counter()
+                try:
+                    step(item)
+                except Exception as exc:
+                    item.outcome = _error_result(
+                        _OP_NAMES[item.frame.frame_type], exc
+                    )
+                    item.outcome[3]["seconds"] = time.perf_counter() - started
 
     def online_hub(self):
         """The per-tenant bandit hub, created on first use."""
@@ -1144,66 +1087,57 @@ class CompressionServer:
                 )
             return self._online_hub
 
-    def _decide_batch(
-        self, items: list[tuple]
-    ) -> tuple[list[tuple], dict[int, tuple]]:
-        """Resolve online-policy compress items to concrete codec arms.
-
-        Returns the pure executable items plus ``{slot: (tenant,
-        bucket, codec, trace)}`` for the decisions to observe after
-        execution.  Anything unparseable passes through undecided — the
-        executor will produce the proper typed error for it.
-        """
-        prepared = []
-        decisions: dict[int, tuple] = {}
-        for slot, (frame_type, payload, tenant_id, trace) in enumerate(items):
-            override = None
-            if frame_type == COMPRESS:
-                try:
-                    codec, policy, _, pos = protocol.peek_compress_request(
-                        payload
-                    )
-                    if codec == "auto" and policy == "online":
-                        chunk = protocol.decode_array_view(payload, pos)
-                        with self._bandit_span("bandit.choose", trace) as sp:
-                            override, bucket = self.online_hub().decide(
-                                tenant_id, chunk
-                            )
-                            sp.set_attribute("codec", override)
-                            sp.set_attribute("tenant", tenant_id)
-                        decisions[slot] = (tenant_id, bucket, override, trace)
-                except (ProtocolError, ReproError):
-                    override = None
-            prepared.append((frame_type, payload, override, trace))
-        return prepared, decisions
-
-    def _bandit_span(self, name: str, trace: tuple | None):
-        """A bandit choose/observe child span (no-op when untraced)."""
-        if trace is None or not self.recorder.enabled:
-            return NULL_SPAN
-        return self.recorder.span(
-            name, parent=TraceContext.from_tuple(trace)
-        )
-
-    def _observe_batch(
-        self, decisions: dict[int, tuple], outcomes: list[tuple]
-    ) -> None:
-        """Close the loop: feed served outcomes back into the bandit."""
-        for slot, (tenant_id, bucket, codec, trace) in decisions.items():
-            outcome = outcomes[slot]
-            if outcome[0] != "ok":
-                continue
-            meta = outcome[3]
-            with self._bandit_span("bandit.observe", trace) as sp:
-                sp.set_attribute("codec", codec)
-                self.online_hub().observe(
-                    tenant_id,
-                    bucket,
-                    codec,
-                    meta.get("bytes_in", 0),
-                    meta.get("bytes_out", 0),
-                    meta.get("seconds", 0.0),
+    def _decide(self, item: _Pending) -> None:
+        """Resolve an ``auto`` + ``online`` compress to the bandit's arm."""
+        frame = item.frame
+        if frame.frame_type != COMPRESS:
+            return
+        codec, policy, _, pos = protocol.peek_compress_request(frame.payload)
+        if codec == "auto" and policy == "online":
+            chunk = protocol.decode_array_view(frame.payload, pos)
+            with self._stage(item, "bandit.choose") as span:
+                item.arm, item.bucket = self.online_hub().decide(
+                    item.tenant_id, chunk
                 )
+                span.set_attribute("codec", item.arm)
+                span.set_attribute("tenant", item.tenant_id)
+
+    def _execute(self, item: _Pending) -> None:
+        """Run the request; its outcome, timed, lands on the item."""
+        if item.outcome is not None:
+            return  # already failed in decide
+        frame = item.frame
+        started = time.perf_counter()
+        with self._stage(item, "server.execute") as span:
+            span.set_attribute("op", _OP_NAMES[frame.frame_type])
+            if frame.frame_type == COMPRESS:
+                outcome = _execute_compress(frame.payload, item.arm)
+            elif frame.frame_type == DECOMPRESS:
+                outcome = _execute_decompress(frame.payload)
+            else:
+                outcome = _execute_explain(frame.payload)
+            meta = outcome[3]
+            span.set_attribute("codec", meta.get("codec"))
+            span.set_attribute("bytes_out", meta.get("bytes_out", 0))
+        meta["seconds"] = time.perf_counter() - started
+        item.outcome = outcome
+
+    def _observe(self, item: _Pending) -> None:
+        """Close the loop: feed a served outcome back into the bandit."""
+        if item.arm is None or item.outcome[0] != "ok":
+            return
+        meta = item.outcome[3]
+        with self._stage(item, "bandit.observe") as span:
+            span.set_attribute("codec", item.arm)
+            self.online_hub().observe(
+                item.tenant_id,
+                item.bucket,
+                item.arm,
+                meta.get("bytes_in", 0),
+                meta.get("bytes_out", 0),
+                meta.get("seconds", 0.0),
+            )
+
 
 # ----------------------------------------------------------------------
 # Background-thread embedding (tests, control endpoint, examples, CLI-less)

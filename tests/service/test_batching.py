@@ -19,10 +19,12 @@ import pytest
 
 from repro.api import compress_array
 from repro.cli import build_parser
+from repro.cluster import ClusterSupervisor
 from repro.service import ServiceClient, serve_background
 from repro.service.protocol import (
     COMPRESS,
     ERR_DEADLINE,
+    ERR_PROTOCOL,
     ERROR,
     PING,
     FrameParser,
@@ -199,6 +201,53 @@ def test_frames_behind_an_executing_slice_run_as_one_batch():
     for wait in waits[1:]:
         assert wait["attributes"]["batch_size"] >= 2
         assert wait["duration_ms"] > 10  # they did wait, and it shows
+
+
+def test_each_request_of_a_traced_slice_keeps_its_own_span_tree():
+    stages = [
+        "server.deadline",
+        "server.execute",
+        "server.gate",
+        "server.parse",
+        "server.queue_wait",
+    ]
+    behind = b"".join(
+        encode_frame(
+            COMPRESS,
+            request_id,
+            encode_compress_request(_small(request_id), codec, 64, policy),
+        )
+        for request_id, codec, policy in (
+            (2, "gorilla", "heuristic"),
+            (3, "auto", "online"),
+            (4, "gorilla", "heuristic"),
+        )
+    )
+    with serve_background(trace=True) as handle, _Wire(handle) as wire:
+        wire.send(_slow_frame(1))
+        _wait_for(lambda: _queued(handle)[0] == 1)
+        wire.send(behind)  # one read, so one slice of three
+        assert [f.request_id for f in wire.read(4)] == [1, 2, 3, 4]
+        spans = handle.server.recorder.snapshot()
+    assert handle.metrics.batches == 2
+    roots = {
+        span["attributes"]["request_id"]: span
+        for span in spans
+        if span["name"] == "server.request"
+    }
+    for request_id in (2, 3, 4):
+        root = roots[request_id]
+        children = [s for s in spans if s["parent_id"] == root["span_id"]]
+        extra = ["bandit.choose", "bandit.observe"] if request_id == 3 else []
+        assert sorted(s["name"] for s in children) == extra + stages
+        # ... and nothing else rides this request's trace.
+        assert sum(s["trace_id"] == root["trace_id"] for s in spans) == len(
+            children
+        ) + 1
+        by_name = {s["name"]: s for s in children}
+        assert by_name["server.queue_wait"]["attributes"]["batch_size"] == 3
+        assert by_name["server.execute"]["attributes"]["op"] == "compress"
+        assert by_name["server.execute"]["status"] == "ok"
 
 
 def test_ping_behind_a_busy_slice_is_answered_in_order_not_on_a_timer():
@@ -403,6 +452,42 @@ def test_drain_closes_idle_connections_directly():
 
 
 # ----------------------------------------------------------------------
+# Broken framing: a typed error *after* whatever is still owed
+# ----------------------------------------------------------------------
+def _transcript(handle, *segments):
+    """Every byte the server answers to ``segments``, up to its close."""
+    received = bytearray()
+    with _Wire(handle) as wire:
+        for segment in segments[:-1]:
+            wire.send(segment)
+            # Answered, so read: the next segment is a later read.
+            received += wire.sock.recv(1 << 16)
+        wire.send(segments[-1])
+        while data := wire.sock.recv(1 << 16):
+            received += data
+    return bytes(received)
+
+
+def test_frames_ahead_of_garbage_in_one_segment_are_answered_first():
+    array = _small(4)
+    good = encode_frame(PING, 7, b"hello") + _small_frame(8, array)
+    garbage = b"\x00garbage, and then some more of it"
+    with serve_background() as handle:
+        one = _transcript(handle, good + garbage)
+        ping, blob, farewell = FrameParser().feed(one)
+        assert (ping.request_id, ping.payload) == (7, b"hello")
+        assert blob.request_id == 8
+        assert blob.payload == compress_array(array, "gorilla", chunk_elements=64)
+        assert farewell.frame_type == ERROR and farewell.request_id == 0
+        code, message = decode_error(farewell.payload)
+        assert code == ERR_PROTOCOL and "magic" in message
+        _wait_for(lambda: _queued(handle) == (0, 0))
+        # What is answered does not depend on how TCP cut the bytes.
+        assert _transcript(handle, good, garbage) == one
+        assert handle.metrics.snapshot()["protocol_errors"] == 2
+
+
+# ----------------------------------------------------------------------
 # (e) the knob is gone
 # ----------------------------------------------------------------------
 def test_there_is_no_window_to_configure(capsys):
@@ -413,8 +498,20 @@ def test_there_is_no_window_to_configure(capsys):
         CompressionServer(**{knob: 0.002})
     with pytest.raises(TypeError):
         serve_background(**{knob: 0.0})
-    for command in (["serve"], ["cluster", "serve"]):
+    # Nor a process tier behind a slice, nor a bound on one (PR 19).
+    for gone in ({"jobs": 2}, {"batch_max": 8}):
+        with pytest.raises(TypeError):
+            CompressionServer(**gone)
+    with pytest.raises(TypeError):
+        ClusterSupervisor(2, jobs=2)
+    for argv in (
+        ["serve", flag, "0"],
+        ["cluster", "serve", flag, "0"],
+        ["serve", "--jobs", "2"],
+        ["serve", "--batch-max", "8"],
+        ["cluster", "serve", "--jobs", "2"],
+    ):
         with pytest.raises(SystemExit) as info:
-            build_parser().parse_args([*command, flag, "0"])
+            build_parser().parse_args(argv)
         assert info.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err

@@ -95,6 +95,31 @@ def test_crc_mismatch_rejected():
         FrameParser().feed(bytes(blob))
 
 
+def test_frames_ahead_of_a_violation_are_handed_over_first():
+    # What a peer is answered must not depend on how TCP segmented its
+    # bytes: [valid][valid][bad magic] in ONE feed yields both frames;
+    # the violation is raised by the next feed, and by every one after.
+    good = encode_frame(PING, 7, b"hello") + encode_frame(PING, 8, b"")
+    bad = b"\x00garbage that is no frame"
+    parser = FrameParser()
+    frames = parser.feed(good + bad)
+    assert [(f.request_id, f.payload) for f in frames] == [
+        (7, b"hello"),
+        (8, b""),
+    ]
+    assert parser.buffered_bytes == len(bad)  # the offence stays buffered
+    for more in (b"", b"more", encode_frame(PING, 9, b"")):
+        with pytest.raises(ProtocolError, match="magic"):
+            parser.feed(more)
+    # The same holds for a violation only the CRC reveals.
+    blob = bytearray(encode_frame(PING, 2, b"abcdef"))
+    blob[-6] ^= 0x10
+    parser = FrameParser()
+    assert len(parser.feed(encode_frame(PING, 1, b"x") + bytes(blob))) == 1
+    with pytest.raises(ProtocolError, match="checksum"):
+        parser.feed(b"")
+
+
 # ----------------------------------------------------------------------
 # Corruption fuzz: truncation and bit flips at every offset
 # ----------------------------------------------------------------------

@@ -20,14 +20,17 @@ from repro.select import resolve_policy
 from repro.service import ServiceClient, serve_background
 from repro.service.protocol import (
     COMPRESS,
+    ERR_INTERNAL,
     ERR_PROTOCOL,
     ERROR,
     PING,
     FrameParser,
+    decode_error,
     encode_compress_request,
     encode_frame,
     response_type,
 )
+from repro.service.server import CompressionServer
 
 ALL_METHODS = compressor_names()
 
@@ -152,42 +155,41 @@ def test_batching_actually_coalesces(server):
     assert 1 <= made < 6, f"6 pipelined requests ran as {made} batches"
 
 
-def test_parallel_jobs_batch_byte_identical_to_serial():
-    # jobs=2 routes batches through the persistent process pool; the
-    # responses must still be the serial bytes, across several batches
-    # (the pool is reused, not rebuilt per batch).
-    arrays = [np.cumsum(np.ones(400) * s) for s in (0.25, 0.5, 1.0, 2.0)]
-    with serve_background(jobs=2) as parallel:
-        for _ in range(2):  # second round reuses the pool
-            frames = _pipeline_compress(parallel.host, parallel.port, arrays)
-            for frame, array in zip(frames, arrays):
-                assert frame.payload == compress_array(
-                    array, "gorilla", chunk_elements=64
+def test_no_traffic_and_no_environment_starts_a_process(monkeypatch):
+    # A slice runs on one executor thread, whatever its size.  FCBENCH_JOBS
+    # is the default worker count of a chunk-parallel session (these
+    # arrays are one chunk each), not of a server.
+    import asyncio
+    import multiprocessing
+
+    from repro.service import AsyncServiceClient
+
+    monkeypatch.setenv("FCBENCH_JOBS", "2")
+    arrays = [np.cumsum(np.ones(400) * (1 + s)) for s in range(48)]
+    expected = [compress_array(a, "gorilla", chunk_elements=400) for a in arrays]
+
+    async def crowd(host, port):
+        async with await AsyncServiceClient.connect(host, port) as client:
+            return await asyncio.gather(
+                *(
+                    client.compress_array(
+                        arrays[i % 48], "gorilla", chunk_elements=400
+                    )
+                    for i in range(64)
                 )
-        pool = parallel.server._pool
-        assert pool._executor is not None
-        parallel.stop()
-        assert pool._executor is None  # stop() shut the workers down
+            )
 
-
-def test_killed_pool_worker_between_batches_loses_nothing():
-    import os
-    import signal
-
-    arrays = [np.cumsum(np.ones(400) * s) for s in (0.25, 0.5, 1.0, 2.0)]
-    expected = [compress_array(a, "gorilla", chunk_elements=64) for a in arrays]
-    with serve_background(jobs=2) as parallel:
-        frames = _pipeline_compress(parallel.host, parallel.port, arrays)
-        assert [f.payload for f in frames] == expected
-        pool = parallel.server._pool
-        os.kill(next(iter(pool._executor._processes)), signal.SIGKILL)
-        # The broken executor is answered around, then replaced: same
-        # pool object, same bytes.
-        for _ in range(2):
-            frames = _pipeline_compress(parallel.host, parallel.port, arrays)
-            assert [f.payload for f in frames] == expected
-        assert parallel.server._pool is pool
-        parallel.stop()
+    with serve_background() as handle:
+        frames = _pipeline_compress(
+            handle.host, handle.port, arrays, chunk=400
+        )
+        blobs = asyncio.run(crowd(handle.host, handle.port))
+        assert multiprocessing.active_children() == []
+        batches = handle.server.stats_document()["batches"]
+    assert [f.request_id for f in frames] == list(range(1, 49))
+    assert [f.payload for f in frames] == expected
+    assert blobs == [expected[i % 48] for i in range(64)]
+    assert batches["requests"] == 48 + 64 and batches["mean_size"] > 1
 
 
 def test_backpressure_slicing_preserves_order_and_bytes():
@@ -262,6 +264,54 @@ def test_truncated_fcf_payload_raises_corrupt_stream(client):
 def test_unknown_policy_raises_selection_error(client):
     with pytest.raises(SelectionError):
         client.compress_array(_sample(), "auto", policy="nosuch")
+
+
+def test_bogus_online_options_fail_where_they_are_given():
+    with pytest.raises(ValueError, match="bogus"):
+        CompressionServer(online_options={"bogus": 1})
+    with pytest.raises(ValueError, match="decay"):
+        serve_background(online_options={"decay": 2.0})
+    with serve_background(online_options={"latency_weight": 0.0}) as handle:
+        assert handle.server.online_options == {"latency_weight": 0.0}
+
+
+def test_a_raising_bandit_costs_one_request_not_the_connection(monkeypatch):
+    from repro.select.online import OnlineSelectorHub
+
+    def fall_over(self, tenant_id, chunk):
+        raise RuntimeError("the bandit fell over")
+
+    monkeypatch.setattr(OnlineSelectorHub, "decide", fall_over)
+    array = np.cumsum(np.ones(300) * 0.25)
+    blob = (
+        encode_frame(COMPRESS, 1, encode_compress_request(array, "gorilla", 64))
+        + encode_frame(
+            COMPRESS, 2, encode_compress_request(array, "auto", 64, "online")
+        )
+        + encode_frame(PING, 3, b"still here")
+    )
+    parser, frames = FrameParser(), []
+    with serve_background() as handle:
+        with socket.create_connection(
+            (handle.host, handle.port), timeout=30
+        ) as sock:
+            sock.sendall(blob)
+            while len(frames) < 3:
+                data = sock.recv(1 << 16)
+                assert data, "server closed before answering every request"
+                frames.extend(parser.feed(data))
+        compress = handle.server.stats_document()["ops"]["compress"]
+    assert [(f.request_id, f.frame_type) for f in frames] == [
+        (1, response_type(COMPRESS)),
+        (2, ERROR),
+        (3, response_type(PING)),
+    ]
+    assert frames[0].payload == compress_array(array, "gorilla", chunk_elements=64)
+    code, message = decode_error(frames[1].payload)
+    assert code == ERR_INTERNAL
+    assert "RuntimeError: the bandit fell over" in message
+    assert frames[2].payload == b"still here"
+    assert (compress["requests"], compress["errors"]) == (2, 1)
 
 
 def test_malformed_frames_get_typed_error_then_close(server):

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.session import DecompressSession
 from repro.errors import (
     AuthenticationError,
     QuotaExceededError,
@@ -272,7 +273,7 @@ class TestServedTenancy:
         # a backlog is taken in is asserted in test_batching.py.
         registry = _registry()
         array = np.linspace(0.0, 1.0, 256).astype(np.float64)
-        with serve_background(tenants=registry, batch_max=8) as handle:
+        with serve_background(tenants=registry) as handle:
             out = {}
 
             def work(token, key):
@@ -293,3 +294,54 @@ class TestServedTenancy:
                 t.join()
         assert np.array_equal(out["hi"], array)
         assert np.array_equal(out["lo"], array)
+
+    def test_seeded_online_bandits_replay_the_same_arms(self):
+        # With latency out of the reward it is a pure function of the
+        # served bytes, so seed + request sequence fix every arm.  The
+        # sequence is the one the server chose before decide / execute /
+        # observe became per-request methods (PR 19).
+        registry = TenantRegistry()
+        registry.add(TenantConfig("gold", token="tok-gold", priority=5))
+        registry.add(TenantConfig("bronze", token="tok-bronze"))
+        rng = np.random.default_rng(5)
+        walk = np.cumsum(rng.normal(0, 1, 512))
+        shapes = [
+            walk,
+            np.round(walk, 1),
+            rng.normal(0, 1, 512),
+            np.repeat(walk[:64], 8),
+        ]
+        arms = []
+        with serve_background(
+            tenants=registry,
+            online_seed=11,
+            online_options={"latency_weight": 0.0},
+        ) as handle:
+            with ServiceClient(
+                handle.host, handle.port, token="tok-gold"
+            ) as gold, ServiceClient(
+                handle.host, handle.port, token="tok-bronze"
+            ) as bronze:
+                for turn in range(40):
+                    blob = (gold, bronze)[turn % 2].compress_array(
+                        shapes[(turn // 2) % 4],
+                        "auto",
+                        policy="online",
+                        chunk_elements=512,
+                    )
+                    with DecompressSession(blob) as session:
+                        arms.append(session.codec_name)
+            pulls = {
+                tenant: sum(
+                    bucket["total"] for bucket in policy["buckets"].values()
+                )
+                for tenant, policy in handle.server.stats_document()[
+                    "online"
+                ]["tenants"].items()
+            }
+        z, f, d, b = "bitshuffle-zstd", "fpzip", "dzip", "buff"
+        assert arms == [
+            b, d, b, d, f, f, d, f, d, b, z, b, d, b, z, d, f, f, d, z,
+            z, z, f, b, z, z, f, f, b, d, b, z, f, f, z, z, z, z, f, f,
+        ]  # fmt: skip
+        assert pulls == {"bronze": 20, "gold": 20}

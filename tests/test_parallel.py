@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.parallel import WorkerPool, map_ordered
+import repro.parallel
+from repro.parallel import map_ordered
 
 _PARENT = os.getpid()
 
@@ -53,8 +54,6 @@ def test_unpicklable_fn_finishes_in_the_parent():
 def test_leaf_imports_nothing_from_the_package():
     import ast
 
-    import repro.parallel
-
     with open(repro.parallel.__file__) as fh:
         tree = ast.parse(fh.read())
     imported = []
@@ -67,36 +66,30 @@ def test_leaf_imports_nothing_from_the_package():
 
 
 def test_broken_pool_loses_no_item_and_the_pool_object_recovers():
-    pool = WorkerPool(2)
-    try:
-        seen: list[int] = []
-        results = pool.map(
-            _die_in_worker, range(6), on_result=lambda i, v: seen.append(i)
-        )
-        assert results == [0, 1, 4, 9, 16, 25]
-        assert sorted(seen) == list(range(6))
-        # The broken executor was dropped; the same pool object starts a
-        # fresh one for the next map, which runs in workers again.
-        assert pool._executor is None
-        pids: list[int] = []
-        assert pool.map(_square, range(4)) == [0, 1, 4, 9]
-        assert pool._executor is not None
-        pool.map(_pid, range(4), on_result=lambda i, v: pids.append(v))
-        assert _PARENT not in pids
-    finally:
-        pool.shutdown()
-    assert pool._executor is None
+    seen: list[int] = []
+    results = map_ordered(
+        _die_in_worker, range(6), jobs=2, on_result=lambda i, v: seen.append(i)
+    )
+    assert results == [0, 1, 4, 9, 16, 25]
+    assert sorted(seen) == list(range(6))
+    # Nothing of the broken pool outlives the call: the next map starts
+    # fresh workers and runs in them again.
+    pids: list[int] = []
+    assert map_ordered(_square, range(4), jobs=2) == [0, 1, 4, 9]
+    map_ordered(_pid, range(4), jobs=2, on_result=lambda i, v: pids.append(v))
+    assert _PARENT not in pids
 
 
 def _pid(_: int) -> int:
     return os.getpid()
 
 
-def test_serial_pool_never_starts_a_process():
-    pool = WorkerPool(1)
-    assert pool.map(_square, range(5)) == [0, 1, 4, 9, 16]
-    assert pool._executor is None
+def test_serial_pool_never_starts_a_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
+    assert map_ordered(_square, range(5), jobs=1) == [0, 1, 4, 9, 16]
     # A single item never crosses a process boundary either.
-    wide = WorkerPool(2)
-    assert wide.map(_pid, [0]) == [_PARENT]
-    assert wide._executor is None
+    assert map_ordered(_pid, [0], jobs=2) == [_PARENT]
+    assert map_ordered(_square, [], jobs=2) == []
