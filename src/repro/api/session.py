@@ -80,9 +80,12 @@ def _resolve_writer_codec(codec) -> tuple[str, object]:
 
 def _is_auto_codec(codec) -> bool:
     """True for the ``auto`` pseudo-codec or a policy instance."""
+    if codec is None or isinstance(codec, str):
+        # A codec name settles it without loading the selection stack.
+        return codec == AUTO_CODEC
     from repro.select.policy import SelectionPolicy
 
-    return codec == AUTO_CODEC or isinstance(codec, SelectionPolicy)
+    return isinstance(codec, SelectionPolicy)
 
 
 def _encode_auto_frame(policy, codec_table: tuple[str, ...], chunk) -> bytes:

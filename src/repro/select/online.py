@@ -39,7 +39,7 @@ import zlib
 import numpy as np
 
 from repro.errors import SelectionError
-from repro.select.features import ChunkFeatures, extract_features
+from repro.select.features import ChunkFeatures
 from repro.select.policy import (
     HeuristicPolicy,
     SelectionDecision,
@@ -230,7 +230,7 @@ class OnlinePolicy(SelectionPolicy):
 
     # -- SelectionPolicy interface ------------------------------------
     def decide(self, chunk: np.ndarray) -> SelectionDecision:
-        features = extract_features(chunk, self.sample_elements)
+        features = ChunkFeatures(chunk, self.sample_elements)
         bucket = feature_bucket(features)
         state = self._bucket(bucket)
         codec = self.choose(bucket)
@@ -302,6 +302,8 @@ class OnlineSelectorHub:
             "latency_weight", PRODUCTION_LATENCY_WEIGHT
         )
         self._policy_options = policy_options
+        # The same for every tenant, so read once and not under the lock.
+        self._sample_elements = OnlinePolicy(**policy_options).sample_elements
         self._lock = threading.Lock()
         self._policies: dict[str, OnlinePolicy] = {}
 
@@ -318,11 +320,11 @@ class OnlineSelectorHub:
     ) -> tuple[str, str]:
         """Choose ``(codec, bucket)`` for one chunk of one tenant."""
         tenant = tenant_id or self.DEFAULT_TENANT
+        # The statistics are NumPy work on the caller's own chunk: only
+        # the bandit's bookkeeping needs the lock.
+        bucket = feature_bucket(ChunkFeatures(chunk, self._sample_elements))
         with self._lock:
-            policy = self._policy(tenant)
-            features = extract_features(chunk, policy.sample_elements)
-            bucket = feature_bucket(features)
-            return policy.choose(bucket), bucket
+            return self._policy(tenant).choose(bucket), bucket
 
     def observe(
         self,

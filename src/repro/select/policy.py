@@ -1,6 +1,7 @@
 """Pluggable per-chunk codec-selection policies for the ``auto`` codec.
 
-Three policies, in increasing cost:
+Three policies, in increasing cost per 4,096-element chunk (measured in
+``docs/performance.md``):
 
 * :class:`HeuristicPolicy` — feature thresholds derived from the
   paper's section-7.3 recommendation rules, re-fit on the generated
@@ -8,13 +9,18 @@ Three policies, in increasing cost:
   entropy-backed coder, decimal-quantized high-cardinality chunks to
   BUFF's bounded fixed-point representation, smooth fields to fpzip's
   predictor, everything else to bitshuffle+zstd (the paper's
-  general-purpose pick).
+  general-purpose pick).  It holds an unforced
+  :class:`~repro.select.features.ChunkFeatures`, so it pays for the two
+  or three statistics its rule chain reads: 50–90 us.
+* :class:`LearnedPolicy` — nearest-neighbour lookup in a feature →
+  winner table fit offline from the result store
+  (:mod:`repro.select.train`, ``fcbench select train``).  It needs the
+  whole vector: 230–360 us plus the table scan.
 * :class:`MeasuredPolicy` — trial-compresses a fixed sample prefix of
   the chunk with every candidate and keeps the smallest output; ties
   break toward the earlier candidate, so selection is deterministic.
-* :class:`LearnedPolicy` — nearest-neighbour lookup in a feature →
-  winner table fit offline from the result store
-  (:mod:`repro.select.train`, ``fcbench select train``).
+  It reads no statistic and costs what its slowest candidate costs
+  (~60 ms with the default set, which includes ``dzip``).
 
 Policies are plain picklable objects: the chunk-parallel write path
 ships them to worker processes, and because every policy is a pure
@@ -24,7 +30,7 @@ to the serial one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -151,7 +157,7 @@ class HeuristicPolicy(SelectionPolicy):
         return tuple(dict.fromkeys(roles))
 
     def decide(self, chunk: np.ndarray) -> SelectionDecision:
-        features = extract_features(chunk, self.sample_elements)
+        features = ChunkFeatures(chunk, self.sample_elements)
         if features.decimal_digits >= 0:
             if features.frac_unique >= self.decimal_unique_threshold:
                 return SelectionDecision(
@@ -247,7 +253,7 @@ class MeasuredPolicy(SelectionPolicy):
         return SelectionDecision(
             winner,
             f"smallest {self.sample_elements}-element trial: {ranked}",
-            extract_features(chunk),
+            ChunkFeatures(chunk),
         )
 
 
@@ -359,7 +365,7 @@ def explain(array, policy: SelectionPolicy, chunk_elements: int) -> dict:
                 "start": start,
                 "codec": decision.codec,
                 "reason": decision.reason,
-                "features": asdict(decision.features),
+                "features": decision.features.as_dict(),
             }
         )
     return {

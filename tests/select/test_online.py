@@ -179,6 +179,29 @@ class TestHub:
         assert arm_row["pulls"] == 1
         assert arm_row["observations"] == 1
 
+    def test_features_are_read_outside_the_lock(self, monkeypatch):
+        # Statistics are NumPy work on the caller's own chunk; holding the
+        # hub mutex across them would queue every tenant behind one.
+        from repro.select import online
+
+        hub = OnlineSelectorHub(seed=11, candidates=ARMS, sample_elements=256)
+        seen = []
+
+        def bucket_unlocked(features):
+            assert not hub._lock.locked()
+            assert features.sampled == 256
+            bucket = feature_bucket(features)
+            seen.append(features.computed_fields())
+            return bucket
+
+        monkeypatch.setattr(online, "feature_bucket", bucket_unlocked)
+        chunk = _chunks()[0]
+        codec, bucket = hub.decide("acme", chunk)
+        assert bucket == feature_bucket(extract_features(chunk, 256))
+        assert codec in ARMS
+        # The bucket's three axes are all that was computed.
+        assert seen == [{"decimal_digits", "frac_unique", "lag1_autocorr"}]
+
     def test_anonymous_tenant_uses_default_key(self):
         hub = OnlineSelectorHub(candidates=ARMS)
         hub.decide(None, _chunks()[0])

@@ -249,8 +249,11 @@ class _StubServer:
                 if not data:
                     return
                 for frame in parser.feed(data):
-                    conn.sendall(self.responses[self.handled](frame))
+                    # Counted before the reply leaves: the client thread
+                    # asserts on `handled` the moment it has the answer.
+                    respond = self.responses[self.handled]
                     self.handled += 1
+                    conn.sendall(respond(frame))
 
     def close(self):
         try:

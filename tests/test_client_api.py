@@ -31,6 +31,22 @@ from repro.errors import ReproError, UnknownCodecError
 from repro.service import AsyncServiceClient, ServiceClient, serve_background
 
 
+def _fresh_interpreter(probe: str) -> str:
+    """Run ``probe`` in a new interpreter that can import this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    path = src + (os.pathsep + inherited if inherited else "")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 @pytest.fixture(scope="module")
 def handle():
     server = serve_background()
@@ -189,18 +205,28 @@ class TestPublicSurface:
             "print([m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'sqlite3', '_sqlite3')])"
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        path = src + (os.pathsep + inherited if inherited else "")
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+        assert _fresh_interpreter(probe) == "[]"
+
+    def test_a_fixed_codec_session_loads_no_selection_module(self):
+        # The first `codec="mpc"` request of a fresh `fcbench serve` used
+        # to import the whole selection stack (19 modules, 35 ms) just to
+        # learn that "mpc" is not "auto".
+        probe = (
+            "import sys, numpy as np, repro\n"
+            "a = np.round(np.random.default_rng(0).uniform(1, 9e4, 8192), 2)\n"
+            "def loaded():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m.startswith(('repro.select', 'repro.core'))]\n"
+            "blob = repro.compress_array(a, 'mpc', chunk_elements=4096)\n"
+            "assert (repro.decompress_array(blob) == a).all()\n"
+            "print(loaded())\n"
+            "auto = repro.compress_array(a, 'auto', chunk_elements=4096)\n"
+            "print('repro.select.policy' in loaded())\n"
+            "from repro.select import resolve_policy\n"
+            "policy = resolve_policy('heuristic')\n"
+            "assert auto == repro.compress_array(a, policy, chunk_elements=4096)\n"
         )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert _fresh_interpreter(probe).splitlines() == ["[]", "True"]
 
     def test_every_all_name_resolves(self):
         modules = ["repro"]
