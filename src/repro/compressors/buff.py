@@ -15,6 +15,14 @@ the remainder (and every non-finite value) is stored verbatim in an
 outlier list, so the stream is always bit-exact.  On data that needs
 full mantissa precision nearly everything becomes an outlier and the
 ratio drops below 1 — reproducing the sub-1.0 BUFF cells of Table 4.
+
+Encode cost: a decimal chunk is quantized once.  Every precision is
+tested against one provisional base ``floor(min finite)``, so what they
+share is built once; a precision is rejected on a 64-value prefix when
+that is a proof (:meth:`BuffCompressor._choose_precision`); and the
+chosen precision's pass is the encode's own unless an outlier held the
+minimum (:meth:`BuffCompressor._compress`).  The encoder is a pure
+function of the chunk: no hint, cache or setting feeds it.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ from repro.errors import CorruptStreamError, PrecisionError
 from repro.perf.cost import CostModel, KernelSpec, ParallelismSpec
 
 __all__ = ["BuffCompressor", "PRECISION_BITS"]
+
+#: Values a precision is tried on before it is given a full pass, and the
+#: chunk size under which the prefix is not worth its fixed cost.
+_PREFIX = 64
+_PREFIX_MIN_COUNT = 256
 
 #: Table 2 of the paper: mantissa bits needed per decimal precision.
 PRECISION_BITS = {
@@ -86,85 +99,156 @@ class BuffCompressor(Compressor):
     # ------------------------------------------------------------------
     # Precision selection
     # ------------------------------------------------------------------
-    def _choose_precision(self, values: np.ndarray) -> tuple[int, np.ndarray]:
+    def _choose_precision(
+        self, subset: np.ndarray, count: int
+    ) -> tuple[int, float, np.ndarray, np.ndarray]:
         """Pick the smallest precision whose pass rate clears the threshold.
 
-        Returns ``(precision, inlier_mask)``.  Values that fail the
-        round-trip test at the chosen precision become outliers.
+        ``subset`` holds the finite values of a ``count``-element chunk.
+        Returns ``(precision, base, passes, quantized)``: the provisional
+        base ``floor(min)`` every precision was tested against, the
+        round-trip mask over ``subset`` at the chosen precision (values
+        that fail become outliers) and that pass's fixed-point vector.
+        When no precision clears, the one with the most passes wins and
+        the higher precision breaks a tie.
+
+        A precision is first tried on a 64-value prefix — against the
+        *chunk's* base, not the prefix's own, so the result is element
+        for element the head of the full pass, which can then pass at
+        most ``n_finite - prefix_failures`` values.  When that bound over
+        ``count`` (the float division ``mask.mean()`` performs, monotone
+        in its numerator) is under the threshold, the precision provably
+        could not have cleared and its full pass is skipped.
         """
-        finite = np.isfinite(values)
         if self.precision is not None:
             candidates = [self.precision]
         else:
             candidates = sorted(PRECISION_BITS)
-        best_precision = candidates[-1]
-        best_mask = np.zeros(values.shape, dtype=bool)
-        for precision in candidates:
-            mask = finite.copy()
-            mask[finite] = _roundtrips(values[finite], precision)
-            if values.size and mask.mean() >= self.outlier_threshold:
-                return precision, mask
-            if mask.sum() >= best_mask.sum():
-                best_precision, best_mask = precision, mask
-        return best_precision, best_mask
+        if not subset.size:
+            return candidates[-1], 0.0, np.zeros(0, dtype=bool), np.zeros(0)
+
+        # What every precision shares is computed once.
+        base = float(np.floor(subset.min()))
+        values64 = subset.astype(np.float64, copy=False)
+        shifted = values64 - base
+        positive = _not_negative_zero(subset)
+
+        def attempt(precision: int, stop: int | None = None):
+            scale = 10.0**precision
+            quantized = _quantize(shifted[:stop], scale)
+            passes = _exact(quantized, scale, base, values64[:stop], positive[:stop])
+            return np.count_nonzero(passes), precision, passes, quantized
+
+        # Worth trying only where a full pass costs more than the prefix
+        # and failing all of it would reject (count < 64 / (1 - threshold)).
+        use_prefix = (
+            count >= _PREFIX_MIN_COUNT
+            and (subset.size - _PREFIX) / count < self.outlier_threshold
+        )
+
+        def full_passes():
+            skipped = []
+            for precision in candidates:
+                if use_prefix:
+                    passed, _, head, _ = attempt(precision, _PREFIX)
+                    bound = subset.size - (head.size - passed)
+                    if bound / count < self.outlier_threshold:
+                        skipped.append(precision)
+                        continue
+                yield attempt(precision)
+            # Nothing cleared: the fallback ranks every precision, so
+            # the skipped ones get their full pass after all.
+            yield from map(attempt, skipped)
+
+        best = (-1, -1)
+        for result in full_passes():
+            if result[0] / count >= self.outlier_threshold:
+                best = result
+                break
+            if result[:2] > best[:2]:
+                best = result
+        _, precision, passes, quantized = best
+        return precision, base, passes, quantized
 
     # ------------------------------------------------------------------
     # Compressor interface
     # ------------------------------------------------------------------
     def _compress(self, array: np.ndarray) -> bytes:
+        """Encode one chunk: header, byte planes, outlier bitmap, outliers.
+
+        The chooser's last fixed-point vector was computed against the
+        provisional base; the stream's base is ``floor(min inliers)``.
+        When the two are equal — always, unless an outlier held the
+        minimum — that vector is what quantizing against the final base
+        would produce and every inlier already passed the exactness test
+        against it, so it is emitted as is.  Otherwise the inliers are
+        re-quantized and re-verified against the final base.
+        """
         values = array.ravel()
-        precision, inliers = self._choose_precision(values)
-        scale = 10.0**precision
-
-        if inliers.any():
-            base = float(np.floor(values[inliers].min()))
-            # Re-verify against the final base; the precision chooser used
-            # a provisional one.  Values that fail become outliers, which
-            # keeps the stream bit-exact unconditionally.
-            subset = values[inliers]
-            candidate = _quantize(subset, base, scale)
-            exact = (
-                (base + candidate / scale == subset.astype(np.float64))
-                & (candidate >= 0)
-                & (candidate < 2.0**62)
-                & ~(np.signbit(subset) & (subset == 0.0))
-            )
-            if not exact.all():
-                keep = inliers.copy()
-                keep[inliers] = exact
-                inliers = keep
-            quantized = _quantize(values[inliers], base, scale).astype(np.int64)
-            max_q = int(quantized.max()) if quantized.size else 0
-            # Integer-part bits cover the value span above Table 2's
-            # fraction bits; together they bound every quantized inlier.
-            total_bits = max(int(max_q).bit_length(), 1)
-            nbytes = (total_bits + 7) // 8
-        else:
-            base = 0.0
-            quantized = np.zeros(0, dtype=np.int64)
-            nbytes = 1
-
-        # Sub-column (byte-plane) layout, most significant plane first.
         count = values.size
-        n_inliers = int(inliers.sum())
-        planes = np.zeros((nbytes, n_inliers), dtype=np.uint8)
-        for plane in range(nbytes):
-            shift = 8 * (nbytes - 1 - plane)
-            planes[plane] = (quantized >> shift).astype(np.uint8)
+        finite = np.isfinite(values)
+        all_finite = bool(finite.all())
+        subset = values if all_finite else values[finite]
+        # A span past the float64 range (1e308 over a base of -1e308)
+        # overflows harmlessly: ``_exact`` sends the value to the outliers.
+        with np.errstate(over="ignore", invalid="ignore"):
+            precision, base, passes, quantized = self._choose_precision(
+                subset, count
+            )
+            n_inliers = int(np.count_nonzero(passes))
+            if not n_inliers:
+                base, quantized = 0.0, quantized[:0]
+            elif n_inliers < subset.size:
+                subset, quantized = subset[passes], quantized[passes]
+                provisional, base = base, float(np.floor(subset.min()))
+                if base != provisional:
+                    # The chooser ran against a provisional base that an
+                    # outlier set; re-verify against the final one.
+                    # Values that fail become outliers, which keeps the
+                    # stream bit-exact unconditionally.
+                    scale = 10.0**precision
+                    values64 = subset.astype(np.float64, copy=False)
+                    quantized = _quantize(values64 - base, scale)
+                    exact = _exact(
+                        quantized, scale, base, values64, _not_negative_zero(subset)
+                    )
+                    if not exact.all():
+                        keep = passes.copy()
+                        keep[passes] = exact
+                        passes, quantized = keep, quantized[exact]
+                        n_inliers = quantized.size
+        # Integer-part bits cover the value span above Table 2's
+        # fraction bits; together they bound every quantized inlier.
+        max_q = int(quantized.max()) if n_inliers else 0
+        nbytes = (max(max_q.bit_length(), 1) + 7) // 8
 
-        outlier_bits = np.packbits(~inliers) if count else np.zeros(0, np.uint8)
-        outliers = array.ravel()[~inliers]
-
-        out = bytearray()
-        out += encode_uvarint(count)
-        out += encode_uvarint(precision)
-        out += encode_uvarint(nbytes)
-        out += np.float64(base).tobytes()
-        out += encode_uvarint(n_inliers)
-        out += planes.tobytes()
-        out += outlier_bits.tobytes()
-        out += outliers.tobytes()
-        return bytes(out)
+        # Sub-column (byte-plane) layout, most significant plane first:
+        # the big-endian bytes of each integer, transposed.
+        big_endian = quantized.astype(">i8").view(np.uint8).reshape(n_inliers, 8)
+        planes = big_endian[:, 8 - nbytes :].T
+        if n_inliers == count:
+            bitmap, outliers = bytes((count + 7) // 8), b""
+        else:
+            if all_finite:
+                inliers = passes
+            else:
+                inliers = finite.copy()
+                inliers[finite] = passes
+            outlier_mask = ~inliers
+            bitmap = np.packbits(outlier_mask).tobytes()
+            outliers = values[outlier_mask].tobytes()
+        return b"".join(
+            (
+                encode_uvarint(count),
+                encode_uvarint(precision),
+                encode_uvarint(nbytes),
+                np.float64(base).tobytes(),
+                encode_uvarint(n_inliers),
+                planes.tobytes(),
+                bitmap,
+                outliers,
+            )
+        )
 
     def _decompress(
         self, payload: bytes, shape: tuple[int, ...], dtype: np.dtype
@@ -187,11 +271,13 @@ class BuffCompressor(Compressor):
         (big-endian fixed point preserves numeric order); a record is
         skipped as soon as a more significant plane disqualifies it,
         mirroring BUFF's progressive filtering.  Only outliers are
-        materialized.
+        materialized.  Any threshold NumPy answers is answered the same
+        way (values compare as their float64 images): NaN matches
+        nothing, ``+inf`` everything but NaN.
         """
-        shape, dtype, offset = self._unpack_header(blob)
-        meta = _parse_stream(blob[offset:], dtype)
-        result = np.zeros(meta.count, dtype=bool)
+        meta = self._parse_blob(blob)
+        threshold = float(threshold)
+        inlier_result = np.zeros(meta.n_inliers, dtype=bool)
 
         # Encode the threshold at the stream's fixed-point parameters:
         # target is the largest quantized value whose reconstruction is
@@ -199,52 +285,54 @@ class BuffCompressor(Compressor):
         # floor() boundary error when the threshold equals a stored value
         # whose (threshold - base) * scale image lands just below the
         # integer grid.
-        scale = 10.0**meta.precision
-        with np.errstate(over="ignore", invalid="ignore"):
-            target = int(np.round((threshold - meta.base) * scale))
-            if not meta.base + target / scale <= threshold:
+        target = _fixed_point(meta, threshold)
+        if target is not None:
+            if not meta.base + target / 10.0**meta.precision <= threshold:
                 target -= 1
-        max_value = (1 << (8 * meta.nbytes)) - 1
-        inlier_result = np.zeros(meta.n_inliers, dtype=bool)
-        if target >= max_value:
-            inlier_result[:] = True
-        elif target >= 0:
-            # undecided: records equal to the target prefix so far.
-            undecided = np.ones(meta.n_inliers, dtype=bool)
-            for plane in range(meta.nbytes):
-                shift = 8 * (meta.nbytes - 1 - plane)
-                target_byte = (target >> shift) & 0xFF
-                plane_bytes = meta.planes[plane]
-                inlier_result |= undecided & (plane_bytes < target_byte)
-                undecided &= plane_bytes == target_byte
-            inlier_result |= undecided  # exactly equal
-        result[meta.inlier_mask] = inlier_result
-        result[~meta.inlier_mask] = meta.outliers <= threshold
-        return result
+            if target >= (1 << (8 * meta.nbytes)) - 1:
+                inlier_result[:] = True
+            elif target >= 0:
+                # undecided: records equal to the target prefix so far.
+                undecided = np.ones(meta.n_inliers, dtype=bool)
+                for plane, target_byte in zip(
+                    meta.planes, target.to_bytes(meta.nbytes, "big")
+                ):
+                    inlier_result |= undecided & (plane < target_byte)
+                    undecided &= plane == target_byte
+                inlier_result |= undecided  # exactly equal
+        return _scatter(meta, inlier_result, meta.outliers <= np.float64(threshold))
 
     def scan_equal(self, blob: bytes, value: float) -> np.ndarray:
-        """Evaluate ``x == value`` on the encoded sub-columns."""
-        shape, dtype, offset = self._unpack_header(blob)
-        meta = _parse_stream(blob[offset:], dtype)
-        result = np.zeros(meta.count, dtype=bool)
+        """Evaluate ``x == value`` on the encoded sub-columns.
 
-        scale = 10.0**meta.precision
-        target = round((value - meta.base) * scale)
-        matches = np.ones(meta.n_inliers, dtype=bool)
-        if 0 <= target < (1 << (8 * meta.nbytes)) and _roundtrips(
-            np.array([value]), meta.precision
-        )[0]:
-            for plane in range(meta.nbytes):
-                shift = 8 * (meta.nbytes - 1 - plane)
-                target_byte = (target >> shift) & 0xFF
-                matches &= meta.planes[plane] == target_byte
+        ``value`` is encoded the way the encoder encoded every inlier —
+        against the stream's base — so an inlier equals it exactly when
+        its planes spell that integer and the integer reconstructs
+        ``value``; otherwise no inlier does.  ``-0.0`` matches the
+        ``+0.0`` inliers, NaN matches nothing, as in NumPy.
+        """
+        meta = self._parse_blob(blob)
+        value = float(value)
+        matches = np.zeros(meta.n_inliers, dtype=bool)
+
+        target = _fixed_point(meta, value)
+        if (
+            target is not None
+            and 0 <= target < (1 << (8 * meta.nbytes))
+            and meta.base + target / 10.0**meta.precision == value
+        ):
+            matches[:] = True
+            for plane, target_byte in zip(
+                meta.planes, target.to_bytes(meta.nbytes, "big")
+            ):
+                matches &= plane == target_byte
                 if not matches.any():
                     break
-        else:
-            matches[:] = False
-        result[meta.inlier_mask] = matches
-        result[~meta.inlier_mask] = meta.outliers == value
-        return result
+        return _scatter(meta, matches, meta.outliers == np.float64(value))
+
+    def _parse_blob(self, blob: bytes) -> _StreamMeta:
+        _, dtype, offset = self._unpack_header(blob)
+        return _parse_stream(blob[offset:], dtype)
 
 
 class _StreamMeta:
@@ -260,14 +348,58 @@ class _StreamMeta:
             setattr(self, name, value)
 
 
-def _quantize(values: np.ndarray, base: float, scale: float) -> np.ndarray:
-    """Fixed-point quantization in float64.
+def _fixed_point(meta: _StreamMeta, value: float) -> int | None:
+    """``value`` as the encoder quantizes it against the stream's base,
+    or ``None`` for NaN (which compares false with everything).
 
-    Non-finite values overflow harmlessly here — they are filtered into
-    the outlier path by the round-trip masks.
+    Clamped to just outside what a stream holds (inliers lie in
+    ``[0, 2**62)``), so ``inf`` and a product past the float64 range are
+    decided like any other out-of-range value instead of failing to
+    convert.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.round((values.astype(np.float64) - base) * scale)
+    position = (value - meta.base) * 10.0**meta.precision
+    if position != position:
+        return None
+    return round(min(max(position, -1.0), 2.0**63))
+
+
+def _scatter(
+    meta: _StreamMeta, inlier_result: np.ndarray, outlier_result: np.ndarray
+) -> np.ndarray:
+    result = np.empty(meta.count, dtype=bool)
+    result[meta.inlier_mask] = inlier_result
+    result[~meta.inlier_mask] = outlier_result
+    return result
+
+
+def _quantize(shifted: np.ndarray, scale: float) -> np.ndarray:
+    """Fixed-point quantization of ``value - base`` in float64 (round
+    half to even).  The caller silences overflow."""
+    quantized = shifted * scale
+    return np.rint(quantized, out=quantized)
+
+
+def _exact(
+    quantized: np.ndarray,
+    scale: float,
+    base: float,
+    values64: np.ndarray,
+    positive: np.ndarray,
+) -> np.ndarray:
+    """True where ``quantized`` reconstructs ``values64`` bit for bit."""
+    restored = quantized / scale
+    restored += base
+    exact = restored == values64
+    exact &= quantized >= 0
+    exact &= quantized < 2.0**62
+    exact &= positive
+    return exact
+
+
+def _not_negative_zero(values: np.ndarray) -> np.ndarray:
+    """False at -0.0: it compares equal to the reconstructed +0.0 yet
+    differs bitwise, so it must take the outlier path."""
+    return ~(np.signbit(values) & (values == 0.0))
 
 
 def _dequantize(
@@ -275,7 +407,7 @@ def _dequantize(
 ) -> np.ndarray:
     """Invert :func:`_quantize` in float64, then cast to the native dtype.
 
-    The round-trip test compares in float64 (see :func:`_roundtrips`), so
+    The round-trip test compares in float64 (see :func:`_exact`), so
     a float32 value qualifies as an inlier only when its exact float64
     image lies on the decimal grid.  This reproduces the published BUFF
     behaviour: single-precision datasets rarely qualify (their Table 4
@@ -283,21 +415,6 @@ def _dequantize(
     12.30000019..., which is not a 1-decimal number.
     """
     return (base + quantized.astype(np.float64) / scale).astype(dtype)
-
-
-def _roundtrips(values: np.ndarray, precision: int) -> np.ndarray:
-    """True where quantize/dequantize at ``precision`` is bit-exact.
-
-    Negative zero is rejected: it compares equal to the reconstructed
-    +0.0 yet differs bitwise, so it must take the outlier path.
-    """
-    scale = 10.0**precision
-    base = float(np.floor(values.min())) if values.size else 0.0
-    quantized = _quantize(values, base, scale)
-    restored64 = base + quantized / scale
-    in_range = (quantized >= 0) & (quantized < 2.0**62)
-    negative_zero = np.signbit(values) & (values == 0.0)
-    return (restored64 == values.astype(np.float64)) & in_range & ~negative_zero
 
 
 def _parse_stream(payload: bytes, dtype: np.dtype) -> _StreamMeta:
@@ -309,6 +426,14 @@ def _parse_stream(payload: bytes, dtype: np.dtype) -> _StreamMeta:
     base = float(np.frombuffer(payload[pos : pos + 8], dtype=np.float64)[0])
     pos += 8
     n_inliers, pos = decode_uvarint(payload, pos)
+    if precision not in PRECISION_BITS:
+        raise CorruptStreamError(f"BUFF precision {precision} is not in Table 2")
+    if not 1 <= nbytes <= 8:
+        raise CorruptStreamError(f"BUFF sub-column count {nbytes} is not in 1..8")
+    if n_inliers > count:
+        raise CorruptStreamError(
+            f"BUFF stream declares {n_inliers} inliers among {count} values"
+        )
 
     plane_bytes = nbytes * n_inliers
     bitmap_bytes = (count + 7) // 8
@@ -326,6 +451,10 @@ def _parse_stream(payload: bytes, dtype: np.dtype) -> _StreamMeta:
     )
     pos += bitmap_bytes
     inlier_mask = ~np.unpackbits(outlier_bits, count=count).astype(bool)
+    if np.count_nonzero(inlier_mask) != n_inliers:
+        raise CorruptStreamError(
+            "BUFF outlier bitmap disagrees with the declared inlier count"
+        )
     outliers = np.frombuffer(
         payload[pos : pos + n_outliers * np.dtype(dtype).itemsize], dtype=dtype
     )

@@ -6,7 +6,8 @@ import pytest
 from repro.compressors import get_compressor
 from repro.compressors.buff import PRECISION_BITS, BuffCompressor
 from repro.compressors.gfc import GFC_MAX_INPUT_BYTES
-from repro.errors import InputTooLargeError, PrecisionError
+from repro.encodings.varint import encode_uvarint
+from repro.errors import CorruptStreamError, InputTooLargeError, PrecisionError
 from tests.conftest import assert_bit_exact
 
 
@@ -111,6 +112,68 @@ class TestBuff:
         np.testing.assert_array_equal(
             comp.scan_less_equal(blob, 10.0), arr <= 10.0
         )
+
+    def test_scan_equal_encodes_the_probe_against_the_stream_base(self):
+        # 5.4716 round-trips from the stream's base 0 but not from its
+        # own floor 5, and its upper neighbour the other way round.
+        arr = np.array([0.0, 5.4716, 5.4716, 1.5])
+        comp = BuffCompressor()
+        blob = comp.compress(arr)
+        for value in (5.4716, float(np.nextafter(5.4716, np.inf)), 1.5, 0.0):
+            np.testing.assert_array_equal(comp.scan_equal(blob, value), arr == value)
+
+    @pytest.mark.parametrize(
+        "probe", [np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0], ids=repr
+    )
+    def test_scan_answers_every_threshold_numpy_answers(self, probe):
+        arr = np.array([0.0, 1.5, -0.0, np.nan, np.inf, 2.25, -np.inf, 0.0])
+        comp = BuffCompressor(precision=10, outlier_threshold=0.5)
+        blob = comp.compress(arr)
+        np.testing.assert_array_equal(comp.scan_less_equal(blob, probe), arr <= probe)
+        np.testing.assert_array_equal(comp.scan_equal(blob, probe), arr == probe)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"precision": 400},
+            {"nbytes": 9},
+            {"nbytes": 0},
+            {"n_inliers": 5},
+            {"bitmap": b"\x80"},
+        ],
+        ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()),
+    )
+    def test_malformed_stream_is_a_typed_error(self, fields):
+        comp = BuffCompressor()
+        header = comp.compress(np.zeros(4))
+        header = header[: comp._unpack_header(header)[2]]
+        good = _buff_payload()
+        assert_bit_exact(np.zeros(4), comp._decompress(good, (4,), np.dtype("f8")))
+        assert comp.scan_equal(header + good, 0.0).all()
+        bad = _buff_payload(**fields)
+        with pytest.raises(CorruptStreamError):
+            comp._decompress(bad, (4,), np.dtype("f8"))
+        with pytest.raises(CorruptStreamError):
+            comp.scan_less_equal(header + bad, 1.0)
+        with pytest.raises(CorruptStreamError):
+            comp.scan_equal(header + bad, 1.0)
+
+
+def _buff_payload(count=4, precision=2, nbytes=1, n_inliers=4, bitmap=b"\x00"):
+    """A BUFF stream of zeros whose lengths agree with its header, so
+    only the field under test is wrong."""
+    return b"".join(
+        (
+            encode_uvarint(count),
+            encode_uvarint(precision),
+            encode_uvarint(nbytes),
+            np.float64(0.0).tobytes(),
+            encode_uvarint(n_inliers),
+            bytes(nbytes * n_inliers),
+            bitmap,
+            bytes(8 * max(count - n_inliers, 0)),
+        )
+    )
 
 
 class TestGfc:

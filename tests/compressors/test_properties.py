@@ -69,6 +69,10 @@ def test_dimensional_methods_on_3d(array):
         assert_bit_exact(array, comp.decompress(comp.compress(array)))
 
 
+_PLANTS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+_FIXED_PROBES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300)
+
+
 @_SETTINGS
 @given(
     values=hnp.arrays(
@@ -79,12 +83,32 @@ def test_dimensional_methods_on_3d(array):
         ),
     ),
     decimals=st.integers(0, 4),
+    plants=st.lists(
+        st.tuples(st.integers(0, 299), st.sampled_from(_PLANTS)), max_size=6
+    ),
+    picks=st.lists(st.integers(0, 299), min_size=1, max_size=6),
 )
-def test_buff_scan_agrees_with_numpy(values, decimals):
+def test_buff_scan_agrees_with_numpy(values, decimals, plants, picks):
     arr = np.round(values, decimals)
+    for index, plant in plants:
+        arr[index % arr.size] = plant
     comp = get_compressor("buff")
     blob = comp.compress(arr)
-    threshold = float(np.median(arr))
-    np.testing.assert_array_equal(
-        comp.scan_less_equal(blob, threshold), arr <= threshold
-    )
+    finite = arr[np.isfinite(arr)]
+    stored = [float(arr[index % arr.size]) for index in picks]
+    probes = [float(np.median(finite))] if finite.size else []
+    probes += stored + list(_FIXED_PROBES)
+    for value in stored:
+        if np.isfinite(value):
+            probes += [
+                float(np.nextafter(value, np.inf)),
+                float(np.nextafter(value, -np.inf)),
+                (value + stored[0]) / 2,
+            ]
+    for probe in probes:
+        np.testing.assert_array_equal(
+            comp.scan_less_equal(blob, probe), arr <= probe, err_msg=repr(probe)
+        )
+        np.testing.assert_array_equal(
+            comp.scan_equal(blob, probe), arr == probe, err_msg=repr(probe)
+        )
