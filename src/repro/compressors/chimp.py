@@ -28,11 +28,28 @@ position at once.  The only serial-looking state — the leading-zero
 bucket reused by case ``10`` — collapses because after *any*
 previous-value record the live bucket equals that record's own (forced)
 bucket, so the recurrence is a shifted comparison, not a scan.
+
+The decoder keeps a Python loop for the one thing that is serial, where
+each record starts: a record's length depends on its control bits, on
+the lead code of the last ``11`` record and on a ``01`` record's centre
+length, all of which sit in the 18 bits after its start, so the walk is
+one 32-bit read and one ``append`` per record.  Everything else is
+derived from the starts in array passes: one ``unpack_fields`` of those
+18-bit heads gives control, window index, lead code and centre for
+every record; a ``10`` record's width is a forward fill of the last
+``11`` code; the window-index and trailing-count checks are one
+predicate; a second ``unpack_fields`` reads the payloads.  The values
+then form a forest — ``out[p] = out[parent[p]] ^ xor[p]`` with the
+parent a window reference or ``p - 1``, rooted at value 0 — which
+pointer doubling resolves in ``log2(depth)`` rounds at any density of
+window references.
 ``_compress_scalar`` / ``_decompress_scalar`` keep the original
 per-element implementation as the byte-identity oracle.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -54,6 +71,7 @@ __all__ = ["ChimpCompressor"]
 _WINDOW = 128
 _INDEX_BITS = 7
 _U64 = np.uint64
+_WORD = struct.Struct(">I")
 
 # Leading-zero bucket tables (round down to the nearest representable
 # count), mirroring Chimp's 8-entry lookup.
@@ -74,6 +92,64 @@ def _bucket(table: tuple[int, ...], lead: int) -> int:
         if representative <= lead:
             code = index
     return code
+
+
+def _derive_plan(
+    data: bytes, starts: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's XOR and reference, from the record starts alone.
+
+    Returns ``(xors, refs)``: the residual of each record and the
+    absolute index of the window value it is taken against, ``-1`` for
+    the previous value.  ``data`` must be addressable 18 bits past the
+    last start (the decoder's zero padding).
+    """
+    len_bits = 6 if width == 64 else 5
+    table = np.asarray(_LEAD_TABLE[width], dtype=np.int64)
+    head = unpack_fields(data, np.full(starts.size, 18), starts).view(np.int64)
+    control = head >> 16
+    position = np.arange(starts.size)
+    # Case 10 reuses the lead code of the last case-11 record: a
+    # forward fill of those records' positions (code 0 before the first).
+    fresh = control == 0b11
+    last_fresh = np.maximum.accumulate(np.where(fresh, position, 0))
+    live = np.where(fresh[last_fresh], (head[last_fresh] >> 13) & 0b111, 0)
+
+    windowed = control < 0b10
+    centred = control == 0b01
+    rel = (head >> 9) & 0x7F
+    centre = ((head >> (6 - len_bits)) & ((1 << len_bits) - 1)) + 1
+    trailing = np.where(centred, width - table[(head >> 6) & 0b111] - centre, 0)
+    retained = np.minimum(position + 1, _WINDOW)
+    if (windowed & (rel >= retained)).any() or (trailing < 0).any():
+        raise CorruptStreamError(
+            "chimp stream carries an invalid window reference"
+        )
+
+    header = np.asarray((2 + _INDEX_BITS, 2 + _INDEX_BITS + 3 + len_bits, 2, 5))
+    widths = np.where(windowed, np.where(centred, centre, 0), width - table[live])
+    vals = unpack_fields(data, widths, starts + header[control])
+    refs = np.where(windowed, position + 1 - retained + rel, -1)
+    return vals << trailing.view(_U64), refs
+
+
+def _reconstruct(first: int, xors: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Values of the forest ``out[p] = out[parent[p]] ^ xors[p - 1]``.
+
+    ``parent[p]`` is ``refs[p - 1]``, or ``p - 1`` where that is ``-1``;
+    every chain ends at value 0 (``first``).  Pointer doubling folds
+    each value's path into it in ``log2(depth)`` whole-array rounds,
+    whatever the mix of window and previous-value records.
+    """
+    count = xors.size + 1
+    acc = np.zeros(count, dtype=_U64)
+    acc[1:] = xors
+    parent = np.zeros(count, dtype=np.int64)
+    parent[1:] = np.where(refs >= 0, refs, np.arange(count - 1))
+    while parent.any():
+        acc ^= acc[parent]
+        parent = parent[parent]
+    return acc ^ _U64(first)
 
 
 @register
@@ -220,138 +296,50 @@ class ChimpCompressor(Compressor):
         width = np.dtype(uint_dtype).itemsize * 8
         if count == 0:
             return np.empty(0, dtype=uint_dtype).view(dtype)
-        lead_table = _LEAD_TABLE[width]
         len_bits = 6 if width == 64 else 5
-        data = bytes(payload)
-        nbits = len(data) * 8
+        nbits = len(payload) * 8
         if width > nbits:
             raise CorruptStreamError("chimp stream shorter than one value")
+        # Zero padding makes every 32-bit read below addressable; a
+        # record that leans on it ends past nbits and is refused there.
+        data = bytes(payload) + b"\x00\x00\x00\x00"
         first = int.from_bytes(data[: width >> 3], "big")
 
-        # Plan scan: controls and side fields only; payloads batched after.
-        offs: list[int] = []
-        widths: list[int] = []
-        shifts: list[int] = []
-        refs: list[int] = []  # absolute window reference, or -1 for "previous"
-        add_o = offs.append
-        add_w = widths.append
-        add_s = shifts.append
-        add_r = refs.append
-        frm = int.from_bytes
-        side_bits = _INDEX_BITS + 3 + len_bits
-        len_mask = (1 << len_bits) - 1
-        prev_width = width - lead_table[0]
+        # The walk keeps only what is serial: where each record starts.
+        # Control, the 11 lead code and the 01 centre length all sit in
+        # the 18 bits after a start, so one bounded read finds the next
+        # (head is those 18 bits right-aligned under up to 7 stale ones:
+        # control at bit 16, the 11 lead code at bit 13).
+        starts: list[int] = []
+        add = starts.append
+        read = _WORD.unpack_from
+        step11 = [5 + width - lead for lead in _LEAD_TABLE[width]]
+        step01 = 2 + _INDEX_BITS + 3 + len_bits + 1
+        centre_shift = 6 - len_bits
+        centre_mask = (1 << len_bits) - 1
+        step10 = 2 + width
         pos = width
         try:
-            for p in range(1, count):
-                end = pos + 2
-                stop = (end + 7) >> 3
-                control = (
-                    frm(data[pos >> 3 : stop], "big") >> (stop * 8 - end)
-                ) & 0b11
-                pos = end
+            for _ in range(count - 1):
+                add(pos)
+                head = read(data, pos >> 3)[0] >> (14 - (pos & 7))
+                control = (head >> 16) & 0b11
                 if control == 0b10:
-                    add_r(-1)
-                    add_o(pos)
-                    add_w(prev_width)
-                    add_s(0)
-                    pos += prev_width
+                    pos += step10
                 elif control == 0b11:
-                    end = pos + 3
-                    stop = (end + 7) >> 3
-                    code = (
-                        frm(data[pos >> 3 : stop], "big") >> (stop * 8 - end)
-                    ) & 0b111
-                    pos = end
-                    prev_width = width - lead_table[code]
-                    add_r(-1)
-                    add_o(pos)
-                    add_w(prev_width)
-                    add_s(0)
-                    pos += prev_width
+                    step = step11[(head >> 13) & 0b111]
+                    pos += step
+                    step10 = step - 3
                 elif control == 0b00:
-                    end = pos + _INDEX_BITS
-                    stop = (end + 7) >> 3
-                    rel = (
-                        frm(data[pos >> 3 : stop], "big") >> (stop * 8 - end)
-                    ) & 0x7F
-                    pos = end
-                    if rel >= (p if p < _WINDOW else _WINDOW):
-                        raise CorruptStreamError(
-                            "chimp window reference outside retained values"
-                        )
-                    add_r((p - _WINDOW if p > _WINDOW else 0) + rel)
-                    add_o(0)
-                    add_w(0)
-                    add_s(0)
+                    pos += 2 + _INDEX_BITS
                 else:
-                    end = pos + side_bits
-                    if end > nbits:
-                        raise CorruptStreamError("chimp header truncated")
-                    stop = (end + 7) >> 3
-                    side = (
-                        frm(data[pos >> 3 : stop], "big") >> (stop * 8 - end)
-                    ) & ((1 << side_bits) - 1)
-                    pos = end
-                    rel = side >> (3 + len_bits)
-                    lead = lead_table[(side >> len_bits) & 0b111]
-                    center = (side & len_mask) + 1
-                    trailing = width - lead - center
-                    if rel >= (p if p < _WINDOW else _WINDOW) or trailing < 0:
-                        raise CorruptStreamError(
-                            "chimp stream carries an invalid window reference"
-                        )
-                    add_r((p - _WINDOW if p > _WINDOW else 0) + rel)
-                    add_o(pos)
-                    add_w(center)
-                    add_s(trailing)
-                    pos += center
-        except IndexError:
-            raise CorruptStreamError("chimp control stream exhausted")
+                    pos += step01 + ((head >> centre_shift) & centre_mask)
+        except struct.error:  # a start past the padding
+            raise CorruptStreamError("chimp control stream exhausted") from None
         if pos > nbits:
             raise CorruptStreamError("chimp payload truncated")
-
-        vals = unpack_fields(
-            data,
-            np.asarray(widths, dtype=np.int64),
-            np.asarray(offs, dtype=np.int64),
-        )
-        xors = vals << np.asarray(shifts, dtype=_U64)
-        ref_arr = np.asarray(refs, dtype=np.int64)
-        anchors = np.flatnonzero(ref_arr >= 0) + 1  # window-referenced values
-        out = np.empty(count, dtype=_U64)
-        out[0] = first
-        if anchors.size * 4 > count:
-            # Dense window references: one light pass beats per-run slices.
-            out_list = [0] * count
-            out_list[0] = first
-            xor_list = xors.tolist()
-            for p in range(1, count):
-                ref = refs[p - 1]
-                base = out_list[ref] if ref >= 0 else out_list[p - 1]
-                out_list[p] = base ^ xor_list[p - 1]
-            out = np.asarray(out_list, dtype=_U64)
-        else:
-            # Sparse window references: XOR-scan the previous-value runs
-            # in bulk between anchor values.
-            scan = np.empty(count, dtype=_U64)
-            scan[0] = 0
-            scan[1:] = xors
-            if anchors.size:
-                scan[anchors] = 0
-            prefix = np.bitwise_xor.accumulate(scan)
-            prev = 0
-            for a in anchors.tolist():
-                if a > prev + 1:
-                    out[prev + 1 : a] = (
-                        out[prev] ^ prefix[prev] ^ prefix[prev + 1 : a]
-                    )
-                out[a] = out[refs[a - 1]] ^ xors[a - 1]
-                prev = a
-            if prev + 1 < count:
-                out[prev + 1 :] = (
-                    out[prev] ^ prefix[prev] ^ prefix[prev + 1 :]
-                )
+        xors, refs = _derive_plan(data, np.asarray(starts, dtype=np.int64), width)
+        out = _reconstruct(first, xors, refs)
         return out.astype(uint_dtype, copy=False).view(dtype)
 
     # ------------------------------------------------------------------

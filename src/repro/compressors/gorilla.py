@@ -480,6 +480,10 @@ class GorillaCompressor(Compressor):
                 continue
             if reader.read_bits(1) == 0:
                 # Case 10: previous window.
+                if prev_lead < 0:
+                    raise CorruptStreamError(
+                        "gorilla stream reuses a window before one exists"
+                    )
                 window = width - prev_lead - prev_trail
                 xor = reader.read_bits(window) << prev_trail
             else:
@@ -487,6 +491,10 @@ class GorillaCompressor(Compressor):
                 lz = reader.read_bits(self._LEAD_BITS)
                 meaningful = reader.read_bits(self._LEN_BITS) + 1
                 tz = width - lz - meaningful
+                if tz < 0:
+                    raise CorruptStreamError(
+                        "gorilla window wider than the word"
+                    )
                 xor = reader.read_bits(meaningful) << tz
                 prev_lead = lz
                 prev_trail = tz
