@@ -338,10 +338,17 @@ class CompressSession:
 class DecompressSession:
     """Random-access reader for FCF streams.
 
-    ``source`` may be a path, a readable+seekable binary file object, or
-    a bytes-like blob (wrapped without copying).  The chunk index is
-    loaded once at construction; afterwards :meth:`read` touches only
-    the frames overlapping the requested range.
+    The chunk index is loaded once at construction; afterwards
+    :meth:`read` touches only the frames overlapping the requested range.
+
+    Parameters
+    ----------
+    source:
+        A path, a readable+seekable binary file object, or a bytes-like
+        blob (wrapped without copying).
+    jobs:
+        Worker processes for chunk decoding (``None`` → serial, ``0`` →
+        all cores).
     """
 
     def __init__(self, source, *, jobs: int | None = None, layout=None) -> None:

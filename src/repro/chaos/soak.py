@@ -199,19 +199,49 @@ def run_chaos_soak(
 ) -> dict:
     """Run the soak; returns the JSON-ready resilience report.
 
-    ``kill_node`` may be a node id, ``"auto"`` (the second node, or the
-    only one), or ``None`` to skip the mid-run SIGKILL.  ``drain_node``
-    works the same for a graceful drain (kept down — exercises the
-    planned-maintenance path under load).  Fault injection follows
-    ``plan`` (default: :meth:`FaultPlan.default` with ``seed``).
-    ``on_cluster(supervisor)`` fires once the cluster and proxies are
-    up — the hook tests use to observe the soak from the side.
-    ``tenants`` runs the whole soak authenticated (two tenants, workers
-    alternating) and audits per-node quota ledgers afterwards.
-    ``trace`` starts every node with distributed tracing and, after the
-    workers finish, merges the surviving nodes' span buffers — the
-    report then shows whether tracing kept working through the kill
-    (spans recorded after the SIGKILL, from the nodes that stayed up).
+    Parameters
+    ----------
+    nodes:
+        Cluster size.
+    replication:
+        Replicas per shard.
+    connections:
+        Concurrent client workers.
+    duration_seconds:
+        Soak duration in seconds.
+    elements:
+        Elements per request.
+    chunk_elements:
+        Elements per chunk frame.
+    codec:
+        Codec under test.
+    dataset:
+        Catalog dataset the requests compress.
+    seed:
+        Seed of the data and of the default ``plan``.
+    plan:
+        Fault-injection schedule (default: :meth:`FaultPlan.default`).
+    kill_node:
+        SIGKILL this node id mid-run; ``"auto"`` picks the second node
+        (or the only one), ``None`` skips the kill.
+    drain_node:
+        Gracefully drain this node id mid-run and keep it down;
+        ``"auto"`` as for ``kill_node``.
+    kill_after_fraction, drain_after_fraction:
+        When the kill and the drain land, as a share of the run.
+    op_deadline:
+        Per-operation deadline budget in seconds.
+    attempt_timeout:
+        Per-node attempt timeout in seconds.
+    tenants:
+        Run authenticated (two tenants, workers alternating) and audit
+        per-node quota ledgers afterwards.
+    trace:
+        Trace every node and report whether span recording survived the
+        mid-run kill.
+    on_cluster:
+        ``on_cluster(supervisor)`` fires once the cluster and proxies
+        are up — the hook tests use to observe the soak from the side.
     """
     from repro.api.session import compress_array
     from repro.cluster import ClusterClient, ClusterSupervisor

@@ -90,7 +90,11 @@ Stream a ``.npy`` array into the frame format and back, bit-exactly:
 
 Exit codes: 0 on success (the summary line still reports per-cell
 failures, which include the paper's deliberate "-" skip cells), 1 when
-*no* cell produced a measurement, 2 on bad arguments.
+*no* cell produced a measurement, 2 on bad arguments — any
+``ReproError``, ``OSError`` or ``ValueError`` a command raises is one
+``error: …`` line.  A flag that feeds a library keyword is declared by
+naming the keyword (:func:`_derive`), and only the invoked command's
+options are declared (:func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ from typing import Sequence
 
 from repro.compressors import compressor_names, get_compressor, paper_table_order
 from repro.data.catalog import CATALOG, dataset_names
-from repro.data.loader import DEFAULT_TARGET_ELEMENTS
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -153,11 +157,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     run = run_suite_detailed(
         methods=methods,
         datasets=datasets,
-        target_elements=args.target_elements,
-        seed=args.seed,
-        use_cache=not args.no_cache,
-        jobs=args.jobs,
         on_cell=on_cell,
+        **_picked(args, run_suite_detailed),
     )
     ok = sum(1 for m in run.results.measurements if m.ok)
     failed = len(run.results) - ok
@@ -179,6 +180,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 _REPORT_PRESETS = ("table4", "table5", "table6")
 
 
+def _existing_db(path: str, hint: str = "") -> str:
+    import os
+
+    if not os.path.exists(path):
+        raise SystemExit(f"error: no experiment database at {path!r}{hint}")
+    return path
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.db:
         return _cmd_report_db(args)
@@ -192,11 +201,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     methods = _validate("methods", _csv(args.methods), compressor_names())
     datasets = _validate("datasets", _csv(args.datasets), dataset_names())
     run = run_suite_detailed(
-        methods=methods,
-        datasets=datasets,
-        target_elements=args.target_elements,
-        seed=args.seed,
-        jobs=args.jobs,
+        methods=methods, datasets=datasets, **_picked(args, run_suite_detailed)
     )
     results = run.results
     if args.metric:
@@ -220,8 +225,7 @@ def _cmd_report_db(args: argparse.Namespace) -> int:
     from repro.expdb import ExperimentStore, render_report, sweep_report
     from repro.expdb.report import METRICS, write_artifacts
 
-    if not Path(args.db).exists():
-        raise SystemExit(f"error: no experiment database at {args.db!r}")
+    _existing_db(args.db)
     metric = args.metric or "ratio"
     if metric not in METRICS:
         raise SystemExit(
@@ -229,19 +233,17 @@ def _cmd_report_db(args: argparse.Namespace) -> int:
             f"sweep metrics: {', '.join(METRICS)}"
         )
     with ExperimentStore(args.db) as store:
-        report = sweep_report(store, metric=metric, alpha=args.alpha)
+        report = sweep_report(store, metric=metric, **_picked(args, sweep_report))
     if args.artifacts:
         for path in write_artifacts(report, args.artifacts):
             print(f"wrote {path}")
-    if args.json is not None:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            print(payload, end="")
-        else:
-            Path(args.json).write_text(payload)
-            print(f"wrote {args.json}")
     if args.json is None:
         print(render_report(report), end="")
+    elif args.json == "-":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.json}")
     return 0
 
 
@@ -320,12 +322,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.perf import bench
 
-    methods = _validate(
-        "methods", _csv(args.methods), compressor_names()
-    ) or list(bench.DEFAULT_METHODS)
-    datasets = _validate(
-        "datasets", _csv(args.datasets), dataset_names()
-    ) or list(bench.DEFAULT_DATASETS)
+    methods = _validate("methods", _csv(args.methods), compressor_names())
+    datasets = _validate("datasets", _csv(args.datasets), dataset_names())
 
     def on_cell(cell: dict) -> None:
         if args.quiet:
@@ -353,13 +351,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = bench.run_bench(
         methods=methods,
         datasets=datasets,
-        elements=args.elements,
-        repeats=args.repeats,
-        oracle=not args.no_oracle,
-        guard=not args.no_guard,
-        tenancy=args.tenancy,
-        seed=args.seed,
         on_cell=on_cell,
+        **_picked(args, bench.run_bench),
     )
     root = Path(args.output).parent if args.output else bench.repo_root()
     if args.output:
@@ -378,51 +371,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # fcbench sweep (the experiment database)
 # ----------------------------------------------------------------------
 def _sweep_grid(args: argparse.Namespace):
-    from repro.expdb import GridSpec
-
-    grid = GridSpec()
-    overrides = {}
-    if args.codecs:
-        overrides["codecs"] = tuple(_csv(args.codecs))
-    if args.datasets:
-        overrides["datasets"] = tuple(_csv(args.datasets))
-    if args.chunk_elements:
-        overrides["chunk_elements"] = tuple(
-            int(v) for v in _csv(args.chunk_elements)
-        )
-    if args.jobs:
-        overrides["jobs"] = tuple(int(v) for v in _csv(args.jobs))
-    if args.policies:
-        overrides["policies"] = tuple(_csv(args.policies))
-    if args.seeds:
-        overrides["seeds"] = tuple(int(v) for v in _csv(args.seeds))
-    if args.target_elements:
-        overrides["target_elements"] = args.target_elements
+    """The default :class:`GridSpec` with every comma list given replaced."""
     import dataclasses
 
-    return dataclasses.replace(grid, **overrides)
+    from repro.expdb import GridSpec
+
+    overrides = {}
+    for field in ("codecs", "datasets", "chunk_elements", "jobs", "policies", "seeds"):
+        if getattr(args, field):
+            values = _csv(getattr(args, field))
+            numeric = field in ("chunk_elements", "jobs", "seeds")
+            overrides[field] = tuple(int(v) if numeric else v for v in values)
+    if args.target_elements:
+        overrides["target_elements"] = args.target_elements
+    return dataclasses.replace(GridSpec(), **overrides)
 
 
 def _cmd_sweep_init(args: argparse.Namespace) -> int:
     from repro.data.catalog import ExternalCorpus
-    from repro.errors import DatasetError, ExperimentError
     from repro.expdb import ExperimentStore, init_grid
 
-    corpus = None
-    if args.corpus:
-        try:
-            corpus = ExternalCorpus.from_manifest(args.corpus)
-        except DatasetError as exc:
-            raise SystemExit(f"error: {exc}") from exc
+    corpus = ExternalCorpus.from_manifest(args.corpus) if args.corpus else None
     grid = _sweep_grid(args)
-    try:
-        with ExperimentStore(args.db) as store:
-            summary = init_grid(
-                store, grid, corpus, manifest_path=args.corpus
-            )
-            counts = store.counts()
-    except ExperimentError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    with ExperimentStore(args.db) as store:
+        summary = init_grid(store, grid, corpus, manifest_path=args.corpus)
+        counts = store.counts()
     line = (
         f"grid: {summary.added} added, {counts['total']} total cells "
         f"({counts['pending']} pending, {counts['done']} done, "
@@ -437,16 +410,10 @@ def _cmd_sweep_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.expdb import ExperimentStore, run_sweep
+    from repro.expdb import run_sweep, worker_loop
     from repro.expdb.store import CellRow
 
-    if not Path(args.db).exists():
-        raise SystemExit(
-            f"error: no experiment database at {args.db!r} "
-            "(run `fcbench sweep init` first)"
-        )
+    _existing_db(args.db, " (run `fcbench sweep init` first)")
 
     def on_cell(cell: CellRow, status: str, fields: dict, error: str) -> None:
         if args.quiet:
@@ -475,12 +442,10 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
     summary = run_sweep(
         args.db,
-        workers=args.workers,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_cells=args.max_cells,
         on_cell=on_cell,
         on_progress=None if args.quiet or args.workers <= 1 else on_progress,
+        **_picked(args, run_sweep),
+        **_picked(args, worker_loop),
     )
     if not args.quiet and args.workers > 1:
         print()
@@ -500,13 +465,7 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 
     from repro.expdb import worker_loop
 
-    summary = worker_loop(
-        args.db,
-        owner=args.owner,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_cells=args.max_cells,
-    )
+    summary = worker_loop(args.db, **_picked(args, worker_loop))
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -520,13 +479,10 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.expdb import ExperimentStore
 
-    if not Path(args.db).exists():
-        raise SystemExit(f"error: no experiment database at {args.db!r}")
-    with ExperimentStore(args.db) as store:
+    with ExperimentStore(_existing_db(args.db)) as store:
         counts = store.counts()
         grid = store.get_meta("grid")
         claimed = store.cells(status="claimed")
@@ -572,14 +528,10 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_reset(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.expdb import ExperimentStore
 
-    if not Path(args.db).exists():
-        raise SystemExit(f"error: no experiment database at {args.db!r}")
     statuses = tuple(_csv(args.statuses) or ("failed",))
-    with ExperimentStore(args.db) as store:
+    with ExperimentStore(_existing_db(args.db)) as store:
         reset = store.reset_cells(statuses)
     print(f"reset {reset} cell(s) ({', '.join(statuses)} -> pending)")
     return 0
@@ -605,7 +557,6 @@ def _load_npy(path: str):
 
 def _build_policy(args: argparse.Namespace):
     """Resolve the ``--policy`` family of flags into a policy instance."""
-    from repro.errors import SelectionError
     from repro.select import resolve_policy
 
     options: dict = {}
@@ -613,36 +564,11 @@ def _build_policy(args: argparse.Namespace):
         options["sample_elements"] = args.select_sample
     if args.policy == "learned" and args.select_table is not None:
         options["table_path"] = args.select_table
-    try:
-        return resolve_policy(args.policy, **options)
-    except SelectionError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
-def _add_policy_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--policy",
-        default="heuristic",
-        choices=("heuristic", "measured", "learned"),
-        help="selection policy for the auto codec (default %(default)s)",
-    )
-    parser.add_argument(
-        "--select-sample",
-        type=int,
-        default=None,
-        help="measured policy: trial-compress this many leading elements "
-        "per chunk (default 2048)",
-    )
-    parser.add_argument(
-        "--select-table",
-        default=None,
-        help="learned policy: training table path "
-        "(default: select_table.json under FCBENCH_CACHE_DIR)",
-    )
+    return resolve_policy(args.policy, **options)
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    from repro.api import AUTO_CODEC, available_codecs, open_stream
+    from repro.api import AUTO_CODEC, CompressSession, available_codecs, open_stream
 
     known = [*available_codecs(), AUTO_CODEC]
     if args.codec not in known:
@@ -659,9 +585,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         "wb",
         codec=codec,
         dtype=array.dtype,
-        chunk_elements=args.chunk_elements,
-        jobs=args.jobs,
         shape=array.shape,
+        **_picked(args, CompressSession),
     )
     with out:
         out.write(array)
@@ -688,11 +613,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_decompress(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.api import open_stream
-    from repro.errors import ReproError
+    from repro.api import DecompressSession, open_stream
 
     try:
-        with open_stream(args.input, jobs=args.jobs) as stream:
+        with open_stream(args.input, **_picked(args, DecompressSession)) as stream:
             array = stream.read_all()
             codec = stream.codec_name
     except OSError as exc:
@@ -712,7 +636,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     import json
 
     from repro.api import open_stream
-    from repro.errors import ReproError
 
     try:
         with open_stream(args.file) as stream:
@@ -792,7 +715,7 @@ def _explain_input(args: argparse.Namespace):
     if os.path.exists(args.input):
         return _load_npy(args.input)
     if args.input in dataset_names():
-        return load(args.input, args.target_elements, args.seed)
+        return load(args.input, **_picked(args, load))
     raise SystemExit(
         f"error: {args.input!r} is neither a readable .npy file nor a "
         "catalog dataset name (see `fcbench list --datasets`)"
@@ -804,9 +727,7 @@ def _cmd_select_explain(args: argparse.Namespace) -> int:
 
     from repro.select import explain
 
-    document = explain(
-        _explain_input(args), _build_policy(args), max(1, args.chunk_elements)
-    )
+    document = explain(_explain_input(args), _build_policy(args), args.chunk_elements)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -838,7 +759,6 @@ def _cmd_select_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_select_train(args: argparse.Namespace) -> int:
-    from repro.errors import SelectionError
     from repro.select import build_table, save_table
 
     candidates = _csv(args.candidates)
@@ -846,10 +766,7 @@ def _cmd_select_train(args: argparse.Namespace) -> int:
         candidates = tuple(
             _validate("methods", candidates, compressor_names()) or ()
         )
-    try:
-        rows = build_table(candidates=candidates)
-    except SelectionError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    rows = build_table(candidates=candidates)
     from collections import Counter
 
     path = save_table(rows, args.output)
@@ -866,11 +783,10 @@ def _cmd_select_train(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.server import run_server
+    from repro.service.server import CompressionServer, run_server
 
     tenants = None
     if args.tenants:
-        from repro.errors import ReproError
         from repro.service.tenants import TenantRegistry
 
         try:
@@ -912,20 +828,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         metrics = run_server(
-            args.host,
-            args.port,
             on_ready=on_ready,
-            grace=args.grace,
-            max_queued_requests=args.max_queued_requests,
-            max_queued_bytes=args.max_queued_bytes,
-            shed_retry_after_ms=args.shed_retry_after_ms,
-            node_id=args.node_id,
             topology=topology,
             tenants=tenants,
-            online_seed=args.online_seed,
-            trace=args.trace,
-            trace_capacity=args.trace_capacity,
-            slow_request_ms=args.slow_ms,
+            **_picked(args, run_server),
+            **_picked(args, CompressionServer),
         )
     finally:
         for gateway in gateways:
@@ -945,16 +852,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _client(args: argparse.Namespace):
+def _dial(args: argparse.Namespace):
+    """The one client every talking command uses: ``--host``/``--port``
+    (or, for the cluster's control port, the ``--state`` file) plus the
+    keywords ``fcbench client`` derives, else ``--timeout`` and no retry."""
+    import json
+
     from repro.service.client import ServiceClient
 
-    return ServiceClient(
-        args.host,
-        args.port,
-        retry=args.retries,
-        deadline=args.timeout,
-        token=args.token,
-    )
+    host, port = args.host, args.port
+    if port is None:
+        state_path = args.state or "cluster.json"
+        try:
+            with open(state_path) as fh:
+                state = json.load(fh)
+            host = state["control"]["host"]
+            port = int(state["control"]["port"])
+        except (OSError, KeyError, ValueError, TypeError) as exc:
+            raise SystemExit(
+                f"error: cannot read cluster state {state_path!r}: {exc} "
+                "(pass --port, or --state pointing at the supervisor's "
+                "cluster.json)"
+            ) from exc
+    options = _picked(args, ServiceClient) or {"retry": 0, "deadline": args.timeout}
+    return ServiceClient(host, port, **options)
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
@@ -962,45 +883,38 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.errors import ReproError
+    from repro.service.client import ServiceClient
 
-    try:
-        if args.client_command == "ping":
-            with _client(args) as client:
-                seconds = client.ping()
-            print(f"pong from {args.host}:{args.port} in {seconds * 1e3:.2f}ms")
-            return 0
-        if args.client_command == "stats":
-            with _client(args) as client:
-                print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.client_command == "compress":
-            array = _load_npy(args.input)
-            with _client(args) as client:
-                blob = client.compress_array(
-                    array,
-                    args.codec,
-                    chunk_elements=args.chunk_elements,
-                    policy=args.policy,
-                )
-            with open(args.output, "wb") as fh:
-                fh.write(blob)
-            if not args.quiet:
-                ratio = array.nbytes / len(blob) if blob else float("inf")
-                print(
-                    f"{args.input} -> {args.output}: {array.size} elements, "
-                    f"{array.nbytes} -> {len(blob)} bytes "
-                    f"(ratio {ratio:.3f}, codec {args.codec}, served by "
-                    f"{args.host}:{args.port})"
-                )
-            return 0
-        # decompress
+    if args.client_command == "ping":
+        with _dial(args) as client:
+            seconds = client.ping()
+        print(f"pong from {args.host}:{args.port} in {seconds * 1e3:.2f}ms")
+    elif args.client_command == "stats":
+        with _dial(args) as client:
+            print(json.dumps(client.stats(), indent=2, sort_keys=True))
+    elif args.client_command == "compress":
+        array = _load_npy(args.input)
+        with _dial(args) as client:
+            blob = client.compress_array(
+                array, **_picked(args, ServiceClient.compress_array)
+            )
+        with open(args.output, "wb") as fh:
+            fh.write(blob)
+        if not args.quiet:
+            ratio = array.nbytes / len(blob) if blob else float("inf")
+            print(
+                f"{args.input} -> {args.output}: {array.size} elements, "
+                f"{array.nbytes} -> {len(blob)} bytes "
+                f"(ratio {ratio:.3f}, codec {args.codec}, served by "
+                f"{args.host}:{args.port})"
+            )
+    else:  # decompress
         try:
             with open(args.input, "rb") as fh:
                 blob = fh.read()
         except OSError as exc:
             raise SystemExit(f"error: cannot read {args.input!r}: {exc}") from exc
-        with _client(args) as client:
+        with _dial(args) as client:
             array = client.decompress_array(blob)
         np.save(args.output, array)
         if not args.quiet:
@@ -1008,9 +922,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 f"{args.input} -> {args.output}: {array.size} x {array.dtype} "
                 f"restored (shape {'x'.join(map(str, array.shape))})"
             )
-        return 0
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -1019,45 +931,27 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _load_registry(path, *, must_exist: bool):
     import os
 
-    from repro.errors import ReproError
     from repro.service.tenants import TenantRegistry
 
     if not os.path.exists(path):
         if must_exist:
             raise SystemExit(f"error: no tenants file at {path!r}")
         return TenantRegistry()
-    try:
-        return TenantRegistry.load(path)
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    return TenantRegistry.load(path)
 
 
 def _cmd_tenant(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.service.tenants import (
-        TenantConfig,
-        TenantRegistry,
-        generate_token,
-    )
+    from repro.service.tenants import TenantConfig, TenantRegistry, generate_token
 
     if args.tenant_command == "create":
         registry = _load_registry(args.file, must_exist=False)
         token = args.token or generate_token()
-        try:
-            registry.add(
-                TenantConfig(
-                    args.tenant_id,
-                    token=token,
-                    priority=args.priority,
-                    max_bytes_per_window=args.max_bytes,
-                    max_requests_per_window=args.max_requests,
-                    window_seconds=args.window,
-                )
-            )
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
+        registry.add(
+            TenantConfig(args.tenant_id, token=token, **_picked(args, TenantConfig))
+        )
         registry.save(args.file)
         # The one moment the token is shown: it is never readable from
         # stats or the gateway afterwards.
@@ -1067,10 +961,8 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
 
     if args.tenant_command == "quota":
         registry = _load_registry(args.file, must_exist=True)
-        try:
-            current = registry.get(args.tenant_id)
-        except KeyError as exc:
-            raise SystemExit(f"error: {exc}") from exc
+        if args.tenant_id not in registry.tenant_ids():
+            raise SystemExit(f"error: unknown tenant {args.tenant_id!r}")
         changes = {}
         if args.priority is not None:
             changes["priority"] = args.priority
@@ -1110,16 +1002,8 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
         return 0
 
     # stats: dial a live server and print its tenancy accounting
-    from repro.errors import ReproError
-    from repro.service.client import ServiceClient
-
-    try:
-        with ServiceClient(
-            args.host, args.port, deadline=args.timeout
-        ) as client:
-            stats = client.stats()
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    with _dial(args) as client:
+        stats = client.stats()
     body = {
         "tenancy": stats.get("tenancy", {}),
         "tenants": stats.get("tenants", {}),
@@ -1137,25 +1021,9 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.cluster import ClusterSupervisor
-    from repro.errors import ClusterError
 
-    try:
-        supervisor = ClusterSupervisor(
-            args.nodes,
-            host=args.host,
-            replication=args.replication,
-            vnodes=args.vnodes,
-            health_interval=args.health_interval,
-            auto_restart=not args.no_restart,
-            node_grace=args.grace,
-            state_dir=args.state_dir,
-            control_port=args.control_port,
-            tenants=args.tenants,
-            trace=args.trace,
-        )
-        supervisor.start()
-    except (ClusterError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    supervisor = ClusterSupervisor(**_picked(args, ClusterSupervisor))
+    supervisor.start()
 
     stop = []
 
@@ -1200,40 +1068,13 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_control_client(args: argparse.Namespace):
-    """Dial the supervisor control endpoint from --host/--port or --state."""
-    import json
-
-    from repro.service.client import ServiceClient
-
-    host, port = args.host, args.port
-    if port is None:
-        state_path = args.state or "cluster.json"
-        try:
-            with open(state_path) as fh:
-                state = json.load(fh)
-            host = state["control"]["host"]
-            port = int(state["control"]["port"])
-        except (OSError, KeyError, ValueError, TypeError) as exc:
-            raise SystemExit(
-                f"error: cannot read cluster state {state_path!r}: {exc} "
-                "(pass --port, or --state pointing at the supervisor's "
-                "cluster.json)"
-            ) from exc
-    return ServiceClient(host, port, retry=0, deadline=args.timeout)
-
-
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.report import format_table
-    from repro.errors import ReproError
 
-    try:
-        with _cluster_control_client(args) as client:
-            status = client.cluster_control("status")
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    with _dial(args) as client:
+        status = client.cluster_control("status")
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
@@ -1257,11 +1098,39 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_span_tree(spans) -> None:
-    """Render flat span dicts as indented parent→child trees."""
-    import datetime
+def _cmd_cluster_drain(args: argparse.Namespace) -> int:
+    with _dial(args) as client:
+        entry = client.cluster_control("drain", args.node)
+    print(
+        f"drained {entry['id']} ({entry['host']}:{entry['port']}): "
+        f"state={entry['state']} — traffic now fails over to its replicas"
+    )
+    return 0
 
-    from repro.obs import build_trace_tree
+
+def _show_spans(doc: dict, args: argparse.Namespace, empty: str) -> int:
+    """The one span renderer: the raw document (``--json``), a
+    chrome://tracing file (``--out`` / ``--export``), or indented
+    parent→child trees."""
+    import datetime
+    import json
+
+    from repro.obs import build_trace_tree, chrome_trace_events
+
+    spans = doc.get("spans", [])
+    export = getattr(args, "out", None) or getattr(args, "export", None)
+    if getattr(args, "json", False):
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return 0
+    if export:
+        with open(export, "w") as fh:
+            json.dump({"traceEvents": chrome_trace_events(spans)}, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {export} ({len(spans)} span(s); open in chrome://tracing)")
+        return 0
+    if not spans:
+        print(empty)
+        return 0
 
     def _walk(node, depth: int) -> None:
         ts = datetime.datetime.fromtimestamp(node["start"]).strftime(
@@ -1280,109 +1149,48 @@ def _print_span_tree(spans) -> None:
 
     for root in build_trace_tree(spans):
         _walk(root, 0)
-
-
-def _export_chrome_trace(spans, out_path: str) -> None:
-    import json
-
-    from repro.obs import chrome_trace_events
-
-    with open(out_path, "w") as fh:
-        json.dump({"traceEvents": chrome_trace_events(spans)}, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out_path} ({len(spans)} span(s); open in chrome://tracing)")
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ReproError
-    from repro.service.client import ServiceClient
-
-    try:
-        with ServiceClient(
-            args.host, args.port, retry=0, deadline=args.timeout
-        ) as client:
-            doc = client.trace(
-                limit=getattr(args, "limit", None),
-                trace_id=getattr(args, "trace_id", None),
-            )
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-    stats = doc.get("stats") or {}
-    if not stats.get("enabled") and args.trace_command != "stats":
-        raise SystemExit(
-            f"error: tracing is disabled on {doc.get('node', 'the server')} "
-            "(start it with 'fcbench serve --trace')"
+    with _dial(args) as client:
+        doc = client.trace(
+            limit=getattr(args, "limit", None),
+            trace_id=getattr(args, "trace_id", None),
         )
     if args.trace_command == "stats":
         print(json.dumps(doc.get("stats", {}), indent=2, sort_keys=True))
         return 0
-    if args.trace_command == "export":
-        _export_chrome_trace(doc.get("spans", []), args.out)
-        return 0
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    spans = doc.get("spans", [])
-    if not spans:
-        print("no spans recorded yet")
-        return 0
-    _print_span_tree(spans)
-    return 0
+    if not (doc.get("stats") or {}).get("enabled"):
+        raise SystemExit(
+            f"error: tracing is disabled on {doc.get('node', 'the server')} "
+            "(start it with 'fcbench serve --trace')"
+        )
+    return _show_spans(doc, args, "no spans recorded yet")
 
 
 def _cmd_cluster_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ReproError
-
-    try:
-        with _cluster_control_client(args) as client:
-            doc = client.trace(limit=args.limit, trace_id=args.trace_id)
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    if args.export:
-        _export_chrome_trace(doc.get("spans", []), args.export)
-        return 0
-    nodes = doc.get("nodes", {})
-    for node_id in sorted(nodes):
-        entry = nodes[node_id]
-        if "error" in entry:
-            print(f"node {node_id}: unreachable ({entry['error']})")
-        else:
-            state = "tracing" if entry.get("enabled") else "tracing disabled"
-            print(
-                f"node {node_id}: {state}, "
-                f"{entry.get('buffered', 0)} span(s) buffered"
-            )
-    spans = doc.get("spans", [])
-    if not spans:
-        print("no spans recorded yet (start the cluster with --trace)")
-        return 0
-    print()
-    _print_span_tree(spans)
-    return 0
-
-
-def _cmd_cluster_drain(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-
-    try:
-        with _cluster_control_client(args) as client:
-            entry = client.cluster_control("drain", args.node)
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    print(
-        f"drained {entry['id']} ({entry['host']}:{entry['port']}): "
-        f"state={entry['state']} — traffic now fails over to its replicas"
+    with _dial(args) as client:
+        doc = client.trace(limit=args.limit, trace_id=args.trace_id)
+    if not (args.json or args.export):
+        nodes = doc.get("nodes", {})
+        for node_id in sorted(nodes):
+            entry = nodes[node_id]
+            if "error" in entry:
+                print(f"node {node_id}: unreachable ({entry['error']})")
+            else:
+                state = "tracing" if entry.get("enabled") else "tracing disabled"
+                print(
+                    f"node {node_id}: {state}, "
+                    f"{entry.get('buffered', 0)} span(s) buffered"
+                )
+        if doc.get("spans"):
+            print()
+    return _show_spans(
+        doc, args, "no spans recorded yet (start the cluster with --trace)"
     )
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -1394,34 +1202,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.chaos import FaultPlan, run_chaos_soak
 
-    plan = None
+    options = _picked(args, run_chaos_soak)
     if args.plan:
         try:
-            plan = FaultPlan.from_json(Path(args.plan).read_text())
+            options["plan"] = FaultPlan.from_json(Path(args.plan).read_text())
         except (OSError, ValueError) as exc:
             raise SystemExit(f"error: cannot load plan {args.plan!r}: {exc}")
-    kill_node = None if args.no_kill else args.kill
-    try:
-        report = run_chaos_soak(
-            nodes=args.nodes,
-            replication=args.replication,
-            connections=args.connections,
-            duration_seconds=args.seconds,
-            elements=args.elements,
-            chunk_elements=args.chunk_elements,
-            codec=args.codec,
-            dataset=args.dataset,
-            seed=args.seed,
-            plan=plan,
-            kill_node=kill_node,
-            drain_node=args.drain,
-            op_deadline=args.op_deadline,
-            attempt_timeout=args.attempt_timeout,
-            tenants=args.tenants,
-            trace=args.trace,
-        )
-    except (ValueError, KeyError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    if args.no_kill:
+        options["kill_node"] = None
+    report = run_chaos_soak(**options)
     if args.output:
         Path(args.output).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -1547,30 +1336,695 @@ def _cmd_list(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _parameter_docs(callee) -> dict[str, str]:
+    """``{keyword: first sentence}`` of ``callee``'s numpydoc ``Parameters``
+    section, markup stripped and ``%`` escaped for argparse."""
+    import inspect
+    import re
+
+    section = inspect.getdoc(callee).partition("Parameters\n----------\n")[2]
+    words: dict[str, list[str]] = {}
+    names: list[str] = []
+    for line in section.splitlines():
+        entry = re.fullmatch(r"(\w+(?:, \w+)*) ?:.*", line)
+        if entry:
+            names = entry.group(1).split(", ")
+        elif line[:1].isspace():
+            for name in names:
+                words.setdefault(name, []).append(line.strip())
+        elif line:
+            break  # the next section
+    docs = {}
+    for name, text in words.items():
+        text = re.sub(r":\w+:`~?(?:[\w.]+\.)?([^`.]+)`", r"\1", " ".join(text))
+        text = text.replace("``", "").replace("*", "").replace("%", "%%")
+        docs[name] = re.split(r"(?<=\.)\s+(?=[A-Z])", text)[0]
+    return docs
+
+
+def _flag_type(annotation):
+    """``int`` or ``float`` for a keyword annotated so (``| None`` allowed),
+    else ``None`` — argparse's string.  Callee modules postpone
+    annotations, so ``annotation`` is the source text."""
+    name = str(annotation).removeprefix("Optional[").split("|")[0].strip(" ]")
+    return {"int": int, "float": float}.get(name)
+
+
+def _derive(parser: argparse.ArgumentParser, callee, *names: str, **extra) -> None:
+    """Declare ``--name`` (or ``"flag=keyword"``) for ``callee``'s keywords:
+    type and default from the signature, help from the docstring entry, a
+    ``True`` default as a ``--no-…`` switch; ``extra`` adds per-flag
+    argparse settings.  The handler calls ``callee(**_picked(args, callee))``.
+    """
+    import inspect
+
+    params = inspect.signature(callee).parameters
+    docs = _parameter_docs(callee)
+    for name in names:
+        flag, _, keyword = name.partition("=")
+        keyword = keyword or flag
+        default = params[keyword].default
+        options = {"help": docs[keyword], **extra.get(flag, {})}
+        if isinstance(default, bool):
+            options["action"] = "store_true"
+            if default:
+                options["help"] = f"turn off: {options['help']}"
+        else:
+            options.update(default=default, type=_flag_type(params[keyword].annotation))
+            if "default" not in options["help"]:
+                options["help"] += " (default %(default)s)"
+        parser.add_argument("--" + flag.replace("_", "-"), **options)
+        parser.derived.append((flag, callee, keyword, default is True))
+
+
+def _picked(args: argparse.Namespace, callee) -> dict:
+    """The keywords ``callee`` receives from the flags derived from it."""
+    return {
+        keyword: not getattr(args, dest) if negated else getattr(args, dest)
+        for dest, source, keyword, negated in args.derived
+        if source is callee
+    }
+
+
 def _add_matrix_args(parser: argparse.ArgumentParser) -> None:
+    from repro.core.suite import run_suite_detailed
+
     parser.add_argument(
         "--methods", help="comma-separated method names (default: all 14)"
     )
     parser.add_argument(
         "--datasets", help="comma-separated dataset names (default: all 33)"
     )
+    _derive(parser, run_suite_detailed, "target_elements", "seed", "jobs")
+
+
+def _add_policy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--target-elements",
-        type=int,
-        default=DEFAULT_TARGET_ELEMENTS,
-        help="per-dataset element budget (default %(default)s)",
+        "--policy",
+        default="heuristic",
+        choices=("heuristic", "measured", "learned"),
+        help="selection policy for the auto codec (default %(default)s)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="data generator seed")
     parser.add_argument(
-        "--jobs",
+        "--select-sample",
         type=int,
         default=None,
-        help="worker processes; 0 auto-detects os.cpu_count() "
-        "(default: FCBENCH_JOBS env or 1 = serial)",
+        help="measured policy: trial-compress this many leading elements "
+        "per chunk (default 2048)",
+    )
+    parser.add_argument(
+        "--select-table",
+        default=None,
+        help="learned policy: training table path "
+        "(default: select_table.json under FCBENCH_CACHE_DIR)",
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_dial_args(parser, port: int | None = 8765, timeout: float | None = 10.0):
+    """Where :func:`_dial` connects; ``port=None`` reads the cluster state
+    file, ``timeout=None`` leaves the deadline to derived client flags."""
+    parser.add_argument(
+        "--host", default="127.0.0.1", help="server address (default %(default)s)"
+    )
+    parser.add_argument(
+        "--port", type=int, default=port, help="server port (default %(default)s)"
+    )
+    if port is None:
+        parser.add_argument(
+            "--state",
+            default=None,
+            help="cluster state file written by `fcbench cluster serve` "
+            "(default ./cluster.json when --port is omitted)",
+        )
+    if timeout is not None:
+        parser.add_argument(
+            "--timeout",
+            type=float,
+            default=timeout,
+            help="overall deadline in seconds (default %(default)ss)",
+        )
+
+
+def _sweep_db_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--db",
+        default="experiments.sqlite",
+        help="experiment database path (default %(default)s)",
+    )
+
+
+def _run_args(p: argparse.ArgumentParser) -> None:
+    from repro.core.suite import run_suite_detailed
+
+    _add_matrix_args(p)
+    _derive(p, run_suite_detailed, "no_cache=use_cache")
+    p.add_argument(
+        "--quiet", action="store_true", help="summary line only, no per-cell status"
+    )
+
+
+def _report_args(p: argparse.ArgumentParser) -> None:
+    from repro.expdb.report import sweep_report
+
+    p.add_argument(
+        "what",
+        nargs="?",
+        default="table4",
+        choices=_REPORT_PRESETS,
+        help="which table to render (default %(default)s)",
+    )
+    p.add_argument(
+        "--metric",
+        help="render an arbitrary Measurement field as a matrix instead "
+        "(with --db: ratio, encode_mbs, or decode_mbs)",
+    )
+    p.add_argument(
+        "--db",
+        help="report from an experiment database (fcbench sweep) instead "
+        "of re-running the suite: per-domain tables plus Friedman / "
+        "Nemenyi / CD-diagram statistics",
+    )
+    p.add_argument(
+        "--json",
+        nargs="?",
+        const="-",
+        default=None,
+        metavar="PATH",
+        help="with --db: machine-readable report to PATH (default stdout)",
+    )
+    p.add_argument(
+        "--artifacts",
+        metavar="DIR",
+        help="with --db: write summary.json / cd_diagram.txt / report.txt "
+        "under DIR",
+    )
+    _derive(p, sweep_report, "alpha")
+    _add_matrix_args(p)
+
+
+def _cache_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "action",
+        nargs="?",
+        default="inspect",
+        choices=("inspect", "clear"),
+        help="inspect the store or delete cells from it (default %(default)s)",
+    )
+    p.add_argument(
+        "--stale",
+        action="store_true",
+        help="with clear: drop only cells whose fingerprint is out of date",
+    )
+
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    from repro.perf.bench import run_bench
+
+    p.add_argument(
+        "--methods",
+        help="comma-separated method names "
+        "(default: the vectorized hot-path codecs)",
+    )
+    p.add_argument(
+        "--datasets",
+        help="comma-separated dataset names (default: tpcH-order,"
+        "num-brain,msg-bt)",
+    )
+    _derive(
+        p, run_bench, "elements", "repeats", "seed", "no_oracle=oracle",
+        "no_guard=guard", "tenancy",
+    )
+    p.add_argument(
+        "--output", help="write the snapshot to this path instead"
+    )
+    p.add_argument(
+        "--quiet", action="store_true", help="no per-cell status lines"
+    )
+
+
+def _sweep_init_args(p: argparse.ArgumentParser) -> None:
+    _sweep_db_arg(p)
+    p.add_argument(
+        "--codecs", help="comma-separated codec keyfield values"
+    )
+    p.add_argument(
+        "--datasets", help="comma-separated dataset keyfield values"
+    )
+    p.add_argument(
+        "--chunk-elements",
+        help="comma-separated chunk sizes (0 = legacy whole-array cell)",
+    )
+    p.add_argument("--jobs", help="comma-separated jobs keyfield values")
+    p.add_argument(
+        "--policies",
+        help="comma-separated selection policies for codec 'auto'",
+    )
+    p.add_argument("--seeds", help="comma-separated generator seeds")
+    p.add_argument(
+        "--target-elements",
+        type=int,
+        default=None,
+        help="elements per dataset cell",
+    )
+    p.add_argument(
+        "--corpus",
+        help="external-corpus manifest JSON; datasets whose file is "
+        "absent become 'skipped' cells instead of failing",
+    )
+
+
+def _sweep_run_args(p: argparse.ArgumentParser) -> None:
+    from repro.expdb import run_sweep, worker_loop
+
+    _sweep_db_arg(p)
+    _derive(p, run_sweep, "workers")
+    _derive(p, worker_loop, "heartbeat_interval", "heartbeat_timeout", "max_cells")
+    p.add_argument(
+        "--quiet", action="store_true", help="summary line only"
+    )
+
+
+def _sweep_worker_args(p: argparse.ArgumentParser) -> None:
+    from repro.expdb import worker_loop
+
+    _sweep_db_arg(p)
+    _derive(
+        p, worker_loop, "owner", "heartbeat_interval", "heartbeat_timeout",
+        "max_cells",
+    )
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print the final summary as one JSON line",
+    )
+
+
+def _sweep_status_args(p: argparse.ArgumentParser) -> None:
+    _sweep_db_arg(p)
+    p.add_argument("--json", action="store_true", help="machine-readable status")
+
+
+def _sweep_reset_args(p: argparse.ArgumentParser) -> None:
+    _sweep_db_arg(p)
+    p.add_argument(
+        "--statuses",
+        default="failed",
+        help="comma-separated statuses to reset (default %(default)s)",
+    )
+
+
+def _compress_args(p: argparse.ArgumentParser) -> None:
+    from repro.api import CompressSession
+
+    p.add_argument("input", help="source .npy file (float32/float64)")
+    p.add_argument("output", help="destination .fcf stream")
+    p.add_argument(
+        "--codec",
+        default="bitshuffle-zstd",
+        help="frame codec: a registered method, 'none', or 'auto' for "
+        "adaptive per-chunk selection (default %(default)s)",
+    )
+    _add_policy_args(p)
+    _derive(p, CompressSession, "chunk_elements", "jobs")
+    p.add_argument("--quiet", action="store_true", help="no summary line")
+
+
+def _decompress_args(p: argparse.ArgumentParser) -> None:
+    from repro.api import DecompressSession
+
+    p.add_argument("input", help="source .fcf stream")
+    p.add_argument("output", help="destination .npy file")
+    _derive(p, DecompressSession, "jobs")
+    p.add_argument("--quiet", action="store_true", help="no summary line")
+
+
+def _inspect_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help=".fcf stream to inspect")
+    p.add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
+
+
+def _explain_args(p: argparse.ArgumentParser) -> None:
+    from repro.data.loader import load
+
+    p.add_argument(
+        "input", help="a .npy file or a catalog dataset name"
+    )
+    _add_policy_args(p)
+    p.add_argument(
+        "--chunk-elements",
+        type=int,
+        default=1 << 16,
+        help="selection granularity (default %(default)s)",
+    )
+    _derive(p, load, "target_elements", "seed")
+    p.add_argument(
+        "--verbose", action="store_true", help="print per-chunk feature values"
+    )
+    p.add_argument(
+        "--json", action="store_true", help="machine-readable decisions"
+    )
+
+
+def _train_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--candidates",
+        help="comma-separated methods the table may pick from "
+        "(default: every stored method)",
+    )
+    p.add_argument(
+        "--output",
+        help="table path (default: select_table.json under "
+        "FCBENCH_CACHE_DIR)",
+    )
+
+
+def _serve_args(p: argparse.ArgumentParser) -> None:
+    from repro.service.server import CompressionServer, run_server
+
+    _derive(p, run_server, "host", "port", "grace")
+    _derive(
+        p, CompressionServer, "max_queued_requests", "max_queued_bytes",
+        "shed_retry_after_ms", "node_id", "online_seed", "trace",
+        "trace_capacity", "slow_ms=slow_request_ms",
+    )
+    p.add_argument(
+        "--metrics-json",
+        help="write the final metrics snapshot to this path on shutdown",
+    )
+    p.add_argument(
+        "--topology-json",
+        default=None,
+        help="cluster topology file this node serves for "
+        "cluster-topology requests (set by the cluster supervisor)",
+    )
+    p.add_argument(
+        "--tenants",
+        default=None,
+        help="tenant registry JSON (see 'fcbench tenant create'); "
+        "enables token auth and per-tenant quotas",
+    )
+    p.add_argument(
+        "--gateway-port",
+        type=int,
+        default=None,
+        help="also serve an HTTP observability gateway (/metrics, "
+        "/healthz, /tenants) on this port; 0 picks an ephemeral port",
+    )
+    p.add_argument(
+        "--quiet", action="store_true", help="address line only"
+    )
+
+
+def _client_args(p: argparse.ArgumentParser) -> None:
+    from repro.service.client import ServiceClient
+
+    _add_dial_args(p, timeout=None)
+    _derive(p, ServiceClient, "retries=retry", "timeout=deadline", "token")
+
+
+def _client_compress_args(p: argparse.ArgumentParser) -> None:
+    from repro.service.client import ServiceClient
+
+    p.add_argument("input", help="source .npy file (float32/float64)")
+    p.add_argument("output", help="destination .fcf stream")
+    _derive(
+        p, ServiceClient.compress_array, "codec", "policy", "chunk_elements",
+        policy={"choices": ("heuristic", "measured", "learned", "online")},
+    )
+    p.add_argument("--quiet", action="store_true", help="no summary line")
+
+
+def _client_decompress_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="source .fcf stream")
+    p.add_argument("output", help="destination .npy file")
+    p.add_argument("--quiet", action="store_true", help="no summary line")
+
+
+def _trace_args(p: argparse.ArgumentParser, limit: int) -> None:
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=limit,
+        help="most recent spans to fetch (default %(default)s)",
+    )
+    p.add_argument(
+        "--trace-id",
+        default=None,
+        help="only spans belonging to this trace id",
+    )
+
+
+def _trace_tail_args(p: argparse.ArgumentParser) -> None:
+    _add_dial_args(p)
+    _trace_args(p, 100)
+    p.add_argument(
+        "--json", action="store_true", help="raw span document"
+    )
+
+
+def _trace_export_args(p: argparse.ArgumentParser) -> None:
+    _add_dial_args(p)
+    _trace_args(p, 1000)
+    p.add_argument(
+        "--out",
+        default="trace.json",
+        help="output path (default %(default)s)",
+    )
+
+
+def _tenant_create_args(p: argparse.ArgumentParser) -> None:
+    from repro.service.tenants import TenantConfig
+
+    p.add_argument("tenant_id", help="tenant identity (stable id)")
+    p.add_argument(
+        "--file",
+        default="tenants.json",
+        help="registry file, created if absent (default %(default)s)",
+    )
+    p.add_argument(
+        "--token",
+        default=None,
+        help="explicit auth token (default: generate a random one)",
+    )
+    _derive(
+        p, TenantConfig, "priority", "max_bytes=max_bytes_per_window",
+        "max_requests=max_requests_per_window", "window=window_seconds",
+    )
+
+
+def _tenant_quota_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("tenant_id", help="tenant to update")
+    p.add_argument(
+        "--file", default="tenants.json", help="registry file"
+    )
+    p.add_argument(
+        "--priority", type=int, default=None, help="batch-ordering priority"
+    )
+    p.add_argument(
+        "--max-bytes",
+        type=int,
+        default=None,
+        help="payload-byte budget per window; -1 = unlimited",
+    )
+    p.add_argument(
+        "--max-requests",
+        type=int,
+        default=None,
+        help="request budget per window; -1 = unlimited",
+    )
+    p.add_argument(
+        "--window", type=float, default=None, help="quota window seconds"
+    )
+
+
+def _tenant_list_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--file", default="tenants.json", help="registry file"
+    )
+
+
+def _cluster_serve_args(p: argparse.ArgumentParser) -> None:
+    from repro.cluster import ClusterSupervisor
+
+    _derive(
+        p, ClusterSupervisor, "nodes", "host", "replication", "vnodes",
+        "control_port", "health_interval", "no_restart=auto_restart",
+        "grace=node_grace", "state_dir", "tenants", "trace",
+    )
+    p.add_argument(
+        "--quiet", action="store_true", help="address lines only"
+    )
+
+
+def _cluster_status_args(p: argparse.ArgumentParser) -> None:
+    _add_dial_args(p, port=None)
+    p.add_argument(
+        "--json", action="store_true", help="machine-readable status"
+    )
+
+
+def _cluster_drain_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("node", help="node id to drain (e.g. node-1)")
+    _add_dial_args(p, port=None)
+
+
+def _cluster_trace_args(p: argparse.ArgumentParser) -> None:
+    _add_dial_args(p, port=None)
+    _trace_args(p, 200)
+    p.add_argument(
+        "--json", action="store_true", help="raw merged document"
+    )
+    p.add_argument(
+        "--export",
+        default=None,
+        metavar="PATH",
+        help="write a chrome://tracing JSON file instead of printing",
+    )
+
+
+def _chaos_args(p: argparse.ArgumentParser) -> None:
+    from repro.chaos import run_chaos_soak
+
+    _derive(
+        p, run_chaos_soak, "nodes", "replication", "connections",
+        "seconds=duration_seconds", "elements", "chunk_elements", "codec",
+        "dataset", "seed", "kill=kill_node", "drain=drain_node",
+        "op_deadline", "attempt_timeout", "tenants", "trace",
+        kill={"metavar": "NODE"}, drain={"metavar": "NODE"},
+    )
+    p.add_argument(
+        "--plan",
+        help="JSON fault-plan file (default: the built-in mild mixed plan)",
+    )
+    p.add_argument(
+        "--no-kill", action="store_true",
+        help="skip the mid-run node kill",
+    )
+    p.add_argument(
+        "--min-availability", type=float, default=0.99,
+        help="exit non-zero below this availability (default %(default)s)",
+    )
+    p.add_argument(
+        "--output", help="write the JSON report here instead of stdout"
+    )
+
+
+def _list_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--methods", action="store_true", help="methods only")
+    p.add_argument("--datasets", action="store_true", help="datasets only")
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="machine-readable registry dump: methods with MethodInfo "
+        "fields, datasets, available frame codecs",
+    )
+
+
+#: Every command: name -> (one-line help, handler, options builder).  A
+#: group names the table of its subcommands where a leaf names a handler.
+_COMMANDS = {
+    "run": ("execute the measurement matrix", _cmd_run, _run_args),
+    "report": ("render a paper table from results", _cmd_report, _report_args),
+    "cache": ("inspect or clear the result store", _cmd_cache, _cache_args),
+    "bench": ("measure real encode/decode throughput, write BENCH_<sha>.json",
+              _cmd_bench, _bench_args),
+    "sweep": ("resumable experiment sweeps over a shared sqlite database", {
+        "init": ("expand the grid into pending cells (idempotent)",
+                 _cmd_sweep_init, _sweep_init_args),
+        "run": ("execute pending cells until the grid is quiescent",
+                _cmd_sweep_run, _sweep_run_args),
+        "worker": ("single worker loop (internal; spawned by `sweep run`)",
+                   _cmd_sweep_worker, _sweep_worker_args),
+        "status": ("cell counts, live claims, and failures",
+                   _cmd_sweep_status, _sweep_status_args),
+        "reset": ("flip terminal cells back to pending",
+                  _cmd_sweep_reset, _sweep_reset_args),
+    }, None),
+    "compress": ("compress a .npy array into a seekable .fcf frame stream",
+                 _cmd_compress, _compress_args),
+    "decompress": ("restore a .fcf stream back to a .npy array",
+                   _cmd_decompress, _decompress_args),
+    "inspect": ("print an .fcf stream's header and chunk index",
+                _cmd_inspect, _inspect_args),
+    "select": ("codec selection: explain per-chunk choices, train the "
+               "learned policy", {
+        "explain": ("print per-chunk features and the chosen codec",
+                    _cmd_select_explain, _explain_args),
+        "train": ("fit the learned policy's feature->winner table from the "
+                  "result store", _cmd_select_train, _train_args),
+    }, None),
+    "serve": ("run the network compression service (FCS protocol over TCP)",
+              _cmd_serve, _serve_args),
+    "client": ("talk to a running compression service", {
+        "ping": ("round-trip liveness probe", _cmd_client, None),
+        "stats": ("print the server's metrics snapshot (JSON)", _cmd_client, None),
+        "compress": ("compress a .npy through the server into a .fcf stream "
+                     "(byte-identical to local compression)",
+                     _cmd_client, _client_compress_args),
+        "decompress": ("restore a .fcf stream to a .npy array through the "
+                       "server", _cmd_client, _client_decompress_args),
+    }, _client_args),
+    "trace": ("inspect the distributed-tracing span buffer of a running "
+              "server (start it with 'fcbench serve --trace')", {
+        "tail": ("print the most recent span trees", _cmd_trace, _trace_tail_args),
+        "export": ("write recent spans as a chrome://tracing JSON file",
+                   _cmd_trace, _trace_export_args),
+        "stats": ("print the server's span-recorder counters",
+                  _cmd_trace, _add_dial_args),
+    }, None),
+    "tenant": ("manage the multi-tenant registry (tokens, quotas, stats)", {
+        "create": ("add a tenant to a registry file (prints its token)",
+                   _cmd_tenant, _tenant_create_args),
+        "quota": ("change a tenant's quotas or priority in place",
+                  _cmd_tenant, _tenant_quota_args),
+        "list": ("print a registry file's tenants (tokens redacted)",
+                 _cmd_tenant, _tenant_list_args),
+        "stats": ("print a live server's per-tenant accounting (quota "
+                  "windows, serving counters, bandit arms)",
+                  _cmd_tenant, _add_dial_args),
+    }, None),
+    "cluster": ("run and operate a sharded multi-node compression cluster", {
+        "serve": ("spawn N compression nodes under a health-checking "
+                  "supervisor (consistent-hash sharding, replica failover)",
+                  _cmd_cluster_serve, _cluster_serve_args),
+        "status": ("print node states, pids, and restart counts",
+                   _cmd_cluster_status, _cluster_status_args),
+        "drain": ("gracefully stop one node and keep it stopped (replicas "
+                  "absorb its traffic)", _cmd_cluster_drain, _cluster_drain_args),
+        "trace": ("merge recent spans from every node into one cluster-wide "
+                  "trace view (nodes must be started with --trace)",
+                  _cmd_cluster_trace, _cluster_trace_args),
+    }, None),
+    "chaos": ("soak a supervised cluster behind fault-injecting proxies and "
+              "report availability, shed and deadline-miss rates",
+              _cmd_chaos, _chaos_args),
+    "list": ("enumerate methods and datasets", _cmd_list, _list_args),
+}
+
+
+def _add_commands(parser, table, dest, argv, derived) -> None:
+    """Add ``table``'s commands to ``parser``; with ``argv``, declare
+    options (importing their callees) only on commands it names."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, target, options) in table.items():
+        child = sub.add_parser(name, help=help_text)
+        if argv is not None and name not in argv:
+            continue  # listed in --help, never invoked: nothing to build
+        child.derived = list(derived)
+        if options is not None:
+            options(child)
+        if isinstance(target, dict):
+            _add_commands(child, target, f"{name}_command", argv, child.derived)
+        else:
+            child.set_defaults(func=target, derived=child.derived)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The ``fcbench`` parser.  Every command is listed; with ``argv``,
+    only the commands it names get their options (and import what those
+    options are derived from), so ``fcbench serve`` loads no harness."""
     parser = argparse.ArgumentParser(
         prog="fcbench",
         description="FCBench reproduction: run, report, and cache the "
@@ -1583,936 +2037,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"%(prog)s {__version__}",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute the measurement matrix")
-    _add_matrix_args(p_run)
-    p_run.add_argument(
-        "--no-cache", action="store_true", help="bypass the result store"
-    )
-    p_run.add_argument(
-        "--quiet", action="store_true", help="summary line only, no per-cell status"
-    )
-    p_run.set_defaults(func=_cmd_run)
-
-    p_report = sub.add_parser("report", help="render a paper table from results")
-    p_report.add_argument(
-        "what",
-        nargs="?",
-        default="table4",
-        choices=_REPORT_PRESETS,
-        help="which table to render (default %(default)s)",
-    )
-    p_report.add_argument(
-        "--metric",
-        help="render an arbitrary Measurement field as a matrix instead "
-        "(with --db: ratio, encode_mbs, or decode_mbs)",
-    )
-    p_report.add_argument(
-        "--db",
-        help="report from an experiment database (fcbench sweep) instead "
-        "of re-running the suite: per-domain tables plus Friedman / "
-        "Nemenyi / CD-diagram statistics",
-    )
-    p_report.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="with --db: machine-readable report to PATH (default stdout)",
-    )
-    p_report.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        help="with --db: write summary.json / cd_diagram.txt / report.txt "
-        "under DIR",
-    )
-    p_report.add_argument(
-        "--alpha",
-        type=float,
-        default=0.05,
-        help="significance level for the statistics (default %(default)s)",
-    )
-    _add_matrix_args(p_report)
-    p_report.set_defaults(func=_cmd_report)
-
-    p_cache = sub.add_parser("cache", help="inspect or clear the result store")
-    p_cache.add_argument(
-        "action",
-        nargs="?",
-        default="inspect",
-        choices=("inspect", "clear"),
-    )
-    p_cache.add_argument(
-        "--stale",
-        action="store_true",
-        help="with clear: drop only cells whose fingerprint is out of date",
-    )
-    p_cache.set_defaults(func=_cmd_cache)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure real encode/decode throughput, write BENCH_<sha>.json",
-    )
-    p_bench.add_argument(
-        "--methods",
-        help="comma-separated method names "
-        "(default: the vectorized hot-path codecs)",
-    )
-    p_bench.add_argument(
-        "--datasets",
-        help="comma-separated dataset names (default: tpcH-order,"
-        "num-brain,msg-bt)",
-    )
-    p_bench.add_argument(
-        "--elements",
-        type=int,
-        default=1_000_000,
-        help="elements per cell (default %(default)s)",
-    )
-    p_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repetitions, best run wins (default %(default)s)",
-    )
-    p_bench.add_argument("--seed", type=int, default=0, help="data seed")
-    p_bench.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip timing the scalar-oracle baselines",
-    )
-    p_bench.add_argument(
-        "--no-guard",
-        action="store_true",
-        help="skip the small regression-guard cells",
-    )
-    p_bench.add_argument(
-        "--tenancy",
-        action="store_true",
-        help="also run the multi-tenant regime-shift workload (online "
-        "selection bandit vs best fixed arm vs static heuristic, "
-        "per-tenant accounting) and record it in the snapshot",
-    )
-    p_bench.add_argument(
-        "--output", help="write the snapshot to this path instead"
-    )
-    p_bench.add_argument(
-        "--quiet", action="store_true", help="no per-cell status lines"
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="resumable experiment sweeps over a shared sqlite database",
-    )
-    sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
-
-    def _sweep_db_arg(p):
-        p.add_argument(
-            "--db",
-            default="experiments.sqlite",
-            help="experiment database path (default %(default)s)",
-        )
-
-    s_init = sweep_sub.add_parser(
-        "init",
-        help="expand the grid into pending cells (idempotent)",
-    )
-    _sweep_db_arg(s_init)
-    s_init.add_argument(
-        "--codecs", help="comma-separated codec keyfield values"
-    )
-    s_init.add_argument(
-        "--datasets", help="comma-separated dataset keyfield values"
-    )
-    s_init.add_argument(
-        "--chunk-elements",
-        help="comma-separated chunk sizes (0 = legacy whole-array cell)",
-    )
-    s_init.add_argument("--jobs", help="comma-separated jobs keyfield values")
-    s_init.add_argument(
-        "--policies",
-        help="comma-separated selection policies for codec 'auto'",
-    )
-    s_init.add_argument("--seeds", help="comma-separated generator seeds")
-    s_init.add_argument(
-        "--target-elements",
-        type=int,
-        default=None,
-        help="elements per dataset cell",
-    )
-    s_init.add_argument(
-        "--corpus",
-        help="external-corpus manifest JSON; datasets whose file is "
-        "absent become 'skipped' cells instead of failing",
-    )
-    s_init.set_defaults(func=_cmd_sweep_init)
-
-    s_run = sweep_sub.add_parser(
-        "run", help="execute pending cells until the grid is quiescent"
-    )
-    _sweep_db_arg(s_run)
-    s_run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (default %(default)s); >1 spawns real OS "
-        "processes so a killed worker cannot take the sweep down",
-    )
-    s_run.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        help="seconds between claim heartbeats (default %(default)s)",
-    )
-    s_run.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=10.0,
-        help="seconds of heartbeat silence before a claim is reaped "
-        "(default %(default)s)",
-    )
-    s_run.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
-        help="stop each worker after this many cells",
-    )
-    s_run.add_argument(
-        "--quiet", action="store_true", help="summary line only"
-    )
-    s_run.set_defaults(func=_cmd_sweep_run)
-
-    s_worker = sweep_sub.add_parser(
-        "worker",
-        help="single worker loop (internal; spawned by `sweep run`)",
-    )
-    _sweep_db_arg(s_worker)
-    s_worker.add_argument("--owner", default=None, help="owner id override")
-    s_worker.add_argument("--heartbeat-interval", type=float, default=1.0)
-    s_worker.add_argument("--heartbeat-timeout", type=float, default=10.0)
-    s_worker.add_argument("--max-cells", type=int, default=None)
-    s_worker.add_argument(
-        "--json",
-        action="store_true",
-        help="print the final summary as one JSON line",
-    )
-    s_worker.set_defaults(func=_cmd_sweep_worker)
-
-    s_status = sweep_sub.add_parser(
-        "status", help="cell counts, live claims, and failures"
-    )
-    _sweep_db_arg(s_status)
-    s_status.add_argument("--json", action="store_true")
-    s_status.set_defaults(func=_cmd_sweep_status)
-
-    s_reset = sweep_sub.add_parser(
-        "reset", help="flip terminal cells back to pending"
-    )
-    _sweep_db_arg(s_reset)
-    s_reset.add_argument(
-        "--statuses",
-        default="failed",
-        help="comma-separated statuses to reset (default %(default)s)",
-    )
-    s_reset.set_defaults(func=_cmd_sweep_reset)
-
-    p_comp = sub.add_parser(
-        "compress",
-        help="compress a .npy array into a seekable .fcf frame stream",
-    )
-    p_comp.add_argument("input", help="source .npy file (float32/float64)")
-    p_comp.add_argument("output", help="destination .fcf stream")
-    p_comp.add_argument(
-        "--codec",
-        default="bitshuffle-zstd",
-        help="frame codec: a registered method, 'none', or 'auto' for "
-        "adaptive per-chunk selection (default %(default)s)",
-    )
-    _add_policy_args(p_comp)
-    p_comp.add_argument(
-        "--chunk-elements",
-        type=int,
-        default=1 << 16,
-        help="elements per independently compressed chunk frame "
-        "(default %(default)s)",
-    )
-    p_comp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for chunk compression; 0 = all cores "
-        "(output is byte-identical to serial)",
-    )
-    p_comp.add_argument("--quiet", action="store_true", help="no summary line")
-    p_comp.set_defaults(func=_cmd_compress)
-
-    p_dec = sub.add_parser(
-        "decompress", help="restore a .fcf stream back to a .npy array"
-    )
-    p_dec.add_argument("input", help="source .fcf stream")
-    p_dec.add_argument("output", help="destination .npy file")
-    p_dec.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for chunk decoding; 0 = all cores",
-    )
-    p_dec.add_argument("--quiet", action="store_true", help="no summary line")
-    p_dec.set_defaults(func=_cmd_decompress)
-
-    p_ins = sub.add_parser(
-        "inspect", help="print an .fcf stream's header and chunk index"
-    )
-    p_ins.add_argument("file", help=".fcf stream to inspect")
-    p_ins.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    p_ins.set_defaults(func=_cmd_inspect)
-
-    p_select = sub.add_parser(
-        "select",
-        help="codec selection: explain per-chunk choices, train the "
-        "learned policy",
-    )
-    select_sub = p_select.add_subparsers(dest="select_command", required=True)
-    p_explain = select_sub.add_parser(
-        "explain",
-        help="print per-chunk features and the chosen codec",
-    )
-    p_explain.add_argument(
-        "input", help="a .npy file or a catalog dataset name"
-    )
-    _add_policy_args(p_explain)
-    p_explain.add_argument(
-        "--chunk-elements",
-        type=int,
-        default=1 << 16,
-        help="selection granularity (default %(default)s)",
-    )
-    p_explain.add_argument(
-        "--target-elements",
-        type=int,
-        default=DEFAULT_TARGET_ELEMENTS,
-        help="element budget when input names a catalog dataset "
-        "(default %(default)s)",
-    )
-    p_explain.add_argument(
-        "--seed", type=int, default=0, help="dataset generator seed"
-    )
-    p_explain.add_argument(
-        "--verbose", action="store_true", help="print per-chunk feature values"
-    )
-    p_explain.add_argument(
-        "--json", action="store_true", help="machine-readable decisions"
-    )
-    p_explain.set_defaults(func=_cmd_select_explain)
-    p_train = select_sub.add_parser(
-        "train",
-        help="fit the learned policy's feature->winner table from the "
-        "result store",
-    )
-    p_train.add_argument(
-        "--candidates",
-        help="comma-separated methods the table may pick from "
-        "(default: every stored method)",
-    )
-    p_train.add_argument(
-        "--output",
-        help="table path (default: select_table.json under "
-        "FCBENCH_CACHE_DIR)",
-    )
-    p_train.set_defaults(func=_cmd_select_train)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the network compression service (FCS protocol over TCP)",
-    )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default %(default)s)"
-    )
-    p_serve.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="TCP port; 0 picks an ephemeral port (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--grace",
-        type=float,
-        default=5.0,
-        help="drain grace period on shutdown (default %(default)ss)",
-    )
-    p_serve.add_argument(
-        "--max-queued-requests",
-        type=int,
-        default=256,
-        help="admission gate: heavy requests admitted but not yet "
-        "finished before shedding (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--max-queued-bytes",
-        type=int,
-        default=1 << 28,
-        help="admission gate: summed payload bytes admitted before "
-        "shedding (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--shed-retry-after-ms",
-        type=int,
-        default=50,
-        help="backoff hint carried by shed responses (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--metrics-json",
-        help="write the final metrics snapshot to this path on shutdown",
-    )
-    p_serve.add_argument(
-        "--node-id",
-        default=None,
-        help="this server's identity inside a cluster "
-        "(default: host:port)",
-    )
-    p_serve.add_argument(
-        "--topology-json",
-        default=None,
-        help="cluster topology file this node serves for "
-        "cluster-topology requests (set by the cluster supervisor)",
-    )
-    p_serve.add_argument(
-        "--tenants",
-        default=None,
-        help="tenant registry JSON (see 'fcbench tenant create'); "
-        "enables token auth and per-tenant quotas",
-    )
-    p_serve.add_argument(
-        "--gateway-port",
-        type=int,
-        default=None,
-        help="also serve an HTTP observability gateway (/metrics, "
-        "/healthz, /tenants) on this port; 0 picks an ephemeral port",
-    )
-    p_serve.add_argument(
-        "--online-seed",
-        type=int,
-        default=0,
-        help="seed for the online selection bandit's deterministic "
-        "exploration (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="record distributed-tracing spans into an in-process ring "
-        "buffer, served at /trace (gateway) and via 'fcbench trace'",
-    )
-    p_serve.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=4096,
-        help="span ring-buffer capacity; oldest spans are dropped "
-        "beyond this (default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        help="log a structured 'slow request' line for heavy requests "
-        "slower than this many milliseconds (default: off)",
-    )
-    p_serve.add_argument(
-        "--quiet", action="store_true", help="address line only"
-    )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_client = sub.add_parser(
-        "client", help="talk to a running compression service"
-    )
-    p_client.add_argument(
-        "--host", default="127.0.0.1", help="server address (default %(default)s)"
-    )
-    p_client.add_argument(
-        "--port", type=int, default=8765, help="server port (default %(default)s)"
-    )
-    p_client.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="re-dials after a transient disconnect (default %(default)s)",
-    )
-    p_client.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="overall per-operation deadline in seconds "
-        "(default %(default)ss)",
-    )
-    p_client.add_argument(
-        "--token",
-        default=None,
-        help="tenant auth token for multi-tenant servers",
-    )
-    client_sub = p_client.add_subparsers(dest="client_command", required=True)
-    c_ping = client_sub.add_parser("ping", help="round-trip liveness probe")
-    c_ping.set_defaults(func=_cmd_client)
-    c_stats = client_sub.add_parser(
-        "stats", help="print the server's metrics snapshot (JSON)"
-    )
-    c_stats.set_defaults(func=_cmd_client)
-    c_comp = client_sub.add_parser(
-        "compress",
-        help="compress a .npy through the server into a .fcf stream "
-        "(byte-identical to local compression)",
-    )
-    c_comp.add_argument("input", help="source .npy file (float32/float64)")
-    c_comp.add_argument("output", help="destination .fcf stream")
-    c_comp.add_argument(
-        "--codec",
-        default="bitshuffle-zstd",
-        help="frame codec: a registered method, 'none', or 'auto' "
-        "(default %(default)s)",
-    )
-    c_comp.add_argument(
-        "--policy",
-        default="heuristic",
-        choices=("heuristic", "measured", "learned", "online"),
-        help="selection policy for --codec auto; 'online' uses the "
-        "server's per-tenant bandit (default %(default)s)",
-    )
-    c_comp.add_argument(
-        "--chunk-elements",
-        type=int,
-        default=1 << 16,
-        help="elements per chunk frame (default %(default)s)",
-    )
-    c_comp.add_argument("--quiet", action="store_true", help="no summary line")
-    c_comp.set_defaults(func=_cmd_client)
-    c_dec = client_sub.add_parser(
-        "decompress",
-        help="restore a .fcf stream to a .npy array through the server",
-    )
-    c_dec.add_argument("input", help="source .fcf stream")
-    c_dec.add_argument("output", help="destination .npy file")
-    c_dec.add_argument("--quiet", action="store_true", help="no summary line")
-    c_dec.set_defaults(func=_cmd_client)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="inspect the distributed-tracing span buffer of a running "
-        "server (start it with 'fcbench serve --trace')",
-    )
-    trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-
-    def _add_trace_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--host",
-            default="127.0.0.1",
-            help="server address (default %(default)s)",
-        )
-        sub_parser.add_argument(
-            "--port",
-            type=int,
-            default=8765,
-            help="server port (default %(default)s)",
-        )
-        sub_parser.add_argument(
-            "--timeout",
-            type=float,
-            default=10.0,
-            help="request timeout (default %(default)ss)",
-        )
-
-    tr_tail = trace_sub.add_parser(
-        "tail", help="print the most recent span trees"
-    )
-    _add_trace_args(tr_tail)
-    tr_tail.add_argument(
-        "--limit",
-        type=int,
-        default=100,
-        help="most recent spans to fetch (default %(default)s)",
-    )
-    tr_tail.add_argument(
-        "--trace-id",
-        default=None,
-        help="only spans belonging to this trace id",
-    )
-    tr_tail.add_argument(
-        "--json", action="store_true", help="raw span document"
-    )
-    tr_tail.set_defaults(func=_cmd_trace)
-    tr_export = trace_sub.add_parser(
-        "export", help="write recent spans as a chrome://tracing JSON file"
-    )
-    _add_trace_args(tr_export)
-    tr_export.add_argument(
-        "--limit",
-        type=int,
-        default=1000,
-        help="most recent spans to export (default %(default)s)",
-    )
-    tr_export.add_argument(
-        "--trace-id",
-        default=None,
-        help="only spans belonging to this trace id",
-    )
-    tr_export.add_argument(
-        "--out",
-        default="trace.json",
-        help="output path (default %(default)s)",
-    )
-    tr_export.set_defaults(func=_cmd_trace)
-    tr_stats = trace_sub.add_parser(
-        "stats", help="print the server's span-recorder counters"
-    )
-    _add_trace_args(tr_stats)
-    tr_stats.set_defaults(func=_cmd_trace)
-    p_tenant = sub.add_parser(
-        "tenant",
-        help="manage the multi-tenant registry (tokens, quotas, stats)",
-    )
-    tenant_sub = p_tenant.add_subparsers(dest="tenant_command", required=True)
-    t_create = tenant_sub.add_parser(
-        "create", help="add a tenant to a registry file (prints its token)"
-    )
-    t_create.add_argument("tenant_id", help="tenant identity (stable id)")
-    t_create.add_argument(
-        "--file",
-        default="tenants.json",
-        help="registry file, created if absent (default %(default)s)",
-    )
-    t_create.add_argument(
-        "--token",
-        default=None,
-        help="explicit auth token (default: generate a random one)",
-    )
-    t_create.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="batch-ordering priority; higher serves first "
-        "(default %(default)s)",
-    )
-    t_create.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="payload-byte budget per window (default: unlimited)",
-    )
-    t_create.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        help="request budget per window (default: unlimited)",
-    )
-    t_create.add_argument(
-        "--window",
-        type=float,
-        default=60.0,
-        help="quota window in seconds (default %(default)s)",
-    )
-    t_create.set_defaults(func=_cmd_tenant)
-    t_quota = tenant_sub.add_parser(
-        "quota", help="change a tenant's quotas or priority in place"
-    )
-    t_quota.add_argument("tenant_id", help="tenant to update")
-    t_quota.add_argument(
-        "--file", default="tenants.json", help="registry file"
-    )
-    t_quota.add_argument("--priority", type=int, default=None)
-    t_quota.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="payload-byte budget per window; -1 = unlimited",
-    )
-    t_quota.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        help="request budget per window; -1 = unlimited",
-    )
-    t_quota.add_argument(
-        "--window", type=float, default=None, help="quota window seconds"
-    )
-    t_quota.set_defaults(func=_cmd_tenant)
-    t_list = tenant_sub.add_parser(
-        "list", help="print a registry file's tenants (tokens redacted)"
-    )
-    t_list.add_argument(
-        "--file", default="tenants.json", help="registry file"
-    )
-    t_list.set_defaults(func=_cmd_tenant)
-    t_stats = tenant_sub.add_parser(
-        "stats",
-        help="print a live server's per-tenant accounting "
-        "(quota windows, serving counters, bandit arms)",
-    )
-    t_stats.add_argument(
-        "--host", default="127.0.0.1", help="server address (default %(default)s)"
-    )
-    t_stats.add_argument(
-        "--port", type=int, default=8765, help="server port (default %(default)s)"
-    )
-    t_stats.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        help="overall deadline in seconds (default %(default)ss)",
-    )
-    t_stats.set_defaults(func=_cmd_tenant)
-
-    p_cluster = sub.add_parser(
-        "cluster",
-        help="run and operate a sharded multi-node compression cluster",
-    )
-    cluster_sub = p_cluster.add_subparsers(dest="cluster_command", required=True)
-    cl_serve = cluster_sub.add_parser(
-        "serve",
-        help="spawn N compression nodes under a health-checking "
-        "supervisor (consistent-hash sharding, replica failover)",
-    )
-    cl_serve.add_argument(
-        "--nodes",
-        type=int,
-        default=3,
-        help="node processes to spawn (default %(default)s)",
-    )
-    cl_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default %(default)s)"
-    )
-    cl_serve.add_argument(
-        "--replication",
-        type=int,
-        default=2,
-        help="replica-set size per stream; ≥2 survives a node loss "
-        "(default %(default)s)",
-    )
-    cl_serve.add_argument(
-        "--vnodes",
-        type=int,
-        default=128,
-        help="virtual nodes per physical node on the hash ring "
-        "(default %(default)s)",
-    )
-    cl_serve.add_argument(
-        "--control-port",
-        type=int,
-        default=0,
-        help="supervisor control port; 0 picks an ephemeral port "
-        "(default %(default)s)",
-    )
-    cl_serve.add_argument(
-        "--health-interval",
-        type=float,
-        default=0.25,
-        help="seconds between node health sweeps (default %(default)s)",
-    )
-    cl_serve.add_argument(
-        "--no-restart",
-        action="store_true",
-        help="do not respawn nodes whose process died",
-    )
-    cl_serve.add_argument(
-        "--grace",
-        type=float,
-        default=3.0,
-        help="drain grace before SIGKILL on node shutdown "
-        "(default %(default)ss)",
-    )
-    cl_serve.add_argument(
-        "--state-dir",
-        default=None,
-        help="directory for the state file, topology file, and node "
-        "logs (default: a fresh temp directory)",
-    )
-    cl_serve.add_argument(
-        "--tenants",
-        default=None,
-        help="tenant registry JSON forwarded to every node "
-        "(see 'fcbench tenant create')",
-    )
-    cl_serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="start every node with distributed tracing enabled; "
-        "aggregate with 'fcbench cluster trace'",
-    )
-    cl_serve.add_argument(
-        "--quiet", action="store_true", help="address lines only"
-    )
-    cl_serve.set_defaults(func=_cmd_cluster_serve)
-
-    def _add_control_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--host",
-            default="127.0.0.1",
-            help="supervisor control address (default %(default)s)",
-        )
-        sub_parser.add_argument(
-            "--port",
-            type=int,
-            default=None,
-            help="supervisor control port (default: read from --state)",
-        )
-        sub_parser.add_argument(
-            "--state",
-            default=None,
-            help="cluster state file written by `fcbench cluster serve` "
-            "(default ./cluster.json when --port is omitted)",
-        )
-        sub_parser.add_argument(
-            "--timeout",
-            type=float,
-            default=10.0,
-            help="control request timeout (default %(default)ss)",
-        )
-
-    cl_status = cluster_sub.add_parser(
-        "status", help="print node states, pids, and restart counts"
-    )
-    _add_control_args(cl_status)
-    cl_status.add_argument(
-        "--json", action="store_true", help="machine-readable status"
-    )
-    cl_status.set_defaults(func=_cmd_cluster_status)
-    cl_drain = cluster_sub.add_parser(
-        "drain",
-        help="gracefully stop one node and keep it stopped "
-        "(replicas absorb its traffic)",
-    )
-    cl_drain.add_argument("node", help="node id to drain (e.g. node-1)")
-    _add_control_args(cl_drain)
-    cl_drain.set_defaults(func=_cmd_cluster_drain)
-    cl_trace = cluster_sub.add_parser(
-        "trace",
-        help="merge recent spans from every node into one cluster-wide "
-        "trace view (nodes must be started with --trace)",
-    )
-    _add_control_args(cl_trace)
-    cl_trace.add_argument(
-        "--limit",
-        type=int,
-        default=200,
-        help="most recent spans fetched per node (default %(default)s)",
-    )
-    cl_trace.add_argument(
-        "--trace-id",
-        default=None,
-        help="only spans belonging to this trace id",
-    )
-    cl_trace.add_argument(
-        "--json", action="store_true", help="raw merged document"
-    )
-    cl_trace.add_argument(
-        "--export",
-        default=None,
-        metavar="PATH",
-        help="write a chrome://tracing JSON file instead of printing",
-    )
-    cl_trace.set_defaults(func=_cmd_cluster_trace)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="soak a supervised cluster behind fault-injecting proxies "
-        "and report availability, shed and deadline-miss rates",
-    )
-    p_chaos.add_argument(
-        "--nodes", type=int, default=3,
-        help="cluster size (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--replication", type=int, default=2,
-        help="replicas per shard (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--connections", type=int, default=4,
-        help="concurrent workers (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--seconds", type=float, default=6.0,
-        help="soak duration (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--elements", type=int, default=2048,
-        help="elements per request (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--chunk-elements", type=int, default=1024,
-        help="chunk size (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--codec", default="gorilla",
-        help="codec under test (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--dataset", default="tpcH-order",
-        help="dataset slice (default %(default)s)",
-    )
-    p_chaos.add_argument("--seed", type=int, default=0, help="plan/data seed")
-    p_chaos.add_argument(
-        "--plan",
-        help="JSON fault-plan file (default: the built-in mild mixed plan)",
-    )
-    p_chaos.add_argument(
-        "--kill", default="auto", metavar="NODE",
-        help="SIGKILL this node id mid-run ('auto' picks one; "
-        "default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--no-kill", action="store_true",
-        help="skip the mid-run node kill",
-    )
-    p_chaos.add_argument(
-        "--drain", metavar="NODE",
-        help="gracefully drain this node id mid-run ('auto' picks one)",
-    )
-    p_chaos.add_argument(
-        "--op-deadline", type=float, default=8.0,
-        help="per-operation deadline budget, seconds (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--attempt-timeout", type=float, default=2.0,
-        help="per-node attempt timeout, seconds (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--tenants", action="store_true",
-        help="run the soak multi-tenant (token auth on every node) and "
-        "audit per-node quota ledgers for byte-exactness afterwards",
-    )
-    p_chaos.add_argument(
-        "--trace", action="store_true",
-        help="trace every node and report whether span recording "
-        "survived the mid-run kill",
-    )
-    p_chaos.add_argument(
-        "--min-availability", type=float, default=0.99,
-        help="exit non-zero below this availability (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--output", help="write the JSON report here instead of stdout"
-    )
-    p_chaos.set_defaults(func=_cmd_chaos)
-
-    p_list = sub.add_parser("list", help="enumerate methods and datasets")
-    p_list.add_argument("--methods", action="store_true", help="methods only")
-    p_list.add_argument("--datasets", action="store_true", help="datasets only")
-    p_list.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable registry dump: methods with MethodInfo "
-        "fields, datasets, available frame codecs",
-    )
-    p_list.set_defaults(func=_cmd_list)
-
+    _add_commands(parser, _COMMANDS, "command", argv, [])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:  # argparse errors or our own messages
@@ -2522,6 +2054,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if exc.code is not None else 0
     except BrokenPipeError:  # e.g. `fcbench list | head`
         return 0
+    except (ReproError, OSError, ValueError) as exc:
+        # The one error boundary: a typed error, a file or socket that
+        # failed, a value the callee refused.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         return 130
 

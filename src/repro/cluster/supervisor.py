@@ -103,6 +103,9 @@ class ClusterSupervisor:
     nodes:
         Node count (ids ``node-0`` … ``node-N-1``) or explicit
         :class:`NodeSpec` entries.
+    host:
+        Bind address of every node (and of the control endpoint unless
+        ``control_host`` is given).
     replication:
         Replica-set size published in the topology (≥ 2 for failover).
     vnodes:

@@ -67,7 +67,7 @@ from repro.compressors import paper_table_order
 from repro.core.results import Measurement, ResultSet
 from repro.core.runner import BenchmarkRunner
 from repro.data.catalog import CATALOG
-from repro.data.loader import DEFAULT_TARGET_ELEMENTS
+from repro.data.loader import DEFAULT_TARGET_ELEMENTS, check_target_elements
 from repro.errors import UnknownCodecError
 from repro.parallel import map_ordered, resolve_jobs
 
@@ -250,9 +250,23 @@ def run_suite_detailed(
     jobs: int | None = None,
     on_cell: Callable[..., None] | None = None,
 ) -> SuiteRun:
-    """Like :func:`run_suite` but also returns cache/timing bookkeeping."""
+    """Like :func:`run_suite` but also returns cache/timing bookkeeping.
+
+    Parameters
+    ----------
+    target_elements:
+        Per-dataset element budget.
+    seed:
+        Data generator seed.
+    use_cache:
+        Serve and store cells through the result store.
+    jobs:
+        Worker processes; ``0`` auto-detects os.cpu_count() (default:
+        ``FCBENCH_JOBS`` or 1 = serial).
+    """
     from repro.expdb.store import CellKey
 
+    check_target_elements(target_elements)
     methods = methods or default_methods()
     datasets = datasets or default_datasets()
     jobs = resolve_jobs(jobs)

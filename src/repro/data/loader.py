@@ -14,11 +14,18 @@ import numpy as np
 
 from repro.data.catalog import DatasetSpec, get_spec
 from repro.data.generators import generate
+from repro.errors import DatasetError
 
-__all__ = ["load", "load_spec", "DEFAULT_TARGET_ELEMENTS"]
+__all__ = ["load", "load_spec", "check_target_elements", "DEFAULT_TARGET_ELEMENTS"]
 
 #: Default per-dataset element budget for the scaled benchmark suite.
 DEFAULT_TARGET_ELEMENTS = 16_384
+
+
+def check_target_elements(target_elements: int) -> None:
+    """Refuse an element budget below one (it would scale to a toy array)."""
+    if target_elements < 1:
+        raise DatasetError(f"target_elements must be >= 1, got {target_elements}")
 
 
 @lru_cache(maxsize=64)
@@ -39,7 +46,17 @@ def load(
 
     The returned array is read-only and shared across callers; copy it
     before mutating.
+
+    Parameters
+    ----------
+    name:
+        Catalog dataset name.
+    target_elements:
+        Element budget the dataset is scaled to.
+    seed:
+        Data generator seed.
     """
+    check_target_elements(target_elements)
     return _cached(name, target_elements, seed)
 
 

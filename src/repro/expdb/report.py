@@ -185,7 +185,15 @@ def _domain_tables(store: ExperimentStore) -> dict:
 def sweep_report(
     store: ExperimentStore, metric: str = "ratio", alpha: float = 0.05
 ) -> dict:
-    """The full machine-readable report for one experiment database."""
+    """The full machine-readable report for one experiment database.
+
+    Parameters
+    ----------
+    metric:
+        The ranked measurement (one of :data:`METRICS`).
+    alpha:
+        Significance level for the statistics.
+    """
     datasets, methods, scores = score_matrix(store, metric)
     # Methods with no finished cell anywhere would poison the ranking of
     # real results only when *nothing* ran; keep them (they rank worst),

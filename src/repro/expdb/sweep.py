@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.catalog import ExternalCorpus, dataset_names, get_spec
+from repro.data.loader import check_target_elements
 from repro.errors import DatasetError, ExperimentError
 from repro.expdb.claim import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -147,6 +148,7 @@ def validate_grid(grid: GridSpec, corpus: ExternalCorpus | None = None) -> None:
         )
     if any(ce < 0 for ce in grid.chunk_elements):
         raise ExperimentError("chunk_elements must be >= 0 (0 = whole array)")
+    check_target_elements(grid.target_elements)
     if any(j < 1 for j in grid.jobs):
         raise ExperimentError("jobs keyfield values must be >= 1")
     bad = [c for c in grid.codecs if c == "auto" and 0 in grid.chunk_elements]
@@ -436,6 +438,22 @@ def worker_loop(
     execute it under a heartbeat, write the result back guarded by the
     owner id.  Returns a summary dict (owner, executed, done, failed,
     skipped, lost_claims, reclaimed).
+
+    Parameters
+    ----------
+    db_path:
+        The experiment database.
+    owner:
+        Owner id written on every claim (default: host, pid and a
+        random suffix).
+    heartbeat_interval:
+        Seconds between claim heartbeats.
+    heartbeat_timeout:
+        Seconds of heartbeat silence before a claim is reaped.
+    max_cells:
+        Stop after this many executed cells.
+    on_cell:
+        ``on_cell(cell, status, fields, error)`` after each write-back.
     """
     owner = owner or make_owner_id()
     delay = float(os.environ.get(DELAY_ENV, "0") or 0)
@@ -536,12 +554,22 @@ def run_sweep(
 ) -> dict:
     """Drive the sweep to quiescence with ``workers`` processes.
 
-    ``workers <= 1`` runs the loop in-process (no subprocess overhead,
-    and the path sandboxed environments always have).  Larger counts
-    spawn real OS worker processes so a worker death — including
-    SIGKILL — never takes the sweep down; survivors finish the grid and
-    the dead worker's claimed cell is recovered by the heartbeat
-    timeout on the next run (or by any survivor's reaper pass).
+    Parameters
+    ----------
+    db_path:
+        The experiment database.
+    workers:
+        Worker processes; ``workers <= 1`` runs the loop in-process.
+        Larger counts spawn real OS worker processes so a worker death —
+        including SIGKILL — never takes the sweep down; survivors finish
+        the grid and the dead worker's claimed cell is recovered by the
+        heartbeat timeout on the next run (or by any survivor's reaper
+        pass).
+    heartbeat_interval, heartbeat_timeout, max_cells, on_cell:
+        Forwarded to each :func:`worker_loop`.
+    on_progress:
+        ``on_progress(counts)`` about four times a second while worker
+        processes run.
     """
     db_path = Path(db_path)
     with ExperimentStore(db_path) as store:

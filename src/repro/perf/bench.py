@@ -197,7 +197,29 @@ def run_bench(
     seed: int = 0,
     on_cell: Callable[[dict], None] | None = None,
 ) -> dict:
-    """Measure the (methods x datasets) matrix plus the guard cells."""
+    """Measure the (methods x datasets) matrix plus the guard cells.
+
+    Parameters
+    ----------
+    methods, datasets:
+        The matrix (default: :data:`DEFAULT_METHODS` x
+        :data:`DEFAULT_DATASETS`).
+    elements:
+        Elements per cell.
+    repeats:
+        Timing repetitions; the best run wins.
+    oracle:
+        Also time the scalar-oracle baselines.
+    guard:
+        Also measure the small regression-guard cells.
+    tenancy:
+        Also run the multi-tenant regime-shift workload (online
+        selection bandit vs best fixed arm vs static heuristic).
+    seed:
+        Data generator seed.
+    on_cell:
+        ``on_cell(cell)`` after each measured cell.
+    """
     methods = list(methods or DEFAULT_METHODS)
     datasets = list(datasets or DEFAULT_DATASETS)
     report = {

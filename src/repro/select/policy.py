@@ -356,6 +356,8 @@ def explain(array, policy: SelectionPolicy, chunk_elements: int) -> dict:
     The JSON-ready answer behind both ``fcbench select explain --json``
     and a served ``select-explain`` request.
     """
+    if chunk_elements < 1:
+        raise ValueError("chunk_elements must be positive")
     flat = np.ascontiguousarray(array).ravel()
     chunks = []
     for start in range(0, flat.size, chunk_elements):

@@ -99,6 +99,16 @@ class RequestSurface:
         Returns the FCF stream bytes — verbatim what the local call
         produces, including v2 mixed-codec streams for
         ``codec="auto"``.
+
+        Parameters
+        ----------
+        codec:
+            Frame codec: a registered method, ``none``, or ``auto``.
+        chunk_elements:
+            Elements per chunk frame.
+        policy:
+            Selection policy for ``codec="auto"``; ``online`` uses the
+            server's per-tenant bandit.
         """
         payload = protocol.encode_compress_request(
             np.asarray(array), codec, chunk_elements, policy

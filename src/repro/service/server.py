@@ -1237,12 +1237,24 @@ def run_server(
 ) -> ServiceMetrics:
     """Run a server in the foreground until interrupted (the CLI path).
 
-    ``on_ready(server)`` fires once the socket is bound — the CLI
-    prints the address there.  Ctrl-C and SIGTERM both trigger the
-    graceful drain (SIGTERM is how the cluster supervisor drains a
-    node, and it works even where the process inherited an ignored
-    SIGINT, e.g. shell background jobs).  Returns the final metrics so
-    the caller can persist a snapshot.
+    Ctrl-C and SIGTERM both trigger the graceful drain (SIGTERM is how
+    the cluster supervisor drains a node, and it works even where the
+    process inherited an ignored SIGINT, e.g. shell background jobs).
+    Returns the final metrics so the caller can persist a snapshot.
+
+    Parameters
+    ----------
+    host:
+        Bind address.
+    port:
+        TCP port; 0 picks an ephemeral port.
+    on_ready:
+        ``on_ready(server)`` fires once the socket is bound — the CLI
+        prints the address there.
+    grace:
+        Seconds in-flight requests get to finish on shutdown.
+    kwargs:
+        Forwarded to :class:`CompressionServer`.
     """
     import signal
 

@@ -61,10 +61,20 @@ def generate_token(nbytes: int = 16) -> str:
 class TenantConfig:
     """One tenant's identity, priority, and budgets.
 
-    ``max_bytes_per_window`` / ``max_requests_per_window`` are budgets
-    over one ``window_seconds`` span; ``None`` disables that budget and
-    ``0`` rejects every request (a suspended tenant keeps its identity
-    and metrics without serving anything).
+    Parameters
+    ----------
+    tenant_id:
+        Stable identity, 1–64 characters.
+    token:
+        Auth token the tenant's requests carry.
+    priority:
+        Batch-ordering priority; higher serves first.
+    max_bytes_per_window, max_requests_per_window:
+        Payload-byte and request budgets per window; ``None`` disables
+        that budget and ``0`` rejects every request (a suspended tenant
+        keeps its identity and metrics without serving anything).
+    window_seconds:
+        Quota window in seconds.
     """
 
     tenant_id: str

@@ -260,3 +260,97 @@ def test_client_refused_connection_is_a_clean_error(tmp_path, capsys):
     code = main(["client", "--port", str(port), "--retries", "0", "ping"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def npy(tmp_path):
+    import numpy as np
+
+    path = tmp_path / "a.npy"
+    np.save(path, np.linspace(0.0, 1.0, 1000))
+    return path
+
+
+@pytest.fixture
+def quiet_server_logging(monkeypatch):
+    # A server that never starts must not reroute the process's logging.
+    monkeypatch.setattr(
+        "repro.service.server.configure_logging", lambda **kwargs: None
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "{npy}", "{tmp}/a.fcf", "--chunk-elements", "0"],
+        ["serve", "--max-queued-requests", "0"],
+        ["serve", "--trace-capacity", "0"],
+        ["cluster", "serve", "--nodes", "0"],
+        ["tenant", "quota", "t1", "--file", "{tmp}/t.json", "--window", "-3"],
+        ["client", "--timeout", "-1", "ping"],
+        ["compress", "{npy}", "{tmp}/missing/a.fcf"],
+        ["decompress", "{tmp}/ok.fcf", "{tmp}/missing/a.npy"],
+        ["client", "--port", "{port}", "compress", "{npy}", "{tmp}/missing/a.fcf"],
+    ],
+)
+def test_bad_input_is_an_error_line_not_a_traceback(
+    argv, npy, tmp_path, capsys, quiet_server_logging
+):
+    from repro.service.server import serve_background
+
+    assert main(["tenant", "create", "t1", "--file", str(tmp_path / "t.json")]) == 0
+    assert main(["compress", str(npy), str(tmp_path / "ok.fcf"), "--quiet"]) == 0
+    capsys.readouterr()
+    with serve_background() as handle:
+        fields = {"npy": npy, "tmp": tmp_path, "port": handle.port}
+        code = main([arg.format(**fields) for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_non_positive_target_elements_is_refused_and_stores_nothing(
+    tmp_path, capsys
+):
+    for budget in ("0", "-100"):
+        code = main(
+            [
+                "run", "--quiet",
+                "--methods", "gorilla",
+                "--datasets", "citytemp",
+                "--target-elements", budget,
+            ]
+        )
+        assert code == 2
+        assert "target_elements must be >= 1" in capsys.readouterr().err
+    assert main(["cache"]) == 0
+    assert "cells: 0 (0 stale" in capsys.readouterr().out
+
+
+def test_sweep_init_refuses_a_non_positive_budget(tmp_path, capsys):
+    db = tmp_path / "e.sqlite"
+    code = main(["sweep", "init", "--db", str(db), "--target-elements", "-3"])
+    assert code == 2
+    assert "target_elements must be >= 1" in capsys.readouterr().err
+    if db.exists():
+        assert main(["sweep", "status", "--db", str(db)]) == 0
+        assert capsys.readouterr().out.startswith("0 cells")
+
+
+def test_select_explain_refuses_non_positive_sizes(npy, capsys):
+    code = main(["select", "explain", "citytemp", "--target-elements", "-5"])
+    assert code == 2
+    assert "target_elements must be >= 1" in capsys.readouterr().err
+    code = main(["select", "explain", str(npy), "--chunk-elements", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: chunk_elements must be positive\n"
+
+
+def test_unknown_tenant_is_named_without_quotes_around_the_message(
+    tmp_path, capsys
+):
+    registry = str(tmp_path / "t.json")
+    assert main(["tenant", "create", "t1", "--file", registry]) == 0
+    capsys.readouterr()
+    assert main(["tenant", "quota", "nobody", "--file", registry]) == 2
+    assert capsys.readouterr().err == "error: unknown tenant 'nobody'\n"

@@ -29,3 +29,20 @@ def test_load_spec_equivalent():
 def test_dtype_matches_catalog():
     assert load("rsim", 1024).dtype == np.float32
     assert load("msg-bt", 1024).dtype == np.float64
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_load_refuses_a_budget_below_one(budget):
+    from repro.errors import DatasetError
+
+    with pytest.raises(DatasetError, match="target_elements must be >= 1"):
+        load("citytemp", budget)
+
+
+def test_grid_validation_refuses_a_budget_below_one():
+    from repro.errors import DatasetError
+    from repro.expdb import GridSpec
+    from repro.expdb.sweep import validate_grid
+
+    with pytest.raises(DatasetError, match="target_elements must be >= 1"):
+        validate_grid(GridSpec(target_elements=0))
