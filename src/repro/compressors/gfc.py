@@ -35,7 +35,6 @@ from repro.compressors.base import Compressor, MethodInfo, register
 from repro.compressors.util import float_bits, significant_bits
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
-from repro.gpu.device import DeviceModel
 from repro.perf.cost import CostModel, KernelSpec, ParallelismSpec
 
 __all__ = ["GfcCompressor", "GFC_MAX_INPUT_BYTES"]
@@ -72,7 +71,6 @@ class GfcCompressor(Compressor):
         ),
         anchor_compress_gbs=87.778,
         anchor_decompress_gbs=99.258,
-        divergence=0.18,
         transfer_efficiency=0.5,
         footprint_factor=2.0,
     )
@@ -80,12 +78,7 @@ class GfcCompressor(Compressor):
     #: An element costs half a code byte and at least one residual byte.
     max_decode_expansion = 1
 
-    def __init__(self) -> None:
-        self.device = DeviceModel()
-
     def _compress(self, array: np.ndarray) -> bytes:
-        self.device.reset()
-        self.device.copy_to_device(array.nbytes)
         bits = float_bits(array.ravel())
         n = bits.size
         if n == 0:
@@ -101,16 +94,7 @@ class GfcCompressor(Compressor):
         # boolean indexing keeps lanes below nbytes in stream order.
         lanes = magnitude.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
         data = lanes[_LANE < nbytes[:, None]]
-
-        self.device.launch(
-            "gfc_warp_compress",
-            grid_blocks=-(-n // _SUBCHUNK),
-            threads_per_block=_SUBCHUNK,
-            divergence=self.cost.divergence,
-        )
-        out = encode_uvarint(n) + packed.tobytes() + data.tobytes()
-        self.device.copy_to_host(len(out))
-        return out
+        return encode_uvarint(n) + packed.tobytes() + data.tobytes()
 
     def _decompress(
         self, payload: bytes, shape: tuple[int, ...], dtype: np.dtype

@@ -22,7 +22,6 @@ from repro.compressors.base import Compressor, MethodInfo, register
 from repro.compressors.util import float_bits
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
-from repro.gpu.device import DeviceModel
 from repro.perf.cost import CostModel, KernelSpec, ParallelismSpec
 
 __all__ = ["MpcCompressor"]
@@ -109,17 +108,11 @@ class MpcCompressor(Compressor):
         ),
         anchor_compress_gbs=29.595,
         anchor_decompress_gbs=28.513,
-        divergence=0.05,
         transfer_efficiency=0.55,
         footprint_factor=2.0,
     )
 
-    def __init__(self) -> None:
-        self.device = DeviceModel()
-
     def _compress(self, array: np.ndarray) -> bytes:
-        self.device.reset()
-        self.device.copy_to_device(array.nbytes)
         words = float_bits(array.ravel())
         n = words.size
         out = bytearray()
@@ -143,16 +136,8 @@ class MpcCompressor(Compressor):
         # ZE: zero-word bitmap plus the non-zero words.
         mask = stage3 != 0
         bitmap = np.packbits(mask, axis=1)
-
-        self.device.launch(
-            "mpc_pipeline",
-            grid_blocks=len(chunks),
-            threads_per_block=_CHUNK,
-            divergence=self.cost.divergence,
-        )
         out += bitmap.tobytes()
         out += stage3[mask].tobytes()
-        self.device.copy_to_host(len(out))
         return bytes(out)
 
     def _decompress(

@@ -16,7 +16,7 @@ The GPU variant differs only in its execution schedule: per-hypercube
 thread groups write to a scratch area, a prefix sum over chunk sizes
 computes output offsets, and decompression is block-parallel without
 synchronization.  The two classes share this implementation and differ
-in cost model and in the recorded device trace.
+only in cost model.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from repro.compressors.util import (
 )
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
-from repro.gpu.device import DeviceModel
-from repro.gpu.simt import compact_chunks
 from repro.perf.cost import (
     CostModel,
     KernelSpec,
@@ -144,9 +142,7 @@ def _untranspose_chunks(
 
 
 class _NdzipBase(Compressor):
-    """Shared ndzip pipeline; subclasses set platform cost and tracing."""
-
-    device: DeviceModel | None = None
+    """Shared ndzip pipeline; subclasses set the platform cost model."""
 
     @staticmethod
     def _grid(shape: tuple[int, ...], extents: tuple[int, ...]):
@@ -223,9 +219,6 @@ class _NdzipBase(Compressor):
 
     def _compress_impl(self, array: np.ndarray, batched: bool) -> bytes:
         """Shared framing; ``batched`` picks the block-encoding strategy."""
-        if self.device is not None:
-            self.device.reset()
-            self.device.copy_to_device(array.nbytes)
         if array.ndim > 3:
             array = array.reshape(-1, *array.shape[-2:])
         rank = min(max(array.ndim, 1), 3)
@@ -241,21 +234,12 @@ class _NdzipBase(Compressor):
                 self._encode_block(mapped[slices])
                 for slices in self._grid(mapped.shape, extents)
             ]
-        stream, offsets = compact_chunks(encoded_blocks)
-        if self.device is not None:
-            self.device.launch(
-                "ndzip_block_compress",
-                grid_blocks=max(len(encoded_blocks), 1),
-                threads_per_block=768,
-                divergence=0.1,
-            )
-            self.device.copy_to_host(len(stream))
-
+        # A size table, then the blocks: decoding is block-parallel.
         out = bytearray()
         out += encode_uvarint(len(encoded_blocks))
-        for size in np.diff(offsets):
-            out += encode_uvarint(int(size))
-        out += stream
+        for block in encoded_blocks:
+            out += encode_uvarint(len(block))
+        out += b"".join(encoded_blocks)
         return bytes(out)
 
     def _compress(self, array: np.ndarray) -> bytes:
@@ -419,11 +403,7 @@ class NdzipGpuCompressor(_NdzipBase):
         ),
         anchor_compress_gbs=142.635,
         anchor_decompress_gbs=159.312,
-        divergence=0.1,
         transfer_efficiency=0.25,
         block_setup_bytes=0.0,
         footprint_factor=2.0,
     )
-
-    def __init__(self) -> None:
-        self.device = DeviceModel()

@@ -29,7 +29,6 @@ from repro.compressors.util import float_bits
 from repro.encodings.lz4 import lz4_compress, lz4_decompress
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
-from repro.gpu.device import DeviceModel
 from repro.perf.cost import CostModel, KernelSpec, ParallelismSpec
 
 __all__ = ["NvcompLz4Compressor", "NvcompBitcompCompressor"]
@@ -67,7 +66,6 @@ class NvcompLz4Compressor(Compressor):
         ),
         anchor_compress_gbs=2.716,
         anchor_decompress_gbs=53.352,
-        divergence=0.45,  # token parsing serializes warps heavily
         footprint_factor=2.0,
     )
 
@@ -75,11 +73,8 @@ class NvcompLz4Compressor(Compressor):
         if chunk_bytes < 256:
             raise ValueError(f"chunk_bytes must be >= 256, got {chunk_bytes}")
         self.chunk_bytes = chunk_bytes
-        self.device = DeviceModel()
 
     def _compress(self, array: np.ndarray) -> bytes:
-        self.device.reset()
-        self.device.copy_to_device(array.nbytes)
         raw = array.tobytes()
         # Keep the chunk-to-input proportion of the paper-scale setup so
         # scaled-down datasets see the same boundary effects the 64 KB
@@ -96,13 +91,6 @@ class NvcompLz4Compressor(Compressor):
             out += encode_uvarint(len(chunk))
             out += encode_uvarint(len(blob))
             out += blob
-        self.device.launch(
-            "lz4_batch_compress",
-            grid_blocks=max(len(chunks), 1),
-            threads_per_block=128,
-            divergence=self.cost.divergence,
-        )
-        self.device.copy_to_host(len(out))
         return bytes(out)
 
     def _decompress(
@@ -151,7 +139,6 @@ class NvcompBitcompCompressor(Compressor):
         ),
         anchor_compress_gbs=240.280,
         anchor_decompress_gbs=122.483,
-        divergence=0.0,
         footprint_factor=2.0,
     )
 
@@ -159,11 +146,8 @@ class NvcompBitcompCompressor(Compressor):
         if chunk_values < 64:
             raise ValueError(f"chunk_values must be >= 64, got {chunk_values}")
         self.chunk_values = chunk_values
-        self.device = DeviceModel()
 
     def _compress(self, array: np.ndarray) -> bytes:
-        self.device.reset()
-        self.device.copy_to_device(array.nbytes)
         bits = float_bits(array.ravel())
         width = bits.dtype.itemsize * 8
         n = bits.size
@@ -181,13 +165,6 @@ class NvcompBitcompCompressor(Compressor):
             out.append(kbits)
             out += int(chunk[0]).to_bytes(width // 8, "little")
             out += _pack_bits(zz, kbits)
-        self.device.launch(
-            "bitcomp_pack",
-            grid_blocks=max(-(-n // self.chunk_values), 1),
-            threads_per_block=256,
-            divergence=0.0,
-        )
-        self.device.copy_to_host(len(out))
         return bytes(out)
 
     def _decompress(

@@ -5,18 +5,18 @@ Quadro RTX 6000 testbed.  This reproduction replaces that testbed with a
 calibrated performance model: every compressor declares
 
 * **structural parameters** — how many integer/float operations and how
-  much memory traffic each kernel performs per input byte, how the method
-  parallelizes, and how branch-divergent it is.  These come from the
-  algorithm descriptions in paper sections 3 and 4 and drive the roofline
-  analysis (Figure 11) and all *relative* effects (block size, thread
-  count, host-to-device copies).
+  much memory traffic each kernel performs per input byte, and how the
+  method parallelizes.  These come from the algorithm descriptions in
+  paper sections 3 and 4 and drive the roofline analysis (Figure 11) and
+  all *relative* effects (block size, thread count, host-to-device
+  copies).
 * **calibration anchors** — the average compression/decompression
   throughput the paper reports in Table 5.  Anchors pin the absolute
   scale of modeled time so cross-method comparisons (who is faster, by
   what factor) match the published measurements.
 
-EXPERIMENTS.md spells out which reported numbers are anchored and which
-are derived purely from the model structure.
+This is the only model of GPU time: :mod:`repro.perf.timing` composes
+PCIe copies and kernel launches from it; the GPU codecs record nothing.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class CostModel:
     # Calibration anchors: Table 5 average throughputs in GB/s.
     anchor_compress_gbs: float
     anchor_decompress_gbs: float
-    # Branch divergence: fraction of GPU warp lanes idled by data-dependent
-    # control flow (paper sections 6.1.2/6.1.3 on LZ4 vs delta methods).
-    divergence: float = 0.0
     # Per-block startup cost in equivalent input bytes; drives the Table 10
     # block-size sensitivity (hyperbolic ramp toward the peak rate).
     block_setup_bytes: float = 0.0
@@ -124,8 +121,6 @@ class CostModel:
             raise ValueError(f"platform must be cpu or gpu, got {self.platform!r}")
         if self.anchor_compress_gbs <= 0 or self.anchor_decompress_gbs <= 0:
             raise ValueError("throughput anchors must be positive")
-        if not 0.0 <= self.divergence < 1.0:
-            raise ValueError(f"divergence must be in [0, 1), got {self.divergence}")
 
     def dominant_kernel(self, direction: str = "compress") -> KernelSpec:
         """The pass with the most operations: the Figure 11 hot loop."""

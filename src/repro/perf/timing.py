@@ -115,6 +115,8 @@ class PerformanceModel:
         threads: int | None = None,
     ) -> TimingBreakdown:
         """Full end-to-end composition including transfers and launches."""
+        if input_bytes < 0 or output_bytes < 0:
+            raise ValueError("byte counts must be non-negative")
         kernel = self.kernel_seconds(
             cost,
             input_bytes,

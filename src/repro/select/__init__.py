@@ -10,9 +10,9 @@ from cheap chunk statistics.
 * :mod:`repro.select.features` — deterministic per-chunk statistics,
 * :mod:`repro.select.policy` — ``heuristic`` / ``measured`` /
   ``learned`` selection policies,
-* :mod:`repro.select.online` — the ``online`` bandit policy that keeps
-  learning from served outcomes (the multi-tenant server's feedback
-  loop),
+* :mod:`repro.select.online` — the served-only ``online`` bandit that
+  keeps learning from served outcomes (the multi-tenant server's
+  feedback loop; no local writer can feed it, so none accepts it),
 * :mod:`repro.select.train` — fit the learned policy from the result
   store (``fcbench select train``).
 

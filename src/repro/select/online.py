@@ -40,11 +40,7 @@ import numpy as np
 
 from repro.errors import SelectionError
 from repro.select.features import ChunkFeatures
-from repro.select.policy import (
-    HeuristicPolicy,
-    SelectionDecision,
-    SelectionPolicy,
-)
+from repro.select.policy import HeuristicPolicy
 
 __all__ = [
     "feature_bucket",
@@ -115,21 +111,21 @@ class _BucketState:
         self.total = 0
 
 
-class OnlinePolicy(SelectionPolicy):
+class OnlinePolicy:
     """UCB1 bandit over the heuristic arms, bucketed by chunk features.
 
-    Unlike the offline policies this one is *stateful*: every
-    :meth:`decide` increments the chosen arm's pull count immediately
-    (so concurrent in-flight chunks spread across arms instead of
-    dog-piling one), and :meth:`observe` folds the measured outcome
-    back in.  Determinism contract: same seed + same (chunk, observe)
-    sequence → same arm sequence.
+    Unlike the offline policies this one is *stateful*, so it is not a
+    :class:`~repro.select.policy.SelectionPolicy`: a chunk-parallel
+    writer would fork it per worker, and nothing there observes an
+    outcome.  Every :meth:`choose` increments the chosen arm's pull
+    count immediately (so concurrent in-flight chunks spread across
+    arms instead of dog-piling one), and :meth:`observe` folds the
+    measured outcome back in.  Determinism contract: same seed + same
+    (bucket, observe) sequence → same arm sequence.
 
     Not thread-safe on its own — :class:`OnlineSelectorHub` adds the
     lock for server use.
     """
-
-    name = "online"
 
     def __init__(
         self,
@@ -227,20 +223,6 @@ class OnlinePolicy(SelectionPolicy):
             arm.pulls = 1
             state.total += 1
         arm.update(self.reward(bytes_in, bytes_out, seconds), self.decay)
-
-    # -- SelectionPolicy interface ------------------------------------
-    def decide(self, chunk: np.ndarray) -> SelectionDecision:
-        features = ChunkFeatures(chunk, self.sample_elements)
-        bucket = feature_bucket(features)
-        state = self._bucket(bucket)
-        codec = self.choose(bucket)
-        arm = state.arms[codec]
-        return SelectionDecision(
-            codec,
-            f"bandit bucket {bucket}: arm {codec!r} "
-            f"(pulls {arm.pulls}, mean reward {arm.mean:.3f})",
-            features,
-        )
 
     # -- observability / persistence ----------------------------------
     def snapshot(self) -> dict:

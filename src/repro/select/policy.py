@@ -63,7 +63,7 @@ __all__ = [
 #: reproduction's corpus).
 DEFAULT_CANDIDATES = profile_candidates("storage")
 
-POLICY_NAMES = ("heuristic", "measured", "learned", "online")
+POLICY_NAMES = ("heuristic", "measured", "learned")
 
 
 @lru_cache(maxsize=None)
@@ -342,9 +342,10 @@ def resolve_policy(policy, **options) -> SelectionPolicy:
 
         return load_policy(options.pop("table_path", None), **options)
     if policy == "online":
-        from repro.select.online import OnlinePolicy
-
-        return OnlinePolicy(**options)
+        raise SelectionError(
+            "policy 'online' learns from served outcomes: only a server's "
+            "codec='auto' compress request can use it"
+        )
     raise SelectionError(
         f"unknown selection policy {policy!r}; known: {', '.join(POLICY_NAMES)}"
     )

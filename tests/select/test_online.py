@@ -11,6 +11,7 @@ the clearly-best arm once rewards separate.
 import numpy as np
 import pytest
 
+from repro.api import compress_array, decompress_array, open_stream
 from repro.errors import SelectionError
 from repro.select.features import extract_features
 from repro.select.online import (
@@ -19,7 +20,8 @@ from repro.select.online import (
     OnlineSelectorHub,
     feature_bucket,
 )
-from repro.select.policy import HeuristicPolicy
+from repro.select.policy import POLICY_NAMES, HeuristicPolicy
+from repro.service import ServiceClient, serve_background
 
 
 ARMS = ("bitshuffle-zstd", "buff", "fpzip", "gorilla")
@@ -63,12 +65,10 @@ class TestDeterminism:
             policy = OnlinePolicy(candidates=ARMS, seed=7)
             sequence = []
             for chunk in _chunks():
-                decision = policy.decide(chunk)
-                sequence.append(decision.codec)
-                bucket = feature_bucket(decision.features)
-                policy.observe(
-                    bucket, decision.codec, chunk.nbytes, chunk.nbytes // 2
-                )
+                bucket = feature_bucket(extract_features(chunk))
+                codec = policy.choose(bucket)
+                sequence.append(codec)
+                policy.observe(bucket, codec, chunk.nbytes, chunk.nbytes // 2)
             return sequence, policy.snapshot()
 
         first_seq, first_snap = run()
@@ -83,7 +83,10 @@ class TestDeterminism:
         for seed in range(8):
             policy = OnlinePolicy(candidates=ARMS, seed=seed)
             orders.add(
-                tuple(policy.decide(chunk).codec for chunk in _chunks()[:4])
+                tuple(
+                    policy.choose(feature_bucket(extract_features(chunk)))
+                    for chunk in _chunks()[:4]
+                )
             )
         assert len(orders) > 1
 
@@ -165,6 +168,33 @@ class TestBandit:
         assert OnlinePolicy(candidates=()).candidates == (
             HeuristicPolicy().candidates
         )
+
+
+class TestServedOnly:
+    """The bandit needs observations only a server makes, so a local
+    writer refuses it: a policy there must be a pure function of the
+    chunk bytes, or the stream would depend on ``jobs``."""
+
+    def test_local_writers_refuse_online_typed(self, tmp_path):
+        array = np.concatenate(_chunks())
+        assert "online" not in POLICY_NAMES
+        for jobs in (None, 2):
+            with pytest.raises(SelectionError, match="served"):
+                compress_array(array, "auto", policy="online", jobs=jobs)
+        with pytest.raises(SelectionError, match="served"):
+            open_stream(tmp_path / "x.fcf", "wb", codec="auto", policy="online")
+
+    def test_server_explain_refuses_online_but_compress_serves_it(self):
+        array = np.concatenate(_chunks())
+        with serve_background() as handle, ServiceClient(
+            handle.host, handle.port
+        ) as client:
+            with pytest.raises(SelectionError, match="served"):
+                client.select_explain(array, policy="online", chunk_elements=512)
+            blob = client.compress_array(
+                array, "auto", policy="online", chunk_elements=512
+            )
+        np.testing.assert_array_equal(decompress_array(blob), array)
 
 
 class TestHub:
