@@ -8,6 +8,7 @@ kernel costs that dominate suite runtime.
 import numpy as np
 import pytest
 
+from repro.api.frames import codec_input
 from repro.compressors import get_compressor
 from repro.data import load
 
@@ -18,7 +19,7 @@ _FAST = ["bitshuffle-lz4", "ndzip-cpu", "mpc", "nvcomp-bitcomp", "spdp", "buff"]
 def test_compress_kernel(benchmark, method):
     comp = get_compressor(method)
     arr = load("gas-price", 8192)
-    work = arr if comp.info.supports_dtype(arr.dtype) else arr.astype(np.float64)
+    work = codec_input(comp, arr)
     blob = benchmark(comp.compress, work)
     assert len(blob) > 0
 
@@ -27,7 +28,7 @@ def test_compress_kernel(benchmark, method):
 def test_decompress_kernel(benchmark, method):
     comp = get_compressor(method)
     arr = load("gas-price", 8192)
-    work = arr if comp.info.supports_dtype(arr.dtype) else arr.astype(np.float64)
+    work = codec_input(comp, arr)
     blob = comp.compress(work)
     out = benchmark(comp.decompress, blob)
     assert out.size == work.size

@@ -11,8 +11,8 @@ from conftest import run_once
 from repro.core.experiments import table11_query
 
 
-def test_table11(benchmark, emit):
-    out = run_once(benchmark, table11_query, target_elements=8192)
+def test_table11(benchmark, emit, suite_results):
+    out = run_once(benchmark, table11_query, suite_results)
     emit("table11_query", str(out))
     cells = out.data["cells"]
 

@@ -75,6 +75,7 @@ __all__ = [
     "encode_index",
     "decode_index",
     "read_layout",
+    "codec_input",
     "encode_payload",
     "decode_payload",
     "split_frame_codec",
@@ -386,16 +387,21 @@ def read_layout(fh) -> tuple[StreamHeader, StreamIndex, int]:
 # ----------------------------------------------------------------------
 # Payload codec (shared by sessions, storage filters, and legacy shims)
 # ----------------------------------------------------------------------
-def _reinterpret_for(compressor, array: np.ndarray) -> np.ndarray:
-    """Feed dtypes a codec cannot take through its byte stream.
+def codec_input(compressor, array: np.ndarray) -> np.ndarray:
+    """The one float32 rule: what a codec is handed for ``array``.
 
-    Double-only methods (pFPC, GFC — Table 1) see float32 chunks as raw
-    64-bit words: pairs of floats become one double, odd tails are
-    zero-padded.  Inverted by :func:`decode_payload`.
+    A dtype the codec takes passes through, shape and all.  Double-only
+    methods (pFPC, GFC — Table 1) see float32 data as the paper's harness
+    hands it over, as raw 64-bit words: pairs of floats become one
+    double and an odd tail is zero-padded, so the ratio stays measured
+    against the original bytes.  Inverted by :func:`decode_payload`.
     """
-    if array.size % 2:
-        array = np.concatenate([array, np.zeros(1, dtype=array.dtype)])
-    return array.view(np.float64)
+    if compressor.info.supports_dtype(array.dtype):
+        return array
+    flat = np.ascontiguousarray(array).ravel()
+    if flat.size % 2:
+        flat = np.concatenate([flat, np.zeros(1, dtype=flat.dtype)])
+    return flat.view(np.float64)
 
 
 def encode_payload(compressor, chunk: np.ndarray) -> bytes:
@@ -403,8 +409,7 @@ def encode_payload(compressor, chunk: np.ndarray) -> bytes:
     array = np.ascontiguousarray(chunk).ravel()
     if compressor is None:
         return array.tobytes()
-    if not compressor.info.supports_dtype(array.dtype):
-        array = _reinterpret_for(compressor, array)
+    array = codec_input(compressor, array)
     return compressor._compress(compressor._validate(array))
 
 

@@ -147,8 +147,8 @@ class Compressor(ABC):
             precisions = ",".join(sorted(self.info.precisions))
             raise UnsupportedDtypeError(
                 f"{self.info.name} supports only precision(s) {precisions}; "
-                f"got {array.dtype} (upcast float32 inputs explicitly, as the "
-                "paper's harness does)"
+                f"got {array.dtype} (repro.api.frames.codec_input hands it "
+                "float32 data as 64-bit words, as the paper's harness does)"
             )
         if self.max_input_bytes is not None and array.nbytes > self.max_input_bytes:
             from repro.errors import InputTooLargeError

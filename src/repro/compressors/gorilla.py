@@ -235,8 +235,7 @@ class GorillaCompressor(Compressor):
     """Gorilla's floating-point value pipeline (timestamps are out of scope).
 
     The paper evaluates the InfluxDB integration, which stores float64;
-    single-precision inputs must be upcast by the caller, as the
-    benchmark harness does (Table 1 lists precision "D").
+    single-precision inputs run a 32-bit word pipeline (see ``info``).
     """
 
     info = MethodInfo(

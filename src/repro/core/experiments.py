@@ -1,9 +1,12 @@
 """Experiment drivers: one function per table and figure of the paper.
 
-Each driver consumes suite results (or runs its own specialized
-protocol), renders the same rows/series the paper reports, and returns
+Each driver consumes suite results (or models from cost parameters
+alone), renders the same rows/series the paper reports, and returns
 structured data so the benchmark suite can assert the qualitative
-*shape* claims (Observations 1-10) hold in the reproduction.
+*shape* claims (Observations 1-10) hold in the reproduction.  Table 10's
+page-sized cells come from the same result store, through
+:func:`repro.core.suite.serve_cells`; only Table 9 still measures its
+own cells.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.core.metrics import (
 )
 from repro.core.report import ascii_bars, ascii_boxplot, format_matrix, format_table
 from repro.core.results import ResultSet
-from repro.data.catalog import CATALOG, domains
+from repro.data.catalog import CATALOG, domains, get_spec
 from repro.data.loader import DEFAULT_TARGET_ELEMENTS, load
 from repro.perf.roofline import analyze
 from repro.perf.timing import PerformanceModel
@@ -31,7 +34,7 @@ from repro.stats.friedman import friedman_test
 from repro.stats.mannwhitney import mann_whitney_u
 from repro.stats.nemenyi import nemenyi_test
 from repro.stats.ranking import average_ranks
-from repro.storage.pagestore import PAGE_SIZES, paged_compress
+from repro.storage.pagestore import PAGE_SIZES
 from repro.storage.query import QueryBenchmark
 
 __all__ = [
@@ -485,7 +488,28 @@ def table10_blocksize(
     datasets: tuple[str, ...] = ("citytemp", "gas-price", "tpcH-order", "rsim"),
     target_elements: int = DEFAULT_TARGET_ELEMENTS,
 ) -> ExperimentOutput:
-    """CR (real, paged) and CT/DT (modeled) at 4K/64K/8M block sizes."""
+    """CR (real, paged) and CT/DT (modeled) at 4K/64K/8M block sizes.
+
+    Each (method, dataset, page size) is one stream cell whose chunks
+    are page-sized, served from the result store by
+    :func:`~repro.core.suite.serve_cells`: a warm store compresses
+    nothing, and misses fan out like a suite run's (``FCBENCH_JOBS``).
+    """
+    from repro.core.suite import serve_cells
+    from repro.expdb.store import CellKey
+
+    def key(method: str, name: str, page_bytes: int) -> CellKey:
+        elements = page_bytes // get_spec(name).numpy_dtype.itemsize
+        return CellKey(method, name, elements, 1, "fixed", 0, target_elements)
+
+    served, _ = serve_cells(
+        [
+            key(method, name, page_bytes)
+            for page_bytes in PAGE_SIZES.values()
+            for method in _BLOCK_METHODS
+            for name in datasets
+        ]
+    )
     perf = PerformanceModel()
     rows = []
     data: dict[str, dict[str, dict[str, float]]] = {}
@@ -494,23 +518,14 @@ def table10_blocksize(
         ct_row = ["", "avg-CT (GB/s)"]
         dt_row = ["", "avg-DT (GB/s)"]
         for method in _BLOCK_METHODS:
-            compressor = get_compressor(method)
-            ratios = []
-            for name in datasets:
-                array = load(name, target_elements)
-                work = array
-                if not compressor.info.supports_dtype(work.dtype):
-                    work = work.astype(np.float64)
-                # Pages below the scaled array size degenerate; cap count.
-                result = paged_compress(compressor, work, page_bytes)
-                ratios.append(result.compression_ratio)
-            cr = harmonic_mean(ratios)
-            ct = perf.throughput_gbs(
-                compressor.cost, 10**9, "compress", block_bytes=page_bytes
-            )
-            dt = perf.throughput_gbs(
-                compressor.cost, 10**9, "decompress", block_bytes=page_bytes
-            )
+            cost = get_compressor(method).cost
+            ratios = [
+                served[key(method, name, page_bytes)].get("ratio")
+                for name in datasets
+            ]
+            cr = float("nan") if None in ratios else harmonic_mean(ratios)
+            ct = perf.throughput_gbs(cost, 10**9, "compress", block_bytes=page_bytes)
+            dt = perf.throughput_gbs(cost, 10**9, "decompress", block_bytes=page_bytes)
             data.setdefault(method, {})[size_label] = {
                 "cr": cr, "ct": ct, "dt": dt,
             }
@@ -535,29 +550,31 @@ _QUERY_METHODS = (
 )
 
 
-def table11_query(
-    target_elements: int = DEFAULT_TARGET_ELEMENTS,
-) -> ExperimentOutput:
-    """Read + decode + scan times for the seven TPC datasets."""
+def table11_query(results: ResultSet) -> ExperimentOutput:
+    """Read + decode + scan times for the TPC datasets in ``results``.
+
+    A pure function of the suite's whole-array cells: each method's
+    measured ratio feeds :meth:`QueryBenchmark.model`, and a failed cell
+    (GFC's paper-scale limit on the >512 MB datasets) renders as ``-``.
+    """
     bench = QueryBenchmark()
-    tpc = [s for s in CATALOG if s.domain == "DB"]
+    methods = [m for m in _QUERY_METHODS if m in results.methods()]
+    cells = {(m.dataset, m.method): m for m in results.measurements}
     rows = []
     data: dict[str, dict[str, tuple[float, float]]] = {}
     query_col: dict[str, float] = {}
-    for spec in tpc:
-        array = load(spec.name, target_elements)
-        paper_rows = spec.paper_extent[0]
+    for spec in CATALOG:
+        if spec.domain != "DB" or spec.name not in results.datasets():
+            continue
         row = [spec.name]
-        for method in _QUERY_METHODS:
-            compressor = get_compressor(method)
-            if (
-                compressor.max_input_bytes is not None
-                and spec.paper_bytes > compressor.max_input_bytes
-            ):
+        for method in methods:
+            cell = cells.get((spec.name, method))
+            if cell is None or not cell.ok:
                 row.append("-")
                 continue
-            cost = bench.run(
-                compressor, spec.name, array, spec.paper_bytes, paper_rows
+            cost = bench.model(
+                get_compressor(method), spec.name, cell.compression_ratio,
+                spec.paper_bytes, spec.paper_extent[0],
             )
             data.setdefault(spec.name, {})[method] = (
                 cost.read_ms, cost.decode_ms,
@@ -567,7 +584,7 @@ def table11_query(
         row.append(f"{query_col.get(spec.name, float('nan')):.0f}")
         rows.append(row)
     text = format_table(
-        ["name", *[_display(m) for m in _QUERY_METHODS], "query"],
+        ["name", *[_display(m) for m in methods], "query"],
         rows,
         title="Read and query time (ms) from container files [Table 11]",
     )

@@ -9,8 +9,9 @@ kernel + transfers for end-to-end wall time.
 
 Paper-faithful policies implemented here:
 
-* double-only methods (pFPC, GFC, Gorilla) receive float32 datasets
-  upcast to float64, and CR is measured against the upcast buffer;
+* double-only methods (pFPC, GFC) receive float32 datasets as raw
+  64-bit words, so CR is measured against the original bytes — the one
+  float32 rule every surface shares (:func:`repro.api.frames.codec_input`);
 * GFC skips datasets whose *paper-scale* size exceeds its 512 MB input
   limit — these become the "-" cells of Table 4;
 * every stream is verified to round-trip bit-exactly before a
@@ -40,6 +41,7 @@ import time
 
 import numpy as np
 
+from repro.api.frames import codec_input
 from repro.compressors import get_compressor
 from repro.compressors.base import Compressor, method_fingerprint, stable_repr
 from repro.core.results import Measurement
@@ -97,24 +99,6 @@ class BenchmarkRunner:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
-    def prepare_input(
-        self, compressor: Compressor, array: np.ndarray
-    ) -> np.ndarray:
-        """Feed float32 data to double-only methods by byte reinterpretation.
-
-        The paper's harness hands each compressor the raw byte stream, so
-        a double-only method (pFPC, GFC) sees pairs of float32 values as
-        one 64-bit word.  This keeps the compression ratio measured
-        against the original bytes — upcasting would halve every ratio,
-        which is inconsistent with the published Table 4 columns.
-        """
-        if compressor.info.supports_dtype(array.dtype):
-            return array
-        flat = np.ascontiguousarray(array).ravel()
-        if flat.size % 2:
-            flat = np.concatenate([flat, np.zeros(1, dtype=flat.dtype)])
-        return flat.view(np.float64)
-
     def run_cell(
         self,
         method: str,
@@ -127,7 +111,7 @@ class BenchmarkRunner:
         if skip:
             return Measurement.failed(method, spec.name, spec, skip)
 
-        work = self.prepare_input(compressor, array)
+        work = codec_input(compressor, array)
         precision = "D" if work.dtype == np.float64 else "S"
         try:
             t0 = time.perf_counter()

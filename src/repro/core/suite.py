@@ -25,6 +25,8 @@ A suite cell is stored under the whole-array keyfields
 :class:`Measurement` and the fingerprint of the code that produced it
 (:meth:`BenchmarkRunner.cell_fingerprint`).  A row is a hit only while
 that fingerprint matches; otherwise it is *stale*: re-run, overwritten.
+:func:`serve_cells` is that serve-or-measure step for any list of cell
+keys; Table 10 passes it page-sized stream cells.
 
 Dzip is excluded from the default method list exactly as the paper
 excludes it from the headline tables (section 4.5).
@@ -66,7 +68,7 @@ from typing import Callable
 from repro.compressors import paper_table_order
 from repro.core.results import Measurement, ResultSet
 from repro.core.runner import BenchmarkRunner
-from repro.data.catalog import CATALOG
+from repro.data.catalog import CATALOG, get_spec
 from repro.data.loader import DEFAULT_TARGET_ELEMENTS, check_target_elements
 from repro.errors import UnknownCodecError
 from repro.parallel import map_ordered, resolve_jobs
@@ -79,6 +81,7 @@ __all__ = [
     "open_store",
     "run_suite",
     "run_suite_detailed",
+    "serve_cells",
     "default_methods",
     "default_datasets",
     "stored_cells",
@@ -130,21 +133,32 @@ def cell_fields(measurement: Measurement, runner: BenchmarkRunner) -> dict:
     return fields
 
 
-def _servable(row, runner: BenchmarkRunner) -> Measurement | None:
-    """The measurement ``row`` stores, or None when it cannot serve a hit.
+def _servable(row, runner: BenchmarkRunner) -> dict | None:
+    """The fields ``row`` stores, or None when it cannot serve a hit.
 
-    Missing rows, rows without provenance (pending, pre-version-2,
-    crashed), rows whose fingerprint moved on, and rows whose
-    measurement no longer parses are all just misses: the cell re-runs.
+    Missing or unfinished rows, rows without provenance (pre-version-2,
+    crashed, ``auto``), rows whose fingerprint moved on, and whole-array
+    rows whose measurement no longer parses are all just misses: the
+    cell re-runs.
     """
-    if row is None:
+    if row is None or row.status not in ("done", "failed"):
         return None
     try:
         if row.fingerprint != runner.cell_fingerprint(row.key.codec):
             return None
-        return Measurement(**json.loads(row.measurement))
+        if row.key.chunk_elements == 0:
+            _measurement(row.measurement)
     except (UnknownCodecError, TypeError, ValueError):
         return None
+    return {
+        **row.resultfields(),
+        "fingerprint": row.fingerprint,
+        "measurement": row.measurement,
+    }
+
+
+def _measurement(text: str) -> Measurement:
+    return Measurement(**json.loads(text))
 
 
 def stored_cells(store):
@@ -157,7 +171,8 @@ def stored_cells(store):
     runner = BenchmarkRunner()
     for row in store.cells():
         if row.key.chunk_elements == 0 and row.status in ("done", "failed"):
-            yield row, _servable(row, runner)
+            fields = _servable(row, runner)
+            yield row, fields and _measurement(fields["measurement"])
 
 
 def default_methods() -> list[str]:
@@ -207,6 +222,81 @@ def _execute_timed(runner: BenchmarkRunner, key) -> tuple[tuple, float]:
     start = time.perf_counter()
     outcome = execute_cell(key, runner=runner)
     return outcome, time.perf_counter() - start
+
+
+def serve_cells(
+    keys: list,
+    use_cache: bool = True,
+    runner: BenchmarkRunner | None = None,
+    jobs: int | None = None,
+    on_cell: Callable[..., None] | None = None,
+) -> tuple[dict, CacheStats]:
+    """Every key's fields, served from the result store or measured.
+
+    Each key is a :class:`~repro.expdb.store.CellKey` of any protocol —
+    whole-array or stream.  A stored row serves a hit while its
+    fingerprint matches; each miss runs the one experiment function,
+    :func:`repro.expdb.sweep.execute_cell`, over the :mod:`repro.parallel`
+    pool and is stored the moment it finishes.  Returns ``({key: fields},
+    stats)``; ``on_cell(key, fields, elapsed_s)`` fires per cell in the
+    calling process (0.0 seconds for a hit).  A custom ``runner``
+    measures under non-default policies, so it never touches the store.
+    """
+    use_store = use_cache and runner is None
+    runner = runner or BenchmarkRunner()
+    jobs = resolve_jobs(jobs)
+    stats = CacheStats()
+    start = time.perf_counter()
+    served: dict = {}
+    with open_store() if use_store else nullcontext() as store:
+        if store is not None:
+            for key in keys:
+                hit = _servable(store.find_cell(key), runner)
+                if hit is not None:
+                    served[key] = hit
+                    if on_cell is not None:
+                        on_cell(key, hit, 0.0)
+        missing = [key for key in keys if key not in served]
+        if store is not None:
+            stats.hits, stats.misses = len(keys) - len(missing), len(missing)
+
+        def finished(position: int, result: tuple) -> None:
+            (status, fields, error, _), elapsed = result
+            key = missing[position]
+            served[key] = fields
+            # Only a fingerprinted outcome persists: a failure synthesised
+            # from a crash carries none, and a stored MemoryError would
+            # replay forever.  Deterministic failures (paper-limit skips,
+            # roundtrip mismatches) do persist.
+            if store is not None and fields.get("fingerprint"):
+                row = {
+                    **key.as_dict(),
+                    "domain": get_spec(key.dataset).domain,
+                    "status": status,
+                    "error": error,
+                    "source": "suite",
+                    "finished_at": time.time(),
+                    **fields,
+                }
+                stats.stores += store.upsert_cells([row])
+            if on_cell is not None:
+                on_cell(key, fields, elapsed)
+
+        map_ordered(
+            partial(_execute_timed, runner), missing, jobs=jobs, on_result=finished
+        )
+        if store is not None:
+            store.set_meta(
+                "last_run",
+                {
+                    "timestamp": time.time(),
+                    **stats.as_dict(),
+                    "cells": len(keys),
+                    "jobs": jobs,
+                    "elapsed_seconds": round(time.perf_counter() - start, 3),
+                },
+            )
+    return served, stats
 
 
 def run_suite(
@@ -270,12 +360,6 @@ def run_suite_detailed(
     methods = methods or default_methods()
     datasets = datasets or default_datasets()
     jobs = resolve_jobs(jobs)
-    # Custom runners measure under non-default policies; never let those
-    # results shadow (or be shadowed by) the standard stored cells.
-    use_store = use_cache and runner is None
-    runner = runner or BenchmarkRunner()
-    stats = CacheStats()
-
     start = time.perf_counter()
     # The whole-array protocol, as `fcbench sweep` spells it.
     keys = [
@@ -283,59 +367,15 @@ def run_suite_detailed(
         for dataset in datasets
         for method in methods
     ]
-    measured: dict = {}
-    with open_store() if use_store else nullcontext() as store:
-        if store is not None:
-            for key in keys:
-                hit = _servable(store.find_cell(key), runner)
-                if hit is not None:
-                    measured[key] = hit
-                    if on_cell is not None:
-                        on_cell(key, hit, 0.0)
-        missing = [key for key in keys if key not in measured]
-        if store is not None:
-            stats.hits, stats.misses = len(keys) - len(missing), len(missing)
+    report = None
+    if on_cell is not None:
 
-        def finished(position: int, result: tuple) -> None:
-            (status, fields, error, _), elapsed = result
-            key = missing[position]
-            measurement = Measurement(**json.loads(fields["measurement"]))
-            measured[key] = measurement
-            # Never persist transient (crash-synthesized) failures: a
-            # stored MemoryError would replay forever.  Deterministic
-            # policy failures (skips, roundtrip mismatches) do persist.
-            if store is not None and not measurement.transient:
-                row = {
-                    **key.as_dict(),
-                    "domain": measurement.domain,
-                    "status": status,
-                    "error": error,
-                    "source": "suite",
-                    "finished_at": time.time(),
-                    **fields,
-                }
-                stats.stores += store.upsert_cells([row])
-            if on_cell is not None:
-                on_cell(key, measurement, elapsed)
+        def report(key, fields: dict, elapsed: float) -> None:
+            on_cell(key, _measurement(fields["measurement"]), elapsed)
 
-        map_ordered(
-            partial(_execute_timed, runner), missing, jobs=jobs, on_result=finished
-        )
-        results = ResultSet([measured[key] for key in keys])
-        elapsed = time.perf_counter() - start
-        if store is not None:
-            store.set_meta(
-                "last_run",
-                {
-                    "timestamp": time.time(),
-                    **stats.as_dict(),
-                    "cells": len(keys),
-                    "methods": len(methods),
-                    "datasets": len(datasets),
-                    "jobs": jobs,
-                    "elapsed_seconds": round(elapsed, 3),
-                },
-            )
+    served, stats = serve_cells(keys, use_cache, runner, jobs, report)
+    results = ResultSet([_measurement(served[key]["measurement"]) for key in keys])
+    elapsed = time.perf_counter() - start
     return SuiteRun(
         results=results, cache_stats=stats, elapsed_seconds=elapsed, jobs=jobs
     )

@@ -24,7 +24,9 @@ the in-process pool for all.
 * ``chunk_elements > 0`` cells measure the streaming surface — an FCF
   frame stream at the keyfield's chunk size, with ``jobs`` fanning
   chunk compression over the :mod:`repro.parallel` process pool
-  and ``codec="auto"`` cells resolving their ``policy`` keyfield.
+  and ``codec="auto"`` cells resolving their ``policy`` keyfield.  A
+  fixed-codec stream cell is fingerprinted too, which is how Table 10's
+  page-sized cells are served from the store like any suite cell.
 
 External-corpus datasets without a local file mark their cells
 ``skipped`` (never failed); re-running ``sweep init`` after the files
@@ -287,19 +289,20 @@ def execute_cell(
     """Run one cell; returns ``(status, resultfields, error, events)``.
 
     The one experiment function: the sweep's claim loop and
-    ``run_suite`` both call it with the keyfields (``runner`` replaces
-    the default :class:`~repro.core.runner.BenchmarkRunner` of a
-    whole-array cell).  Never raises: any failure becomes a ``failed``
-    (or, for an offline corpus file, ``skipped``) status, so one bad
-    cell cannot take a worker down; whether a failure is persisted is
-    the caller's decision.
+    ``serve_cells`` (``run_suite``, Table 10) both call it with the
+    keyfields (``runner`` replaces the default
+    :class:`~repro.core.runner.BenchmarkRunner`, which measures a
+    whole-array cell and fingerprints every cell).  Never raises: any
+    failure becomes a ``failed`` (or, for an offline corpus file,
+    ``skipped``) status, so one bad cell cannot take a worker down;
+    whether a failure is persisted is the caller's decision.
     """
     spec = None  # stays None when the dataset name itself is the problem
     try:
         spec = _cell_spec(key, corpus)
         array = _load_cell_array(key, corpus)
         if key.chunk_elements > 0:
-            return _execute_stream_cell(key, array)
+            return _execute_stream_cell(key, array, runner)
         if key.codec == "auto":
             return _failed(key, spec, "codec 'auto' requires chunk_elements > 0")
         return _execute_legacy_cell(key, array, spec, runner)
@@ -345,11 +348,22 @@ def _execute_legacy_cell(key: CellKey, array, spec, runner):
     return status, cell_fields(measurement, runner), measurement.error, events
 
 
-def _execute_stream_cell(key: CellKey, array):
-    """Streaming protocol: FCF frames at the keyfield's chunk size."""
-    from repro.api.session import CompressSession, decompress_array
-    from repro.core.runner import verify_roundtrip
+def _execute_stream_cell(key: CellKey, array, runner):
+    """Streaming protocol: FCF frames at the keyfield's chunk size.
 
+    A fixed-codec cell carries the runner's fingerprint for its codec, so
+    ``run_suite``'s store serves it as a hit (Table 10's page cells); an
+    ``auto`` cell names no single codec and carries none.
+    """
+    from repro.api.session import CompressSession, decompress_array
+    from repro.core.runner import BenchmarkRunner, verify_roundtrip
+    from repro.errors import UnknownCodecError
+
+    runner = runner or BenchmarkRunner()
+    try:
+        provenance = {"fingerprint": runner.cell_fingerprint(key.codec)}
+    except UnknownCodecError:  # `auto` and the raw `none` name no codec
+        provenance = {}
     work = np.ascontiguousarray(array)
     buf = io.BytesIO()
     t0 = time.perf_counter()
@@ -369,7 +383,7 @@ def _execute_stream_cell(key: CellKey, array):
     restored = decompress_array(blob, jobs=key.jobs)
     t2 = time.perf_counter()
     if not verify_roundtrip(work, restored):
-        return "failed", {}, "roundtrip verification failed", []
+        return "failed", provenance, "roundtrip verification failed", []
 
     events: list[dict] = [
         {
@@ -405,6 +419,7 @@ def _execute_stream_cell(key: CellKey, array):
         "compressed_bytes": len(blob),
         "encode_mbs": work.nbytes / (t1 - t0) / 1e6 if t1 > t0 else None,
         "decode_mbs": work.nbytes / (t2 - t1) / 1e6 if t2 > t1 else None,
+        **provenance,
     }
     return "done", fields, "", events
 

@@ -131,14 +131,13 @@ def bench_cell(
     seed: int = 0,
 ) -> dict:
     """Measure one (method, dataset) cell; returns a JSON-ready dict."""
+    from repro.api.frames import codec_input
     from repro.compressors import get_compressor
-    from repro.core.runner import BenchmarkRunner
     from repro.data.loader import load
 
     compressor = get_compressor(method)
-    array = load(dataset, elements, seed)
     work = np.ascontiguousarray(
-        BenchmarkRunner().prepare_input(compressor, array)
+        codec_input(compressor, load(dataset, elements, seed))
     )
     shape, dtype = work.shape, work.dtype
 

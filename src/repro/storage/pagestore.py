@@ -7,9 +7,10 @@ respond when each method compresses page-sized units independently.
 Since the streaming redesign this module is a thin projection of the
 session API: :func:`paged_compress` writes one FCF stream whose frame
 granularity is the page size (optionally chunk-parallel via ``jobs``),
-and :class:`PagedResult` exposes the per-page payload slices for the
-table's accounting.  Table 10 therefore measures the exact bytes a
-user-facing ``CompressSession`` would write.
+and :class:`PagedResult` exposes the per-page payload slices.  Table 10
+itself takes only :data:`PAGE_SIZES` from here: its cells are the same
+page-granular streams, measured and stored as experiment-database
+stream cells (:func:`repro.core.experiments.table10_blocksize`).
 """
 
 from __future__ import annotations

@@ -38,10 +38,7 @@ def _bitexact(a: np.ndarray, b: np.ndarray) -> bool:
 def _native(compressor, array: np.ndarray) -> np.ndarray:
     """Double-only codecs (GFC) see float32 the way the frame layer
     feeds it: reinterpreted as 64-bit words."""
-    array = np.ascontiguousarray(array)
-    if not compressor.info.supports_dtype(array.dtype):
-        array = frames._reinterpret_for(compressor, array.ravel())
-    return array
+    return frames.codec_input(compressor, np.ascontiguousarray(array))
 
 
 ORACLE_METHODS = [

@@ -243,3 +243,15 @@ def test_last_run_counters_persisted():
     with open_store() as store:
         last = store.get_meta("last_run")
     assert last["hits"] == 4 and last["misses"] == 0
+
+
+def test_a_requeued_row_is_a_miss():
+    """`sweep reset` flips a stored verdict back to pending: it must re-run."""
+    kw = dict(methods=["gfc"], datasets=["astro-mhd"], target_elements=512)
+    first = run_suite_detailed(**kw)
+    assert not first.results.measurements[0].ok  # the paper-limit skip, stored
+    with open_store() as store:
+        assert store.reset_cells(("failed",)) == 1
+    rerun = run_suite_detailed(**kw)
+    assert (rerun.cache_stats.hits, rerun.cache_stats.misses) == (0, 1)
+    assert _scan() == [("gfc", False)]

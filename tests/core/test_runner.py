@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.frames import codec_input
 from repro.compressors import get_compressor
 from repro.core.runner import BenchmarkRunner, verify_roundtrip
 from repro.data.catalog import get_spec
@@ -51,10 +52,10 @@ def test_paper_limits_can_be_disabled():
     assert m.ok
 
 
-def test_f32_reinterpreted_for_double_only(runner):
+def test_f32_reinterpreted_for_double_only():
     comp = get_compressor("pfpc")
     arr = load("rsim", 2048)
-    work = runner.prepare_input(comp, arr)
+    work = codec_input(comp, arr)
     assert work.dtype == np.float64
     assert work.nbytes >= arr.nbytes  # same bytes (padded if odd)
     np.testing.assert_array_equal(
@@ -62,10 +63,10 @@ def test_f32_reinterpreted_for_double_only(runner):
     )
 
 
-def test_supported_dtype_passthrough(runner):
+def test_supported_dtype_passthrough():
     comp = get_compressor("chimp")
     arr = load("rsim", 2048)
-    assert runner.prepare_input(comp, arr) is arr
+    assert codec_input(comp, arr) is arr
 
 
 def test_wall_time_includes_gpu_transfers(runner):

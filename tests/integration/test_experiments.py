@@ -90,7 +90,7 @@ def test_table10_prefers_larger_blocks():
 
 
 def test_table11_read_plus_decode(mini):
-    out = exp.table11_query(target_elements=2048)
+    out = exp.table11_query(mini)
     assert "tpcH-order" in out.data["cells"]
     cells = out.data["cells"]["tpcH-order"]
     read, decode = cells["fpzip"]

@@ -1,10 +1,11 @@
-"""Tests for the query micro-benchmark engine (Table 11)."""
+"""Tests for the query cost model (Table 11) and stream range reads."""
 
 import numpy as np
 import pytest
 
 from repro.api.session import DecompressSession, compress_array
 from repro.compressors import get_compressor
+from repro.core.runner import BenchmarkRunner
 from repro.data import get_spec, load
 from repro.storage.query import QueryBenchmark
 
@@ -14,12 +15,18 @@ def bench():
     return QueryBenchmark()
 
 
-def test_cost_components_positive(bench):
-    spec = get_spec("tpcH-order")
-    cost = bench.run(
-        get_compressor("chimp"), spec.name, load(spec.name, 4096),
+def _cost(bench, method: str, name: str):
+    """Table 11's model at the ratio a suite cell measures (4096 elements)."""
+    spec = get_spec(name)
+    cell = BenchmarkRunner().run_cell(method, load(name, 4096), spec)
+    return bench.model(
+        get_compressor(method), name, cell.compression_ratio,
         spec.paper_bytes, spec.paper_extent[0],
     )
+
+
+def test_cost_components_positive(bench):
+    cost = _cost(bench, "chimp", "tpcH-order")
     assert cost.read_ms > 0
     assert cost.decode_ms > 0
     assert cost.query_ms > 0
@@ -30,32 +37,21 @@ def test_cost_components_positive(bench):
 
 def test_read_time_scales_with_compressed_size(bench):
     # Better CR -> fewer bytes read -> shorter read time.
-    spec = get_spec("tpcH-order")
-    arr = load(spec.name, 4096)
-    chimp = bench.run(get_compressor("chimp"), spec.name, arr,
-                      spec.paper_bytes, spec.paper_extent[0])
-    gorilla = bench.run(get_compressor("gorilla"), spec.name, arr,
-                        spec.paper_bytes, spec.paper_extent[0])
+    chimp = _cost(bench, "chimp", "tpcH-order")
+    gorilla = _cost(bench, "gorilla", "tpcH-order")
     assert chimp.read_ms < gorilla.read_ms
 
 
 def test_query_time_is_method_independent(bench):
     # The decoded frames are identical, so scans cost the same.
-    spec = get_spec("tpcDS-web")
-    arr = load(spec.name, 4096)
-    a = bench.run(get_compressor("chimp"), spec.name, arr,
-                  spec.paper_bytes, spec.paper_extent[0])
-    b = bench.run(get_compressor("mpc"), spec.name, arr,
-                  spec.paper_bytes, spec.paper_extent[0])
+    a = _cost(bench, "chimp", "tpcDS-web")
+    b = _cost(bench, "mpc", "tpcDS-web")
     assert a.query_ms == pytest.approx(b.query_ms)
 
 
 def test_serial_decoders_dominate_total(bench):
     # Observation 9: fpzip's slow decode dwarfs its read time.
-    spec = get_spec("tpcH-order")
-    arr = load(spec.name, 4096)
-    fpzip = bench.run(get_compressor("fpzip"), spec.name, arr,
-                      spec.paper_bytes, spec.paper_extent[0])
+    fpzip = _cost(bench, "fpzip", "tpcH-order")
     assert fpzip.decode_ms > 10 * fpzip.read_ms
 
 
