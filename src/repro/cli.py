@@ -17,8 +17,8 @@ Subcommands:
   and ``reset`` re-queues failures.  See ``docs/experiments.md``.
 * ``fcbench cache``  — inspect the result store (``inspect``, the
   default) or delete cells from it (``clear``, with ``--stale`` to drop
-  only cells whose fingerprint — cache version, method source, runner
-  policy — is out of date).
+  only cells whose fingerprint — cache version, method source, modeled
+  hardware — is out of date).
 * ``fcbench bench``  — measure *real* encode/decode throughput per
   (method, dataset) cell (plus the scalar-oracle baselines where a
   codec retains one), write ``BENCH_<git-sha>.json`` at the repo root,
@@ -282,7 +282,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     with open_store() as store:
         cells = list(stored_cells(store))
-        stale = [row.id for row, measurement in cells if measurement is None]
+        stale = [row.id for row, fields in cells if fields is None]
         if args.action == "clear":
             doomed = stale if args.stale else [row.id for row in store.cells()]
             removed = store.delete_cells(doomed)

@@ -3,10 +3,11 @@
 Each driver consumes suite results (or models from cost parameters
 alone), renders the same rows/series the paper reports, and returns
 structured data so the benchmark suite can assert the qualitative
-*shape* claims (Observations 1-10) hold in the reproduction.  Table 10's
-page-sized cells come from the same result store, through
-:func:`repro.core.suite.serve_cells`; only Table 9 still measures its
-own cells.
+*shape* claims (Observations 1-10) hold in the reproduction.  No driver
+compresses anything itself: Tables 9 and 10 name the cells they need and
+are served them from the result store by
+:func:`repro.core.suite.serve_cells`, which measures the misses through
+the one experiment function.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.metrics import (
 from repro.core.report import ascii_bars, ascii_boxplot, format_matrix, format_table
 from repro.core.results import ResultSet
 from repro.data.catalog import CATALOG, domains, get_spec
-from repro.data.loader import DEFAULT_TARGET_ELEMENTS, load
+from repro.data.loader import DEFAULT_TARGET_ELEMENTS
 from repro.perf.roofline import analyze
 from repro.perf.timing import PerformanceModel
 from repro.stats.cd_diagram import render_cd_diagram
@@ -432,23 +433,38 @@ _DIMENSION_METHODS = ("gfc", "mpc", "fpzip", "ndzip-cpu", "ndzip-gpu")
 def table9_dimension(
     target_elements: int = DEFAULT_TARGET_ELEMENTS, alpha: float = 0.05
 ) -> ExperimentOutput:
-    """Compress multidimensional datasets with and without shape info."""
-    from repro.core.runner import BenchmarkRunner
+    """CR of the N-d datasets with (md) and without (1d) their shape.
 
-    runner = BenchmarkRunner(paper_limits=False)
+    Served from the result store like Table 10.  md is Table 4's own
+    whole-array cell, so GFC's paper-scale skip applies; 1d is a stream
+    cell holding the array as one chunk, which reaches the codec 1-D
+    only because ``CompressSession.write`` flattens every chunk.
+    """
+    from repro.core.suite import serve_cells
+    from repro.expdb.store import CellKey
+
+    def keys(method: str, spec) -> tuple[CellKey, ...]:
+        flat = int(np.prod(spec.scaled_extent(target_elements)))
+        return tuple(
+            CellKey(method, spec.name, chunk, 1, "fixed", 0, target_elements)
+            for chunk in (0, flat)
+        )
+
     multi = [s for s in CATALOG if s.ndim >= 2]
+    served, _ = serve_cells(
+        [key for method in _DIMENSION_METHODS for spec in multi
+         for key in keys(method, spec)]
+    )
     rows = []
     data: dict[str, dict] = {}
     for method in _DIMENSION_METHODS:
-        md_ratios = []
-        flat_ratios = []
+        names, md_ratios, flat_ratios = [], [], []
         for spec in multi:
-            array = load(spec.name, target_elements)
-            cell_md = runner.run_cell(method, array, spec)
-            cell_1d = runner.run_cell(method, np.asarray(array).ravel(), spec)
-            if cell_md.ok and cell_1d.ok:
-                md_ratios.append(cell_md.compression_ratio)
-                flat_ratios.append(cell_1d.compression_ratio)
+            md, flat = (served[key].get("ratio") for key in keys(method, spec))
+            if md is not None and flat is not None:
+                names.append(spec.name)
+                md_ratios.append(md)
+                flat_ratios.append(flat)
         test = mann_whitney_u(np.asarray(md_ratios), np.asarray(flat_ratios))
         hm_md = harmonic_mean(md_ratios)
         hm_1d = harmonic_mean(flat_ratios)
@@ -457,6 +473,7 @@ def table9_dimension(
             "1d": hm_1d,
             "p": test.p_value,
             "significant": test.rejects_null(alpha),
+            "datasets": names,
         }
         rows.append(
             [

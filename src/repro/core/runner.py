@@ -29,9 +29,8 @@ Usage — run one cell and inspect the measurement:
     >>> cell.compression_ratio > 0.5
     True
 
-A runner is plain picklable state: ``run_suite`` ships it to pool
-workers, and streams per-cell progress through its own parent-side
-``on_cell`` hook.
+A runner has no switches: every stored cell is measured under these
+policies, whichever command measured it.
 """
 
 from __future__ import annotations
@@ -67,34 +66,24 @@ def verify_roundtrip(original: np.ndarray, restored: np.ndarray) -> bool:
 class BenchmarkRunner:
     """Runs (method, dataset) cells and produces :class:`Measurement` rows."""
 
-    def __init__(
-        self,
-        perf: PerformanceModel | None = None,
-        verify: bool = True,
-        paper_limits: bool = True,
-    ) -> None:
-        self.perf = perf or PerformanceModel()
-        self.verify = verify
-        self.paper_limits = paper_limits
+    def __init__(self) -> None:
+        self.perf = PerformanceModel()
 
     def cell_fingerprint(self, method: str) -> str:
         """Digest of everything that can change ``method``'s measurement.
 
         Covers :data:`CACHE_VERSION`, the method's source fingerprint
-        (editing ``chimp.py`` invalidates only the Chimp column) and this
-        runner's type, hardware specs (frozen dataclasses, so
-        ``stable_repr`` describes them fully) and verify / paper-limit
-        policies.  A stored cell whose fingerprint differs is stale.
+        (editing ``chimp.py`` invalidates only the Chimp column) and the
+        modeled hardware specs (frozen dataclasses, so ``stable_repr``
+        describes them fully).  A stored cell whose fingerprint differs
+        is stale.
         """
         payload = "|".join(
             [
                 CACHE_VERSION,
                 method_fingerprint(method),
-                type(self).__qualname__,
                 stable_repr(self.perf.cpu),
                 stable_repr(self.perf.gpu),
-                str(self.verify),
-                str(self.paper_limits),
             ]
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:20]
@@ -107,7 +96,7 @@ class BenchmarkRunner:
     ) -> Measurement:
         """Evaluate one method on one dataset."""
         compressor = get_compressor(method)
-        skip = self._paper_scale_skip(compressor, spec)
+        skip = _paper_scale_skip(compressor, spec)
         if skip:
             return Measurement.failed(method, spec.name, spec, skip)
 
@@ -124,7 +113,7 @@ class BenchmarkRunner:
                 method, spec.name, spec, f"{type(exc).__name__}: {exc}",
                 precision=precision,
             )
-        if self.verify and not verify_roundtrip(work, restored):
+        if not verify_roundtrip(work, restored):
             return Measurement.failed(
                 method, spec.name, spec, "roundtrip verification failed",
                 precision=precision,
@@ -165,20 +154,17 @@ class BenchmarkRunner:
             ),
         )
 
-    def _paper_scale_skip(
-        self, compressor: Compressor, spec: DatasetSpec
-    ) -> str:
-        """Reason string when the paper-scale dataset breaks a hard limit."""
-        if not self.paper_limits:
-            return ""
-        limit = compressor.max_input_bytes
-        if limit is None:
-            return ""
-        # Table 4's "-" cells follow the on-disk paper size: every dataset
-        # above 512 MB is absent from GFC's column, 512 MB exactly is not.
-        if spec.paper_bytes > limit:
-            return (
-                f"paper-scale input of {spec.paper_bytes} bytes exceeds the "
-                f"{limit}-byte limit"
-            )
+
+def _paper_scale_skip(compressor: Compressor, spec: DatasetSpec) -> str:
+    """Reason string when the paper-scale dataset breaks a hard limit."""
+    limit = compressor.max_input_bytes
+    if limit is None:
         return ""
+    # Table 4's "-" cells follow the on-disk paper size: every dataset
+    # above 512 MB is absent from GFC's column, 512 MB exactly is not.
+    if spec.paper_bytes > limit:
+        return (
+            f"paper-scale input of {spec.paper_bytes} bytes exceeds the "
+            f"{limit}-byte limit"
+        )
+    return ""

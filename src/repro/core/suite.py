@@ -17,8 +17,7 @@ finishes, so
 The suite schedules on the in-process pool rather than the sweep's
 claim loop because it promises what a claim loop cannot: results in
 dataset-major order, ``on_cell`` callbacks in the calling process, and
-private runs (a custom ``runner``, ``use_cache=False``) that touch no
-store.
+private runs (``use_cache=False``) that touch no store.
 
 A suite cell is stored under the whole-array keyfields
 (``chunk_elements=0, jobs=1, policy="fixed"``) with its full
@@ -26,7 +25,7 @@ A suite cell is stored under the whole-array keyfields
 (:meth:`BenchmarkRunner.cell_fingerprint`).  A row is a hit only while
 that fingerprint matches; otherwise it is *stale*: re-run, overwritten.
 :func:`serve_cells` is that serve-or-measure step for any list of cell
-keys; Table 10 passes it page-sized stream cells.
+keys; Tables 9 and 10 pass it stream cells too.
 
 Dzip is excluded from the default method list exactly as the paper
 excludes it from the headline tables (section 4.5).
@@ -61,7 +60,6 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -112,10 +110,10 @@ def open_store(root: Path | None = None):
     return ExperimentStore(root / _STORE_FILE)
 
 
-def cell_fields(measurement: Measurement, runner: BenchmarkRunner) -> dict:
+def cell_fields(measurement: Measurement) -> dict:
     """The result and provenance columns of one whole-array measurement."""
     fields = {
-        "fingerprint": runner.cell_fingerprint(measurement.method),
+        "fingerprint": BenchmarkRunner().cell_fingerprint(measurement.method),
         "measurement": json.dumps(asdict(measurement)),
     }
     if measurement.ok:
@@ -133,7 +131,7 @@ def cell_fields(measurement: Measurement, runner: BenchmarkRunner) -> dict:
     return fields
 
 
-def _servable(row, runner: BenchmarkRunner) -> dict | None:
+def _servable(row) -> dict | None:
     """The fields ``row`` stores, or None when it cannot serve a hit.
 
     Missing or unfinished rows, rows without provenance (pre-version-2,
@@ -144,7 +142,7 @@ def _servable(row, runner: BenchmarkRunner) -> dict | None:
     if row is None or row.status not in ("done", "failed"):
         return None
     try:
-        if row.fingerprint != runner.cell_fingerprint(row.key.codec):
+        if row.fingerprint != BenchmarkRunner().cell_fingerprint(row.key.codec):
             return None
         if row.key.chunk_elements == 0:
             _measurement(row.measurement)
@@ -162,17 +160,15 @@ def _measurement(text: str) -> Measurement:
 
 
 def stored_cells(store):
-    """Yield ``(row, measurement)`` per finished whole-array cell.
+    """Yield ``(row, fields)`` per finished cell, whole-array or stream.
 
-    ``measurement`` is None for a *stale* row — one a suite run would
-    not serve as a hit.  ``fcbench cache`` and ``fcbench select train``
-    are both views over this.
+    ``fields`` is what the row serves as a hit, None for a *stale* row —
+    one :func:`serve_cells` would re-measure.  ``fcbench cache`` and
+    ``fcbench select train`` are both views over this.
     """
-    runner = BenchmarkRunner()
     for row in store.cells():
-        if row.key.chunk_elements == 0 and row.status in ("done", "failed"):
-            fields = _servable(row, runner)
-            yield row, fields and _measurement(fields["measurement"])
+        if row.status in ("done", "failed"):
+            yield row, _servable(row)
 
 
 def default_methods() -> list[str]:
@@ -215,19 +211,18 @@ class SuiteRun:
     jobs: int
 
 
-def _execute_timed(runner: BenchmarkRunner, key) -> tuple[tuple, float]:
+def _execute_timed(key) -> tuple[tuple, float]:
     """Pool-side half of a miss: the one experiment function, timed."""
     from repro.expdb.sweep import execute_cell
 
     start = time.perf_counter()
-    outcome = execute_cell(key, runner=runner)
+    outcome = execute_cell(key)
     return outcome, time.perf_counter() - start
 
 
 def serve_cells(
     keys: list,
     use_cache: bool = True,
-    runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
     on_cell: Callable[..., None] | None = None,
 ) -> tuple[dict, CacheStats]:
@@ -239,19 +234,17 @@ def serve_cells(
     :func:`repro.expdb.sweep.execute_cell`, over the :mod:`repro.parallel`
     pool and is stored the moment it finishes.  Returns ``({key: fields},
     stats)``; ``on_cell(key, fields, elapsed_s)`` fires per cell in the
-    calling process (0.0 seconds for a hit).  A custom ``runner``
-    measures under non-default policies, so it never touches the store.
+    calling process (0.0 seconds for a hit).  ``use_cache=False`` measures
+    every key and touches no store.
     """
-    use_store = use_cache and runner is None
-    runner = runner or BenchmarkRunner()
     jobs = resolve_jobs(jobs)
     stats = CacheStats()
     start = time.perf_counter()
     served: dict = {}
-    with open_store() if use_store else nullcontext() as store:
+    with open_store() if use_cache else nullcontext() as store:
         if store is not None:
             for key in keys:
-                hit = _servable(store.find_cell(key), runner)
+                hit = _servable(store.find_cell(key))
                 if hit is not None:
                     served[key] = hit
                     if on_cell is not None:
@@ -282,9 +275,7 @@ def serve_cells(
             if on_cell is not None:
                 on_cell(key, fields, elapsed)
 
-        map_ordered(
-            partial(_execute_timed, runner), missing, jobs=jobs, on_result=finished
-        )
+        map_ordered(_execute_timed, missing, jobs=jobs, on_result=finished)
         if store is not None:
             store.set_meta(
                 "last_run",
@@ -305,14 +296,13 @@ def run_suite(
     target_elements: int = DEFAULT_TARGET_ELEMENTS,
     seed: int = 0,
     use_cache: bool = True,
-    runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
     on_cell: Callable[..., None] | None = None,
 ) -> ResultSet:
     """Evaluate ``methods`` x ``datasets`` and return the result matrix.
 
     Cells are kept individually in the result store; pass
-    ``use_cache=False`` (or a custom ``runner``) to force re-execution.
+    ``use_cache=False`` to force re-execution.
     ``jobs`` selects the process-pool width (``FCBENCH_JOBS`` overrides,
     default serial); ``on_cell(key, measurement, elapsed_s)`` streams
     per-cell status in the calling process (``key`` is the cell's
@@ -324,7 +314,6 @@ def run_suite(
         target_elements=target_elements,
         seed=seed,
         use_cache=use_cache,
-        runner=runner,
         jobs=jobs,
         on_cell=on_cell,
     ).results
@@ -336,7 +325,6 @@ def run_suite_detailed(
     target_elements: int = DEFAULT_TARGET_ELEMENTS,
     seed: int = 0,
     use_cache: bool = True,
-    runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
     on_cell: Callable[..., None] | None = None,
 ) -> SuiteRun:
@@ -373,7 +361,7 @@ def run_suite_detailed(
         def report(key, fields: dict, elapsed: float) -> None:
             on_cell(key, _measurement(fields["measurement"]), elapsed)
 
-    served, stats = serve_cells(keys, use_cache, runner, jobs, report)
+    served, stats = serve_cells(keys, use_cache, jobs, report)
     results = ResultSet([_measurement(served[key]["measurement"]) for key in keys])
     elapsed = time.perf_counter() - start
     return SuiteRun(

@@ -25,8 +25,8 @@ the in-process pool for all.
   frame stream at the keyfield's chunk size, with ``jobs`` fanning
   chunk compression over the :mod:`repro.parallel` process pool
   and ``codec="auto"`` cells resolving their ``policy`` keyfield.  A
-  fixed-codec stream cell is fingerprinted too, which is how Table 10's
-  page-sized cells are served from the store like any suite cell.
+  fixed-codec stream cell is fingerprinted too, which is how Tables 9
+  and 10 are served from the store like any suite cell.
 
 External-corpus datasets without a local file mark their cells
 ``skipped`` (never failed); re-running ``sweep init`` after the files
@@ -276,7 +276,9 @@ def _load_cell_array(key: CellKey, corpus: ExternalCorpus | None) -> np.ndarray:
     if corpus is not None and key.dataset in corpus:
         array = corpus.load(key.dataset)
         if key.target_elements > 0 and array.size > key.target_elements:
-            array = array[: key.target_elements]
+            # As many whole rows along axis 0 as the budget holds (>= 1).
+            row = array.size // array.shape[0]
+            array = array[: max(1, key.target_elements // row)]
         return array
     from repro.data.loader import load
 
@@ -284,15 +286,14 @@ def _load_cell_array(key: CellKey, corpus: ExternalCorpus | None) -> np.ndarray:
 
 
 def execute_cell(
-    key: CellKey, corpus: ExternalCorpus | None = None, runner=None
+    key: CellKey, corpus: ExternalCorpus | None = None
 ) -> tuple[str, dict, str, list[dict]]:
     """Run one cell; returns ``(status, resultfields, error, events)``.
 
     The one experiment function: the sweep's claim loop and
-    ``serve_cells`` (``run_suite``, Table 10) both call it with the
-    keyfields (``runner`` replaces the default
-    :class:`~repro.core.runner.BenchmarkRunner`, which measures a
-    whole-array cell and fingerprints every cell).  Never raises: any
+    ``serve_cells`` (``run_suite``, Tables 9 and 10) both call it with
+    the keyfields and nothing else (``corpus`` only says where an
+    external dataset's file lives).  Never raises: any
     failure becomes a ``failed`` (or, for an offline corpus file,
     ``skipped``) status, so one bad cell cannot take a worker down;
     whether a failure is persisted is the caller's decision.
@@ -302,10 +303,10 @@ def execute_cell(
         spec = _cell_spec(key, corpus)
         array = _load_cell_array(key, corpus)
         if key.chunk_elements > 0:
-            return _execute_stream_cell(key, array, runner)
+            return _execute_stream_cell(key, array)
         if key.codec == "auto":
             return _failed(key, spec, "codec 'auto' requires chunk_elements > 0")
-        return _execute_legacy_cell(key, array, spec, runner)
+        return _execute_legacy_cell(key, array, spec)
     except Exception as exc:  # fault isolation: one bad cell != dead sweep
         if (
             isinstance(exc, DatasetError)
@@ -336,32 +337,30 @@ def _failed(key: CellKey, spec, error: str):
     return "failed", fields, error, []
 
 
-def _execute_legacy_cell(key: CellKey, array, spec, runner):
+def _execute_legacy_cell(key: CellKey, array, spec):
     """Whole-array protocol — the same cell ``fcbench run`` measures."""
     from repro.core.runner import BenchmarkRunner
     from repro.core.suite import cell_fields
 
-    runner = runner or BenchmarkRunner()
-    measurement = runner.run_cell(key.codec, array, spec)
+    measurement = BenchmarkRunner().run_cell(key.codec, array, spec)
     events = [{"kind": "protocol", "payload": {"protocol": "legacy"}}]
     status = "done" if measurement.ok else "failed"
-    return status, cell_fields(measurement, runner), measurement.error, events
+    return status, cell_fields(measurement), measurement.error, events
 
 
-def _execute_stream_cell(key: CellKey, array, runner):
+def _execute_stream_cell(key: CellKey, array):
     """Streaming protocol: FCF frames at the keyfield's chunk size.
 
     A fixed-codec cell carries the runner's fingerprint for its codec, so
-    ``run_suite``'s store serves it as a hit (Table 10's page cells); an
-    ``auto`` cell names no single codec and carries none.
+    ``serve_cells`` serves it as a hit (Tables 9 and 10); an ``auto``
+    cell names no single codec and carries none.
     """
     from repro.api.session import CompressSession, decompress_array
     from repro.core.runner import BenchmarkRunner, verify_roundtrip
     from repro.errors import UnknownCodecError
 
-    runner = runner or BenchmarkRunner()
     try:
-        provenance = {"fingerprint": runner.cell_fingerprint(key.codec)}
+        provenance = {"fingerprint": BenchmarkRunner().cell_fingerprint(key.codec)}
     except UnknownCodecError:  # `auto` and the raw `none` name no codec
         provenance = {}
     work = np.ascontiguousarray(array)

@@ -6,9 +6,9 @@ cells already contain the ground truth selection needs — which codec
 achieved the best compression ratio on which data — so training is a
 query, not a re-run:
 
-1. group the fresh stored cells by (dataset, element budget, seed) —
-   stale rows were measured by code that has since changed and are
-   ignored,
+1. group the fresh whole-array cells by (dataset, element budget,
+   seed) — stale rows were measured by code that has since changed and
+   are ignored, and stream cells measure a chunking, not the codec,
 2. keep the best-CR method per group (optionally restricted to a
    candidate set),
 3. materialize the dataset at that budget/seed and extract its
@@ -72,13 +72,13 @@ def _winners_from_cells(
     best: dict[tuple[str, int, int], tuple[str, float]] = {}
     # Method order plus strict > below keeps the alphabetically first
     # method on exact ties, so training is deterministic.
-    for row, measurement in sorted(cells, key=lambda cell: cell[0].key.codec):
+    for row, fields in sorted(cells, key=lambda cell: cell[0].key.codec):
         method = row.key.codec
         if candidates is not None and method not in candidates:
             continue
-        if measurement is None or not measurement.ok:
+        if fields is None or row.key.chunk_elements != 0:
             continue
-        ratio = measurement.compression_ratio
+        ratio = fields.get("ratio")
         if not isinstance(ratio, (int, float)) or not ratio > 0:
             continue
         key = (row.key.dataset, row.key.target_elements, row.key.seed)

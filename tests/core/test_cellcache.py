@@ -126,18 +126,9 @@ def test_deterministic_failures_are_stored_and_served():
 
 def test_runner_fingerprint_distinguishes_policies():
     base = BenchmarkRunner().cell_fingerprint("gorilla")
-    assert BenchmarkRunner(verify=False).cell_fingerprint("gorilla") != base
-    assert BenchmarkRunner(paper_limits=False).cell_fingerprint("gorilla") != base
     assert BenchmarkRunner().cell_fingerprint("chimp") != base
     # Stable for equivalent configurations.
     assert BenchmarkRunner().cell_fingerprint("gorilla") == base
-
-
-def test_custom_runner_does_not_touch_cache(cache_root):
-    run = run_suite_detailed(runner=BenchmarkRunner(verify=False), **_KW)
-    assert run.cache_stats.lookups == 0
-    assert run.cache_stats.stores == 0
-    assert list(cache_root.iterdir()) == []
 
 
 def test_parallel_run_equals_serial():
@@ -168,11 +159,11 @@ def test_scan_classifies_stale_and_legacy(monkeypatch):
     )
     with open_store() as store:
         _write_legacy_row(store)
-        # Never judged, never served: a stream cell (outside the suite's
-        # keyspace) and a whole-array cell that has not finished.
+        # A finished stream cell is judged like any other; a whole-array
+        # cell that has not finished is never judged.
         store.insert_cells(
             [
-                _row("chimp", "citytemp", chunk_elements=1024, status="done"),
+                _row("gorilla", "citytemp", chunk_elements=1024, status="done"),
                 _row("chimp", "gas-price"),
             ]
         )
@@ -181,6 +172,7 @@ def test_scan_classifies_stale_and_legacy(monkeypatch):
         ("chimp", True),  # fingerprint moved on
         ("gorilla", False),  # fresh
         ("gorilla", True),  # legacy: finished, but carries no provenance
+        ("gorilla", True),  # the stream cell carries no provenance either
     ]
 
 
@@ -197,6 +189,24 @@ def test_clear_stale_keeps_current_entries(monkeypatch, capsys):
     # The fresh cells survived and still serve hits.
     warm = run_suite_detailed(**_KW)
     assert (warm.cache_stats.hits, warm.cache_stats.misses) == (2, 2)
+
+
+def test_clear_stale_drops_a_table10_cell_whose_codec_moved(monkeypatch, capsys):
+    from repro.cli import main
+    from repro.core.experiments import PAGE_SIZES, table10_blocksize
+
+    table10_blocksize(datasets=("citytemp",), target_elements=1024)
+    cells = 8 * len(PAGE_SIZES)  # Table 10's methods x page sizes
+    assert main(["cache"]) == 0
+    assert f"cells: {cells} (0 stale" in capsys.readouterr().out
+    _touch(monkeypatch, "chimp")
+    assert main(["cache", "clear", "--stale"]) == 0
+    removed = len(PAGE_SIZES)
+    assert (
+        f"cleared (stale): {removed} cell(s), {cells - removed} kept"
+        in capsys.readouterr().out
+    )
+    assert "chimp" not in {codec for codec, _ in _scan()}
 
 
 def test_clear_all_removes_everything(capsys):

@@ -24,23 +24,6 @@ def _run(methods=_METHODS, datasets=_DATASETS, **kwargs):
     )
 
 
-class ExplodingRunner(BenchmarkRunner):
-    """Raises a non-Repro exception on one designated cell.
-
-    Defined at module scope so it pickles into pool workers.
-    """
-
-    def __init__(self, fail_method: str, fail_dataset: str) -> None:
-        super().__init__()
-        self.fail_method = fail_method
-        self.fail_dataset = fail_dataset
-
-    def run_cell(self, method, array, spec):
-        if method == self.fail_method and spec.name == self.fail_dataset:
-            raise RuntimeError("injected worker failure")
-        return super().run_cell(method, array, spec)
-
-
 # ----------------------------------------------------------------------
 # Worker-count resolution
 # ----------------------------------------------------------------------
@@ -122,9 +105,20 @@ def test_on_result_fires_per_cell(jobs):
 # Fault isolation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_one_failing_cell_does_not_kill_the_suite(jobs):
-    runner = ExplodingRunner("chimp", "citytemp")
-    results = _run(runner=runner, jobs=jobs)
+def test_one_failing_cell_does_not_kill_the_suite(jobs, monkeypatch):
+    """A non-Repro exception in one cell fails that cell only.
+
+    The pool forks after the patch, so workers inherit it.
+    """
+    real = BenchmarkRunner.run_cell
+
+    def explode(self, method, array, spec):
+        if (method, spec.name) == ("chimp", "citytemp"):
+            raise RuntimeError("injected worker failure")
+        return real(self, method, array, spec)
+
+    monkeypatch.setattr(BenchmarkRunner, "run_cell", explode)
+    results = _run(jobs=jobs)
     assert len(results) == len(_CELLS)
     failed = results.cell("chimp", "citytemp")
     assert failed is not None and not failed.ok

@@ -45,13 +45,6 @@ def test_gfc_runs_at_512mb_exactly(runner):
     assert m.ok
 
 
-def test_paper_limits_can_be_disabled():
-    runner = BenchmarkRunner(paper_limits=False)
-    spec = get_spec("miranda3d")
-    m = runner.run_cell("gfc", load("miranda3d", 2048), spec)
-    assert m.ok
-
-
 def test_f32_reinterpreted_for_double_only():
     comp = get_compressor("pfpc")
     arr = load("rsim", 2048)

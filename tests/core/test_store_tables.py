@@ -1,7 +1,9 @@
-"""Tables 10 and 11 read the result store instead of compressing privately.
+"""Tables 9, 10 and 11 read the result store instead of compressing privately.
 
-Table 10's cells are page-sized stream cells of the one experiment
-function (``repro.expdb.sweep.execute_cell``), served by the suite's
+Table 9's md cells are the suite's whole-array cells and its 1d cells
+one-chunk stream cells; Table 10's cells are page-sized stream cells.
+All are cells of the one experiment function
+(``repro.expdb.sweep.execute_cell``), served by the suite's
 ``serve_cells``; Table 11 is a pure function of the suite's rows.
 """
 
@@ -13,13 +15,14 @@ from repro.compressors import get_compressor
 from repro.compressors.base import Compressor
 from repro.core import experiments as exp
 from repro.core.suite import open_store, run_suite
-from repro.data.catalog import get_spec
+from repro.data.catalog import CATALOG, get_spec
 from repro.expdb import sweep
 from repro.expdb.store import CellKey
 from repro.storage.query import QueryBenchmark
 
 PAGES = len(exp.PAGE_SIZES)
 METHODS = len(exp._BLOCK_METHODS)
+ND = [spec.name for spec in CATALOG if spec.ndim >= 2]
 
 
 @pytest.fixture(autouse=True)
@@ -99,3 +102,45 @@ def test_table11_is_a_function_of_the_suite_rows(monkeypatch):
     # GFC's paper-scale limit (a failed suite cell) renders as '-'.
     assert "gfc" not in out.data["cells"]["tpcxBB-web"]
     assert "-" in out.text
+
+
+def test_a_warm_store_serves_table9_without_compressing(monkeypatch):
+    calls = _count_cells(monkeypatch)
+    cold = exp.table9_dimension(target_elements=512)
+    assert len(calls) == 2 * len(exp._DIMENSION_METHODS) * len(ND)
+    calls.clear()
+    warm = exp.table9_dimension(target_elements=512)
+    assert calls == []
+    assert warm.data == cold.data
+
+
+def test_table9_measures_only_its_1d_cells_after_a_suite_run(monkeypatch):
+    methods = list(exp._DIMENSION_METHODS)
+    suite = run_suite(methods=methods, datasets=ND, target_elements=512)
+    calls = _count_cells(monkeypatch)
+    out = exp.table9_dimension(target_elements=512)
+    assert len(calls) == len(methods) * len(ND)
+    assert all(key.chunk_elements > 0 for key in calls)
+    # GFC's row covers exactly the N-d datasets its Table 4 column does.
+    covered = [m.dataset for m in suite.for_method("gfc") if m.ok]
+    assert out.data["gfc"]["datasets"] == covered
+    assert 0 < len(covered) < len(ND)
+
+
+def test_table9_hands_its_1d_codec_a_1d_array(monkeypatch):
+    codec = type(get_compressor("fpzip"))
+    seen: list[int] = []
+    real = codec._compress
+
+    def spy(self, array):
+        seen.append(array.ndim)
+        return real(self, array)
+
+    monkeypatch.setattr(codec, "_compress", spy)
+    monkeypatch.setattr(exp, "_DIMENSION_METHODS", ("fpzip",))
+    exp.table9_dimension(target_elements=512)
+    # Each N-d dataset reaches fpzip twice: with its shape (md), then as
+    # the 1d cell's one flat chunk.
+    assert len(seen) == 2 * len(ND)
+    assert all(ndim >= 2 for ndim in seen[::2])
+    assert seen[1::2] == [1] * len(ND)

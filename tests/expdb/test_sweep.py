@@ -186,19 +186,6 @@ def test_execute_cell_unknown_dataset_fails():
     assert error
 
 
-def test_execute_cell_honours_the_runner():
-    from repro.core.runner import BenchmarkRunner
-
-    key = _key(chunk_elements=0)
-    default = execute_cell(key)[1]
-    unverified = execute_cell(key, runner=BenchmarkRunner(verify=False))[1]
-    assert unverified["fingerprint"] != default["fingerprint"]
-    assert unverified["fingerprint"] == BenchmarkRunner(
-        verify=False
-    ).cell_fingerprint("gorilla")
-    assert unverified["ratio"] == default["ratio"]
-
-
 def test_sweep_and_suite_rows_carry_the_same_measurement(tmp_path, monkeypatch):
     from repro.core.suite import open_store, run_suite
 
@@ -364,3 +351,34 @@ def test_worker_loop_executes_corpus_cells_through_manifest_meta(db, corpus):
             assert cell.domain == "OBS"
             # target_elements truncation: 1024 of the 2000 on disk.
             assert cell.input_bytes == 1024 * 8
+
+
+def test_an_nd_corpus_file_is_capped_by_elements_in_whole_rows(tmp_path):
+    npy = tmp_path / "field.npy"
+    np.save(npy, np.cumsum(np.ones((1000, 3)), axis=0))
+    blob = npy.read_bytes()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "datasets": [
+                    {
+                        "name": "field",
+                        "domain": "HPC",
+                        "dtype": "f64",
+                        "url": "https://example.org/field.npy",
+                        "sha256": hashlib.sha256(blob).hexdigest(),
+                        "filename": "field.npy",
+                    }
+                ],
+            }
+        )
+    )
+    key = _key(dataset="field", chunk_elements=256, target_elements=512)
+    status, fields, error, _ = execute_cell(
+        key, ExternalCorpus.from_manifest(manifest)
+    )
+    assert status == "done", error
+    # 170 whole rows of 3: the 512-element budget, never 512 rows.
+    assert fields["input_bytes"] == 170 * 3 * 8

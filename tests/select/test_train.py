@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.results import Measurement, ResultSet
-from repro.core.runner import BenchmarkRunner
 from repro.core.suite import cell_fields, open_store
 from repro.errors import SelectionError
 from repro.select import (
@@ -35,7 +34,6 @@ def _seed_cache(tmp_path, cells=None, fingerprint=None):
         ("gorilla", "tpcH-order", 1.9),
         ("chimp", "tpcH-order", 1.2),
     ]
-    runner = BenchmarkRunner()
     with open_store(tmp_path) as store:
         store.upsert_cells(
             [
@@ -48,7 +46,7 @@ def _seed_cache(tmp_path, cells=None, fingerprint=None):
                     "seed": 0,
                     "target_elements": 512,
                     "status": "done",
-                    **cell_fields(_measurement(method, dataset, ratio), runner),
+                    **cell_fields(_measurement(method, dataset, ratio)),
                     **({"fingerprint": fingerprint} if fingerprint else {}),
                 }
                 for method, dataset, ratio in cells
@@ -87,6 +85,27 @@ def test_build_table_ignores_stale_rows(tmp_path):
     _seed_cache(tmp_path, [("fpzip", "citytemp", 99.0)])
     winners = {row.dataset: row.winner for row in build_table(root=tmp_path)}
     assert winners["citytemp"] == "fpzip"
+
+
+def test_build_table_ignores_fresh_stream_cells(tmp_path):
+    """A stream cell's ratio measures a chunking, not the codec."""
+    from repro.core.runner import BenchmarkRunner
+
+    _seed_cache(tmp_path)
+    with open_store(tmp_path) as store:
+        store.upsert_cells(
+            [
+                {
+                    "codec": "fpzip", "dataset": "citytemp",
+                    "chunk_elements": 1024, "jobs": 1, "policy": "fixed",
+                    "seed": 0, "target_elements": 512, "status": "done",
+                    "ratio": 99.0,
+                    "fingerprint": BenchmarkRunner().cell_fingerprint("fpzip"),
+                }
+            ]
+        )
+    winners = {row.dataset: row.winner for row in build_table(root=tmp_path)}
+    assert winners == {"citytemp": "chimp", "tpcH-order": "gorilla"}
 
 
 def test_build_table_ties_go_to_the_alphabetically_first_method(tmp_path):
