@@ -13,6 +13,17 @@ sum along the same axes in reverse.  Providing the true dimensionality
 improves prediction (paper's "Insights" note and Table 9), which this
 implementation reproduces because extra axes add extra difference
 passes.
+
+Plan-then-code (``docs/performance.md``): the bit-length symbols are
+known before the first is coded, so
+:func:`~repro.encodings.range_coder.encode_symbols` plans the adaptive
+model's interval for every symbol in NumPy passes and loops only the
+coder recurrence; the mantissa bits are packed in one
+:func:`~repro.encodings.vectorbit.pack_fields` pass.  Decoding runs
+:func:`~repro.encodings.range_coder.decode_symbols`, one fused loop,
+and unpacks the mantissas in one pass.  ``_compress_scalar`` /
+``_decompress_scalar`` drive the model and coder objects per symbol and
+are the oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ from repro.encodings.range_coder import (
     AdaptiveSymbolModel,
     RangeDecoder,
     RangeEncoder,
+    decode_symbols,
+    encode_symbols,
 )
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
@@ -121,22 +134,14 @@ class FpzipCompressor(Compressor):
         zz = _zigzag(residual).ravel()
         width = zz.dtype.itemsize * 8
 
-        # Plan-then-pack: the adaptive range coder is inherently serial
-        # (every symbol updates the model), but the mantissa stream it
-        # interleaves with is not — emit all residual bits in one
-        # vectorized pass instead of one BitWriter call per element.
         lengths = significant_bits(zz)
-        encoder = RangeEncoder()
-        model = AdaptiveSymbolModel(width + 1)
-        for length in lengths.tolist():
-            model.encode_symbol(encoder, length)
         wide = lengths > 1
         # The top significant bit is implicit; pack_fields masks to the
         # field width exactly as BitWriter.write_bits did.
         mantissa = pack_fields(
             zz[wide], lengths[wide].astype(np.int64) - 1
         )
-        range_blob = encoder.finish()
+        range_blob = encode_symbols(lengths, width + 1)
         return (
             encode_uvarint(len(range_blob))
             + range_blob
@@ -153,13 +158,10 @@ class FpzipCompressor(Compressor):
         blob_len, offset = decode_uvarint(payload, 0)
         if offset + blob_len > len(payload):
             raise CorruptStreamError("fpzip range stream truncated")
-        decoder = RangeDecoder(payload[offset : offset + blob_len])
-        model = AdaptiveSymbolModel(width + 1)
-
-        lengths = np.empty(count, dtype=np.int64)
-        decode = model.decode_symbol
-        for index in range(count):
-            lengths[index] = decode(decoder)
+        lengths = np.array(
+            decode_symbols(payload[offset : offset + blob_len], count, width + 1),
+            dtype=np.int64,
+        )
         widths = lengths - 1
         np.maximum(widths, 0, out=widths)
         vals = unpack_fields(payload[offset + blob_len :], widths)

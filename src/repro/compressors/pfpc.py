@@ -11,6 +11,20 @@ The paper notes pFPC prefers aligning thread count with the data's
 dimensionality because interleaving dimensions degrades prediction; the
 chunked layout here has the same property (chunk boundaries reset the
 hash tables).
+
+The encoder sees every value before it emits a byte, so it runs as
+array passes (``docs/performance.md``).  Both hashes are functions of a
+fixed number of earlier words: with ``table_bits`` = b, the FCM hash
+before a value is the XOR of the top 16 bits of the previous ⌈b/6⌉
+values, the k-th back shifted left by 6(k-1), and the DFCM hash the XOR
+of the top 24 bits of the previous ⌈b/2⌉ deltas shifted by 2(k-1), both
+masked to b bits.  A table read is "the latest earlier value of the
+chunk with the same hash, else 0", which one stable sort by
+``(chunk, hash)`` answers for every element at once.  The decoder cannot
+plan the tables (its hashes are the values it decodes), but it can plan
+the stream: codes and residual bytes are unpacked in NumPy and only the
+table recurrence loops.  ``_compress_scalar`` / ``_decompress_scalar``
+are the per-element oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import Compressor, MethodInfo, register
-from repro.compressors.util import float_bits
+from repro.compressors.util import float_bits, significant_bits
+from repro.encodings.arithmetic import _sorted_runs
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
 from repro.perf.cost import (
@@ -31,6 +46,35 @@ from repro.perf.cost import (
 __all__ = ["PfpcCompressor"]
 
 _MASK64 = (1 << 64) - 1
+
+
+def _context_hashes(
+    words: np.ndarray, within: np.ndarray, table_bits: int, shift: int
+) -> np.ndarray:
+    """The hash before every element: ``hash = (hash << shift ^ word)``
+    unrolled over the earlier words of its chunk that still reach the
+    low ``table_bits`` bits."""
+    hashes = np.zeros(words.size, dtype=np.int64)
+    term = np.empty_like(hashes)
+    for back in range(1, -(-table_bits // shift) + 1):
+        term[back:] = words[:-back]
+        # Words before the chunk start (and the first ``back`` slots).
+        term[within < back] = 0
+        term <<= shift * (back - 1)
+        hashes ^= term
+    hashes &= (1 << table_bits) - 1
+    return hashes
+
+
+def _table_reads(keys: np.ndarray, written: np.ndarray) -> np.ndarray:
+    """What a table indexed by ``keys`` holds before each element, when
+    element ``i`` writes ``written[i]`` at ``keys[i]``: the value of the
+    latest earlier element with the same key, else 0."""
+    order, starts = _sorted_runs(keys)
+    follows = ~starts[1:]
+    reads = np.zeros_like(written)
+    reads[order[1:][follows]] = written[order[:-1][follows]]
+    return reads
 
 
 @register
@@ -83,7 +127,7 @@ class PfpcCompressor(Compressor):
         self.table_bits = table_bits
 
     # ------------------------------------------------------------------
-    # FPC kernel over one chunk
+    # FPC kernel over one chunk (the scalar oracle's)
     # ------------------------------------------------------------------
     def _encode_chunk(self, values: list[int]) -> bytes:
         size = 1 << self.table_bits
@@ -171,9 +215,120 @@ class PfpcCompressor(Compressor):
         return values, pos
 
     # ------------------------------------------------------------------
-    # Compressor interface
+    # Compressor interface: array passes
     # ------------------------------------------------------------------
     def _compress(self, array: np.ndarray) -> bytes:
+        values = float_bits(array.ravel())
+        n = values.size
+        if not n:
+            return encode_uvarint(0)
+        chunk_size = -(-n // self.threads)
+        index = np.arange(n, dtype=np.int64)
+        within = index % chunk_size
+        chunk = index // chunk_size
+        del index
+        last = np.zeros_like(values)
+        last[1:] = values[:-1]
+        last[within == 0] = 0
+        delta = values - last
+        bits = self.table_bits
+        chunk <<= bits
+        fcm_key = chunk | _context_hashes(
+            (values >> np.uint64(48)).astype(np.int64), within, bits, 6
+        )
+        dfcm_key = chunk | _context_hashes(
+            (delta >> np.uint64(40)).astype(np.int64), within, bits, 2
+        )
+        xor_fcm = values ^ _table_reads(fcm_key, values)
+        xor_dfcm = values ^ (last + _table_reads(dfcm_key, delta))
+        del fcm_key, dfcm_key, last, delta, within, chunk
+        selector = xor_fcm > xor_dfcm
+        xor = np.where(selector, xor_dfcm, xor_fcm)
+        del xor_fcm, xor_dfcm
+        lzb = np.minimum((64 - significant_bits(xor)) >> 3, 7)
+        codes = (selector.astype(np.uint8) << np.uint8(3)) | lzb.astype(
+            np.uint8
+        )
+        kept = 8 - lzb
+        # Residual bytes: the low ``kept`` bytes of each little-endian xor.
+        residuals = xor.astype("<u8").view(np.uint8).reshape(n, 8)[
+            np.arange(8) < kept[:, None]
+        ]
+        ends = np.cumsum(kept)
+        out = [encode_uvarint(-(-n // chunk_size))]
+        for start in range(0, n, chunk_size):
+            stop = min(start + chunk_size, n)
+            nibbles = codes[start:stop]
+            if nibbles.size % 2:
+                nibbles = np.append(nibbles, np.uint8(0))
+            packed = (nibbles[0::2] << np.uint8(4)) | nibbles[1::2]
+            first = int(ends[start - 1]) if start else 0
+            out += (
+                encode_uvarint(stop - start),
+                encode_uvarint(packed.size),
+                packed.tobytes(),
+                residuals[first : int(ends[stop - 1])].tobytes(),
+            )
+        return b"".join(out)
+
+    def _decompress(
+        self, payload: bytes, shape: tuple[int, ...], dtype: np.dtype
+    ) -> np.ndarray:
+        """Codes and residual bytes of every chunk are unpacked in NumPy;
+        the loop runs only the FCM/DFCM table recurrence, whose hashes
+        are the values it decodes."""
+        n_chunks, offset = decode_uvarint(payload, 0)
+        size = 1 << self.table_bits
+        mask = size - 1
+        values: list[int] = []
+        append = values.append
+        for _ in range(n_chunks):
+            count, offset = decode_uvarint(payload, offset)
+            code_len, offset = decode_uvarint(payload, offset)
+            if offset + code_len > len(payload) or 2 * code_len < count:
+                raise CorruptStreamError("pFPC code stream truncated")
+            packed = np.frombuffer(
+                payload, dtype=np.uint8, count=code_len, offset=offset
+            )
+            offset += code_len
+            codes = np.empty(2 * code_len, dtype=np.uint8)
+            codes[0::2] = packed >> np.uint8(4)
+            codes[1::2] = packed & np.uint8(0x0F)
+            codes = codes[:count]
+            kept = 8 - (codes & np.uint8(7)).astype(np.int64)
+            stored = int(kept.sum())
+            if offset + stored > len(payload):
+                raise CorruptStreamError("pFPC residual stream truncated")
+            grid = np.zeros((count, 8), dtype=np.uint8)
+            grid[np.arange(8) < kept[:, None]] = np.frombuffer(
+                payload, dtype=np.uint8, count=stored, offset=offset
+            )
+            offset += stored
+            xors = grid.view("<u8").ravel().tolist()
+            fcm = [0] * size
+            dfcm = [0] * size
+            fcm_hash = 0
+            dfcm_hash = 0
+            last = 0
+            for xor, selector in zip(xors, (codes >> np.uint8(3)).tolist()):
+                if selector:
+                    value = xor ^ ((last + dfcm[dfcm_hash]) & _MASK64)
+                else:
+                    value = xor ^ fcm[fcm_hash]
+                append(value)
+                fcm[fcm_hash] = value
+                fcm_hash = ((fcm_hash << 6) ^ (value >> 48)) & mask
+                delta = (value - last) & _MASK64
+                dfcm[dfcm_hash] = delta
+                dfcm_hash = ((dfcm_hash << 2) ^ (delta >> 40)) & mask
+                last = value
+        return np.array(values, dtype=np.uint64).view(np.float64)
+
+    # ------------------------------------------------------------------
+    # Scalar oracle (the original per-element implementation)
+    # ------------------------------------------------------------------
+    def _compress_scalar(self, array: np.ndarray) -> bytes:
+        """Reference encoder; :meth:`_compress` must match it bit-exactly."""
         bits = float_bits(array.ravel())
         values = bits.tolist()
         chunk_size = max(1, -(-len(values) // self.threads))
@@ -186,9 +341,10 @@ class PfpcCompressor(Compressor):
             out.append(self._encode_chunk(chunk))
         return b"".join(out)
 
-    def _decompress(
+    def _decompress_scalar(
         self, payload: bytes, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        """Reference decoder matching :meth:`_compress_scalar`."""
         n_chunks, offset = decode_uvarint(payload, 0)
         values: list[int] = []
         for _ in range(n_chunks):

@@ -116,6 +116,17 @@ def find_tokens(
     pass (:func:`_hash_all`); the parse itself stays serial because each
     step's chain contents depend on where the previous match ended.
     Tokens equal :func:`_find_tokens_scalar`'s for every argument.
+
+    Candidates sit on zlib-style linked chains: ``head[h]`` is the newest
+    position indexed under hash ``h`` and ``prev[p]`` the one indexed
+    under the same hash before ``p``.  The oracle keeps a list of the
+    newest ``max_chain`` insertions per hash, so a probe walks at most
+    ``max_chain`` slots from ``head``.  One position is indexed twice:
+    lazy parsing indexes ``pos`` before probing ``pos + 1`` and, when it
+    keeps the match at ``pos``, the match loop indexes ``pos`` again.
+    The list held that position in two adjacent entries; its node stays
+    linked once but fills two slots, so it evicts exactly the candidate
+    the list's second entry evicted.
     """
     data = bytes(data)
     n = len(data)
@@ -126,27 +137,27 @@ def find_tokens(
         return tokens
 
     hashes = _hash_all(data)
-    # hash -> the most recent ``max_chain`` positions, oldest first.
-    head: dict[int, list[int]] = {}
-    get_chain = head.get
+    # The end-of-chain mark lies out of every window, so the walk's one
+    # test ``candidate >= position - window`` ends it.
+    nil = -window - 1
+    head = [nil] * 4096
+    prev = [nil] * n
+    slots = [1] * n
 
-    def probe(position: int) -> tuple[int, int]:
+    def probe(position: int, candidate: int) -> tuple[int, int]:
+        """Longest match for ``position`` on the chain from ``candidate``."""
         best_len = 0
         best_dist = 0
-        chain = get_chain(hashes[position])
-        if chain:
-            limit = n - position
-            if max_match is not None and max_match < limit:
-                limit = max_match
-            oldest = position - window
-            # Only a candidate that also agrees at offset best_len can
-            # be longer than the best so far.
-            wanted = data[position]
-            for candidate in reversed(chain):
-                if candidate < oldest:
-                    break
-                if data[candidate + best_len] != wanted:
-                    continue
+        floor = position - window
+        limit = n - position
+        if max_match is not None and max_match < limit:
+            limit = max_match
+        # Only a candidate that also agrees at offset best_len can
+        # be longer than the best so far.
+        wanted = data[position]
+        budget = max_chain
+        while candidate >= floor and budget > 0:
+            if data[candidate + best_len] == wanted:
                 length = _common_prefix(data, candidate, position, limit)
                 if length > best_len:
                     best_len = length
@@ -154,41 +165,48 @@ def find_tokens(
                     if length >= limit:
                         break
                     wanted = data[position + length]
+            budget -= slots[candidate]
+            candidate = prev[candidate]
         return best_len, best_dist
-
-    def index_position(position: int) -> None:
-        key = hashes[position]
-        chain = get_chain(key)
-        if chain is None:
-            head[key] = [position]
-        else:
-            chain.append(position)
-            if len(chain) > max_chain:
-                del chain[0]  # appended one at a time, so at most one over
 
     literal_start = 0
     pos = 0
     last_match_start = n - min_match
     while pos <= last_match_start:
-        best_len, best_dist = probe(pos)
+        key = hashes[pos]
+        candidate = head[key]
+        if candidate < pos - window:
+            best_len = 0  # an empty chain: no probe
+        else:
+            best_len, best_dist = probe(pos, candidate)
+        doubled = False
         if lazy and min_match <= best_len and pos + 1 <= last_match_start:
-            index_position(pos)
-            next_len, next_dist = probe(pos + 1)
+            prev[pos] = candidate
+            head[key] = pos
+            next_len, next_dist = probe(pos + 1, head[hashes[pos + 1]])
             if next_len > best_len:
                 pos += 1  # defer: the next position matches longer
                 best_len, best_dist = next_len, next_dist
+            else:
+                # The match below indexes ``pos`` again: two slots.
+                slots[pos] = 2
+                doubled = True
         if best_len >= min_match:
             tokens.append(Token(data[literal_start:pos], best_len, best_dist))
             end = pos + best_len
             # Index the skipped positions sparsely to keep insertion cheap
             # while still letting future matches reach into this span.
             step = 1 if best_len <= 32 else 3
-            for insert in range(pos, min(end, last_match_start + 1), step):
-                index_position(insert)
+            first = pos + step if doubled else pos
+            for insert in range(first, min(end, last_match_start + 1), step):
+                key = hashes[insert]
+                prev[insert] = head[key]
+                head[key] = insert
             pos = end
             literal_start = end
         else:
-            index_position(pos)
+            prev[pos] = candidate
+            head[key] = pos
             # LZ4-style skip acceleration: the longer the current literal
             # run, the larger the stride through incompressible regions.
             pos += 1 + ((pos - literal_start) >> 6)

@@ -22,8 +22,8 @@ from repro.select import resolve_policy
 
 pytestmark = pytest.mark.cluster
 
-SLOW_CODEC = "bitshuffle-zstd"  # ~1 s server-side on _big(): a wide
-# window to SIGKILL the serving node with the request in flight.
+SLOW_CODEC = "bitshuffle-zstd"  # a compress of _big() long enough to
+# SIGKILL the serving node with the request in flight.
 
 
 @pytest.fixture(scope="module")
@@ -122,12 +122,16 @@ def test_kill_primary_mid_request_fails_over(cluster, client):
     stream = "t2/kill-mid"
     primary = client.nodes_for(stream)[0]
     pid = cluster.node_pid(primary)
+    start = time.perf_counter()
     local = compress_array(arr, SLOW_CODEC)
+    # The node compresses as fast as this process did, so halfway
+    # through that time the request is in flight on any host.
+    halfway = (time.perf_counter() - start) / 2
 
     # Fire the kill while the slow compress is in flight on the
     # primary.  The client's connection dies mid-read; the replay on
     # the replica must return the identical bytes.
-    killer = threading.Timer(0.3, cluster.kill_node, args=(primary,))
+    killer = threading.Timer(halfway, cluster.kill_node, args=(primary,))
     killer.start()
     try:
         blob = client.compress_stream(stream, arr, SLOW_CODEC)

@@ -16,6 +16,7 @@ from repro.api import frames
 from repro.compressors import get_compressor
 from repro.compressors.mpc import MpcCompressor
 from repro.compressors.ndzip import NdzipCpuCompressor
+from repro.encodings.varint import encode_uvarint
 from repro.errors import CorruptStreamError
 
 from .conftest_vector import adversarial_cases  # noqa: F401  (fixture file)
@@ -43,7 +44,7 @@ def _native(compressor, array: np.ndarray) -> np.ndarray:
 
 ORACLE_METHODS = [
     "gorilla", "chimp", "fpzip", "ndzip-cpu",
-    "dzip", "bitshuffle-lz4", "bitshuffle-zstd", "gfc",
+    "dzip", "bitshuffle-lz4", "bitshuffle-zstd", "gfc", "pfpc",
 ]  # fmt: skip
 
 
@@ -74,7 +75,9 @@ class TestByteIdentity:
             ), f"{method} failed to decode the seed payload of {name!r}"
 
 
-@pytest.mark.parametrize("method", ["gorilla", "chimp", "fpzip", "dzip", "gfc"])
+@pytest.mark.parametrize(
+    "method", ["gorilla", "chimp", "fpzip", "dzip", "gfc", "pfpc"]
+)
 def test_scalar_decoder_inverts_vector_payload(method, adversarial_cases):
     compressor = get_compressor(method)
     for name, array in adversarial_cases.items():
@@ -86,6 +89,50 @@ def test_scalar_decoder_inverts_vector_payload(method, adversarial_cases):
         assert _bitexact(np.asarray(restored).reshape(array.shape), array), (
             f"{method} vector payload not decodable by the seed on {name!r}"
         )
+
+
+class TestPfpcArrayEncoder:
+    @pytest.mark.parametrize("threads", [1, 3, 8])
+    @pytest.mark.parametrize("table_bits", [4, 16, 24])
+    def test_payload_identical_for_every_table_and_thread_count(
+        self, table_bits, threads, adversarial_cases
+    ):
+        compressor = get_compressor(
+            "pfpc", threads=threads, table_bits=table_bits
+        )
+        # float32 reaches the double-only codec as 64-bit words; the odd
+        # tail of 4,001 elements is zero-padded.
+        for name in ("noise_f32", "quantized_f32"):
+            array = _native(compressor, adversarial_cases[name][:4001])
+            payload = compressor._compress(array)
+            assert payload == compressor._compress_scalar(array), name
+            restored = compressor._decompress(
+                payload, array.shape, array.dtype
+            )
+            assert _bitexact(restored, array), name
+
+    @pytest.mark.parametrize("cut", [1, 7, 200])
+    def test_truncated_payload_is_refused_like_the_oracle(self, cut):
+        compressor = get_compressor("pfpc")
+        array = np.round(np.random.default_rng(2).normal(0, 3, 999), 2)
+        payload = compressor._compress(array)
+        with pytest.raises(CorruptStreamError):
+            compressor._decompress(payload[:-cut], array.shape, array.dtype)
+        with pytest.raises(CorruptStreamError):
+            compressor._decompress_scalar(
+                payload[:-cut], array.shape, array.dtype
+            )
+
+
+class TestFpzipForgedPayload:
+    def test_an_empty_range_stream_is_refused(self):
+        # A read past the end of the range blob is an error, never a
+        # zero byte, so an empty blob cannot claim 200,000 values.
+        compressor = get_compressor("fpzip")
+        f64 = np.dtype(np.float64)
+        for decode in (compressor._decompress, compressor._decompress_scalar):
+            with pytest.raises(CorruptStreamError, match="past the end"):
+                decode(encode_uvarint(0), (200_000,), f64)
 
 
 class TestDzipPlanThenCode:

@@ -122,10 +122,29 @@ def test_short_min_match_hashes_the_zero_extended_tail():
 
 
 @settings(max_examples=60)
-@given(st.binary(max_size=1500), st.booleans(), st.sampled_from([2, 16]))
+@given(st.binary(max_size=1500), st.booleans(), st.sampled_from([1, 2, 16]))
 def test_oracle_equivalence_property(data, lazy, max_chain):
     options = dict(lazy=lazy, max_chain=max_chain)
     assert find_tokens(data, **options) == _find_tokens_scalar(data, **options)
+
+
+def test_lazy_double_insertion_fills_two_chain_slots():
+    # The first match is kept at position 1 after the lazy step, so
+    # position 1 is indexed twice and the oracle's chain for b"aaaa"
+    # reads [1, 1]: position 0 is evicted.  Position 8 then matches 4
+    # bytes at distance 7 and defers to position 9 (5 bytes at distance
+    # 1).  Counting position 1 as one slot would keep 0 in reach and
+    # emit 5 bytes at distance 8 from position 8 instead.
+    data = b"aaaaababaaaaaabaaababa"
+    options = dict(lazy=True, max_chain=2)
+    expected = [
+        Token(b"a", 4, 1),
+        Token(b"baba", 5, 1),
+        Token(b"b", 7, 13),
+        Token(b"", 0, 0),
+    ]
+    assert _find_tokens_scalar(data, **options) == expected
+    assert find_tokens(data, **options) == expected
 
 
 class TestCopyMatch:
