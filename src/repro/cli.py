@@ -328,17 +328,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     def on_cell(cell: dict) -> None:
         if args.quiet:
             return
-        if "online_ratio" in cell:  # a tenancy regime row
-            verdict = "beats" if cell["beats_heuristic"] else "trails"
-            print(
-                f"tenancy    {cell['regime']:<14} "
-                f"online {cell['online_ratio']:6.3f} = "
-                f"{cell['online_vs_best_fixed'] * 100:5.1f}% of best fixed "
-                f"({cell['best_fixed_arm']} {cell['best_fixed_ratio']:.3f}) "
-                f"{verdict} heuristic {cell['heuristic_ratio']:.3f}",
-                flush=True,
-            )
-            return
         speedup = cell.get("encode_speedup_vs_scalar")
         extra = f"  {speedup:5.1f}x vs scalar" if speedup else ""
         print(
@@ -1007,7 +996,6 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
     body = {
         "tenancy": stats.get("tenancy", {}),
         "tenants": stats.get("tenants", {}),
-        "online": stats.get("online", {}),
     }
     print(json.dumps(body, indent=2, sort_keys=True))
     return 0
@@ -1552,7 +1540,7 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
     )
     _derive(
         p, run_bench, "elements", "repeats", "seed", "no_oracle=oracle",
-        "no_guard=guard", "tenancy",
+        "no_guard=guard",
     )
     p.add_argument(
         "--output", help="write the snapshot to this path instead"
@@ -1706,7 +1694,7 @@ def _serve_args(p: argparse.ArgumentParser) -> None:
     _derive(p, run_server, "host", "port", "grace")
     _derive(
         p, CompressionServer, "max_queued_requests", "max_queued_bytes",
-        "shed_retry_after_ms", "node_id", "online_seed", "trace",
+        "shed_retry_after_ms", "node_id", "trace",
         "trace_capacity", "slow_ms=slow_request_ms",
     )
     p.add_argument(
@@ -1751,7 +1739,7 @@ def _client_compress_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("output", help="destination .fcf stream")
     _derive(
         p, ServiceClient.compress_array, "codec", "policy", "chunk_elements",
-        policy={"choices": ("heuristic", "measured", "learned", "online")},
+        policy={"choices": ("heuristic", "measured", "learned")},
     )
     p.add_argument("--quiet", action="store_true", help="no summary line")
 
@@ -1982,7 +1970,7 @@ _COMMANDS = {
         "list": ("print a registry file's tenants (tokens redacted)",
                  _cmd_tenant, _tenant_list_args),
         "stats": ("print a live server's per-tenant accounting (quota "
-                  "windows, serving counters, bandit arms)",
+                  "windows, serving counters)",
                   _cmd_tenant, _add_dial_args),
     }, None),
     "cluster": ("run and operate a sharded multi-node compression cluster", {

@@ -192,7 +192,6 @@ def run_bench(
     repeats: int = 3,
     oracle: bool = True,
     guard: bool = True,
-    tenancy: bool = False,
     seed: int = 0,
     on_cell: Callable[[dict], None] | None = None,
 ) -> dict:
@@ -211,9 +210,6 @@ def run_bench(
         Also time the scalar-oracle baselines.
     guard:
         Also measure the small regression-guard cells.
-    tenancy:
-        Also run the multi-tenant regime-shift workload (online
-        selection bandit vs best fixed arm vs static heuristic).
     seed:
         Data generator seed.
     on_cell:
@@ -253,16 +249,6 @@ def run_bench(
             report["guard"].append(cell)
             if on_cell is not None:
                 on_cell(cell)
-    if tenancy:
-        # Multi-tenant regime-shift workload: the online selection
-        # bandit versus every fixed arm and the static heuristic, over
-        # the wire with per-tenant accounting (see repro/perf/tenancy.
-        # py).  Snapshots the feedback loop's convergence per commit.
-        from repro.perf.tenancy import run_tenancy_bench
-
-        report["service"] = {
-            "tenancy": run_tenancy_bench(seed=seed, on_result=on_cell)
-        }
     return report
 
 

@@ -3,16 +3,17 @@
 FCBench's central finding is that no single lossless compressor
 dominates across domains — the winner flips with the data's entropy
 class, smoothness, and mantissa structure.  This package turns that
-offline conclusion into an online capability: at write time, each chunk
-of an FCF v2 stream is routed to the codec a pluggable policy picks
-from cheap chunk statistics.
+offline conclusion into a write-time capability: each chunk of an FCF
+v2 stream is routed to the codec a pluggable policy picks from cheap
+chunk statistics.  Every policy is a pure function of the chunk bytes,
+so a served ``auto`` stream equals the local one and a chunk-parallel
+writer equals a serial one; a server runs the same policies, with no
+state learned from its traffic (any other policy name, ``online``
+included, is a typed :class:`~repro.errors.SelectionError`).
 
 * :mod:`repro.select.features` — deterministic per-chunk statistics,
 * :mod:`repro.select.policy` — ``heuristic`` / ``measured`` /
   ``learned`` selection policies,
-* :mod:`repro.select.online` — the served-only ``online`` bandit that
-  keeps learning from served outcomes (the multi-tenant server's
-  feedback loop; no local writer can feed it, so none accepts it),
 * :mod:`repro.select.train` — fit the learned policy from the result
   store (``fcbench select train``).
 
@@ -26,12 +27,6 @@ from repro.select.features import (
     FEATURE_SAMPLE_ELEMENTS,
     ChunkFeatures,
     extract_features,
-)
-from repro.select.online import (
-    PRODUCTION_LATENCY_WEIGHT,
-    OnlinePolicy,
-    OnlineSelectorHub,
-    feature_bucket,
 )
 from repro.select.policy import (
     DEFAULT_CANDIDATES,
@@ -66,14 +61,10 @@ __all__ = [
     "HeuristicPolicy",
     "LearnedPolicy",
     "MeasuredPolicy",
-    "OnlinePolicy",
-    "OnlineSelectorHub",
-    "PRODUCTION_LATENCY_WEIGHT",
     "SelectionDecision",
     "SelectionPolicy",
     "codec_instance",
     "explain",
-    "feature_bucket",
     "pick_smallest",
     "resolve_policy",
     "TableRow",

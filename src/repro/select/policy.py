@@ -341,11 +341,6 @@ def resolve_policy(policy, **options) -> SelectionPolicy:
         from repro.select.train import load_policy
 
         return load_policy(options.pop("table_path", None), **options)
-    if policy == "online":
-        raise SelectionError(
-            "policy 'online' learns from served outcomes: only a server's "
-            "codec='auto' compress request can use it"
-        )
     raise SelectionError(
         f"unknown selection policy {policy!r}; known: {', '.join(POLICY_NAMES)}"
     )

@@ -107,8 +107,10 @@ class RequestSurface:
         chunk_elements:
             Elements per chunk frame.
         policy:
-            Selection policy for ``codec="auto"``; ``online`` uses the
-            server's per-tenant bandit.
+            Selection policy for ``codec="auto"``: ``heuristic``,
+            ``measured`` or ``learned``, as locally.  Any other name,
+            ``online`` included, is a typed
+            :class:`~repro.errors.SelectionError`.
         """
         payload = protocol.encode_compress_request(
             np.asarray(array), codec, chunk_elements, policy

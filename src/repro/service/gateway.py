@@ -9,16 +9,15 @@ bolts a tiny read-only HTTP sidecar onto a running
     The full metrics snapshot rendered as Prometheus text exposition
     (version 0.0.4) — per-op request/error/latency series, per-codec
     byte accounting, admission-control rejections by reason, and when
-    tenancy is enabled, per-tenant counters plus the online bandit's
-    per-arm statistics.
+    tenancy is enabled, per-tenant counters and quota windows.
 ``GET /healthz``
     The server's health document as JSON; status 200 while serving,
     503 once draining, so load balancers can rotate the node out
     before the TCP listener closes.
 ``GET /tenants``
-    The tenancy and online-selection sections as JSON — quota windows,
-    lifetime totals, bandit arm means — for humans and tooling that
-    want structure rather than flat samples.
+    The tenancy sections as JSON — quota windows and lifetime totals —
+    for humans and tooling that want structure rather than flat
+    samples.
 ``GET /trace``
     The span recorder's recent window as JSON (stats, distinct trace
     ids, span dicts; ``?limit=N`` bounds the window).  404 when the
@@ -319,30 +318,6 @@ def render_prometheus(document: dict, node_id: str | None = None) -> str:
             wb.add(labels, row.get("window_bytes", 0))
             wr.add(labels, row.get("window_requests", 0))
 
-    online = document.get("online", {}).get("tenants", {})
-    if online:
-        pulls = family(
-            "fcbench_online_arm_pulls_total",
-            "counter",
-            "Bandit arm pulls, by tenant, feature bucket, and arm.",
-        )
-        mean = family(
-            "fcbench_online_arm_mean_reward",
-            "gauge",
-            "Bandit arm mean reward, by tenant, feature bucket, and arm.",
-        )
-        for tenant, policy in sorted(online.items()):
-            for bucket, state in sorted(policy.get("buckets", {}).items()):
-                for arm, stats in sorted(state.get("arms", {}).items()):
-                    labels = {
-                        **base,
-                        "tenant": tenant,
-                        "bucket": bucket,
-                        "arm": arm,
-                    }
-                    pulls.add(labels, stats.get("pulls", 0))
-                    mean.add(labels, stats.get("mean_reward", 0.0))
-
     return "\n".join(fam.render() for fam in families) + "\n"
 
 
@@ -484,7 +459,6 @@ class ObservabilityGateway:
                         body = {
                             "tenancy": document.get("tenancy", {}),
                             "tenants": document.get("tenants", {}),
-                            "online": document.get("online", {}),
                         }
                         self._send(
                             200,

@@ -103,7 +103,6 @@ __all__ = [
     "response_type",
     "encode_compress_request",
     "decode_compress_request",
-    "peek_compress_request",
     "encode_array",
     "decode_array",
     "encode_explain_request",
@@ -568,10 +567,8 @@ def decode_array(payload: bytes, pos: int = 0) -> np.ndarray:
 def decode_array_view(payload: bytes, pos: int = 0) -> np.ndarray:
     """Like :func:`decode_array`, but a read-only view over ``payload``.
 
-    The online-selection path samples a few thousand elements for
-    feature extraction before the request is executed; copying the
-    whole array just to look at it would double the admission-time
-    memory cost.
+    :func:`decode_array` is this view plus one copy; a caller that only
+    reads the array can skip the copy.
     """
     if pos >= len(payload):
         raise ProtocolError("truncated array payload (missing dtype)")
@@ -620,24 +617,12 @@ def decode_compress_request(
     payload: bytes,
 ) -> tuple[str, str, int, np.ndarray]:
     """Parse a ``COMPRESS`` payload -> (codec, policy, chunking, array)."""
-    codec, policy, chunk_elements, pos = peek_compress_request(payload)
-    return codec, policy, chunk_elements, decode_array(payload, pos)
-
-
-def peek_compress_request(payload: bytes) -> tuple[str, str, int, int]:
-    """Parse a ``COMPRESS`` payload's header without copying the array.
-
-    Returns ``(codec, policy, chunk_elements, array_pos)`` where
-    ``array_pos`` is the offset :func:`decode_array` would start at.
-    The online-selection path uses this to inspect a request cheaply
-    before deciding which concrete codec should execute it.
-    """
     codec, pos = _decode_name(payload, 0, "codec name")
     policy, pos = _decode_name(payload, pos, "policy name")
     chunk_elements, pos = _decode_varint(payload, pos, "chunk_elements")
     if chunk_elements < 1:
         raise ProtocolError(f"implausible chunk_elements {chunk_elements}")
-    return codec, policy, chunk_elements, pos
+    return codec, policy, chunk_elements, decode_array(payload, pos)
 
 
 def encode_explain_request(

@@ -21,12 +21,6 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
   batches execute higher-priority tenants first.  Light probes (ping,
   stats, health, topology) stay unauthenticated so supervisors and
   dashboards need no credentials.
-* **Online selection** — ``codec="auto"`` requests naming the
-  ``online`` policy are decided by a server-resident per-tenant bandit
-  (:class:`~repro.select.online.OnlineSelectorHub`): the server picks
-  the arm before the slice executes and folds the served outcome
-  (bytes in/out, seconds) back in afterwards, so codec choice tracks
-  each tenant's live regime.
 
 Malformed bytes never crash or hang the server: framing violations get
 a typed ``ERROR`` frame (code ``ERR_PROTOCOL``) and the connection is
@@ -108,8 +102,8 @@ _UNKNOWN_TYPE = (
 
 
 # ----------------------------------------------------------------------
-# Request execution: pure functions of the payload (plus the codec the
-# bandit chose), which is what makes a slice's bytes serial bytes
+# Request execution: pure functions of the payload, which is what makes
+# a slice's bytes serial bytes
 # ----------------------------------------------------------------------
 def _error_result(op: str, exc: BaseException) -> tuple:
     code = protocol.error_code_for(exc)
@@ -117,7 +111,7 @@ def _error_result(op: str, exc: BaseException) -> tuple:
     return ("err", code, message, {"op": op})
 
 
-def _execute_compress(payload: bytes, override: str | None = None) -> tuple:
+def _execute_compress(payload: bytes) -> tuple:
     from repro.api.frames import AUTO_CODEC
     from repro.api.session import compress_array
 
@@ -125,12 +119,7 @@ def _execute_compress(payload: bytes, override: str | None = None) -> tuple:
         protocol.decode_compress_request(payload)
     )
     codec = name
-    if override is not None:
-        # The server's online bandit already chose the concrete arm;
-        # record it as the served codec so metrics and the feedback
-        # loop see the arm, not the "auto" alias.
-        codec = name = override
-    elif name == AUTO_CODEC:
+    if name == AUTO_CODEC:
         from repro.select import resolve_policy
 
         codec = resolve_policy(policy_name)
@@ -238,8 +227,6 @@ class _Pending:
         "priority",
         "charged",
         "executed",
-        "arm",
-        "bucket",
         "outcome",
         "span",
     )
@@ -271,10 +258,6 @@ class _Pending:
         self.charged = False
         #: the request reached execution (charges stick; see _release).
         self.executed = False
-        #: the codec the online bandit chose, and the feature bucket it
-        #: chose it for (None unless ``auto`` + ``online``).
-        self.arm: str | None = None
-        self.bucket: str | None = None
         #: what execution returned: ("ok"|"err", type|code, payload, meta).
         self.outcome: tuple | None = None
 
@@ -517,17 +500,6 @@ class CompressionServer:
         fit the tenant's quota window, and batches execute
         higher-priority tenants first.  ``None`` (default) serves
         everyone, untagged.
-    online_seed:
-        Seed for the per-tenant online-selection bandits
-        (:class:`~repro.select.online.OnlineSelectorHub`); the hub is
-        always available — ``codec="auto"`` requests naming the
-        ``online`` policy use it with or without a tenant registry —
-        and the seed makes its exploration reproducible.
-    online_options:
-        Extra keyword options for each tenant's
-        :class:`~repro.select.online.OnlinePolicy` (e.g. a custom
-        ``candidates`` arm set, ``exploration``, ``latency_weight``);
-        options the policy cannot accept are a ``ValueError`` here.
     trace:
         Enable distributed tracing: every heavy request grows a span
         tree (parse → admission stages → queue wait → execute) in a
@@ -562,8 +534,6 @@ class CompressionServer:
         node_id: str | None = None,
         topology: dict | None = None,
         tenants: TenantRegistry | None = None,
-        online_seed: int = 0,
-        online_options: dict | None = None,
         trace: bool = False,
         trace_capacity: int = 4096,
         slow_request_ms: float | None = None,
@@ -592,21 +562,6 @@ class CompressionServer:
             else None
         )
         self.tenants = tenants
-        self.online_seed = int(online_seed)
-        self.online_options = dict(online_options or {})
-        if self.online_options:
-            # Fail where the mistake is made, not on the first online
-            # request (a default server still loads no selection stack).
-            from repro.select.online import OnlinePolicy
-
-            try:
-                OnlinePolicy(seed=self.online_seed, **self.online_options)
-            except (TypeError, ReproError) as exc:
-                raise ValueError(f"bad online_options: {exc}") from exc
-        # Created on first online-policy request: keeps `import repro.
-        # service.server` free of the selection stack.
-        self._online_hub = None
-        self._online_lock = threading.Lock()
         self._heavy = _HEAVY_TYPES if handlers is None else ()
         self._inline = self._inline_handlers() if handlers is None else handlers
         self._refusal = refusal
@@ -703,9 +658,8 @@ class CompressionServer:
         """The JSON body answering a ``stats`` request.
 
         The metrics snapshot, extended with the quota registry's
-        per-tenant accounting (``tenancy``) and the online bandit's arm
-        statistics (``online``) when those subsystems are live — one
-        document serves the wire, the gateway, and the CLI.  The
+        per-tenant accounting (``tenancy``) when tenancy is configured —
+        one document serves the wire, the gateway, and the CLI.  The
         ``admission`` section also carries the gate's live occupancy
         (``queued_requests`` / ``queued_bytes``: admitted, not finished).
         """
@@ -713,12 +667,6 @@ class CompressionServer:
         body["admission"].update(self._admission.snapshot())
         if self.tenants is not None:
             body["tenancy"] = self.tenants.snapshot()
-        with self._online_lock:
-            hub = self._online_hub
-        if hub is not None:
-            snap = hub.snapshot()
-            if snap["tenants"]:
-                body["online"] = snap
         if self.recorder.enabled:
             body["tracing"] = self.recorder.stats()
         return body
@@ -1059,59 +1007,27 @@ class CompressionServer:
     def _run_slice(self, heavy: list[_Pending]) -> None:
         """Execute one slice's heavy requests (runs on an executor thread).
 
-        Three passes over the slice — decide, execute, observe — so the
-        bandit sees every decision of a slice before any of its
-        outcomes, and a seeded one replays the same arms.  A raise in
-        any step is that one request's typed error; the rest of the
-        slice, and the connection, live on.
+        One pass, request by request: a raise is that one request's
+        typed error; the rest of the slice, and the connection, live on.
         """
-        for step in (self._decide, self._execute, self._observe):
-            for item in heavy:
-                started = time.perf_counter()
-                try:
-                    step(item)
-                except Exception as exc:
-                    item.outcome = _error_result(
-                        _OP_NAMES[item.frame.frame_type], exc
-                    )
-                    item.outcome[3]["seconds"] = time.perf_counter() - started
-
-    def online_hub(self):
-        """The per-tenant bandit hub, created on first use."""
-        with self._online_lock:
-            if self._online_hub is None:
-                from repro.select.online import OnlineSelectorHub
-
-                self._online_hub = OnlineSelectorHub(
-                    seed=self.online_seed, **self.online_options
+        for item in heavy:
+            started = time.perf_counter()
+            try:
+                self._execute(item)
+            except Exception as exc:
+                item.outcome = _error_result(
+                    _OP_NAMES[item.frame.frame_type], exc
                 )
-            return self._online_hub
-
-    def _decide(self, item: _Pending) -> None:
-        """Resolve an ``auto`` + ``online`` compress to the bandit's arm."""
-        frame = item.frame
-        if frame.frame_type != COMPRESS:
-            return
-        codec, policy, _, pos = protocol.peek_compress_request(frame.payload)
-        if codec == "auto" and policy == "online":
-            chunk = protocol.decode_array_view(frame.payload, pos)
-            with self._stage(item, "bandit.choose") as span:
-                item.arm, item.bucket = self.online_hub().decide(
-                    item.tenant_id, chunk
-                )
-                span.set_attribute("codec", item.arm)
-                span.set_attribute("tenant", item.tenant_id)
+                item.outcome[3]["seconds"] = time.perf_counter() - started
 
     def _execute(self, item: _Pending) -> None:
         """Run the request; its outcome, timed, lands on the item."""
-        if item.outcome is not None:
-            return  # already failed in decide
         frame = item.frame
         started = time.perf_counter()
         with self._stage(item, "server.execute") as span:
             span.set_attribute("op", _OP_NAMES[frame.frame_type])
             if frame.frame_type == COMPRESS:
-                outcome = _execute_compress(frame.payload, item.arm)
+                outcome = _execute_compress(frame.payload)
             elif frame.frame_type == DECOMPRESS:
                 outcome = _execute_decompress(frame.payload)
             else:
@@ -1121,22 +1037,6 @@ class CompressionServer:
             span.set_attribute("bytes_out", meta.get("bytes_out", 0))
         meta["seconds"] = time.perf_counter() - started
         item.outcome = outcome
-
-    def _observe(self, item: _Pending) -> None:
-        """Close the loop: feed a served outcome back into the bandit."""
-        if item.arm is None or item.outcome[0] != "ok":
-            return
-        meta = item.outcome[3]
-        with self._stage(item, "bandit.observe") as span:
-            span.set_attribute("codec", item.arm)
-            self.online_hub().observe(
-                item.tenant_id,
-                item.bucket,
-                item.arm,
-                meta.get("bytes_in", 0),
-                meta.get("bytes_out", 0),
-                meta.get("seconds", 0.0),
-            )
 
 
 # ----------------------------------------------------------------------

@@ -82,28 +82,10 @@ class TestRunBench:
         )
         assert seen == ["gorilla"]
 
-    def test_report_sections(self, tiny_report, monkeypatch):
+    def test_report_sections(self, tiny_report):
         # Served latency, auto-vs-best-fixed and the sweep summary are
         # measured by bench/run.py and `fcbench report --db`, not here.
         assert not {"auto", "service", "sweep"} & set(tiny_report)
-        import repro.perf.tenancy as tenancy
-
-        monkeypatch.setattr(
-            tenancy,
-            "run_tenancy_bench",
-            lambda **kwargs: {"stub": kwargs["seed"]},
-        )
-        report = bench.run_bench(
-            methods=["gorilla"],
-            datasets=["citytemp"],
-            elements=512,
-            repeats=1,
-            oracle=False,
-            guard=False,
-            tenancy=True,
-            seed=3,
-        )
-        assert report["service"] == {"tenancy": {"stub": 3}}
 
     @pytest.mark.parametrize(
         "argv, parameter",
@@ -112,6 +94,7 @@ class TestRunBench:
             (["--service"], "service"),
             (["--resilience"], "resilience"),
             (["--sweep-db", "exp.sqlite"], "sweep_db"),
+            (["--tenancy"], "tenancy"),
         ],
     )
     def test_retired_sections_are_errors(self, argv, parameter, capsys):

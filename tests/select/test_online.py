@@ -1,30 +1,41 @@
-"""Online bandit policy: determinism, convergence, and accounting.
+"""Served selection without a bandit: the heuristic is the one ``auto``.
 
-The determinism contract is the acceptance bar: same seed + same
-(choose, observe) sequence → the exact same arm sequence, replayed run
-after run.  Beyond that we pin the bucket labels to the heuristic's
-split points, the pull/observation split (pulls charged at choose time,
-observations only when outcomes land), and that the bandit converges to
-the clearly-best arm once rewards separate.
+A server once answered ``policy="online"`` with a per-tenant UCB1
+bandit fed by served outcomes. Measured on a four-regime shift it could
+not beat the heuristic by the 2 % its keep-rule asked for (a hindsight
+oracle over its arms read only ~1 % above), so it was deleted. Each
+class below pins what now stands where one of its behaviours stood:
+
+* the three regime axes it bucketed on are the ones the heuristic
+  rules on, read once per chunk;
+* a served decision is a pure function of the chunk bytes, so no seed,
+  request order or tenant moves an arm;
+* the server keeps no selector state, and ``online`` is a typed
+  :class:`SelectionError` on every path.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.api import compress_array, decompress_array, open_stream
+from repro.api.session import DecompressSession
 from repro.errors import SelectionError
-from repro.select.features import extract_features
-from repro.select.online import (
-    PRODUCTION_LATENCY_WEIGHT,
-    OnlinePolicy,
-    OnlineSelectorHub,
-    feature_bucket,
+from repro.select.features import FEATURE_SAMPLE_ELEMENTS
+from repro.select.policy import (
+    POLICY_NAMES,
+    HeuristicPolicy,
+    MeasuredPolicy,
+    resolve_policy,
 )
-from repro.select.policy import POLICY_NAMES, HeuristicPolicy
 from repro.service import ServiceClient, serve_background
+from repro.service.gateway import render_prometheus
+from repro.service.tenants import TenantConfig, TenantRegistry
+from tests.compressors.conftest_vector import build_adversarial_cases
 
-
-ARMS = ("bitshuffle-zstd", "buff", "fpzip", "gorilla")
+#: The axes the bandit bucketed on: decimal / repetition / smoothness.
+AXES = {"decimal_digits", "frac_unique", "lag1_autocorr"}
 
 
 def _chunks(seed=0, count=12):
@@ -41,239 +52,256 @@ def _chunks(seed=0, count=12):
     return out
 
 
+def _regimes():
+    """One chunk per rule of the heuristic's chain, keyed by its role."""
+    rng = np.random.default_rng(3)
+    return {
+        "decimal_codec": np.round(rng.uniform(0, 1e5, 2048), 2),
+        "repeat_codec": np.zeros(1024),
+        "smooth_codec": np.cumsum(rng.normal(0, 0.01, 4096)),
+        "default_codec": rng.random(2048),
+    }
+
+
+def _served(handle, chunks, token=None, policy="heuristic"):
+    with ServiceClient(handle.host, handle.port, token=token) as client:
+        return [
+            client.compress_array(
+                chunk, "auto", policy=policy, chunk_elements=512
+            )
+            for chunk in chunks
+        ]
+
+
+def _local(chunks):
+    return [compress_array(c, "auto", chunk_elements=512) for c in chunks]
+
+
+def _registry():
+    registry = TenantRegistry()
+    registry.add(TenantConfig("gold", token="tok-gold", priority=5))
+    registry.add(TenantConfig("bronze", token="tok-bronze"))
+    return registry
+
+
 class TestFeatureBucket:
+    """The bandit's bucket axes are the heuristic's rule axes."""
+
     def test_labels_three_axes(self):
-        rough = np.random.default_rng(0).random(2048)
-        bucket = feature_bucket(extract_features(rough))
-        dec, uniq, smooth = bucket.split(":")
-        assert dec in {"dec", "cont"}
-        assert uniq in {"rep", "mix", "uniq"}
-        assert smooth in {"smooth", "rough"}
+        # A decision reads nothing beyond the three axes: two for a
+        # decimal or repeat-heavy chunk, three for a continuous one.
+        policy = HeuristicPolicy()
+        for role, chunk in _regimes().items():
+            read = policy.decide(chunk).features.computed_fields()
+            assert read <= AXES, role
+            if role in ("smooth_codec", "default_codec"):
+                assert read == AXES, role
 
     def test_constant_is_repetitive(self):
-        features = extract_features(np.zeros(1024))
-        assert feature_bucket(features).split(":")[1] == "rep"
+        decision = HeuristicPolicy().decide(np.zeros(1024))
+        assert decision.features.frac_unique < 0.5
+        assert decision.codec == HeuristicPolicy().repeat_codec
 
     def test_random_walk_is_smooth(self):
         walk = np.cumsum(np.random.default_rng(1).normal(0, 0.01, 4096))
-        assert feature_bucket(extract_features(walk)).endswith("smooth")
+        decision = HeuristicPolicy().decide(walk)
+        assert decision.reason.startswith("smooth")
+        assert decision.codec == HeuristicPolicy().smooth_codec
 
 
 class TestDeterminism:
-    def test_same_seed_same_arm_sequence(self):
-        def run():
-            policy = OnlinePolicy(candidates=ARMS, seed=7)
-            sequence = []
-            for chunk in _chunks():
-                bucket = feature_bucket(extract_features(chunk))
-                codec = policy.choose(bucket)
-                sequence.append(codec)
-                policy.observe(bucket, codec, chunk.nbytes, chunk.nbytes // 2)
-            return sequence, policy.snapshot()
+    """A served ``auto`` answer is a pure function of the chunk bytes."""
 
-        first_seq, first_snap = run()
-        second_seq, second_snap = run()
-        assert first_seq == second_seq
-        assert first_snap == second_snap
+    def test_same_seed_same_arm_sequence(self):
+        chunks = _chunks()
+        with serve_background() as first:
+            one = _served(first, chunks)
+        with serve_background() as second:
+            two = _served(second, chunks)
+        assert one == two == _local(chunks)
 
     def test_different_seeds_explore_differently(self):
-        # The seeded shuffle must actually shuffle: across a handful of
-        # seeds the first-pass arm orders cannot all coincide.
-        orders = set()
-        for seed in range(8):
-            policy = OnlinePolicy(candidates=ARMS, seed=seed)
-            orders.add(
-                tuple(
-                    policy.choose(feature_bucket(extract_features(chunk)))
-                    for chunk in _chunks()[:4]
-                )
-            )
-        assert len(orders) > 1
+        # Nothing explores any more: serving the chunks in reverse order
+        # gives every chunk the bytes it got in forward order.
+        chunks = _chunks(seed=4)
+        with serve_background() as handle:
+            forward = _served(handle, chunks)
+            backward = _served(handle, chunks[::-1])
+        assert backward[::-1] == forward
 
     def test_hub_tenant_seeds_stable_and_independent(self):
-        chunk = _chunks()[0]
-
-        def arm_for(hub, tenant):
-            return hub.decide(tenant, chunk)
-
-        a1 = arm_for(OnlineSelectorHub(seed=3, candidates=ARMS), "acme")
-        a2 = arm_for(OnlineSelectorHub(seed=3, candidates=ARMS), "acme")
-        assert a1 == a2
-        # Adding another tenant first must not perturb acme's sequence.
-        hub = OnlineSelectorHub(seed=3, candidates=ARMS)
-        hub.decide("other", chunk)
-        assert arm_for(hub, "acme") == a1
+        # Tenants share one selector: gold's bytes do not depend on
+        # whether bronze was served first, and equal bronze's own.
+        chunks = _chunks(seed=5, count=6)
+        with serve_background(tenants=_registry()) as handle:
+            gold_alone = _served(handle, chunks, "tok-gold")
+            bronze = _served(handle, chunks[::-1], "tok-bronze")
+            gold_after = _served(handle, chunks, "tok-gold")
+        assert gold_alone == gold_after == bronze[::-1] == _local(chunks)
 
 
 class TestBandit:
+    """What the heuristic does where the bandit had to learn."""
+
     def test_first_pass_covers_every_arm(self):
-        policy = OnlinePolicy(candidates=ARMS, seed=0)
-        chosen = {policy.choose("b") for _ in ARMS}
-        assert chosen == set(ARMS)
+        # Every arm is reachable from a chunk's first decision: one
+        # chunk per rule of the chain reaches every candidate.
+        policy = HeuristicPolicy()
+        for role, chunk in _regimes().items():
+            assert policy.decide(chunk).codec == getattr(policy, role), role
+        chosen = {policy.decide(c).codec for c in _regimes().values()}
+        assert chosen == set(policy.candidates)
 
     def test_pulls_charged_at_choose_observations_at_observe(self):
-        policy = OnlinePolicy(candidates=ARMS, seed=0)
-        arm = policy.choose("b")
-        stats = policy.snapshot()["buckets"]["b"]["arms"][arm]
-        assert stats == {"pulls": 1, "observations": 0, "mean_reward": 0.0}
-        policy.observe("b", arm, 1000, 250)
-        stats = policy.snapshot()["buckets"]["b"]["arms"][arm]
-        assert stats["observations"] == 1
-        assert stats["pulls"] == 1
-        assert stats["mean_reward"] == pytest.approx(0.75)
+        # A served decision is charged once, to the op counters; there
+        # are no pulls or observations to keep.
+        with serve_background() as handle:
+            _served(handle, _chunks(count=5))
+            document = handle.server.stats_document()
+        assert document["ops"]["compress"]["requests"] == 5
+        assert document["codecs"]["auto"]["requests"] == 5
+        assert "online" not in document
 
     def test_converges_to_best_arm(self):
-        policy = OnlinePolicy(candidates=ARMS, seed=0, exploration=0.05)
-        rewards = {arm: 0.9 if arm == "buff" else 0.2 for arm in ARMS}
-        for _ in range(200):
-            arm = policy.choose("b")
-            out = int(1000 * (1.0 - rewards[arm]))
-            policy.observe("b", arm, 1000, out)
-        tail = [policy.choose("b") for _ in range(20)]
-        for arm in tail:  # choose() charged pulls; settle them
-            policy.observe("b", arm, 1000, int(1000 * (1 - rewards[arm])))
-        assert tail.count("buff") >= 18
+        # On a decimal money column the first decision is already the
+        # smallest arm, with no exploration toll to pay first.
+        chunk = _regimes()["decimal_codec"]
+        policy = HeuristicPolicy()
+        sizes = {
+            arm: len(compress_array(chunk, arm, chunk_elements=2048))
+            for arm in policy.candidates
+        }
+        assert policy.decide(chunk).codec == min(sizes, key=sizes.get)
 
     def test_buckets_learn_independently(self):
-        policy = OnlinePolicy(candidates=ARMS, seed=0, exploration=0.05)
-        best = {"x": "fpzip", "y": "gorilla"}
-        for _ in range(150):
-            for bucket, winner in best.items():
-                arm = policy.choose(bucket)
-                out = 100 if arm == winner else 900
-                policy.observe(bucket, arm, 1000, out)
-        for bucket, winner in best.items():
-            assert policy.choose(bucket) == winner
-
-    def test_reward_clamps_and_latency_toll(self):
-        policy = OnlinePolicy(candidates=ARMS, latency_weight=0.0)
-        assert policy.reward(1000, 250, 0.0) == pytest.approx(0.75)
-        assert policy.reward(1000, 2000, 0.0) == 0.0  # expansion clamps
-        assert policy.reward(0, 100, 0.0) == 0.0
-        tolled = OnlinePolicy(candidates=ARMS, latency_weight=0.1)
-        assert tolled.reward(1 << 20, 1 << 18, 1.0) == pytest.approx(0.65)
+        # Each chunk of a mixed stream gets the arm it gets alone.
+        chunks = _chunks()
+        blob = compress_array(
+            np.concatenate(chunks), "auto", chunk_elements=512
+        )
+        with DecompressSession(blob) as session:
+            arms = session.frame_codec_names()
+        assert arms == [HeuristicPolicy().select(c) for c in chunks]
+        assert len(set(arms)) == 3
 
     def test_observe_unknown_arm_dropped(self):
-        policy = OnlinePolicy(candidates=ARMS, seed=0)
-        policy.observe("b", "dzip", 1000, 100)
-        assert "dzip" not in policy.snapshot()["buckets"]["b"]["arms"]
+        # No decision names an arm outside the candidate table, whatever
+        # the chunk: empty, NaN payloads, denormals, specials, float32.
+        policy = HeuristicPolicy()
+        for name, array in build_adversarial_cases().items():
+            assert policy.decide(array.ravel()).codec in policy.candidates, name
 
     def test_default_candidates_are_heuristic_arms(self):
-        assert OnlinePolicy().candidates == HeuristicPolicy().candidates
-
-    def test_invalid_configs_typed(self):
-        with pytest.raises(SelectionError):
-            OnlinePolicy(decay=0.0)
-        # Falsy candidates fall back to the heuristic arms, not an error.
-        assert OnlinePolicy(candidates=()).candidates == (
-            HeuristicPolicy().candidates
-        )
-
-
-class TestServedOnly:
-    """The bandit needs observations only a server makes, so a local
-    writer refuses it: a policy there must be a pure function of the
-    chunk bytes, or the stream would depend on ``jobs``."""
-
-    def test_local_writers_refuse_online_typed(self, tmp_path):
-        array = np.concatenate(_chunks())
-        assert "online" not in POLICY_NAMES
-        for jobs in (None, 2):
-            with pytest.raises(SelectionError, match="served"):
-                compress_array(array, "auto", policy="online", jobs=jobs)
-        with pytest.raises(SelectionError, match="served"):
-            open_stream(tmp_path / "x.fcf", "wb", codec="auto", policy="online")
-
-    def test_server_explain_refuses_online_but_compress_serves_it(self):
-        array = np.concatenate(_chunks())
+        array = np.concatenate(_chunks(count=3))
         with serve_background() as handle, ServiceClient(
             handle.host, handle.port
         ) as client:
-            with pytest.raises(SelectionError, match="served"):
-                client.select_explain(array, policy="online", chunk_elements=512)
-            blob = client.compress_array(
-                array, "auto", policy="online", chunk_elements=512
-            )
-        np.testing.assert_array_equal(decompress_array(blob), array)
+            answer = client.select_explain(array, chunk_elements=512)
+        assert answer["policy"] == "heuristic"
+        assert tuple(answer["candidates"]) == HeuristicPolicy().candidates
+
+    def test_invalid_configs_typed(self):
+        assert "online" not in POLICY_NAMES
+        with pytest.raises(SelectionError, match="heuristic, measured"):
+            resolve_policy("online")
+        with pytest.raises(SelectionError, match="instance"):
+            resolve_policy(HeuristicPolicy(), sample_elements=64)
+
+
+class TestServedOnly:
+    """``online`` is refused on every path, typed (see also
+    ``tests/service/test_server.py`` for the served refusals)."""
+
+    def test_local_writers_refuse_online_typed(self, tmp_path):
+        array = np.concatenate(_chunks())
+        for jobs in (None, 2):
+            with pytest.raises(SelectionError, match="unknown selection"):
+                compress_array(array, "auto", policy="online", jobs=jobs)
+        with pytest.raises(SelectionError, match="unknown selection"):
+            open_stream(tmp_path / "x.fcf", "wb", codec="auto", policy="online")
 
 
 class TestHub:
+    """The server keeps no selector state."""
+
     def test_snapshot_shape(self):
-        hub = OnlineSelectorHub(seed=11, candidates=ARMS)
-        chunk = _chunks()[0]
-        codec, bucket = hub.decide("acme", chunk)
-        hub.observe("acme", bucket, codec, chunk.nbytes, chunk.nbytes // 4)
-        snap = hub.snapshot()
-        assert snap["seed"] == 11
-        arm_row = snap["tenants"]["acme"]["buckets"][bucket]["arms"][codec]
-        assert arm_row["pulls"] == 1
-        assert arm_row["observations"] == 1
+        with serve_background(tenants=_registry()) as handle:
+            _served(handle, _chunks(count=3), "tok-gold")
+            document = handle.server.stats_document()
+        assert "online" not in document
+        assert set(document["tenancy"]["tenants"]) == {"gold", "bronze"}
+        assert "fcbench_online" not in render_prometheus(document)
 
     def test_features_are_read_outside_the_lock(self, monkeypatch):
-        # Statistics are NumPy work on the caller's own chunk; holding the
-        # hub mutex across them would queue every tenant behind one.
-        from repro.select import online
+        # Selection runs on the executor thread, never on the event
+        # loop that every connection shares.
+        threads = []
+        decide = HeuristicPolicy.decide
 
-        hub = OnlineSelectorHub(seed=11, candidates=ARMS, sample_elements=256)
-        seen = []
+        def recording(self, chunk):
+            threads.append(threading.current_thread())
+            return decide(self, chunk)
 
-        def bucket_unlocked(features):
-            assert not hub._lock.locked()
-            assert features.sampled == 256
-            bucket = feature_bucket(features)
-            seen.append(features.computed_fields())
-            return bucket
-
-        monkeypatch.setattr(online, "feature_bucket", bucket_unlocked)
-        chunk = _chunks()[0]
-        codec, bucket = hub.decide("acme", chunk)
-        assert bucket == feature_bucket(extract_features(chunk, 256))
-        assert codec in ARMS
-        # The bucket's three axes are all that was computed.
-        assert seen == [{"decimal_digits", "frac_unique", "lag1_autocorr"}]
+        monkeypatch.setattr(HeuristicPolicy, "decide", recording)
+        chunks = _chunks(count=3)
+        with serve_background() as handle:
+            assert _served(handle, chunks) == _local(chunks)
+            loop_thread = handle._thread
+        served = threads[: len(chunks)]
+        assert served and loop_thread not in served
 
     def test_anonymous_tenant_uses_default_key(self):
-        hub = OnlineSelectorHub(candidates=ARMS)
-        hub.decide(None, _chunks()[0])
-        assert OnlineSelectorHub.DEFAULT_TENANT in hub.snapshot()["tenants"]
+        # A tenant-less server serves untagged requests the same bytes
+        # a tenant gets, and keeps no tenancy section.
+        chunks = _chunks(count=4)
+        with serve_background() as handle:
+            anonymous = _served(handle, chunks)
+            document = handle.server.stats_document()
+        assert anonymous == _local(chunks)
+        assert "tenancy" not in document
 
 
 class TestProductionLatencyWeight:
-    """The serving hub's reward is latency-aware by default (pin)."""
+    """The served profile trades ratio for speed in its fixed rules."""
 
     def test_constant_pinned(self):
-        assert PRODUCTION_LATENCY_WEIGHT == 2.0
+        policy = HeuristicPolicy()
+        assert (
+            policy.repeat_threshold,
+            policy.smooth_threshold,
+            policy.decimal_unique_threshold,
+        ) == (0.95, 0.80, 0.98)
+        assert policy.candidates == ("bitshuffle-zstd", "dzip", "buff", "fpzip")
+        assert policy.sample_elements == FEATURE_SAMPLE_ELEMENTS
 
     def test_offline_policy_default_stays_ratio_only(self):
-        # Offline/replay use constructs OnlinePolicy directly; its
-        # reward must not grow a latency toll behind sweeps' backs.
-        assert OnlinePolicy().latency_weight == 0.0
+        # `measured` rewards ratio alone: the smallest trial wins,
+        # however slow its codec (dzip against gorilla here).
+        chunk = np.round(np.random.default_rng(2).normal(20, 5, 2048), 1)
+        policy = MeasuredPolicy(candidates=("gorilla", "dzip"))
+        sizes = policy.trial_sizes(chunk)
+        assert sizes["dzip"] < sizes["gorilla"]
+        assert policy.decide(chunk).codec == "dzip"
 
     def test_hub_observations_pay_the_latency_toll(self):
-        hub = OnlineSelectorHub(candidates=ARMS)
-        # 1 MiB halved in 0.1 s: saving 0.5, toll 2.0 * 0.1 = 0.2.
-        hub.observe(None, "b", "gorilla", 1 << 20, 1 << 19, seconds=0.1)
-        snap = hub.snapshot()["tenants"][OnlineSelectorHub.DEFAULT_TENANT]
-        row = snap["buckets"]["b"]["arms"]["gorilla"]
-        assert row["mean_reward"] == pytest.approx(0.3)
+        # What a served decision costs is bounded: it reads its
+        # statistics from at most a sample of the chunk.
+        big = np.cumsum(np.random.default_rng(6).normal(0, 1, 65_536))
+        features = HeuristicPolicy().decide(big).features
+        assert features.sampled <= FEATURE_SAMPLE_ELEMENTS < big.size
 
     def test_hub_opt_out_restores_ratio_only_reward(self):
-        hub = OnlineSelectorHub(candidates=ARMS, latency_weight=0.0)
-        hub.observe(None, "b", "gorilla", 1 << 20, 1 << 19, seconds=0.1)
-        snap = hub.snapshot()["tenants"][OnlineSelectorHub.DEFAULT_TENANT]
-        row = snap["buckets"]["b"]["arms"]["gorilla"]
-        assert row["mean_reward"] == pytest.approx(0.5)
-
-    def test_slow_tight_arm_loses_to_fast_near_tight_arm(self):
-        # Under the production weight a codec that squeezes 2 points
-        # more but runs 10x slower must *lose*: 0.80 @ 0.05 s/MiB
-        # nets 0.70, 0.78 @ 0.005 s/MiB nets 0.77.
-        policy = OnlinePolicy(
-            candidates=ARMS, latency_weight=PRODUCTION_LATENCY_WEIGHT
+        # Opting out of the fixed rules is naming `measured`, served
+        # as locally.
+        array = np.concatenate(_chunks(count=3))
+        with serve_background() as handle, ServiceClient(
+            handle.host, handle.port
+        ) as client:
+            served = client.compress_array(
+                array, "auto", policy="measured", chunk_elements=512
+            )
+        local = compress_array(
+            array, "auto", policy="measured", chunk_elements=512
         )
-        mib = 1 << 20
-        slow_tight = policy.reward(mib, int(mib * 0.20), 0.05)
-        fast_loose = policy.reward(mib, int(mib * 0.22), 0.005)
-        assert slow_tight == pytest.approx(0.70)
-        assert fast_loose == pytest.approx(0.77)
-        assert fast_loose > slow_tight
+        assert served == local
+        np.testing.assert_array_equal(decompress_array(served), array)

@@ -4,8 +4,8 @@ The exposition-format validator below is deliberately strict about the
 parts scrapers are strict about: every sample line belongs to a family
 announced by ``# HELP``/``# TYPE``, counter family names end in
 ``_total``, label values are quoted and escaped, and values parse as
-floats.  The live-scrape tests then assert per-tenant counters and the
-online arm gauges actually show up for real traffic.
+floats.  The live-scrape tests then assert per-tenant counters and
+quota-window gauges actually show up for real traffic.
 """
 
 import json
@@ -73,13 +73,13 @@ def _registry():
 
 @pytest.fixture(scope="module")
 def stack():
-    handle = serve_background(tenants=_registry(), online_seed=42)
+    handle = serve_background(tenants=_registry())
     gateway = ObservabilityGateway(handle.server)
     gateway.start()
     array = np.linspace(0.0, 1.0, 2048).astype(np.float64)
     with ServiceClient(handle.host, handle.port, token="gw-acme") as acme:
         for _ in range(3):
-            blob = acme.compress_array(array, "auto", policy="online")
+            blob = acme.compress_array(array, "auto")
             acme.decompress_array(blob)
     with ServiceClient(handle.host, handle.port, token="gw-beta") as beta:
         beta.compress_array(array, "gorilla")
@@ -175,8 +175,7 @@ class TestEndpoints:
         )
         assert acme and int(acme.group(1)) == 6  # 3 compress + 3 decompress
         assert beta and int(beta.group(1)) == 1
-        # The online bandit's arm statistics are exported too.
-        assert families["fcbench_online_arm_pulls_total"] == "counter"
+        assert families["fcbench_tenant_window_requests"] == "gauge"
         assert 'tenant="acme"' in body
 
     def test_healthz_ok(self, stack):
@@ -278,7 +277,7 @@ class TestErrorPaths:
 class TestTraceRoutes:
     @pytest.fixture(scope="class")
     def traced_stack(self):
-        handle = serve_background(trace=True, online_seed=7)
+        handle = serve_background(trace=True)
         gateway = ObservabilityGateway(handle.server)
         gateway.start()
         array = np.linspace(0.0, 1.0, 2048).astype(np.float64)

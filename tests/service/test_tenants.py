@@ -296,10 +296,9 @@ class TestServedTenancy:
         assert np.array_equal(out["lo"], array)
 
     def test_seeded_online_bandits_replay_the_same_arms(self):
-        # With latency out of the reward it is a pure function of the
-        # served bytes, so seed + request sequence fix every arm.  The
-        # sequence is the one the server chose before decide / execute /
-        # observe became per-request methods (PR 19).
+        # The seeded per-tenant bandit is gone; served `auto` is the
+        # heuristic, so the arm sequence is fixed by the request
+        # sequence alone — whichever tenant sends each request.
         registry = TenantRegistry()
         registry.add(TenantConfig("gold", token="tok-gold", priority=5))
         registry.add(TenantConfig("bronze", token="tok-bronze"))
@@ -312,11 +311,7 @@ class TestServedTenancy:
             np.repeat(walk[:64], 8),
         ]
         arms = []
-        with serve_background(
-            tenants=registry,
-            online_seed=11,
-            online_options={"latency_weight": 0.0},
-        ) as handle:
+        with serve_background(tenants=registry) as handle:
             with ServiceClient(
                 handle.host, handle.port, token="tok-gold"
             ) as gold, ServiceClient(
@@ -326,22 +321,17 @@ class TestServedTenancy:
                     blob = (gold, bronze)[turn % 2].compress_array(
                         shapes[(turn // 2) % 4],
                         "auto",
-                        policy="online",
+                        policy="heuristic",
                         chunk_elements=512,
                     )
                     with DecompressSession(blob) as session:
-                        arms.append(session.codec_name)
-            pulls = {
-                tenant: sum(
-                    bucket["total"] for bucket in policy["buckets"].values()
-                )
-                for tenant, policy in handle.server.stats_document()[
-                    "online"
-                ]["tenants"].items()
-            }
-        z, f, d, b = "bitshuffle-zstd", "fpzip", "dzip", "buff"
-        assert arms == [
-            b, d, b, d, f, f, d, f, d, b, z, b, d, b, z, d, f, f, d, z,
-            z, z, f, b, z, z, f, f, b, d, b, z, f, f, z, z, z, z, f, f,
-        ]  # fmt: skip
-        assert pulls == {"bronze": 20, "gold": 20}
+                        arms.extend(session.frame_codec_names())
+            document = handle.server.stats_document()
+        requests = {
+            tenant: row["requests"]
+            for tenant, row in document["tenants"].items()
+        }
+        z, f, d = "bitshuffle-zstd", "fpzip", "dzip"
+        assert arms == [f, f, d, d, z, z, d, d] * 5
+        assert requests == {"bronze": 20, "gold": 20}
+        assert "online" not in document
