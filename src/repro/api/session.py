@@ -145,7 +145,7 @@ class CompressSession:
         data actually written.
     policy:
         Selection policy for ``codec="auto"``: a policy name
-        (``"heuristic"``, ``"measured"``, ``"learned"``) or a
+        (``"heuristic"`` or ``"measured"``) or a
         :class:`~repro.select.policy.SelectionPolicy` instance.
         Ignored unless the codec is adaptive.
     """

@@ -30,11 +30,9 @@ Subcommands:
   (``--codec``, ``--chunk-elements``, ``--jobs``), restore it
   bit-exactly, or print a stream's header and chunk index.
   ``--codec auto`` selects a codec per chunk (``--policy
-  heuristic|measured|learned``) and writes a mixed-codec v2 stream.
-* ``fcbench select`` — the selection subsystem offline: ``explain``
-  prints per-chunk features, the chosen codec, and the reason;
-  ``train`` fits the learned policy's feature → winner table from the
-  result store.
+  heuristic|measured``) and writes a mixed-codec v2 stream.
+* ``fcbench select explain`` — prints per-chunk features, the chosen
+  codec, and the reason.
 * ``fcbench serve``  — run the network compression service (an asyncio
   TCP server speaking the FCS wire protocol; see ``docs/service.md``)
   with request batching and graceful drain; ``--metrics-json`` writes
@@ -551,8 +549,6 @@ def _build_policy(args: argparse.Namespace):
     options: dict = {}
     if args.policy == "measured" and args.select_sample is not None:
         options["sample_elements"] = args.select_sample
-    if args.policy == "learned" and args.select_table is not None:
-        options["table_path"] = args.select_table
     return resolve_policy(args.policy, **options)
 
 
@@ -744,25 +740,6 @@ def _cmd_select_explain(args: argparse.Namespace) -> int:
     counts = Counter(chunk["codec"] for chunk in chunks)
     summary = ", ".join(f"{k} x{v}" for k, v in sorted(counts.items()))
     print(f"{len(chunks)} chunk(s): {summary}")
-    return 0
-
-
-def _cmd_select_train(args: argparse.Namespace) -> int:
-    from repro.select import build_table, save_table
-
-    candidates = _csv(args.candidates)
-    if candidates is not None:
-        candidates = tuple(
-            _validate("methods", candidates, compressor_names()) or ()
-        )
-    rows = build_table(candidates=candidates)
-    from collections import Counter
-
-    path = save_table(rows, args.output)
-    winners = Counter(row.winner for row in rows)
-    summary = ", ".join(f"{k} x{v}" for k, v in sorted(winners.items()))
-    print(f"trained on {len(rows)} stored dataset cell group(s): {summary}")
-    print(f"wrote {path}")
     return 0
 
 
@@ -1410,7 +1387,7 @@ def _add_policy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy",
         default="heuristic",
-        choices=("heuristic", "measured", "learned"),
+        choices=("heuristic", "measured"),
         help="selection policy for the auto codec (default %(default)s)",
     )
     parser.add_argument(
@@ -1419,12 +1396,6 @@ def _add_policy_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="measured policy: trial-compress this many leading elements "
         "per chunk (default 2048)",
-    )
-    parser.add_argument(
-        "--select-table",
-        default=None,
-        help="learned policy: training table path "
-        "(default: select_table.json under FCBENCH_CACHE_DIR)",
     )
 
 
@@ -1675,19 +1646,6 @@ def _explain_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--candidates",
-        help="comma-separated methods the table may pick from "
-        "(default: every stored method)",
-    )
-    p.add_argument(
-        "--output",
-        help="table path (default: select_table.json under "
-        "FCBENCH_CACHE_DIR)",
-    )
-
-
 def _serve_args(p: argparse.ArgumentParser) -> None:
     from repro.service.server import CompressionServer, run_server
 
@@ -1739,7 +1697,7 @@ def _client_compress_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("output", help="destination .fcf stream")
     _derive(
         p, ServiceClient.compress_array, "codec", "policy", "chunk_elements",
-        policy={"choices": ("heuristic", "measured", "learned")},
+        policy={"choices": ("heuristic", "measured")},
     )
     p.add_argument("--quiet", action="store_true", help="no summary line")
 
@@ -1936,12 +1894,9 @@ _COMMANDS = {
                    _cmd_decompress, _decompress_args),
     "inspect": ("print an .fcf stream's header and chunk index",
                 _cmd_inspect, _inspect_args),
-    "select": ("codec selection: explain per-chunk choices, train the "
-               "learned policy", {
+    "select": ("codec selection: explain per-chunk choices", {
         "explain": ("print per-chunk features and the chosen codec",
                     _cmd_select_explain, _explain_args),
-        "train": ("fit the learned policy's feature->winner table from the "
-                  "result store", _cmd_select_train, _train_args),
     }, None),
     "serve": ("run the network compression service (FCS protocol over TCP)",
               _cmd_serve, _serve_args),

@@ -97,6 +97,11 @@ class _BitshuffleBase(Compressor):
         decoded = 0
         while decoded < count:
             n_values, offset = decode_uvarint(payload, offset)
+            if n_values > count - decoded:
+                raise CorruptStreamError(
+                    f"bitshuffle block of {n_values} values overruns the "
+                    f"{count} in the frame"
+                )
             enc_len, offset = decode_uvarint(payload, offset)
             if offset + enc_len > len(payload):
                 raise CorruptStreamError("bitshuffle block truncated")
@@ -229,4 +234,4 @@ class BitshuffleZstdCompressor(_BitshuffleBase):
 
     @staticmethod
     def _decode_block(data: bytes, expected: int) -> bytes:
-        return zstd_decompress(data)
+        return zstd_decompress(data, expected)

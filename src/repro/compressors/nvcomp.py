@@ -171,6 +171,13 @@ class NvcompBitcompCompressor(Compressor):
         self, payload: bytes, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         n, offset = decode_uvarint(payload, 0)
+        # ``n`` is stream bytes: nothing is sized from it until the frame
+        # agrees.
+        expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if n != expected:
+            raise CorruptStreamError(
+                f"bitcomp payload declares {n} elements, the frame holds {expected}"
+            )
         uint_dtype = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
         width = np.dtype(uint_dtype).itemsize * 8
         signed_dtype = np.int64 if width == 64 else np.int32

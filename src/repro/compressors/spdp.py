@@ -71,7 +71,10 @@ def _serialize_tokens(tokens: list[Token]) -> bytes:
     return bytes(out)
 
 
-def _deserialize_tokens(payload: bytes, offset: int) -> bytes:
+def _deserialize_tokens(payload: bytes, offset: int, expected_length: int) -> bytes:
+    """Expand the token stream, refusing a match that would run past
+    ``expected_length`` bytes before it is copied (its length is a
+    varint, so one forged token could otherwise ask for gigabytes)."""
     out = bytearray()
     n = len(payload)
     while offset < n:
@@ -82,6 +85,8 @@ def _deserialize_tokens(payload: bytes, offset: int) -> bytes:
         offset += lit_len
         match_len, offset = decode_uvarint(payload, offset)
         if match_len:
+            if match_len > expected_length - len(out):
+                raise CorruptStreamError("SPDP match runs past the frame")
             distance, offset = decode_uvarint(payload, offset)
             start = len(out) - distance
             if distance == 0 or start < 0:
@@ -159,7 +164,11 @@ class SpdpCompressor(Compressor):
         self, payload: bytes, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         pad, offset = decode_uvarint(payload, 0)
-        stage3 = np.frombuffer(_deserialize_tokens(payload, offset), dtype=np.uint8)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        stage3 = np.frombuffer(
+            _deserialize_tokens(payload, offset, nbytes + (-nbytes) % _GROUP),
+            dtype=np.uint8,
+        )
         stage2 = _unlnvs(stage3, 1)
         stage1 = _undim8(stage2, pad)
         raw = _unlnvs(stage1, 2 * _GROUP)

@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.metrics import method_mean_cr, method_mean_wall_ms
 from repro.core.results import ResultSet
 from repro.data.catalog import domains
+from repro.select.policy import DEFAULT_CANDIDATES
 
 __all__ = [
     "Recommendation",
@@ -30,11 +31,11 @@ __all__ = [
 #: Static per-profile candidate sets for codec selection, derived from
 #: the section-7.3 recommendation logic: ``storage`` holds the
 #: per-domain compression-ratio winners as realized on this
-#: reproduction's corpus (fpzip/HPC+OBS, BUFF and the entropy-backed
-#: coders/DB, bitshuffle+zstd for noisy TS), ``speed`` the shortest
+#: reproduction's corpus — the ``auto`` codec's default candidate set,
+#: kept in :mod:`repro.select.policy` — ``speed`` the shortest
 #: wall-time methods, ``general`` the paper's balanced picks.
 PROFILE_CANDIDATES: dict[str, tuple[str, ...]] = {
-    "storage": ("bitshuffle-zstd", "buff", "chimp", "dzip", "fpzip"),
+    "storage": DEFAULT_CANDIDATES,
     "speed": ("bitshuffle-lz4", "bitshuffle-zstd", "gorilla", "chimp"),
     "general": ("bitshuffle-zstd", "mpc"),
 }

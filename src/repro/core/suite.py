@@ -163,8 +163,8 @@ def stored_cells(store):
     """Yield ``(row, fields)`` per finished cell, whole-array or stream.
 
     ``fields`` is what the row serves as a hit, None for a *stale* row —
-    one :func:`serve_cells` would re-measure.  ``fcbench cache`` and
-    ``fcbench select train`` are both views over this.
+    one :func:`serve_cells` would re-measure.  ``fcbench cache`` is a
+    view over this.
     """
     for row in store.cells():
         if row.status in ("done", "failed"):

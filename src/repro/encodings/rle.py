@@ -35,7 +35,9 @@ def rle_decode(data: bytes, expected_length: int | None = None) -> bytes:
     """Decode a run-length stream produced by :func:`rle_encode`.
 
     If ``expected_length`` is given the decoded size is validated against
-    it, catching truncation and corruption early.
+    it, catching truncation and corruption early: a run longer than the
+    bytes still expected is refused before it is expanded, so a forged
+    run length cannot allocate more than ``expected_length`` bytes.
     """
     out = bytearray()
     pos = 0
@@ -43,6 +45,10 @@ def rle_decode(data: bytes, expected_length: int | None = None) -> bytes:
     while pos < n:
         value = data[pos]
         run, pos = decode_uvarint(data, pos + 1)
+        if expected_length is not None and run > expected_length - len(out):
+            raise CorruptStreamError(
+                f"run of {run} bytes overruns the {expected_length} expected"
+            )
         out += bytes([value]) * run
     if expected_length is not None and len(out) != expected_length:
         raise CorruptStreamError(

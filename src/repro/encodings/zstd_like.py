@@ -81,9 +81,20 @@ def _compress_with(matcher, entropy, data: bytes, max_chain: int) -> bytes:
     )
 
 
-def zstd_decompress(blob: bytes) -> bytes:
-    """Invert :func:`zstd_compress`."""
+def zstd_decompress(blob: bytes, expected_length: int | None = None) -> bytes:
+    """Invert :func:`zstd_compress`.
+
+    A match longer than the bytes still to come is refused before it is
+    copied: match lengths are varints, so one forged token could
+    otherwise ask for gigabytes.  With ``expected_length`` the stream's
+    own declared size must agree with it first.
+    """
     original_size, pos = decode_uvarint(blob, 0)
+    if expected_length is not None and original_size != expected_length:
+        raise CorruptStreamError(
+            f"zstd-like stream declares {original_size} bytes, "
+            f"expected {expected_length}"
+        )
     control_size, pos = decode_uvarint(blob, pos)
     if pos + control_size > len(blob):
         raise CorruptStreamError("zstd-like control stream truncated")
@@ -101,6 +112,8 @@ def zstd_decompress(blob: bytes) -> bytes:
         out += literals[lit_pos : lit_pos + lit_len]
         lit_pos += lit_len
         if match_len:
+            if match_len > original_size - len(out):
+                raise CorruptStreamError("zstd-like match runs past the stream")
             distance, ctrl_pos = decode_uvarint(control, ctrl_pos)
             start = len(out) - distance
             if distance == 0 or start < 0:

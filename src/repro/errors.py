@@ -91,8 +91,8 @@ class SelectionError(ReproError):
     """Per-chunk codec selection was misconfigured or cannot proceed.
 
     Raised by :mod:`repro.select` for unknown policies, empty candidate
-    sets, missing training tables, and policies that choose a codec
-    outside the stream's codec table.
+    sets, and policies that choose a codec outside the stream's codec
+    table.
     """
 
 

@@ -1,7 +1,7 @@
 """Experiment database: the one result store, resumable sweeps, reporting.
 
 The subsystem behind ``fcbench sweep`` and ``fcbench report --db``, and
-the store ``fcbench run / report / cache / select train`` keep their
+the store ``fcbench run / report / cache`` keep their
 measured cells in (see :mod:`repro.core.suite`):
 
 * :mod:`repro.expdb.store` — sqlite-backed experiment store

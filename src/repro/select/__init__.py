@@ -8,14 +8,14 @@ v2 stream is routed to the codec a pluggable policy picks from cheap
 chunk statistics.  Every policy is a pure function of the chunk bytes,
 so a served ``auto`` stream equals the local one and a chunk-parallel
 writer equals a serial one; a server runs the same policies, with no
-state learned from its traffic (any other policy name, ``online``
-included, is a typed :class:`~repro.errors.SelectionError`).
+state taken from its traffic or from a training table (any other
+policy name, ``online`` and ``learned`` included, is a typed
+:class:`~repro.errors.SelectionError`).
 
 * :mod:`repro.select.features` — deterministic per-chunk statistics,
-* :mod:`repro.select.policy` — ``heuristic`` / ``measured`` /
-  ``learned`` selection policies,
-* :mod:`repro.select.train` — fit the learned policy from the result
-  store (``fcbench select train``).
+* :mod:`repro.select.policy` — the ``heuristic`` rule chain that
+  ``auto`` serves, and ``measured``, its stateless trial-compression
+  reference.
 
 Entry points: pass ``codec="auto"`` to any :mod:`repro.api` writer, or
 ``--codec auto`` to ``fcbench compress``; ``fcbench select explain``
@@ -32,7 +32,6 @@ from repro.select.policy import (
     DEFAULT_CANDIDATES,
     POLICY_NAMES,
     HeuristicPolicy,
-    LearnedPolicy,
     MeasuredPolicy,
     SelectionDecision,
     SelectionPolicy,
@@ -40,15 +39,6 @@ from repro.select.policy import (
     explain,
     pick_smallest,
     resolve_policy,
-)
-from repro.select.train import (
-    TableRow,
-    build_table,
-    default_table_path,
-    load_policy,
-    load_table,
-    save_table,
-    table_from_results,
 )
 
 __all__ = [
@@ -59,7 +49,6 @@ __all__ = [
     "DEFAULT_CANDIDATES",
     "POLICY_NAMES",
     "HeuristicPolicy",
-    "LearnedPolicy",
     "MeasuredPolicy",
     "SelectionDecision",
     "SelectionPolicy",
@@ -67,11 +56,4 @@ __all__ = [
     "explain",
     "pick_smallest",
     "resolve_policy",
-    "TableRow",
-    "build_table",
-    "default_table_path",
-    "load_policy",
-    "load_table",
-    "save_table",
-    "table_from_results",
 ]

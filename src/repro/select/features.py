@@ -59,7 +59,7 @@ _DECIMAL_PREFIX = 64
 
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
-#: Stable feature ordering used by the learned policy's distance metric.
+#: Stable feature ordering, as :meth:`ChunkFeatures.as_dict` lists them.
 FEATURE_ORDER = (
     "frac_unique",
     "byte_entropy",
@@ -268,10 +268,6 @@ class ChunkFeatures:
         for name in FEATURE_ORDER:
             record[name] = getattr(self, name)
         return record
-
-    def numeric_vector(self) -> tuple[float, ...]:
-        """Feature values in :data:`FEATURE_ORDER` (for learned policies)."""
-        return tuple(float(getattr(self, name)) for name in FEATURE_ORDER)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChunkFeatures):

@@ -1,6 +1,6 @@
 """Pluggable per-chunk codec-selection policies for the ``auto`` codec.
 
-Three policies, in increasing cost per 4,096-element chunk (measured in
+Two policies, in increasing cost per 4,096-element chunk (measured in
 ``docs/performance.md``):
 
 * :class:`HeuristicPolicy` — feature thresholds derived from the
@@ -12,15 +12,12 @@ Three policies, in increasing cost per 4,096-element chunk (measured in
   general-purpose pick).  It holds an unforced
   :class:`~repro.select.features.ChunkFeatures`, so it pays for the two
   or three statistics its rule chain reads: 50–90 us.
-* :class:`LearnedPolicy` — nearest-neighbour lookup in a feature →
-  winner table fit offline from the result store
-  (:mod:`repro.select.train`, ``fcbench select train``).  It needs the
-  whole vector: 230–360 us plus the table scan.
 * :class:`MeasuredPolicy` — trial-compresses a fixed sample prefix of
   the chunk with every candidate and keeps the smallest output; ties
   break toward the earlier candidate, so selection is deterministic.
   It reads no statistic and costs what its slowest candidate costs
-  (~60 ms with the default set, which includes ``dzip``).
+  (~60 ms with the default set, which includes ``dzip``).  It is the
+  stateless reference the heuristic's misses are found with.
 
 Policies are plain picklable objects: the chunk-parallel write path
 ships them to worker processes, and because every policy is a pure
@@ -30,19 +27,13 @@ to the serial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.core.recommend import profile_candidates
 from repro.errors import SelectionError
-from repro.select.features import (
-    FEATURE_ORDER,
-    FEATURE_SAMPLE_ELEMENTS,
-    ChunkFeatures,
-    extract_features,
-)
+from repro.select.features import FEATURE_SAMPLE_ELEMENTS, ChunkFeatures
 
 __all__ = [
     "DEFAULT_CANDIDATES",
@@ -51,7 +42,6 @@ __all__ = [
     "SelectionPolicy",
     "HeuristicPolicy",
     "MeasuredPolicy",
-    "LearnedPolicy",
     "resolve_policy",
     "explain",
     "codec_instance",
@@ -60,10 +50,12 @@ __all__ = [
 
 #: Default candidate set: the storage profile of section 7.3 (the
 #: per-domain compression-ratio winners as realized on this
-#: reproduction's corpus).
-DEFAULT_CANDIDATES = profile_candidates("storage")
+#: reproduction's corpus: fpzip/HPC+OBS, BUFF and the entropy-backed
+#: coders/DB, bitshuffle+zstd for noisy TS).  ``repro.core.recommend``
+#: reads its ``storage`` profile from here.
+DEFAULT_CANDIDATES = ("bitshuffle-zstd", "buff", "chimp", "dzip", "fpzip")
 
-POLICY_NAMES = ("heuristic", "measured", "learned")
+POLICY_NAMES = ("heuristic", "measured")
 
 
 @lru_cache(maxsize=None)
@@ -257,74 +249,11 @@ class MeasuredPolicy(SelectionPolicy):
         )
 
 
-@dataclass(frozen=True)
-class LearnedPolicy(SelectionPolicy):
-    """Nearest-neighbour lookup in a feature → winner table.
-
-    ``rows`` holds ``(winner, feature_vector)`` pairs in a stable order
-    (the training table sorts by dataset name); features are compared
-    after per-dimension scaling by the table's standard deviation, so
-    no single unit dominates the distance.  Fit offline with
-    :mod:`repro.select.train` / ``fcbench select train``.
-    """
-
-    rows: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    sample_elements: int = FEATURE_SAMPLE_ELEMENTS
-    #: Per-dimension scale (table stddev, floored); computed at build.
-    scales: tuple[float, ...] = field(default=())
-
-    name = "learned"
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise SelectionError(
-                "LearnedPolicy requires a trained table "
-                "(run `fcbench select train` first)"
-            )
-        width = len(FEATURE_ORDER)
-        for winner, vector in self.rows:
-            if len(vector) != width:
-                raise SelectionError(
-                    f"table row for {winner!r} has {len(vector)} features, "
-                    f"expected {width}"
-                )
-        if not self.scales:
-            matrix = np.asarray([vector for _, vector in self.rows], dtype=float)
-            spread = matrix.std(axis=0)
-            spread[spread < 1e-9] = 1.0
-            object.__setattr__(self, "scales", tuple(float(s) for s in spread))
-
-    @property
-    def candidates(self) -> tuple[str, ...]:  # type: ignore[override]
-        return tuple(sorted({winner for winner, _ in self.rows}))
-
-    def decide(self, chunk: np.ndarray) -> SelectionDecision:
-        features = extract_features(chunk, self.sample_elements)
-        vector = np.asarray(features.numeric_vector(), dtype=float)
-        scales = np.asarray(self.scales, dtype=float)
-        best_index = 0
-        best_distance = float("inf")
-        for index, (_, row_vector) in enumerate(self.rows):
-            delta = (vector - np.asarray(row_vector, dtype=float)) / scales
-            distance = float((delta * delta).sum())
-            if distance < best_distance:
-                best_distance = distance
-                best_index = index
-        winner = self.rows[best_index][0]
-        return SelectionDecision(
-            winner,
-            f"nearest training row #{best_index} "
-            f"(scaled distance {best_distance:.3f})",
-            features,
-        )
-
-
 def resolve_policy(policy, **options) -> SelectionPolicy:
     """Turn a policy name or instance into a :class:`SelectionPolicy`.
 
     ``options`` forward to the named policy's constructor (e.g.
-    ``candidates=``/``sample_elements=`` for ``measured``,
-    ``table_path=`` for ``learned``).
+    ``candidates=``/``sample_elements=`` for ``measured``).
     """
     if isinstance(policy, SelectionPolicy):
         if options:
@@ -337,10 +266,6 @@ def resolve_policy(policy, **options) -> SelectionPolicy:
         return HeuristicPolicy(**options)
     if policy == "measured":
         return MeasuredPolicy(**options)
-    if policy == "learned":
-        from repro.select.train import load_policy
-
-        return load_policy(options.pop("table_path", None), **options)
     raise SelectionError(
         f"unknown selection policy {policy!r}; known: {', '.join(POLICY_NAMES)}"
     )

@@ -107,9 +107,9 @@ class RequestSurface:
         chunk_elements:
             Elements per chunk frame.
         policy:
-            Selection policy for ``codec="auto"``: ``heuristic``,
-            ``measured`` or ``learned``, as locally.  Any other name,
-            ``online`` included, is a typed
+            Selection policy for ``codec="auto"``: ``heuristic`` or
+            ``measured``, as locally.  Any other name, ``online`` and
+            ``learned`` included, is a typed
             :class:`~repro.errors.SelectionError`.
         """
         payload = protocol.encode_compress_request(

@@ -78,7 +78,7 @@ def test_option_table_matches_the_recorded_surface():
     recorded = json.loads(SNAPSHOT.read_text())
     current = option_table(cli.build_parser())
     assert sorted(current) == sorted(recorded)
-    assert len([p for p in current if p]) == 38
+    assert len([p for p in current if p]) == 37
     for path, entry in recorded.items():
         got = current[path]
         assert got["positionals"] == [

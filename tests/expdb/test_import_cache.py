@@ -172,5 +172,6 @@ def test_run_then_report_db_cli(cache_root, capsys):
     assert report["stats"]["available"]
     assert report["stats"]["nemenyi"]["critical_difference"] > 0
 
-    assert main(["select", "train"]) == 0
-    assert "trained on 2 stored dataset cell group(s)" in capsys.readouterr().out
+    # The same store is what `fcbench cache` counts: four fresh cells.
+    assert main(["cache"]) == 0
+    assert "cells: 4 (0 stale, " in capsys.readouterr().out

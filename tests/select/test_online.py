@@ -14,13 +14,14 @@ class below pins what now stands where one of its behaviours stood:
   :class:`SelectionError` on every path.
 """
 
+import io
 import threading
 
 import numpy as np
 import pytest
 
 from repro.api import compress_array, decompress_array, open_stream
-from repro.api.session import DecompressSession
+from repro.api.session import CompressSession, DecompressSession
 from repro.errors import SelectionError
 from repro.select.features import FEATURE_SAMPLE_ELEMENTS
 from repro.select.policy import (
@@ -209,16 +210,21 @@ class TestBandit:
 
 
 class TestServedOnly:
-    """``online`` is refused on every path, typed (see also
-    ``tests/service/test_server.py`` for the served refusals)."""
+    """``online`` and ``learned`` are refused on every path, typed (see
+    also ``tests/service/test_server.py`` for the served refusals)."""
 
     def test_local_writers_refuse_online_typed(self, tmp_path):
+        # `learned` (a deleted table-driven selector) is refused the same
+        # way, before a byte is written: no table is read.
         array = np.concatenate(_chunks())
-        for jobs in (None, 2):
+        for policy in ("online", "learned"):
+            for jobs in (None, 2):
+                with pytest.raises(SelectionError, match="unknown selection"):
+                    compress_array(array, "auto", policy=policy, jobs=jobs)
             with pytest.raises(SelectionError, match="unknown selection"):
-                compress_array(array, "auto", policy="online", jobs=jobs)
-        with pytest.raises(SelectionError, match="unknown selection"):
-            open_stream(tmp_path / "x.fcf", "wb", codec="auto", policy="online")
+                open_stream(tmp_path / "x.fcf", "wb", codec="auto", policy=policy)
+            with pytest.raises(SelectionError, match="known: heuristic, measured$"):
+                CompressSession(io.BytesIO(), codec="auto", policy=policy)
 
 
 class TestHub:

@@ -1,6 +1,6 @@
-"""Selection policies: heuristic rule table, measured tie-breaking,
-learned nearest-neighbour lookup, and the picklability the parallel
-write path depends on."""
+"""Selection policies: heuristic rule table, measured tie-breaking, the
+typed refusal of the deleted ``learned`` policy, and the picklability
+the parallel write path depends on."""
 
 import pickle
 
@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SelectionError
-from repro.select.features import FEATURE_ORDER
 from repro.select.policy import (
     DEFAULT_CANDIDATES,
+    POLICY_NAMES,
     HeuristicPolicy,
-    LearnedPolicy,
     MeasuredPolicy,
     SelectionPolicy,
     pick_smallest,
@@ -129,30 +128,35 @@ def test_measured_policy_validates_configuration():
 
 
 # ----------------------------------------------------------------------
-# Learned
+# Learned (deleted: the heuristic serves `auto`, `measured` is its
+# stateless reference)
 # ----------------------------------------------------------------------
-def _vector(**overrides):
-    base = dict.fromkeys(FEATURE_ORDER, 0.0)
-    base.update(overrides)
-    return tuple(float(base[name]) for name in FEATURE_ORDER)
-
-
 def test_learned_policy_nearest_row_wins():
-    rows = (
-        ("fpzip", _vector(lag1_autocorr=1.0, frac_unique=1.0)),
-        ("dzip", _vector(lag1_autocorr=0.0, frac_unique=0.01)),
-    )
-    policy = LearnedPolicy(rows=rows)
-    assert policy.select(_smooth_chunk()) == "fpzip"
-    assert policy.select(_repeat_chunk()) == "dzip"
-    assert policy.candidates == ("dzip", "fpzip")
+    # The regimes a learned table was asked to separate are the
+    # heuristic's rules; `measured`, trial compression over the same
+    # arms, is the reference its misses are found with: its pick is never
+    # larger on the trial than the heuristic's.
+    heuristic = HeuristicPolicy()
+    measured = MeasuredPolicy(candidates=heuristic.candidates)
+    for chunk, arm in (
+        (_smooth_chunk(), "fpzip"),
+        (_repeat_chunk(), "dzip"),
+        (_decimal_chunk(), "buff"),
+        (_noise_chunk(), "bitshuffle-zstd"),
+    ):
+        assert heuristic.select(chunk) == arm
+        sizes = measured.trial_sizes(chunk)
+        assert sizes[measured.select(chunk)] <= sizes[arm]
+    assert measured.select(_smooth_chunk()) == "fpzip"
 
 
 def test_learned_policy_requires_rows_and_valid_width():
-    with pytest.raises(SelectionError):
-        LearnedPolicy(rows=())
-    with pytest.raises(SelectionError):
-        LearnedPolicy(rows=(("fpzip", (1.0, 2.0)),))
+    # There is no table to validate: `learned` is an unknown name, a
+    # typed refusal whatever options come with it.
+    assert POLICY_NAMES == ("heuristic", "measured")
+    for options in ({}, {"table_path": "select_table.json"}, {"rows": ()}):
+        with pytest.raises(SelectionError, match="known: heuristic, measured$"):
+            resolve_policy("learned", **options)
 
 
 # ----------------------------------------------------------------------
@@ -174,17 +178,15 @@ def test_resolve_policy_rejects_unknown_and_bad_options():
 
 
 def test_policies_are_picklable():
-    rows = (("fpzip", _vector(lag1_autocorr=1.0)),)
-    for policy in (
-        HeuristicPolicy(),
-        MeasuredPolicy(sample_elements=64),
-        LearnedPolicy(rows=rows),
-    ):
+    for policy in (HeuristicPolicy(), MeasuredPolicy(sample_elements=64)):
         clone = pickle.loads(pickle.dumps(policy))
         assert isinstance(clone, SelectionPolicy)
         assert clone.candidates == policy.candidates
         chunk = _smooth_chunk(512)
         assert clone.select(chunk) == policy.select(chunk)
+        assert clone.decide(chunk).features.as_dict() == (
+            policy.decide(chunk).features.as_dict()
+        )
 
 
 def test_default_candidates_are_registered_methods():

@@ -10,14 +10,17 @@ an untyped exception while decoding the reply), and the connection that
 carried all of it still answers a ``ping``.
 """
 
+import io
 import socket
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.api import compress_array
-from repro.errors import ReproError, ServiceError
+from repro.api.frames import END_MAGIC, encode_index, read_layout
+from repro.errors import CorruptStreamError, ReproError, ServiceError
 from repro.service import protocol, serve_background
 from repro.service.exchange import Exchange
 from repro.service.protocol import COMPRESS, DECOMPRESS, PING, SELECT_EXPLAIN
@@ -48,6 +51,7 @@ def _seeds(op):
                 ("gorilla", "heuristic"),
                 ("auto", "heuristic"),
                 ("auto", "online"),
+                ("auto", "learned"),
                 ("none", "heuristic"),
             )
         ]
@@ -55,7 +59,7 @@ def _seeds(op):
         return [
             protocol.encode_explain_request(array, policy, 64)
             for array in arrays
-            for policy in ("heuristic", "online")
+            for policy in ("heuristic", "online", "learned")
         ]
     return [
         compress_array(array, codec, chunk_elements=64)
@@ -173,3 +177,58 @@ def test_mutated_tails_never_cost_the_valid_frame_its_answer(server):
         endings["cases"] += 1
     # The mutations do break framing, and do not always.
     assert 0 < endings["farewell"] < endings["cases"]
+
+
+#: Forged lengths: a 5-byte varint of 2**32 - 1, and a run of 0xFF.
+_FORGERIES = (b"\xff\xff\xff\xff\x0f", b"\xff" * 6)
+
+
+def _forge(stream, at, data):
+    """``stream`` with ``data`` written over its first frame's payload at
+    ``at``, and the index (sizes and per-frame CRCs) recomputed, so the
+    forgery passes every check before the codec runs."""
+    _, index, data_start = read_layout(io.BytesIO(stream))
+    frames = []
+    for number, frame in enumerate(index.frames):
+        end = frame.offset + frame.compressed_bytes
+        payload = bytearray(stream[frame.offset : end])
+        if number == 0:
+            payload[at : at + len(data)] = data
+        frames.append(bytes(payload))
+    trailer = encode_index(
+        [(f.n_elements, len(p), zlib.crc32(p)) for f, p in zip(index.frames, frames)],
+        index.shape,
+    )
+    return (
+        stream[:data_start]
+        + b"".join(frames)
+        + trailer
+        + len(trailer).to_bytes(8, "little")
+        + END_MAGIC
+    )
+
+
+def test_forged_streams_with_valid_crcs_get_typed_corrupt_stream(server):
+    """A forged stream passes the per-frame CRC: its payloads reach the
+    codec decoders as they are, and each must end in ERR_CORRUPT_STREAM
+    without sizing anything from a forged length."""
+    array = _arrays()[0]
+    outcomes = Counter()
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        case = 0
+        for codec in ("bitshuffle-zstd", "nvcomp-bitcomp", "spdp", "gorilla", "auto"):
+            stream = compress_array(array, codec, chunk_elements=64)
+            for data in _FORGERIES:
+                for at in range(24):
+                    case += 1
+                    forged = _forge(stream, at, data)
+                    try:
+                        protocol.decode_array(_exchange(sock, DECOMPRESS, case, forged))
+                    except CorruptStreamError as exc:
+                        assert "MemoryError" not in str(exc), (codec, at, exc)
+                        outcomes["corrupt"] += 1
+                    else:
+                        outcomes["decoded"] += 1
+        echo = _exchange(sock, PING, case + 1, b"still here")
+    assert echo == b"still here"
+    assert outcomes["corrupt"] > outcomes["decoded"], outcomes

@@ -263,31 +263,34 @@ def test_truncated_fcf_payload_raises_corrupt_stream(client):
 
 
 def test_unknown_policy_raises_selection_error(client):
-    for policy in ("nosuch", "online"):
+    for policy in ("nosuch", "online", "learned"):
         with pytest.raises(SelectionError, match="unknown selection policy"):
             client.compress_array(_sample(), "auto", policy=policy)
 
 
 def test_online_is_refused_by_explain_and_compress(server, client):
     # Served like a local writer: select-explain and compress both
-    # answer `online` with ERR_SELECTION, and the next frame on the same
-    # connection is answered.
-    with pytest.raises(SelectionError, match="unknown selection policy"):
-        client.select_explain(_sample(), policy="online", chunk_elements=64)
-    blob = encode_frame(
-        COMPRESS, 1, encode_compress_request(_sample(), "auto", 64, "online")
-    ) + encode_frame(PING, 2, b"still here")
-    parser, frames = FrameParser(), []
-    with socket.create_connection((server.host, server.port), timeout=30) as sock:
-        sock.sendall(blob)
-        while len(frames) < 2:
-            data = sock.recv(1 << 16)
-            assert data, "server closed before answering every request"
-            frames.extend(parser.feed(data))
-    refusal, pong = frames
-    assert (refusal.request_id, refusal.frame_type) == (1, ERROR)
-    assert decode_error(refusal.payload)[0] == ERR_SELECTION
-    assert (pong.request_id, pong.payload) == (2, b"still here")
+    # answer `online` and `learned` with ERR_SELECTION, and the next
+    # frame on the same connection is answered.
+    for policy in ("online", "learned"):
+        with pytest.raises(SelectionError, match="unknown selection policy"):
+            client.select_explain(_sample(), policy=policy, chunk_elements=64)
+        blob = encode_frame(
+            COMPRESS, 1, encode_compress_request(_sample(), "auto", 64, policy)
+        ) + encode_frame(PING, 2, b"still here")
+        parser, frames = FrameParser(), []
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(blob)
+            while len(frames) < 2:
+                data = sock.recv(1 << 16)
+                assert data, "server closed before answering every request"
+                frames.extend(parser.feed(data))
+        refusal, pong = frames
+        assert (refusal.request_id, refusal.frame_type) == (1, ERROR)
+        assert decode_error(refusal.payload)[0] == ERR_SELECTION
+        assert (pong.request_id, pong.payload) == (2, b"still here")
+        # The explain refusal did not cost the client its connection.
+        client.ping()
 
 
 def test_bogus_online_options_fail_where_they_are_given():
