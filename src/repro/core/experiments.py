@@ -35,8 +35,7 @@ from repro.stats.friedman import friedman_test
 from repro.stats.mannwhitney import mann_whitney_u
 from repro.stats.nemenyi import nemenyi_test
 from repro.stats.ranking import average_ranks
-from repro.storage.pagestore import PAGE_SIZES
-from repro.storage.query import QueryBenchmark
+from repro.storage.query import query_cost
 
 __all__ = [
     "ExperimentOutput",
@@ -500,6 +499,9 @@ _BLOCK_METHODS = (
     "gorilla", "chimp", "nvcomp-lz4", "nvcomp-bitcomp",
 )
 
+#: The three block sizes of Table 10.
+PAGE_SIZES = {"4K": 4 * 1024, "64K": 64 * 1024, "8M": 8 * 1024 * 1024}
+
 
 def table10_blocksize(
     datasets: tuple[str, ...] = ("citytemp", "gas-price", "tpcH-order", "rsim"),
@@ -571,10 +573,10 @@ def table11_query(results: ResultSet) -> ExperimentOutput:
     """Read + decode + scan times for the TPC datasets in ``results``.
 
     A pure function of the suite's whole-array cells: each method's
-    measured ratio feeds :meth:`QueryBenchmark.model`, and a failed cell
-    (GFC's paper-scale limit on the >512 MB datasets) renders as ``-``.
+    measured ratio feeds :func:`~repro.storage.query.query_cost`, and a
+    failed cell (GFC's paper-scale limit on the >512 MB datasets) renders
+    as ``-``.
     """
-    bench = QueryBenchmark()
     methods = [m for m in _QUERY_METHODS if m in results.methods()]
     cells = {(m.dataset, m.method): m for m in results.measurements}
     rows = []
@@ -589,7 +591,7 @@ def table11_query(results: ResultSet) -> ExperimentOutput:
             if cell is None or not cell.ok:
                 row.append("-")
                 continue
-            cost = bench.model(
+            cost = query_cost(
                 get_compressor(method), spec.name, cell.compression_ratio,
                 spec.paper_bytes, spec.paper_extent[0],
             )

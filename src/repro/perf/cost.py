@@ -133,22 +133,6 @@ class CostModel:
             raise ValueError("cost model has no kernels")
         return max(kernels, key=lambda k: k.total_ops)
 
-    def ops_per_byte(self, direction: str = "compress") -> float:
-        kernels = (
-            self.compress_kernels
-            if direction == "compress"
-            else self.decompress_kernels
-        )
-        return sum(k.total_ops for k in kernels)
-
-    def bytes_touched_per_byte(self, direction: str = "compress") -> float:
-        kernels = (
-            self.compress_kernels
-            if direction == "compress"
-            else self.decompress_kernels
-        )
-        return sum(k.bytes_touched for k in kernels)
-
     def memory_footprint(self, input_bytes: int) -> float:
         """Peak working-set bytes while compressing ``input_bytes``."""
         if self.footprint_fixed_bytes:

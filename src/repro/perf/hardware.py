@@ -37,19 +37,6 @@ class CpuSpec:
     l2_bandwidth_gbs: float
     l3_bandwidth_gbs: float
 
-    @property
-    def total_cores(self) -> int:
-        return self.sockets * self.cores_per_socket
-
-    @property
-    def per_core_int_gops(self) -> float:
-        """Scalar integer throughput of a single core."""
-        return self.scalar_int_gops / self.total_cores
-
-    @property
-    def per_core_float_gflops(self) -> float:
-        return self.scalar_float_gflops / self.total_cores
-
 
 @dataclass(frozen=True)
 class GpuSpec:
@@ -67,10 +54,6 @@ class GpuSpec:
     pcie_latency_us: float
     vram_bytes: int
     kernel_launch_us: float
-
-    @property
-    def max_resident_threads(self) -> int:
-        return self.sm_count * self.threads_per_sm
 
 
 XEON_GOLD_6126 = CpuSpec(

@@ -20,62 +20,33 @@ streams.  See ``docs/service.md`` for the wire specification and threat
 model; ``fcbench serve`` / ``fcbench client`` are the CLI entry points.
 """
 
-from repro.service.client import (
-    DEFAULT_CODEC,
-    AsyncServiceClient,
-    ServiceClient,
-)
-from repro.service.gateway import ObservabilityGateway, render_prometheus
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
-from repro.service.protocol import (
-    DEFAULT_MAX_PAYLOAD,
-    MAGIC,
-    PROTOCOL_VERSION,
-    Frame,
-    FrameParser,
-    encode_frame,
-)
-from repro.service.resilience import (
-    CircuitBreaker,
-    Deadline,
-    RetryBudget,
-    RetryPolicy,
-)
-from repro.service.server import (
-    CompressionServer,
-    ServerHandle,
-    run_server,
-    serve_background,
-)
-from repro.service.tenants import (
-    TenantConfig,
-    TenantRegistry,
-    generate_token,
-)
+from importlib import import_module
 
-__all__ = [
-    "AsyncServiceClient",
-    "CircuitBreaker",
-    "CompressionServer",
-    "DEFAULT_CODEC",
-    "DEFAULT_MAX_PAYLOAD",
-    "Deadline",
-    "Frame",
-    "FrameParser",
-    "LatencyHistogram",
-    "MAGIC",
-    "ObservabilityGateway",
-    "PROTOCOL_VERSION",
-    "RetryBudget",
-    "RetryPolicy",
-    "ServerHandle",
-    "ServiceClient",
-    "ServiceMetrics",
-    "TenantConfig",
-    "TenantRegistry",
-    "encode_frame",
-    "generate_token",
-    "render_prometheus",
-    "run_server",
-    "serve_background",
-]
+# Lazy (PEP 562): ``import repro.service.client`` -- and so
+# ``repro.connect`` -- must not load the server, the gateway or
+# ``http.server`` just because this package initialises first.
+_EXPORTS = {
+    "client": ("AsyncServiceClient", "DEFAULT_CODEC", "ServiceClient"),
+    "gateway": ("ObservabilityGateway", "render_prometheus"),
+    "metrics": ("LatencyHistogram", "ServiceMetrics"),
+    "protocol": (
+        "DEFAULT_MAX_PAYLOAD", "MAGIC", "PROTOCOL_VERSION", "Frame",
+        "FrameParser", "encode_frame",
+    ),
+    "resilience": ("CircuitBreaker", "Deadline", "RetryBudget", "RetryPolicy"),
+    "server": (
+        "CompressionServer", "ServerHandle", "run_server", "serve_background",
+    ),
+    "tenants": ("TenantConfig", "TenantRegistry", "generate_token"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = sorted(_MODULE_OF)

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 
-from repro.errors import AuthenticationError, QuotaExceededError, ReproError
+from repro.errors import AuthenticationError, ReproError
 
 __all__ = [
     "TenantConfig",
@@ -256,13 +256,6 @@ class TenantRegistry:
                 return
             usage.window_requests = max(0, usage.window_requests - 1)
             usage.window_bytes = max(0, usage.window_bytes - nbytes)
-
-    def quota_error(self, tenant_id: str, decision: TenantQuotaDecision):
-        """The typed exception a failed quota decision maps to."""
-        return QuotaExceededError(
-            f"tenant {tenant_id!r}: {decision.reason}",
-            retry_after_ms=decision.retry_after_ms,
-        )
 
     # -- observability -------------------------------------------------
     def snapshot(self) -> dict:

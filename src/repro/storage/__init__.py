@@ -1,8 +1,8 @@
 """Simulated in-memory database substrate (paper section 5.1.2).
 
-Chunked container files with compressor filter pipelines, a minimal
-column dataframe, a disk model, paged compression, and the query
-micro-benchmark engine.
+The HDF5-like chunked container (:mod:`repro.storage.container`), and
+the disk and query cost models Table 11 renders from
+(:mod:`repro.storage.iosim`, :mod:`repro.storage.query`).
 """
 
 from repro.storage.container import (
@@ -11,32 +11,5 @@ from repro.storage.container import (
     ContainerWriter,
     DatasetInfo,
 )
-from repro.storage.dataframe import DataFrame
-from repro.storage.filters import available_filters, decode_chunk, encode_chunk
-from repro.storage.iosim import DEFAULT_DISK, DiskModel
-from repro.storage.pagestore import (
-    PAGE_SIZES,
-    PagedResult,
-    paged_compress,
-    paged_decompress,
-)
-from repro.storage.query import QueryBenchmark, QueryCost
 
-__all__ = [
-    "ChunkInfo",
-    "ContainerReader",
-    "ContainerWriter",
-    "DEFAULT_DISK",
-    "DataFrame",
-    "DatasetInfo",
-    "DiskModel",
-    "PAGE_SIZES",
-    "PagedResult",
-    "QueryBenchmark",
-    "QueryCost",
-    "available_filters",
-    "decode_chunk",
-    "encode_chunk",
-    "paged_compress",
-    "paged_decompress",
-]
+__all__ = ["ChunkInfo", "ContainerReader", "ContainerWriter", "DatasetInfo"]

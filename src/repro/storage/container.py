@@ -10,8 +10,8 @@ directory header maps dataset names to byte regions, and each region is
 a complete FCF stream written by a
 :class:`~repro.api.session.CompressSession` — the same frame format,
 chunk index, hardened reader, and chunk-parallel path as user-facing
-streams.  Table 10/11 reproductions therefore exercise exactly the code
-a production deployment would.
+streams.  ``examples/insitu_visualization.py`` (the paper's section 1.1
+in-situ use case) writes and reads timesteps through it.
 
 Container layout (version 2)::
 
@@ -23,6 +23,7 @@ Container layout (version 2)::
 from __future__ import annotations
 
 import io
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -116,19 +117,14 @@ class _FileRegion:
 class ContainerWriter:
     """Builds a container file dataset by dataset."""
 
-    def __init__(self, chunk_elements: int = 8192, jobs: int | None = None) -> None:
+    def __init__(self, chunk_elements: int = 8192) -> None:
         if chunk_elements < 1:
             raise ValueError("chunk_elements must be positive")
         self.chunk_elements = chunk_elements
-        self.jobs = jobs
-        self._datasets: list[tuple[str, np.ndarray, str, int]] = []
+        self._datasets: list[tuple[str, np.ndarray, str]] = []
 
     def add_dataset(
-        self,
-        name: str,
-        array: np.ndarray,
-        filter_name: str = "none",
-        chunk_elements: int | None = None,
+        self, name: str, array: np.ndarray, filter_name: str = "none"
     ) -> None:
         """Queue ``array`` for storage under ``name`` with a filter."""
         if any(existing == name for existing, *_ in self._datasets):
@@ -137,19 +133,12 @@ class ContainerWriter:
             raise StorageError(
                 f"container stores float32/float64 only, got {array.dtype}"
             )
-        self._datasets.append(
-            (
-                name,
-                np.ascontiguousarray(array),
-                filter_name,
-                chunk_elements or self.chunk_elements,
-            )
-        )
+        self._datasets.append((name, np.ascontiguousarray(array), filter_name))
 
     def save(self, path: str | os.PathLike) -> None:
         """Write every queued dataset to ``path``."""
         streams: list[bytes] = []
-        for name, array, filter_name, chunk_elements in self._datasets:
+        for name, array, filter_name in self._datasets:
             buf = io.BytesIO()
             codec = None if filter_name == "none" else filter_name
             try:
@@ -157,8 +146,7 @@ class ContainerWriter:
                     buf,
                     codec,
                     array.dtype,
-                    chunk_elements=chunk_elements,
-                    jobs=self.jobs,
+                    chunk_elements=self.chunk_elements,
                     shape=array.shape,
                 )
             except KeyError as exc:  # unknown filter name
@@ -185,13 +173,11 @@ class ContainerWriter:
 class ContainerReader:
     """Reads datasets back from a container file.
 
-    Tracks raw I/O volume so the benchmark harness can model disk time
-    separately from decode time, as Table 11 does.
+    :attr:`bytes_read` counts the compressed payload bytes decoded so far.
     """
 
-    def __init__(self, path: str | os.PathLike, jobs: int | None = None) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
-        self.jobs = jobs
         self._datasets: dict[str, DatasetInfo] = {}
         self._regions: dict[str, tuple[int, int]] = {}  # name -> (base, length)
         #: name -> pre-parsed (header, index, data_start), so per-read
@@ -203,24 +189,35 @@ class ContainerReader:
     def _parse_index(self) -> None:
         file_size = os.path.getsize(self.path)
         with open(self.path, "rb") as fh:
-            head = fh.read(min(file_size, 1 << 20))
-            if head[:4] != _MAGIC:
+            if fh.read(4) != _MAGIC:
                 raise StorageError(f"{self.path} is not a container file")
-            if len(head) < 5:
+            if file_size < 5:
                 raise StorageError(f"{self.path} is truncated")
-            if head[4] != _VERSION:
-                raise StorageError(f"unsupported container version {head[4]}")
-            try:
-                n_datasets, pos = decode_uvarint(head, 5)
-                entries: list[tuple[str, int]] = []
-                for _ in range(n_datasets):
-                    name_len, pos = decode_uvarint(head, pos)
-                    name = head[pos : pos + name_len].decode()
-                    pos += name_len
-                    stream_len, pos = decode_uvarint(head, pos)
-                    entries.append((name, stream_len))
-            except (CorruptStreamError, UnicodeDecodeError) as exc:
-                raise StorageError(f"malformed container directory: {exc}") from exc
+            # The directory is parsed from the whole file, however many
+            # datasets it names. Each entry takes at least two bytes, so a
+            # count the rest of the file cannot hold is refused up front:
+            # the entries built grow with the file size, never the count.
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as head:
+                if head[4] != _VERSION:
+                    raise StorageError(f"unsupported container version {head[4]}")
+                try:
+                    n_datasets, pos = decode_uvarint(head, 5)
+                    if n_datasets > (file_size - pos) // 2:
+                        raise StorageError(
+                            f"malformed container directory: {n_datasets} "
+                            f"datasets cannot fit in {file_size} bytes"
+                        )
+                    entries: list[tuple[str, int]] = []
+                    for _ in range(n_datasets):
+                        name_len, pos = decode_uvarint(head, pos)
+                        name = head[pos : pos + name_len].decode()
+                        pos += name_len
+                        stream_len, pos = decode_uvarint(head, pos)
+                        entries.append((name, stream_len))
+                except (CorruptStreamError, UnicodeDecodeError) as exc:
+                    raise StorageError(
+                        f"malformed container directory: {exc}"
+                    ) from exc
 
             base = pos
             for name, stream_len in entries:
@@ -266,9 +263,7 @@ class ContainerReader:
     def _session(self, fh, name: str) -> DecompressSession:
         base, length = self._regions[name]
         return DecompressSession(
-            _FileRegion(fh, base, length),
-            jobs=self.jobs,
-            layout=self._layouts[name],
+            _FileRegion(fh, base, length), layout=self._layouts[name]
         )
 
     def read_dataset(self, name: str) -> np.ndarray:
@@ -288,23 +283,3 @@ class ContainerReader:
                     f"dataset {name!r} failed to decode: {exc}"
                 ) from exc
         return flat.reshape(info.shape)
-
-    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Decode elements ``[start, stop)`` of the flattened dataset.
-
-        Random access through the embedded stream's chunk index: only
-        the overlapping chunks are read from disk and decompressed
-        (their bytes are added to :attr:`bytes_read`).
-        """
-        info = self.info(name)
-        del info  # raises StorageError for unknown names
-        with open(self.path, "rb") as fh:
-            try:
-                with self._session(fh, name) as session:
-                    out = session.read(start, stop)
-                    self.bytes_read += session.bytes_read
-            except CorruptStreamError as exc:
-                raise StorageError(
-                    f"dataset {name!r} failed to decode: {exc}"
-                ) from exc
-        return out

@@ -17,19 +17,11 @@ __all__ = ["DiskModel", "DEFAULT_DISK"]
 
 @dataclass(frozen=True)
 class DiskModel:
-    """Sequential read/write disk model.
-
-    Writes share the latency + per-chunk + bandwidth shape of reads but
-    carry their own bandwidth: sustained sequential writes on the
-    modeled local drive land below the read rate (dirty-page flushes
-    contend with the foreground stream), which is what the service
-    bench needs to model persisting compressed responses.
-    """
+    """Sequential read disk model: latency + per-chunk + bandwidth."""
 
     bandwidth_gbs: float = 1.55
     seek_latency_s: float = 0.0008
     per_chunk_overhead_s: float = 0.00002
-    write_bandwidth_gbs: float = 1.1
 
     def read_seconds(self, nbytes: int, n_chunks: int = 1) -> float:
         """Modeled wall time to read ``nbytes`` split over ``n_chunks``."""
@@ -39,16 +31,6 @@ class DiskModel:
             self.seek_latency_s
             + n_chunks * self.per_chunk_overhead_s
             + nbytes / (self.bandwidth_gbs * 1e9)
-        )
-
-    def write_seconds(self, nbytes: int, n_chunks: int = 1) -> float:
-        """Modeled wall time to write ``nbytes`` split over ``n_chunks``."""
-        if nbytes < 0 or n_chunks < 0:
-            raise ValueError("write size and chunk count must be non-negative")
-        return (
-            self.seek_latency_s
-            + n_chunks * self.per_chunk_overhead_s
-            + nbytes / (self.write_bandwidth_gbs * 1e9)
         )
 
 

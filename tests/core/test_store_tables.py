@@ -18,7 +18,7 @@ from repro.core.suite import open_store, run_suite
 from repro.data.catalog import CATALOG, get_spec
 from repro.expdb import sweep
 from repro.expdb.store import CellKey
-from repro.storage.query import QueryBenchmark
+from repro.storage.query import query_cost
 
 PAGES = len(exp.PAGE_SIZES)
 METHODS = len(exp._BLOCK_METHODS)
@@ -92,7 +92,7 @@ def test_table11_is_a_function_of_the_suite_rows(monkeypatch):
     [pfpc] = [m for m in results.measurements
               if (m.method, m.dataset) == ("pfpc", "tpcDS-web")]
     spec = get_spec("tpcDS-web")
-    expected = QueryBenchmark().model(
+    expected = query_cost(
         get_compressor("pfpc"), spec.name, pfpc.compression_ratio,
         spec.paper_bytes, spec.paper_extent[0],
     )

@@ -110,3 +110,70 @@ def test_multidim_shape_preserved(tmp_path):
     out = ContainerReader(path).read_dataset("cube")
     assert out.shape == (13, 5, 7)
     np.testing.assert_array_equal(out, arr)
+
+
+def test_directory_larger_than_a_mebibyte(tmp_path):
+    # 600 datasets behind 2 KB names: a 1.2 MB name directory, read from
+    # the file itself rather than from a fixed-size head of it.
+    names = [f"{i:04d}".ljust(2000, "x") for i in range(600)]
+    w = ContainerWriter()
+    for i, name in enumerate(names):
+        w.add_dataset(name, np.array([float(i)]))
+    path = tmp_path / "wide.fcbc"
+    w.save(path)
+    assert path.stat().st_size > 1 << 20
+    r = ContainerReader(path)
+    assert r.dataset_names() == names
+    assert r.read_dataset(names[-1]).tolist() == [599.0]
+
+
+def test_forged_dataset_count_is_malformed(sample, tmp_path):
+    path, _ = sample
+    data = path.read_bytes()
+    forged = tmp_path / "forged.fcbc"
+    # Claim 2**62 datasets: parsing stops at the end of the file.
+    forged.write_bytes(data[:5] + b"\x80" * 8 + b"\x40" + data[6:])
+    with pytest.raises(StorageError, match="malformed container directory"):
+        ContainerReader(forged)
+
+
+def test_forged_count_over_zero_payload_is_refused_up_front(tmp_path):
+    # Zeros stored raw parse as ('', 0) directory entries of two bytes
+    # each, so a forged count is refused before any entry is built.
+    w = ContainerWriter()
+    w.add_dataset("z", np.zeros(4096), filter_name="none")
+    path = tmp_path / "zeros.fcbc"
+    w.save(path)
+    data = path.read_bytes()
+    assert data[5] == 1  # one dataset, a one-byte count
+    forged = tmp_path / "forged-zeros.fcbc"
+    forged.write_bytes(data[:5] + b"\x80" * 8 + b"\x40" + data[6:])
+    with pytest.raises(StorageError, match="datasets cannot fit"):
+        ContainerReader(forged)
+
+
+def test_unsupported_version(sample, tmp_path):
+    path, _ = sample
+    data = bytearray(path.read_bytes())
+    data[4] = 9
+    other = tmp_path / "v9.fcbc"
+    other.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="unsupported container version 9"):
+        ContainerReader(other)
+
+
+def test_magic_alone_is_truncated(tmp_path):
+    path = tmp_path / "magic.fcbc"
+    path.write_bytes(b"FCBC")
+    with pytest.raises(StorageError, match="truncated"):
+        ContainerReader(path)
+
+
+def test_unicode_dataset_names(tmp_path):
+    w = ContainerWriter()
+    w.add_dataset("température/ε", np.arange(3.0), "gorilla")
+    path = tmp_path / "utf8.fcbc"
+    w.save(path)
+    r = ContainerReader(path)
+    assert r.dataset_names() == ["température/ε"]
+    assert r.read_dataset("température/ε").tolist() == [0.0, 1.0, 2.0]

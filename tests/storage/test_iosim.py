@@ -29,33 +29,12 @@ def test_calibration_matches_table11_scale():
     assert 0.05 < t < 0.1
 
 
-# -- write model (service bench: persisting compressed responses) ------
-def test_write_time_components():
-    disk = DiskModel(write_bandwidth_gbs=1.0, seek_latency_s=0.001,
-                     per_chunk_overhead_s=0.0001)
-    t = disk.write_seconds(10**9, n_chunks=10)
-    assert t == pytest.approx(0.001 + 0.001 + 1.0)
-
-
-def test_write_negative_bytes_rejected():
+def test_negative_chunk_count_rejected():
     with pytest.raises(ValueError):
-        DEFAULT_DISK.write_seconds(-1)
+        DEFAULT_DISK.read_seconds(100, n_chunks=-1)
 
 
-def test_write_negative_chunks_rejected():
-    with pytest.raises(ValueError):
-        DEFAULT_DISK.write_seconds(100, n_chunks=-1)
-
-
-def test_write_zero_chunks_is_seek_plus_bandwidth():
-    # n_chunks=0 models a pure stream append: no per-chunk overhead.
-    disk = DiskModel()
-    t = disk.write_seconds(10**6, n_chunks=0)
-    assert t == pytest.approx(
-        disk.seek_latency_s + 10**6 / (disk.write_bandwidth_gbs * 1e9)
-    )
-
-
-def test_writes_slower_than_reads_at_default_calibration():
-    assert (DEFAULT_DISK.write_seconds(10**8, n_chunks=0)
-            > DEFAULT_DISK.read_seconds(10**8, n_chunks=0))
+def test_zero_chunks_is_seek_plus_bandwidth():
+    disk = DiskModel(bandwidth_gbs=1.0, seek_latency_s=0.001,
+                     per_chunk_overhead_s=0.5)
+    assert disk.read_seconds(10**6, n_chunks=0) == pytest.approx(0.001 + 0.001)

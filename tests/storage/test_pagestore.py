@@ -1,51 +1,66 @@
-"""Tests for paged (block) compression."""
+"""Tests for page-granular (block) compression, Table 10's unit.
+
+A page store is an FCF stream whose chunks are one page each:
+``compress_array(chunk_elements=page_bytes // itemsize)``, the stream
+cell :func:`repro.core.experiments.table10_blocksize` measures.
+"""
 
 import numpy as np
 import pytest
 
-from repro.compressors import get_compressor
+from repro.api.session import DecompressSession, compress_array
+from repro.core import experiments as exp
 from repro.data import load
-from repro.storage.pagestore import PAGE_SIZES, paged_compress, paged_decompress
+
+
+def _paged(arr: np.ndarray, codec: str, page_bytes: int) -> bytes:
+    return compress_array(
+        arr, codec, chunk_elements=page_bytes // arr.dtype.itemsize
+    )
 
 
 def test_page_sizes_match_table10():
-    assert PAGE_SIZES == {"4K": 4096, "64K": 65536, "8M": 8 * 1024 * 1024}
+    assert exp.PAGE_SIZES == {"4K": 4096, "64K": 65536, "8M": 8 * 1024 * 1024}
 
 
 def test_roundtrip_all_page_sizes():
-    comp = get_compressor("chimp")
     arr = load("gas-price", 4096).copy().ravel()
-    for page_bytes in PAGE_SIZES.values():
-        result = paged_compress(comp, arr, page_bytes)
-        out = paged_decompress(comp, result, arr.dtype)
+    for page_bytes in exp.PAGE_SIZES.values():
+        with DecompressSession(_paged(arr, "chimp", page_bytes)) as session:
+            out = session.read_all()
         np.testing.assert_array_equal(out.view(np.uint64), arr.view(np.uint64))
 
 
 def test_page_accounting():
-    comp = get_compressor("gorilla")
     arr = np.ones(4096)
-    result = paged_compress(comp, arr, 4096)
-    assert result.n_pages == arr.nbytes // 4096
-    assert result.raw_bytes == arr.nbytes
-    assert result.compressed_bytes == sum(len(b) for b in result.page_blobs)
+    with DecompressSession(_paged(arr, "gorilla", 4096)) as session:
+        assert len(session.frames) == arr.nbytes // 4096
+        assert all(f.n_elements == 4096 // 8 for f in session.frames)
+        session.read_all()
+        assert session.bytes_read == sum(
+            f.compressed_bytes for f in session.frames
+        )
 
 
 def test_larger_pages_help_ratio():
     # Table 10's takeaway: compressors prefer larger blocks.
-    comp = get_compressor("chimp")
     arr = load("gas-price", 8192).copy().ravel()
-    small = paged_compress(comp, arr, 2048)
-    large = paged_compress(comp, arr, 64 * 1024)
-    assert large.compression_ratio >= small.compression_ratio
+    small = _paged(arr, "chimp", 2048)
+    large = _paged(arr, "chimp", 64 * 1024)
+    with DecompressSession(small) as s, DecompressSession(large) as l:
+        small_payload = sum(f.compressed_bytes for f in s.frames)
+        large_payload = sum(f.compressed_bytes for f in l.frames)
+    assert large_payload <= small_payload
+    assert len(large) <= len(small)
 
 
 def test_tiny_page_rejected():
     with pytest.raises(ValueError):
-        paged_compress(get_compressor("chimp"), np.ones(10), 4)
+        _paged(np.ones(10), "chimp", 4)
 
 
 def test_empty_array():
-    comp = get_compressor("chimp")
-    result = paged_compress(comp, np.array([], dtype=np.float64), 4096)
-    assert result.n_pages == 0
-    assert paged_decompress(comp, result, np.float64).size == 0
+    stream = _paged(np.array([], dtype=np.float64), "chimp", 4096)
+    with DecompressSession(stream) as session:
+        assert len(session.frames) == 0
+        assert session.read_all().size == 0

@@ -228,6 +228,24 @@ class TestPublicSurface:
         )
         assert _fresh_interpreter(probe).splitlines() == ["[]", "True"]
 
+    def test_a_client_loads_no_server(self):
+        # `repro.service` resolves its exports lazily, so dialing a
+        # service does not import the server, the gateway or http.server.
+        probe = (
+            "import sys, repro.service.client, repro; repro.connect\n"
+            "print([m for m in sys.modules if m in ('repro.service.server', "
+            "'repro.service.gateway', 'http.server')])\n"
+            "from repro.service import ServiceClient, serve_background\n"
+            "print('repro.service.server' in sys.modules)\n"
+        )
+        assert _fresh_interpreter(probe).splitlines() == ["[]", "True"]
+
+    def test_unknown_service_name_is_an_attribute_error(self):
+        import repro.service
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.service.no_such_name
+
     def test_every_all_name_resolves(self):
         modules = ["repro"]
         for info in pkgutil.walk_packages(
