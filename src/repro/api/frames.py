@@ -81,6 +81,7 @@ __all__ = [
     "split_frame_codec",
     "decode_mixed_frame",
     "check_declared_count",
+    "check_shape",
     "encode_legacy_frame",
     "decode_legacy_header",
     "decode_legacy_frame",
@@ -111,6 +112,8 @@ _MAX_HEADER_BYTES = (
 )
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
+
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 #: Free allowance in the declared-count bound, so trivially small
 #: streams (empty arrays, one-element frames) never trip it.
@@ -351,6 +354,25 @@ def decode_index(buf, data_start: int, data_length: int) -> StreamIndex:
     return StreamIndex(tuple(frames), tuple(shape))
 
 
+def check_shape(shape, itemsize: int, error=CorruptStreamError) -> None:
+    """Refuse a declared shape NumPy cannot hold, raising ``error``.
+
+    One zero extent makes the element count 0, so every byte-count check
+    passes; NumPy still multiplies the non-zero extents by the itemsize
+    and refuses a product past ``intp`` with an untyped ``ValueError``.
+    """
+    limit = _INTP_MAX // itemsize
+    product = 1
+    for extent in shape:
+        if extent:
+            product *= extent
+    if product > limit:
+        raise error(
+            f"shape {tuple(shape)} declares extents past the {limit}-element "
+            f"limit of {itemsize}-byte arrays"
+        )
+
+
 def read_layout(fh) -> tuple[StreamHeader, StreamIndex, int]:
     """Read header + index from a seekable binary stream.
 
@@ -381,6 +403,7 @@ def read_layout(fh) -> tuple[StreamHeader, StreamIndex, int]:
     index = decode_index(
         index_blob, data_start=data_start, data_length=index_start - data_start
     )
+    check_shape(index.shape, header.dtype.itemsize)
     return header, index, data_start
 
 
@@ -572,6 +595,7 @@ def decode_legacy_header(blob) -> tuple[tuple[int, ...], np.dtype, int]:
     for _ in range(ndim):
         extent, offset = decode_uvarint(blob, offset)
         shape.append(extent)
+    check_shape(shape, dtype.itemsize)
     return tuple(shape), dtype, offset
 
 

@@ -19,12 +19,6 @@ Subcommands:
   default) or delete cells from it (``clear``, with ``--stale`` to drop
   only cells whose fingerprint — cache version, method source, modeled
   hardware — is out of date).
-* ``fcbench bench``  — measure *real* encode/decode throughput per
-  (method, dataset) cell (plus the scalar-oracle baselines where a
-  codec retains one), write ``BENCH_<git-sha>.json`` at the repo root,
-  and diff against the previous snapshot.  Served latency, cluster
-  routing, tracing overhead and auto-vs-best-fixed are measured by
-  ``python3 bench/run.py`` (``BENCHMARK.json``), not here.
 * ``fcbench compress / decompress / inspect`` — the streaming codec
   surface: turn a ``.npy`` array into a seekable ``.fcf`` frame stream
   (``--codec``, ``--chunk-elements``, ``--jobs``), restore it
@@ -308,49 +302,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"(jobs={last.get('jobs', '?')}, "
             f"{last.get('elapsed_seconds', '?')}s)"
         )
-    return 0
-
-
-# ----------------------------------------------------------------------
-# fcbench bench
-# ----------------------------------------------------------------------
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.perf import bench
-
-    methods = _validate("methods", _csv(args.methods), compressor_names())
-    datasets = _validate("datasets", _csv(args.datasets), dataset_names())
-
-    def on_cell(cell: dict) -> None:
-        if args.quiet:
-            return
-        speedup = cell.get("encode_speedup_vs_scalar")
-        extra = f"  {speedup:5.1f}x vs scalar" if speedup else ""
-        print(
-            f"{cell['dataset']:<14} {cell['method']:<10} "
-            f"enc {cell['compress_mbs']:8.1f} MB/s  "
-            f"dec {cell['decompress_mbs']:8.1f} MB/s{extra}",
-            flush=True,
-        )
-
-    report = bench.run_bench(
-        methods=methods,
-        datasets=datasets,
-        on_cell=on_cell,
-        **_picked(args, bench.run_bench),
-    )
-    root = Path(args.output).parent if args.output else bench.repo_root()
-    if args.output:
-        path = Path(args.output)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        path = bench.write_report(report)
-    print(f"wrote {path}")
-    previous = bench.latest_snapshot(root, exclude=path)
-    if previous is not None:
-        print(bench.diff_reports(json.loads(previous.read_text()), report))
     return 0
 
 
@@ -1496,31 +1447,6 @@ def _cache_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _bench_args(p: argparse.ArgumentParser) -> None:
-    from repro.perf.bench import run_bench
-
-    p.add_argument(
-        "--methods",
-        help="comma-separated method names "
-        "(default: the vectorized hot-path codecs)",
-    )
-    p.add_argument(
-        "--datasets",
-        help="comma-separated dataset names (default: tpcH-order,"
-        "num-brain,msg-bt)",
-    )
-    _derive(
-        p, run_bench, "elements", "repeats", "seed", "no_oracle=oracle",
-        "no_guard=guard",
-    )
-    p.add_argument(
-        "--output", help="write the snapshot to this path instead"
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="no per-cell status lines"
-    )
-
-
 def _sweep_init_args(p: argparse.ArgumentParser) -> None:
     _sweep_db_arg(p)
     p.add_argument(
@@ -1874,8 +1800,6 @@ _COMMANDS = {
     "run": ("execute the measurement matrix", _cmd_run, _run_args),
     "report": ("render a paper table from results", _cmd_report, _report_args),
     "cache": ("inspect or clear the result store", _cmd_cache, _cache_args),
-    "bench": ("measure real encode/decode throughput, write BENCH_<sha>.json",
-              _cmd_bench, _bench_args),
     "sweep": ("resumable experiment sweeps over a shared sqlite database", {
         "init": ("expand the grid into pending cells (idempotent)",
                  _cmd_sweep_init, _sweep_init_args),

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.frames import check_shape
 from repro.encodings.varint import encode_uvarint
 from repro.errors import (
     AuthenticationError,
@@ -582,6 +583,7 @@ def decode_array_view(payload: bytes, pos: int = 0) -> np.ndarray:
     for _ in range(ndim):
         extent, pos = _decode_varint(payload, pos, "array extent")
         shape.append(extent)
+    check_shape(shape, dtype.itemsize, ProtocolError)
     count = 1
     for extent in shape:
         count *= extent

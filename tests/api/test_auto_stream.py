@@ -268,9 +268,8 @@ def test_policy_choosing_outside_table_is_a_selection_error():
     "dataset", ["num-brain", "citytemp", "hst-wfc3-ir", "tpcH-order"]
 )
 def test_heuristic_auto_within_95_percent_of_best_fixed(dataset):
-    """Multi-chunk regime on purpose: selection runs per 4 Ki chunk, the
-    same granularity `fcbench bench --auto` measures, so threshold
-    regressions that only appear at finer chunking fail here."""
+    """Multi-chunk regime on purpose: selection runs per 4 Ki chunk, so
+    threshold regressions that only appear at finer chunking fail here."""
     from repro.data.loader import load
 
     policy = HeuristicPolicy()

@@ -9,15 +9,21 @@ redundant) or raise :class:`~repro.errors.CorruptStreamError` — never
 decoder's internals.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.api import FOOTER_BYTES, compress_array, decompress_array
-from repro.api.frames import decode_legacy_header
+from repro.api.frames import END_MAGIC, decode_legacy_header, encode_index, read_layout
 from repro.compressors import compressor_names, get_compressor
 from repro.errors import CorruptStreamError
 
 ALL_METHODS = compressor_names()
+
+#: Empty shapes whose non-zero extents NumPy cannot multiply out: the
+#: element count is 0, so every byte-count check passes.
+FORGED_SHAPES = ((0, 2**63), (0, 2**62))
 
 
 def _sample(comp, n=257):
@@ -83,6 +89,17 @@ def test_fcf_stream_truncation(name):
             decompress_array(blob[:cut])
 
 
+def _with_shape(blob, shape):
+    """``blob`` with its chunk index re-declaring the array ``shape``."""
+    _, index, _ = read_layout(io.BytesIO(blob))
+    trailer = encode_index(
+        [(f.n_elements, f.compressed_bytes, f.crc32) for f in index.frames], shape
+    )
+    index_len = int.from_bytes(blob[-FOOTER_BYTES:][:8], "little")
+    head = blob[: len(blob) - FOOTER_BYTES - index_len]
+    return head + trailer + len(trailer).to_bytes(8, "little") + END_MAGIC
+
+
 @pytest.mark.parametrize("name", ALL_METHODS)
 def test_fcf_index_byte_flips(name):
     comp = get_compressor(name)
@@ -96,6 +113,10 @@ def test_fcf_index_byte_flips(name):
         _expect_corrupt_or_exact(
             lambda d=bytes(damaged): decompress_array(d).ravel(), arr
         )
+    empty = compress_array(arr[:0].reshape(0, 1), comp, chunk_elements=64)
+    for shape in FORGED_SHAPES:
+        with pytest.raises(CorruptStreamError):
+            decompress_array(_with_shape(empty, shape))
 
 
 @pytest.mark.parametrize("name", ALL_METHODS)

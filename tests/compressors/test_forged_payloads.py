@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api.frames import decode_payload, encode_payload
+from repro.api.frames import decode_legacy_header, decode_payload, encode_payload
 from repro.compressors import compressor_names, get_compressor
+from repro.encodings.varint import encode_uvarint
 from repro.errors import CorruptStreamError
 
 #: Address space one child may map beyond what the interpreter, numpy
@@ -33,6 +34,9 @@ ALLOCATION_BOUND = 512 << 20
 
 #: A 5-byte LEB128 varint of 2**32 - 1.
 HUGE_VARINT = b"\xff\xff\xff\xff\x0f"
+
+#: Empty shapes whose non-zero extents NumPy cannot multiply out.
+FORGED_SHAPES = ((0, 2**63), (0, 2**62))
 
 #: What a forgery may end as.
 TYPED = {"decoded", "CorruptStreamError"}
@@ -67,6 +71,31 @@ def mutations(payload: bytes, rng) -> list[tuple[str, bytes]]:
     return forged
 
 
+def legacy_forgeries(compressor) -> list[tuple[str, bytes]]:
+    """Legacy one-shot frames of an empty array whose header declares
+    each of :data:`FORGED_SHAPES`."""
+    dtype = np.float64 if compressor.info.supports_dtype(np.float64) else np.float32
+    blob = compressor.compress(np.empty((0, 1), dtype))
+    _, _, offset = decode_legacy_header(blob)
+    forged = []
+    for shape in FORGED_SHAPES:
+        header = b"".join(map(encode_uvarint, (len(shape), *shape)))
+        forged.append((f"legacy shape {shape}", blob[:2] + header + blob[offset:]))
+    return forged
+
+
+def _outcome(decode) -> str:
+    try:
+        decode()
+    except CorruptStreamError as exc:
+        if isinstance(exc.__cause__, MemoryError):
+            return "MemoryError"
+        return type(exc).__name__
+    except Exception as exc:  # noqa: BLE001 - reported, then failed
+        return type(exc).__name__
+    return "decoded"
+
+
 def probe(codec: str) -> dict[str, list[str]]:
     """Decode every forgery of ``codec``'s payloads; labels per outcome."""
     compressor = get_compressor(codec)
@@ -74,18 +103,15 @@ def probe(codec: str) -> dict[str, list[str]]:
     for index, array in enumerate(_arrays()):
         payload = encode_payload(compressor, array)
         for label, data in mutations(payload, np.random.default_rng(index)):
-            try:
-                decode_payload(
+            outcome = _outcome(
+                lambda data=data: decode_payload(
                     compressor, data, array.size, array.dtype, zlib.crc32(data)
                 )
-                outcome = "decoded"
-            except CorruptStreamError as exc:
-                outcome = type(exc).__name__
-                if isinstance(exc.__cause__, MemoryError):
-                    outcome = "MemoryError"
-            except Exception as exc:  # noqa: BLE001 - reported, then failed
-                outcome = type(exc).__name__
+            )
             outcomes.setdefault(outcome, []).append(f"array {index} {label}")
+    for label, blob in legacy_forgeries(compressor):
+        outcome = _outcome(lambda blob=blob: compressor.decompress(blob))
+        outcomes.setdefault(outcome, []).append(label)
     return outcomes
 
 

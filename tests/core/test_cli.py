@@ -202,38 +202,6 @@ def test_jobs_help_documents_auto_detection(capsys):
     assert "os.cpu_count()" in capsys.readouterr().out
 
 
-def test_bench_writes_snapshot_and_diffs(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "BENCH_test.json"
-    args = [
-        "bench",
-        "--methods", "gorilla",
-        "--datasets", "citytemp",
-        "--elements", "1024",
-        "--repeats", "1",
-        "--no-guard",
-        "--output", str(out_path),
-    ]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "enc" in out and "MB/s" in out and "vs scalar" in out
-    report = json.loads(out_path.read_text())
-    assert report["cells"][0]["method"] == "gorilla"
-    assert report["cells"][0]["encode_speedup_vs_scalar"] > 0
-
-    # A second snapshot in the same directory diffs against the first.
-    second = tmp_path / "BENCH_test2.json"
-    assert main(args[:-1] + [str(second)]) == 0
-    out = capsys.readouterr().out
-    assert "enc Δ" in out
-
-
-def test_bench_rejects_unknown_method(capsys):
-    assert main(["bench", "--methods", "nope"]) == 2
-    assert "unknown methods" in capsys.readouterr().err
-
-
 def test_version_flag_prints_package_version(capsys):
     import repro
 

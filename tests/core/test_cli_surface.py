@@ -78,7 +78,7 @@ def test_option_table_matches_the_recorded_surface():
     recorded = json.loads(SNAPSHOT.read_text())
     current = option_table(cli.build_parser())
     assert sorted(current) == sorted(recorded)
-    assert len([p for p in current if p]) == 37
+    assert len([p for p in current if p]) == 36
     for path, entry in recorded.items():
         got = current[path]
         assert got["positionals"] == [
@@ -176,7 +176,7 @@ def _capture(monkeypatch, target: str):
         (["serve"], "repro.service.server:run_server"),
         (["cluster", "serve"], "repro.cluster:ClusterSupervisor"),
         (["chaos"], "repro.chaos:run_chaos_soak"),
-        (["bench"], "repro.perf.bench:run_bench"),
+        (["select", "explain", "citytemp"], "repro.data.loader:load"),
         (["run"], "repro.core.suite:run_suite_detailed"),
         (["tenant", "create", "t1"], "repro.service.tenants:TenantConfig"),
         (["client", "ping"], "repro.service.client:ServiceClient"),
@@ -206,9 +206,9 @@ def test_a_bare_command_delivers_the_callee_defaults(
             {"use_cache": False, "seed": 3},
         ),
         (
-            ["bench", "--no-oracle", "--no-guard", "--repeats", "1"],
-            "repro.perf.bench:run_bench",
-            {"oracle": False, "guard": False, "repeats": 1},
+            ["select", "explain", "citytemp", "--target-elements", "512"],
+            "repro.data.loader:load",
+            {"target_elements": 512, "seed": 0},
         ),
         (
             ["cluster", "serve", "--no-restart", "--grace", "1.5"],

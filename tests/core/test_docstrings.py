@@ -16,7 +16,6 @@ import repro.cli
 import repro.core.runner
 import repro.core.suite
 import repro.encodings.vectorbit
-import repro.perf.bench
 
 
 @pytest.mark.parametrize(
@@ -26,7 +25,6 @@ import repro.perf.bench
         repro.core.runner,
         repro.cli,
         repro.encodings.vectorbit,
-        repro.perf.bench,
     ],
     ids=lambda m: m.__name__,
 )

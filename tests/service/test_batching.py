@@ -124,20 +124,27 @@ def test_idle_connection_pays_no_queueing_and_keeps_the_span_tree():
         with ServiceClient(
             handle.host, handle.port, pool_size=1, trace=True
         ) as client:
+            trips = []
             for _ in range(50):
+                started = time.perf_counter()
                 client.compress_array(array, "mpc", chunk_elements=4096)
+                trips.append(time.perf_counter() - started)
             pings = [client.ping() for _ in range(50)]
             document = client.trace(limit=1000)
             stats = client.stats()
     spans = document["spans"]
-    waits = [
-        span["duration_ms"]
-        for span in spans
-        if span["name"] == "server.queue_wait"
-    ]
+
+    def durations(name):
+        return [span["duration_ms"] for span in spans if span["name"] == name]
+
+    waits = durations("server.queue_wait")
     assert len(waits) == 50
-    assert statistics.median(waits) < 0.5
-    assert statistics.median(pings) < 1e-3
+    # Bounds from the same run, not the host's clock: a request that
+    # waits on nothing queues for less than it executes (a batch timer
+    # of a few ms would invert this), and a ping costs less than the
+    # compress round trip it shares the connection with.
+    assert statistics.median(waits) < statistics.median(durations("server.execute"))
+    assert statistics.median(pings) < statistics.median(trips)
     # The tree bench/layers.py folds by name: one root, five children.
     by_parent = {}
     for span in spans:

@@ -20,7 +20,8 @@ import pytest
 
 from repro.api import compress_array
 from repro.api.frames import END_MAGIC, encode_index, read_layout
-from repro.errors import CorruptStreamError, ReproError, ServiceError
+from repro.encodings.varint import encode_uvarint
+from repro.errors import CorruptStreamError, ProtocolError, ReproError, ServiceError
 from repro.service import protocol, serve_background
 from repro.service.exchange import Exchange
 from repro.service.protocol import COMPRESS, DECOMPRESS, PING, SELECT_EXPLAIN
@@ -96,6 +97,32 @@ def _mutate(rng, payload):
     return bytes(data)
 
 
+#: Empty shapes whose non-zero extents NumPy cannot multiply out: the
+#: element count is 0, so every byte-count check passes.
+_FORGED_SHAPES = ((0, 2**63), (0, 2**62))
+
+
+def _forged_shapes(op):
+    """``op`` payloads declaring each of :data:`_FORGED_SHAPES`, and the
+    typed error each must be answered with."""
+    empty = np.empty((0, 1))
+    if op == DECOMPRESS:
+        stream = compress_array(empty, "gorilla", chunk_elements=64)
+        return CorruptStreamError, [
+            _forge(stream, 0, b"", shape) for shape in _FORGED_SHAPES
+        ]
+    if op == COMPRESS:
+        request = protocol.encode_compress_request(empty, "gorilla", 64)
+    else:
+        request = protocol.encode_explain_request(empty, "heuristic", 64)
+    array = protocol.encode_array(empty)
+    head = request[: -len(array)] + array[:1]
+    return ProtocolError, [
+        head + b"".join(map(encode_uvarint, (len(shape), *shape)))
+        for shape in _FORGED_SHAPES
+    ]
+
+
 _DECODERS = {
     COMPRESS: bytes,
     SELECT_EXPLAIN: protocol.decode_json,
@@ -136,7 +163,11 @@ def test_mutated_requests_get_typed_answers_on_one_connection(server, op):
                 outcomes[type(exc).__name__] += 1
             else:
                 outcomes["ok"] += 1
-        echo = _exchange(sock, PING, CASES_PER_OP + 1, b"still here")
+        error, forged = _forged_shapes(op)
+        for case, payload in enumerate(forged, CASES_PER_OP + 1):
+            with pytest.raises(error):
+                _DECODERS[op](_exchange(sock, op, case, payload))
+        echo = _exchange(sock, PING, CASES_PER_OP + len(forged) + 1, b"still here")
     assert echo == b"still here"
     # Not every case dies in the first decoder (FCF's CRCs do catch
     # every damaged byte of a stream, so DECOMPRESS may all be corrupt).
@@ -183,10 +214,11 @@ def test_mutated_tails_never_cost_the_valid_frame_its_answer(server):
 _FORGERIES = (b"\xff\xff\xff\xff\x0f", b"\xff" * 6)
 
 
-def _forge(stream, at, data):
+def _forge(stream, at, data, shape=None):
     """``stream`` with ``data`` written over its first frame's payload at
     ``at``, and the index (sizes and per-frame CRCs) recomputed, so the
-    forgery passes every check before the codec runs."""
+    forgery passes every check before the codec runs.  A given ``shape``
+    replaces the array shape the index declares."""
     _, index, data_start = read_layout(io.BytesIO(stream))
     frames = []
     for number, frame in enumerate(index.frames):
@@ -197,7 +229,7 @@ def _forge(stream, at, data):
         frames.append(bytes(payload))
     trailer = encode_index(
         [(f.n_elements, len(p), zlib.crc32(p)) for f, p in zip(index.frames, frames)],
-        index.shape,
+        index.shape if shape is None else shape,
     )
     return (
         stream[:data_start]
