@@ -490,7 +490,10 @@ class FrameParser:
         end = pos + length + 4
         if len(buf) < end:
             return None, 0
-        payload = bytes(buf[pos : pos + length])
+        # One copy, out of a view released before ``feed`` resizes the
+        # buffer (a resize under an exported view raises BufferError).
+        with memoryview(buf) as view:
+            payload = bytes(view[pos : pos + length])
         crc = int.from_bytes(buf[pos + length : end], "little")
         actual = zlib.crc32(payload) & 0xFFFFFFFF
         if crc != actual:
@@ -618,13 +621,17 @@ def encode_compress_request(
 def decode_compress_request(
     payload: bytes,
 ) -> tuple[str, str, int, np.ndarray]:
-    """Parse a ``COMPRESS`` payload -> (codec, policy, chunking, array)."""
+    """Parse a ``COMPRESS`` payload -> (codec, policy, chunking, array).
+
+    The array is a read-only view over ``payload`` (see
+    :func:`decode_array_view`): compressing snapshots its input.
+    """
     codec, pos = _decode_name(payload, 0, "codec name")
     policy, pos = _decode_name(payload, pos, "policy name")
     chunk_elements, pos = _decode_varint(payload, pos, "chunk_elements")
     if chunk_elements < 1:
         raise ProtocolError(f"implausible chunk_elements {chunk_elements}")
-    return codec, policy, chunk_elements, decode_array(payload, pos)
+    return codec, policy, chunk_elements, decode_array_view(payload, pos)
 
 
 def encode_explain_request(
@@ -643,12 +650,16 @@ def encode_explain_request(
 
 
 def decode_explain_request(payload: bytes) -> tuple[str, int, np.ndarray]:
-    """Parse a ``SELECT_EXPLAIN`` payload -> (policy, chunking, array)."""
+    """Parse a ``SELECT_EXPLAIN`` payload -> (policy, chunking, array).
+
+    The array is a read-only view over ``payload``: explaining only
+    reads it.
+    """
     policy, pos = _decode_name(payload, 0, "policy name")
     chunk_elements, pos = _decode_varint(payload, pos, "chunk_elements")
     if chunk_elements < 1:
         raise ProtocolError(f"implausible chunk_elements {chunk_elements}")
-    return policy, chunk_elements, decode_array(payload, pos)
+    return policy, chunk_elements, decode_array_view(payload, pos)
 
 
 def encode_json(value: dict) -> bytes:

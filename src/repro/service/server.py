@@ -8,11 +8,14 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
 * **Batching, backpressure, graceful drain** — work-conserving, with
   nothing to tune: a request on an idle connection is dispatched the
   moment it arrives, frames that arrive while that connection's slice
-  executes become the next slice (one hop to an executor thread,
-  byte-identical to serial execution), the unexecuted backlog is
-  bounded, and :meth:`CompressionServer.stop` answers what was
-  admitted before it closes.  :class:`_Connection` spells the contract
-  out.
+  executes become the next slice (byte-identical to serial execution),
+  the unexecuted backlog is bounded, and :meth:`CompressionServer.stop`
+  answers what was admitted before it closes.  :class:`_Connection`
+  spells the contract out.
+* **Placement** — a slice whose learned cost fits in one interpreter
+  switch interval runs on the event loop while no other slice is on an
+  executor thread; slow or unknown work makes one hop to an executor
+  thread (:meth:`CompressionServer._execute_slice`).
 * **Tenancy** — with a :class:`~repro.service.tenants.TenantRegistry`
   configured, every heavy request must carry a tenant token
   (``FLAG_TENANT`` on the frame): unknown tokens are answered with
@@ -36,11 +39,20 @@ control endpoint, and ``examples/compression_service.py``.
 from __future__ import annotations
 
 import asyncio
+import io
 import os
+import sys
 import threading
 import time
 from concurrent import futures
 
+from repro.api.frames import (
+    AUTO_CODEC,
+    FOOTER_BYTES,
+    FORMAT_V2,
+    read_layout,
+    split_frame_codec,
+)
 from repro.errors import AuthenticationError, ProtocolError, ReproError
 from repro.obs import (
     NULL_SPAN,
@@ -94,6 +106,13 @@ _OP_NAMES = dict(protocol.REQUEST_NAMES)
 #: Most requests one slice executes together, and most a connection
 #: holds unexecuted before it stops reading.
 _SLICE_MAX = 16
+#: Weight of a faster reading when it pulls a learned seconds-per-array-
+#: byte estimate down; a slower reading replaces the estimate outright.
+_COST_WEIGHT = 0.25
+#: Largest FCF index the loop parses to place a decompress: about 250
+#: frames, a millisecond of parsing.  A larger index is parsed, and its
+#: stream decoded, on an executor thread.
+_LOOP_INDEX_BYTES = 2048
 #: The typed refusal for a well-formed frame of a type nobody speaks.
 _UNKNOWN_TYPE = (
     "unknown request type {:#04x} "
@@ -111,8 +130,58 @@ def _error_result(op: str, exc: BaseException) -> tuple:
     return ("err", code, message, {"op": op})
 
 
+def _work(frame: Frame) -> tuple[tuple | None, int, tuple | None]:
+    """What a request's cost is learned under, the array bytes it moves,
+    and a decompress's parsed FCF layout.
+
+    Read without decoding the array.  The key names what sets the cost:
+    ``(type, codec)`` for a compress with a fixed codec and for a
+    decompress whose frames all use one codec (a v2 stream is keyed by
+    the codec its frames name, not by ``auto``), ``(type, policy)`` for
+    select-explain.  A ``None`` key leaves the request to the executor:
+    a compress with codec ``auto`` costs whatever the selector will
+    pick, a decompress may mix codecs or carry an index too long to
+    parse on the loop, and a payload that cannot say gets its typed
+    error from ``_execute``.  A decompress is sized by the array its
+    FCF index declares, since decoding costs by output and a stream of
+    zeros expands a hundredfold; the others by their payload, which is
+    the array.  The layout is handed to the session that decodes the
+    stream, so it is parsed once.
+    """
+    kind = frame.frame_type
+    payload = frame.payload
+    try:
+        if kind == COMPRESS:
+            codec = protocol._decode_name(payload, 0, "codec name")[0]
+            key = None if codec == AUTO_CODEC else (kind, codec)
+            return key, len(payload), None
+        if kind != DECOMPRESS:
+            policy = protocol._decode_name(payload, 0, "policy name")[0]
+            return (kind, policy), len(payload), None
+        index_bytes = int.from_bytes(payload[-FOOTER_BYTES:][:8], "little")
+        if index_bytes > _LOOP_INDEX_BYTES:
+            return None, len(payload), None
+        layout = read_layout(io.BytesIO(payload))
+        header, index, _ = layout
+        codecs = {header.codec}
+        if header.version == FORMAT_V2:
+            view = memoryview(payload)
+            codecs = {
+                header.codec_table[
+                    split_frame_codec(
+                        view[f.offset : f.offset + f.compressed_bytes],
+                        len(header.codec_table),
+                    )[0]
+                ]
+                for f in index.frames
+            }
+    except ReproError:
+        return None, len(payload), None
+    key = (kind, *codecs) if len(codecs) == 1 else None
+    return key, index.n_elements * header.dtype.itemsize, layout
+
+
 def _execute_compress(payload: bytes) -> tuple:
-    from repro.api.frames import AUTO_CODEC
     from repro.api.session import compress_array
 
     name, policy_name, chunk_elements, array = (
@@ -133,10 +202,10 @@ def _execute_compress(payload: bytes) -> tuple:
     return ("ok", response_type(COMPRESS), blob, meta)
 
 
-def _execute_decompress(payload: bytes) -> tuple:
+def _execute_decompress(payload: bytes, layout: tuple | None) -> tuple:
     from repro.api.session import DecompressSession
 
-    with DecompressSession(bytes(payload)) as session:
+    with DecompressSession(bytes(payload), layout=layout) as session:
         codec = session.codec_name
         array = session.read_all()
     out = protocol.encode_array(array)
@@ -229,6 +298,9 @@ class _Pending:
         "executed",
         "outcome",
         "span",
+        "cost_key",
+        "array_bytes",
+        "layout",
     )
 
     def __init__(self, frame: Frame, stamped: float) -> None:
@@ -260,6 +332,11 @@ class _Pending:
         self.executed = False
         #: what execution returned: ("ok"|"err", type|code, payload, meta).
         self.outcome: tuple | None = None
+        #: cost-table key (``None``: the executor), array bytes, and a
+        #: decompress's parsed FCF layout; see ``_work``.
+        self.cost_key: tuple | None = None
+        self.array_bytes = 0
+        self.layout: tuple | None = None
 
 
 # ----------------------------------------------------------------------
@@ -567,6 +644,12 @@ class CompressionServer:
         self._refusal = refusal
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()
+        #: learned seconds per array byte, keyed as ``_work`` keys; read
+        #: and written on the loop thread only.
+        self._seconds_per_byte: dict[tuple, float] = {}
+        #: slices now on executor threads; while one runs, loop work
+        #: contends with it for the GIL and outlasts its learned cost.
+        self._offloaded = 0
         self._draining = False
         self._stopped = asyncio.Event()
 
@@ -899,12 +982,30 @@ class CompressionServer:
                     wait.set_attribute("batch_size", len(heavy))
                     wait.finish()
                 item.executed = True
-            if heavy:
-                # Off the event loop, so other connections stay
-                # responsive while this one crunches.
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._run_slice, heavy
+                item.cost_key, item.array_bytes, item.layout = _work(
+                    item.frame
                 )
+            if heavy:
+                if (
+                    not self._offloaded
+                    and self._predicted_seconds(heavy) <= sys.getswitchinterval()
+                ):
+                    # Cheaper than the thread hop: an executor thread
+                    # running Python holds the loop off for up to one
+                    # switch interval anyway.
+                    self._run_slice(heavy)
+                    await asyncio.sleep(0)
+                else:
+                    # Slow, unknown, or beside a slice already off the
+                    # loop: on an executor thread, so other connections
+                    # stay responsive while this one crunches.
+                    self._offloaded += 1
+                    try:
+                        await asyncio.get_running_loop().run_in_executor(
+                            None, self._run_slice, heavy
+                        )
+                    finally:
+                        self._offloaded -= 1
                 self.metrics.record_batch(len(heavy))
             out = []
             for item in pending:
@@ -926,12 +1027,39 @@ class CompressionServer:
             for item in pending:
                 self._release(item)
 
+    def _predicted_seconds(self, heavy: list[_Pending]) -> float:
+        """The slice's learned cost; infinite while any request is unknown."""
+        total = 0.0
+        for item in heavy:
+            rate = self._seconds_per_byte.get(item.cost_key)
+            if rate is None:
+                return float("inf")
+            total += rate * item.array_bytes
+        return total
+
+    def _learn(self, item: _Pending, seconds: float) -> None:
+        """Fold one served request's measured time into the cost table.
+
+        Only answered requests with a key teach: a failure says little
+        about the codec's cost, and forged codec names must not grow the
+        table.
+        """
+        key = item.cost_key
+        if key is None:
+            return
+        rate = seconds / max(1, item.array_bytes)
+        known = self._seconds_per_byte.get(key)
+        if known is not None and rate < known:
+            rate = known + _COST_WEIGHT * (rate - known)
+        self._seconds_per_byte[key] = rate
+
     def _respond(self, item: _Pending) -> bytes:
         status, answer, payload, meta = item.outcome
         ok = status == "ok"
         seconds = meta.pop("seconds", 0.0)
         served = {}
         if ok:
+            self._learn(item, seconds)
             served = {
                 "codec": meta.get("codec"),
                 "bytes_in": meta.get("bytes_in", 0),
@@ -1005,7 +1133,7 @@ class CompressionServer:
         return encode_frame(answer_type, frame.request_id, payload)
 
     def _run_slice(self, heavy: list[_Pending]) -> None:
-        """Execute one slice's heavy requests (runs on an executor thread).
+        """Execute one slice's heavy requests (on the loop or an executor thread).
 
         One pass, request by request: a raise is that one request's
         typed error; the rest of the slice, and the connection, live on.
@@ -1029,7 +1157,7 @@ class CompressionServer:
             if frame.frame_type == COMPRESS:
                 outcome = _execute_compress(frame.payload)
             elif frame.frame_type == DECOMPRESS:
-                outcome = _execute_decompress(frame.payload)
+                outcome = _execute_decompress(frame.payload, item.layout)
             else:
                 outcome = _execute_explain(frame.payload)
             meta = outcome[3]

@@ -5,21 +5,27 @@ arrives on an idle connection and coalesces only what piles up behind an
 executing slice.  Each test here pins one clause of the contract in its
 docstring: no idle tax, coalescing on backlog, backlog waiting counted
 against a deadline, bounded reading, ledgers exact across a disconnect,
-and a drain that answers what it admitted.
+a drain that answers what it admitted, and placement (a slice learned
+cheap runs on the loop, anything else on an executor thread).
 """
 
+import functools
+import select
 import socket
 import statistics
 import struct
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import compress_array
+import repro.service.server as server_module
+from repro.api import compress_array, decompress_array
 from repro.cli import build_parser
 from repro.cluster import ClusterSupervisor
+from repro.data.loader import load
 from repro.service import ServiceClient, serve_background
 from repro.service.protocol import (
     COMPRESS,
@@ -481,7 +487,209 @@ def test_frames_ahead_of_garbage_in_one_segment_are_answered_first():
 
 
 # ----------------------------------------------------------------------
-# (e) the knob is gone
+# (e) placement: a slice learned cheaper than one switch interval runs
+# on the loop; first-seen and learned-slow work hops to an executor, and
+# a decompress is sized by the array it declares, not by its payload
+# ----------------------------------------------------------------------
+@pytest.fixture
+def placed(monkeypatch):
+    """A fresh server (nothing learned) and the thread each request ran on."""
+    threads = []
+    execute = CompressionServer._execute
+
+    def recording(self, item):
+        threads.append(threading.current_thread())
+        execute(self, item)
+
+    monkeypatch.setattr(CompressionServer, "_execute", recording)
+    with serve_background() as handle:
+        yield handle, threads
+
+
+def _until_on_the_loop(request, threads, loop, tries=20):
+    """Repeat ``request()`` until it runs on ``loop``; how many it took."""
+    for attempt in range(1, tries + 1):
+        request()
+        if threads[-1] is loop:
+            return attempt
+    raise AssertionError(f"{tries} cheap requests never ran on the loop")
+
+
+def test_a_first_seen_codec_hops_and_a_learned_cheap_one_runs_on_the_loop(
+    placed,
+):
+    handle, threads = placed
+    array = _small(0)
+    compress_array(array, "gorilla", chunk_elements=64)  # imports paid here
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        request = functools.partial(
+            client.compress_array, array, "gorilla", chunk_elements=64
+        )
+        assert _until_on_the_loop(request, threads, handle._thread) > 1
+        assert threads[0] is not handle._thread  # nothing known: executor
+        blob = request()
+    assert threads[-1] is handle._thread
+    assert blob == compress_array(array, "gorilla", chunk_elements=64)
+
+
+def test_a_learned_slow_codec_stays_off_the_loop(placed):
+    handle, threads = placed
+    with _Wire(handle) as busy, ServiceClient(
+        handle.host, handle.port, pool_size=1
+    ) as other:
+        busy.send(_slow_frame(1))
+        busy.read(1)  # dzip is now known to be slow
+        busy.send(_slow_frame(2))
+        _wait_for(lambda: len(threads) == 2)
+        other.ping(b"alive")  # answered while the compress executes
+        assert select.select([busy.sock], [], [], 0)[0] == []
+        assert busy.read(1)[0].request_id == 2
+    assert handle._thread not in threads
+
+
+def test_one_slow_reading_sends_the_next_slice_to_the_executor(
+    placed, monkeypatch
+):
+    handle, threads = placed
+    loop = handle._thread
+    delays = []
+    execute_compress = server_module._execute_compress
+
+    def sometimes_slow(payload):
+        if delays:
+            time.sleep(delays.pop())
+        return execute_compress(payload)
+
+    monkeypatch.setattr(server_module, "_execute_compress", sometimes_slow)
+    array = _small(0)
+    compress_array(array, "gorilla", chunk_elements=64)
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        request = functools.partial(
+            client.compress_array, array, "gorilla", chunk_elements=64
+        )
+        _until_on_the_loop(request, threads, loop)
+        # Predicted cheap, so it runs on the loop; it reads two switch
+        # intervals, which a quarter-weight average would not exceed.
+        delays.append(2 * sys.getswitchinterval())
+        request()
+        assert threads[-1] is loop
+        request()
+        assert threads[-1] is not loop
+
+
+def test_beside_a_slice_off_the_loop_cheap_work_leaves_the_loop_too(placed):
+    # Inline work would contend for the GIL with the executor thread and
+    # hold the loop longer than its learned cost.
+    handle, threads = placed
+    loop = handle._thread
+    array = _small(0)
+    compress_array(array, "gorilla", chunk_elements=64)
+    with _Wire(handle) as busy, ServiceClient(
+        handle.host, handle.port, pool_size=1
+    ) as client:
+        request = functools.partial(
+            client.compress_array, array, "gorilla", chunk_elements=64
+        )
+        _until_on_the_loop(request, threads, loop)
+        seen = len(threads)
+        busy.send(_slow_frame(1))
+        _wait_for(lambda: len(threads) == seen + 1)
+        request()
+        assert select.select([busy.sock], [], [], 0)[0] == []  # dzip runs
+        assert threads[-1] is not loop
+        busy.read(1)
+        _until_on_the_loop(request, threads, loop)
+
+
+def test_a_decompress_is_placed_by_the_array_its_index_declares(placed):
+    handle, threads = placed
+    noisy = _small(0, 4096)
+    zeros = np.zeros(1 << 19)
+    blob = compress_array(noisy, "bitshuffle-lz4", chunk_elements=4096)
+    flat = compress_array(zeros, "bitshuffle-lz4", chunk_elements=1 << 16)
+    # Fewer payload bytes than the learned request, 128 times its array.
+    assert len(flat) < len(blob)
+    decompress_array(blob)  # imports paid here
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        _until_on_the_loop(
+            lambda: client.decompress_array(blob), threads, handle._thread
+        )
+        assert np.array_equal(client.decompress_array(flat), zeros)
+    assert threads[-1] is not handle._thread
+
+
+def test_auto_and_policies_are_placed_by_what_runs_not_by_their_name(placed):
+    # tpcH-order routes to buff (about a millisecond), citytemp to dzip
+    # (tens of milliseconds): one `auto` name, two costs.
+    handle, threads = placed
+    loop = handle._thread
+    cheap = load("tpcH-order", 4096, 0)
+    slow = load("citytemp", 2048, 0)
+    cheap_blob = compress_array(cheap, "auto", chunk_elements=4096)
+    slow_blob = compress_array(slow, "auto", chunk_elements=2048)
+    decompress_array(slow_blob)  # imports paid here
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        for _ in range(20):
+            assert client.compress_array(cheap, "auto", chunk_elements=4096) == (
+                cheap_blob
+            )
+        assert client.compress_array(slow, "auto", chunk_elements=2048) == (
+            slow_blob
+        )
+        assert loop not in threads  # `auto` costs what the selector picks
+        _until_on_the_loop(
+            lambda: client.decompress_array(cheap_blob), threads, loop
+        )
+        assert np.array_equal(client.decompress_array(slow_blob), slow)
+        assert threads[-1] is not loop  # keyed by dzip, not by `auto`
+        explain = functools.partial(client.select_explain, cheap)
+        _until_on_the_loop(explain, threads, loop)
+        # `measured` trial-compresses every candidate, dzip included.
+        assert explain(policy="measured")["policy"] == "measured"
+        assert threads[-1] is not loop
+
+
+def test_a_stream_with_a_long_index_is_parsed_and_decoded_off_the_loop(placed):
+    handle, threads = placed
+    array = _small(0, 4096)
+    few = compress_array(array, "gorilla", chunk_elements=4096)
+    many = compress_array(array, "gorilla", chunk_elements=8)  # 512 frames
+    decompress_array(few)  # imports paid here
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        _until_on_the_loop(
+            lambda: client.decompress_array(few), threads, handle._thread
+        )
+        assert np.array_equal(client.decompress_array(many), array)
+    assert threads[-1] is not handle._thread
+
+
+def test_a_served_decompress_parses_its_stream_once(monkeypatch):
+    # Placement reads the FCF header and index; the session decoding the
+    # stream is handed them rather than parsing again.
+    import repro.api.session as session_module
+
+    array = _small(0, 4096)
+    blob = compress_array(array, "gorilla", chunk_elements=1024)
+    parses = []
+    for module in (server_module, session_module):
+        monkeypatch.setattr(
+            module,
+            "read_layout",
+            functools.partial(
+                lambda read, fh: parses.append(fh) or read(fh),
+                module.read_layout,
+            ),
+        )
+    with serve_background() as handle, ServiceClient(
+        handle.host, handle.port, pool_size=1
+    ) as client:
+        for served in range(1, 4):
+            assert np.array_equal(client.decompress_array(blob), array)
+            assert len(parses) == served
+
+
+# ----------------------------------------------------------------------
+# (f) the knob is gone
 # ----------------------------------------------------------------------
 def test_there_is_no_window_to_configure(capsys):
     # Spelled in two halves so a grep for the retired name stays empty.

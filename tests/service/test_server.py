@@ -157,9 +157,10 @@ def test_batching_actually_coalesces(server):
 
 
 def test_no_traffic_and_no_environment_starts_a_process(monkeypatch):
-    # A slice runs on one executor thread, whatever its size.  FCBENCH_JOBS
-    # is the default worker count of a chunk-parallel session (these
-    # arrays are one chunk each), not of a server.
+    # A slice runs on the loop or on one executor thread, never in a
+    # process, whatever its size.  FCBENCH_JOBS is the default worker
+    # count of a chunk-parallel session (these arrays are one chunk
+    # each), not of a server.
     import asyncio
     import multiprocessing
 
