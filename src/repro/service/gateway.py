@@ -187,6 +187,14 @@ def render_prometheus(document: dict, node_id: str | None = None) -> str:
         "Requests served through batches.",
     )
     fam.add(base, batches.get("requests", 0))
+    fam = family(
+        "fcbench_slices_total",
+        "counter",
+        "Heavy-op batches executed, by where they ran.",
+    )
+    inline = batches.get("inline", 0)
+    fam.add({**base, "placement": "loop"}, inline)
+    fam.add({**base, "placement": "executor"}, batches.get("count", 0) - inline)
 
     admission = document.get("admission", {})
     fam = family(

@@ -102,6 +102,8 @@ class ServiceMetrics:
         self.protocol_errors = 0
         self.batches = 0
         self.batched_requests = 0
+        #: batches that ran on the event loop, not an executor thread.
+        self.inline_batches = 0
         #: admission-gate sheds (request never queued).
         self.shed_requests = 0
         #: requests rejected at admission because they arrived expired.
@@ -147,10 +149,11 @@ class ServiceMetrics:
         with self._lock:
             self.connections_active = max(0, self.connections_active - 1)
 
-    def record_batch(self, n_requests: int) -> None:
+    def record_batch(self, n_requests: int, inline: bool) -> None:
         with self._lock:
             self.batches += 1
             self.batched_requests += n_requests
+            self.inline_batches += inline
 
     def record_request(
         self,
@@ -243,6 +246,7 @@ class ServiceMetrics:
                 "batches": {
                     "count": self.batches,
                     "requests": self.batched_requests,
+                    "inline": self.inline_batches,
                     "mean_size": (
                         self.batched_requests / self.batches
                         if self.batches

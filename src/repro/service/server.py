@@ -12,10 +12,15 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
   the unexecuted backlog is bounded, and :meth:`CompressionServer.stop`
   answers what was admitted before it closes.  :class:`_Connection`
   spells the contract out.
-* **Placement** — a slice whose learned cost fits in one interpreter
-  switch interval runs on the event loop while no other slice is on an
-  executor thread; slow or unknown work makes one hop to an executor
-  thread (:meth:`CompressionServer._execute_slice`).
+* **Placement** — a slice whose learned cost fits in ``_INLINE_SECONDS``
+  (5 ms, the default switch interval) runs on the event loop while no
+  other slice is on an executor thread; slow or unknown work makes one
+  hop to an executor thread (:meth:`CompressionServer._execute_slice`).
+  An ``auto`` compress is placed by the codec its chunks pick: the loop
+  runs the heuristic once (a few chunks, about a millisecond at most)
+  and the stream is written from those picks.  Chunks that mix codecs,
+  ``measured``, a request over the selection cap, or one that arrives
+  while a slice is off the loop select on the executor instead.
 * **Tenancy** — with a :class:`~repro.service.tenants.TenantRegistry`
   configured, every heavy request must carry a tenant token
   (``FLAG_TENANT`` on the frame): unknown tokens are answered with
@@ -39,9 +44,9 @@ control endpoint, and ``examples/compression_service.py``.
 from __future__ import annotations
 
 import asyncio
+import functools
 import io
 import os
-import sys
 import threading
 import time
 from concurrent import futures
@@ -113,6 +118,18 @@ _COST_WEIGHT = 0.25
 #: frames, a millisecond of parsing.  A larger index is parsed, and its
 #: stream decoded, on an executor thread.
 _LOOP_INDEX_BYTES = 2048
+#: Most elements the loop runs the ``auto`` selector over to place one
+#: slice's compresses, counted as chunks times the heuristic's
+#: per-chunk sample (8,192 elements), whatever a chunk holds: eight
+#: chunks, about a millisecond, since each chunk also pays a fixed
+#: ~50 us.  A request past it is selected, and compressed, on an
+#: executor thread.
+_LOOP_SELECT_ELEMENTS = 1 << 16
+#: Most learned seconds a slice may cost and still run on the loop: the
+#: interpreter's default switch interval, the longest an executor
+#: thread running Python holds the loop off anyway.  A constant, so a
+#: changed switch interval does not move placement.
+_INLINE_SECONDS = 0.005
 #: The typed refusal for a well-formed frame of a type nobody speaks.
 _UNKNOWN_TYPE = (
     "unknown request type {:#04x} "
@@ -130,31 +147,39 @@ def _error_result(op: str, exc: BaseException) -> tuple:
     return ("err", code, message, {"op": op})
 
 
-def _work(frame: Frame) -> tuple[tuple | None, int, tuple | None]:
+def _work(
+    frame: Frame, budget: list[int]
+) -> tuple[tuple | None, int, object | None]:
     """What a request's cost is learned under, the array bytes it moves,
-    and a decompress's parsed FCF layout.
+    and what placement already parsed or decided for its execution.
 
-    Read without decoding the array.  The key names what sets the cost:
-    ``(type, codec)`` for a compress with a fixed codec and for a
-    decompress whose frames all use one codec (a v2 stream is keyed by
-    the codec its frames name, not by ``auto``), ``(type, policy)`` for
-    select-explain.  A ``None`` key leaves the request to the executor:
-    a compress with codec ``auto`` costs whatever the selector will
-    pick, a decompress may mix codecs or carry an index too long to
-    parse on the loop, and a payload that cannot say gets its typed
-    error from ``_execute``.  A decompress is sized by the array its
-    FCF index declares, since decoding costs by output and a stream of
-    zeros expands a hundredfold; the others by their payload, which is
-    the array.  The layout is handed to the session that decodes the
-    stream, so it is parsed once.
+    Read without decoding the array, except for an ``auto`` compress,
+    which the selector may sample from (``budget`` holds the elements
+    the slice may still sample; see ``_select_auto``).  The key names
+    what sets the cost: ``(type, codec)`` for a compress with a fixed
+    codec, for an ``auto`` compress whose chunks the selector sends to
+    one codec, and for a decompress whose frames all use one codec (a
+    v2 stream is keyed by the codec its frames name, not by ``auto``);
+    ``(type, policy)`` for select-explain.  A ``None`` key leaves the
+    request to the executor: an ``auto`` compress whose chunks mix
+    codecs or that the loop does not select for, a decompress whose
+    frames mix codecs or whose index is too long to parse on the loop,
+    and a payload that cannot say, which gets its typed error from
+    ``_execute``.  A decompress is sized by the array its FCF index
+    declares, since decoding costs by output and a stream of zeros
+    expands a hundredfold; the others by their payload, which is the
+    array.  A decompress's parsed layout and an ``auto`` compress's
+    picks are handed to execution, so a stream is parsed once and a
+    selection made once.
     """
     kind = frame.frame_type
     payload = frame.payload
     try:
         if kind == COMPRESS:
             codec = protocol._decode_name(payload, 0, "codec name")[0]
-            key = None if codec == AUTO_CODEC else (kind, codec)
-            return key, len(payload), None
+            if codec == AUTO_CODEC:
+                return _select_auto(payload, budget)
+            return (kind, codec), len(payload), None
         if kind != DECOMPRESS:
             policy = protocol._decode_name(payload, 0, "policy name")[0]
             return (kind, policy), len(payload), None
@@ -181,18 +206,84 @@ def _work(frame: Frame) -> tuple[tuple | None, int, tuple | None]:
     return key, index.n_elements * header.dtype.itemsize, layout
 
 
-def _execute_compress(payload: bytes) -> tuple:
+def _select_auto(payload: bytes, budget: list[int]) -> tuple:
+    """Run the heuristic once on the loop; key the compress by its pick.
+
+    Only ``heuristic`` is selected here: ``measured`` trial-compresses
+    every candidate.  Nor is a request whose chunks times the
+    heuristic's per-chunk sample exceed ``budget[0]``, what the slice
+    may still sample (nothing while a slice is off the loop: this one
+    goes to the executor anyway, and selecting here would contend for
+    the GIL with that thread).  Those, and a request the selector fails
+    on, select in ``_execute``, which also raises the typed error.  A
+    selected request charges its sample to ``budget`` and hands its
+    picks to ``_execute_compress`` as a replaying policy.
+    """
+    _, policy_name, chunk_elements, array = protocol.decode_compress_request(
+        payload
+    )
+    if policy_name != "heuristic":
+        return None, len(payload), None
+    from repro.select.policy import HeuristicPolicy
+
+    policy = HeuristicPolicy()
+    sampled = -(-array.size // chunk_elements) * policy.sample_elements
+    if sampled > budget[0]:
+        return None, len(payload), None
+    flat = array.ravel()
+    try:
+        picks = tuple(
+            policy.select(flat[start : start + chunk_elements])
+            for start in range(0, flat.size, chunk_elements)
+        )
+    except Exception:  # the same input fails the same way in _execute
+        return None, len(payload), None
+    budget[0] -= sampled
+    codecs = set(picks)
+    key = (COMPRESS, *codecs) if len(codecs) == 1 else None
+    return key, len(payload), _replay_type()(policy, picks)
+
+
+@functools.cache
+def _replay_type() -> type:
+    """A selection policy that answers picks already made, in order.
+
+    Built on first use: a server loads ``repro.select`` only once an
+    ``auto`` request arrives.
+    """
+    from repro.select.policy import SelectionPolicy
+
+    class Replay(SelectionPolicy):
+        """``policy``'s name and codec table; ``select`` answers the
+        next of ``picks``, so one serial write of the array they were
+        made on selects nothing again."""
+
+        def __init__(self, policy, picks: tuple[str, ...]) -> None:
+            self.name = policy.name
+            self.candidates = policy.candidates
+            self._picks = iter(picks)
+
+        def select(self, chunk) -> str:
+            return next(self._picks)
+
+    return Replay
+
+
+def _execute_compress(payload: bytes, replay=None) -> tuple:
     from repro.api.session import compress_array
 
     name, policy_name, chunk_elements, array = (
         protocol.decode_compress_request(payload)
     )
-    codec = name
-    if name == AUTO_CODEC:
+    codec, jobs = name, None
+    if replay is not None:
+        # The picks answer the chunks in order: write them serially.
+        codec, jobs = replay, 1
+    elif name == AUTO_CODEC:
         from repro.select import resolve_policy
 
         codec = resolve_policy(policy_name)
-    blob = compress_array(array, codec, chunk_elements=chunk_elements)
+    blob = compress_array(array, codec, chunk_elements=chunk_elements, jobs=jobs)
     meta = {
         "op": "compress",
         "codec": name,
@@ -300,7 +391,7 @@ class _Pending:
         "span",
         "cost_key",
         "array_bytes",
-        "layout",
+        "prepared",
     )
 
     def __init__(self, frame: Frame, stamped: float) -> None:
@@ -332,11 +423,11 @@ class _Pending:
         self.executed = False
         #: what execution returned: ("ok"|"err", type|code, payload, meta).
         self.outcome: tuple | None = None
-        #: cost-table key (``None``: the executor), array bytes, and a
-        #: decompress's parsed FCF layout; see ``_work``.
+        #: cost-table key (``None``: the executor), array bytes, and what
+        #: placement parsed or decided for execution; see ``_work``.
         self.cost_key: tuple | None = None
         self.array_bytes = 0
-        self.layout: tuple | None = None
+        self.prepared = None
 
 
 # ----------------------------------------------------------------------
@@ -950,6 +1041,9 @@ class CompressionServer:
         """Run one slice; its encoded responses, in slice order."""
         try:
             now = time.monotonic()
+            # Elements the loop may still sample to select this slice's
+            # ``auto`` compresses; see ``_select_auto``.
+            budget = [0 if self._offloaded else _LOOP_SELECT_ELEMENTS]
             heavy = []
             for item in pending:
                 if not item.admitted or item.rejection is not None:
@@ -970,9 +1064,16 @@ class CompressionServer:
                     continue
                 heavy.append(item)
             for item in heavy:
+                item.executed = True
+                placing = time.perf_counter()
+                item.cost_key, item.array_bytes, item.prepared = _work(
+                    item.frame, budget
+                )
                 if item.span:
                     # Time spent between stamping and execution is
-                    # queue wait: record it as a completed child.
+                    # queue wait: record it as a completed child, with
+                    # the loop time placement just took (an ``auto``
+                    # compress's selection, a decompress's index parse).
                     waited = now - item.stamped
                     wait = self.recorder.span(
                         "server.queue_wait", parent=item.span
@@ -980,16 +1081,16 @@ class CompressionServer:
                     wait.start -= waited
                     wait._t0 -= waited
                     wait.set_attribute("batch_size", len(heavy))
+                    wait.set_attribute(
+                        "loop_place_ms", (time.perf_counter() - placing) * 1e3
+                    )
                     wait.finish()
-                item.executed = True
-                item.cost_key, item.array_bytes, item.layout = _work(
-                    item.frame
-                )
             if heavy:
-                if (
+                inline = (
                     not self._offloaded
-                    and self._predicted_seconds(heavy) <= sys.getswitchinterval()
-                ):
+                    and self._predicted_seconds(heavy) <= _INLINE_SECONDS
+                )
+                if inline:
                     # Cheaper than the thread hop: an executor thread
                     # running Python holds the loop off for up to one
                     # switch interval anyway.
@@ -1006,7 +1107,7 @@ class CompressionServer:
                         )
                     finally:
                         self._offloaded -= 1
-                self.metrics.record_batch(len(heavy))
+                self.metrics.record_batch(len(heavy), inline)
             out = []
             for item in pending:
                 if item.rejection is not None:
@@ -1155,9 +1256,9 @@ class CompressionServer:
         with self._stage(item, "server.execute") as span:
             span.set_attribute("op", _OP_NAMES[frame.frame_type])
             if frame.frame_type == COMPRESS:
-                outcome = _execute_compress(frame.payload)
+                outcome = _execute_compress(frame.payload, item.prepared)
             elif frame.frame_type == DECOMPRESS:
-                outcome = _execute_decompress(frame.payload, item.layout)
+                outcome = _execute_decompress(frame.payload, item.prepared)
             else:
                 outcome = _execute_explain(frame.payload)
             meta = outcome[3]

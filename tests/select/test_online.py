@@ -15,7 +15,6 @@ class below pins what now stands where one of its behaviours stood:
 """
 
 import io
-import threading
 
 import numpy as np
 import pytest
@@ -239,22 +238,23 @@ class TestHub:
         assert "fcbench_online" not in render_prometheus(document)
 
     def test_features_are_read_outside_the_lock(self, monkeypatch):
-        # Selection runs on the executor thread, never on the event
-        # loop that every connection shares.
-        threads = []
+        # Selection holds no server lock and keeps no state: each served
+        # chunk is decided once (on the event loop, which places the
+        # request by the pick), with the metrics lock free, and the
+        # stream is written from that decision.
+        chunks = _chunks(count=3)
+        expected = _local(chunks)
+        held = []
         decide = HeuristicPolicy.decide
 
         def recording(self, chunk):
-            threads.append(threading.current_thread())
+            held.append(handle.server.metrics._lock.locked())
             return decide(self, chunk)
 
         monkeypatch.setattr(HeuristicPolicy, "decide", recording)
-        chunks = _chunks(count=3)
         with serve_background() as handle:
-            assert _served(handle, chunks) == _local(chunks)
-            loop_thread = handle._thread
-        served = threads[: len(chunks)]
-        assert served and loop_thread not in served
+            assert _served(handle, chunks) == expected
+        assert held == [False] * len(chunks)
 
     def test_anonymous_tenant_uses_default_key(self):
         # A tenant-less server serves untagged requests the same bytes

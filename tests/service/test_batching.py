@@ -14,7 +14,6 @@ import select
 import socket
 import statistics
 import struct
-import sys
 import threading
 import time
 
@@ -493,7 +492,11 @@ def test_frames_ahead_of_garbage_in_one_segment_are_answered_first():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def placed(monkeypatch):
-    """A fresh server (nothing learned) and the thread each request ran on."""
+    """A fresh server (nothing learned) and the thread each request ran on.
+
+    Afterwards no slice is counted off the loop and the admission gate
+    holds nothing: both ledgers return to zero whatever ran where.
+    """
     threads = []
     execute = CompressionServer._execute
 
@@ -504,6 +507,11 @@ def placed(monkeypatch):
     monkeypatch.setattr(CompressionServer, "_execute", recording)
     with serve_background() as handle:
         yield handle, threads
+        _wait_for(lambda: handle.server._offloaded == 0)
+        assert handle.server._admission.snapshot() == {
+            "queued_requests": 0,
+            "queued_bytes": 0,
+        }
 
 
 def _until_on_the_loop(request, threads, loop, tries=20):
@@ -555,10 +563,10 @@ def test_one_slow_reading_sends_the_next_slice_to_the_executor(
     delays = []
     execute_compress = server_module._execute_compress
 
-    def sometimes_slow(payload):
+    def sometimes_slow(payload, *prepared):
         if delays:
             time.sleep(delays.pop())
-        return execute_compress(payload)
+        return execute_compress(payload, *prepared)
 
     monkeypatch.setattr(server_module, "_execute_compress", sometimes_slow)
     array = _small(0)
@@ -568,9 +576,9 @@ def test_one_slow_reading_sends_the_next_slice_to_the_executor(
             client.compress_array, array, "gorilla", chunk_elements=64
         )
         _until_on_the_loop(request, threads, loop)
-        # Predicted cheap, so it runs on the loop; it reads two switch
-        # intervals, which a quarter-weight average would not exceed.
-        delays.append(2 * sys.getswitchinterval())
+        # Predicted cheap, so it runs on the loop; it reads twice the
+        # inline threshold, which a quarter-weight average would not exceed.
+        delays.append(2 * server_module._INLINE_SECONDS)
         request()
         assert threads[-1] is loop
         request()
@@ -620,23 +628,36 @@ def test_a_decompress_is_placed_by_the_array_its_index_declares(placed):
 
 def test_auto_and_policies_are_placed_by_what_runs_not_by_their_name(placed):
     # tpcH-order routes to buff (about a millisecond), citytemp to dzip
-    # (tens of milliseconds): one `auto` name, two costs.
+    # (tens of milliseconds): one `auto` name, two costs.  The loop runs
+    # the selector and places an `auto` compress by the codec it picked.
     handle, threads = placed
     loop = handle._thread
     cheap = load("tpcH-order", 4096, 0)
     slow = load("citytemp", 2048, 0)
     cheap_blob = compress_array(cheap, "auto", chunk_elements=4096)
     slow_blob = compress_array(slow, "auto", chunk_elements=2048)
+    measured_blob = compress_array(
+        cheap, "auto", chunk_elements=4096, policy="measured"
+    )
     decompress_array(slow_blob)  # imports paid here
     with ServiceClient(handle.host, handle.port, pool_size=1) as client:
-        for _ in range(20):
-            assert client.compress_array(cheap, "auto", chunk_elements=4096) == (
-                cheap_blob
-            )
-        assert client.compress_array(slow, "auto", chunk_elements=2048) == (
-            slow_blob
+        cheap_auto = functools.partial(
+            client.compress_array, cheap, "auto", chunk_elements=4096
         )
-        assert loop not in threads  # `auto` costs what the selector picks
+        _until_on_the_loop(cheap_auto, threads, loop)
+        assert cheap_auto() == cheap_blob
+        assert threads[-1] is loop  # keyed by buff, learned cheap
+        for _ in range(2):  # first seen, then learned slow
+            assert client.compress_array(
+                slow, "auto", chunk_elements=2048
+            ) == slow_blob
+            assert threads[-1] is not loop  # keyed by dzip
+        # `measured` trial-compresses every candidate, dzip included.
+        for _ in range(2):
+            assert client.compress_array(
+                cheap, "auto", chunk_elements=4096, policy="measured"
+            ) == measured_blob
+            assert threads[-1] is not loop
         _until_on_the_loop(
             lambda: client.decompress_array(cheap_blob), threads, loop
         )
@@ -644,9 +665,167 @@ def test_auto_and_policies_are_placed_by_what_runs_not_by_their_name(placed):
         assert threads[-1] is not loop  # keyed by dzip, not by `auto`
         explain = functools.partial(client.select_explain, cheap)
         _until_on_the_loop(explain, threads, loop)
-        # `measured` trial-compresses every candidate, dzip included.
         assert explain(policy="measured")["policy"] == "measured"
         assert threads[-1] is not loop
+
+
+def _counting_decide(monkeypatch):
+    """Record the thread of every ``HeuristicPolicy.decide`` call."""
+    from repro.select import HeuristicPolicy
+
+    calls = []
+    decide = HeuristicPolicy.decide
+
+    def counting(self, chunk):
+        calls.append(threading.current_thread())
+        return decide(self, chunk)
+
+    monkeypatch.setattr(HeuristicPolicy, "decide", counting)
+    return calls
+
+
+def test_a_served_auto_compress_selects_once(placed, monkeypatch):
+    # The selection that places the request is the one its stream is
+    # written with: one decision per chunk, on the hop and on the loop.
+    handle, threads = placed
+    array = load("tpcH-order", 16384, 0)  # four chunks, all buff
+    expected = compress_array(array, "auto", chunk_elements=4096)
+    calls = _counting_decide(monkeypatch)
+    # The picks answer the chunks in order, so the stream is written
+    # serially whatever worker count a session would default to.
+    monkeypatch.setenv("FCBENCH_JOBS", "2")
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        for served in range(1, 6):
+            assert client.compress_array(
+                array, "auto", chunk_elements=4096
+            ) == expected
+            assert len(calls) == 4 * served
+    assert threads[0] is not handle._thread  # buff first seen: the hop
+    assert threads[-1] is handle._thread
+    assert handle.server.stats_document()["batches"]["inline"] > 0
+
+
+def test_an_auto_compress_mixing_codecs_runs_off_the_loop(
+    placed, monkeypatch
+):
+    handle, threads = placed
+    loop = handle._thread
+    order = load("tpcH-order", 4096, 0)
+    repeats = np.floor(np.random.default_rng(0).normal(0, 8, 1024))
+    mixed = np.concatenate([order[:1024], repeats])  # buff, then dzip
+    cheap_blob = compress_array(order, "auto", chunk_elements=4096)
+    expected = compress_array(mixed, "auto", chunk_elements=1024)
+    calls = _counting_decide(monkeypatch)
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        _until_on_the_loop(
+            lambda: client.compress_array(order, "auto", chunk_elements=4096),
+            threads,
+            loop,
+        )
+        assert client.compress_array(order, "auto", chunk_elements=4096) == (
+            cheap_blob
+        )
+        del calls[:]
+        assert client.compress_array(mixed, "auto", chunk_elements=1024) == (
+            expected
+        )
+    assert threads[-1] is not loop
+    assert calls == [loop, loop]  # selected on the loop, replayed off it
+
+
+def test_an_auto_compress_with_too_many_chunks_selects_off_the_loop(
+    placed, monkeypatch
+):
+    handle, threads = placed
+    loop = handle._thread
+    array = load("tpcH-order", 16384, 0)
+    calls = _counting_decide(monkeypatch)
+
+    def work(chunk_elements, budget):
+        payload = encode_compress_request(array, "auto", chunk_elements)
+        frame = FrameParser().feed(encode_frame(COMPRESS, 1, payload))[0]
+        return server_module._work(frame, budget)
+
+    budget = [server_module._LOOP_SELECT_ELEMENTS]
+    key, _, picks = work(8, budget)  # 2,048 chunks
+    assert (key, picks, calls) == (None, None, [])
+    key, _, picks = work(4096, budget)
+    assert key == (COMPRESS, "buff") and len(calls) == 4
+    assert budget == [server_module._LOOP_SELECT_ELEMENTS - 4 * 8192]
+    # What a slice has left after earlier selections, or nothing while
+    # another slice is off the loop.
+    assert work(4096, [3 * 8192])[0] is None and len(calls) == 4
+    many = compress_array(array, "auto", chunk_elements=1024)  # 16 chunks
+    del calls[:]
+    with ServiceClient(handle.host, handle.port, pool_size=1) as client:
+        _until_on_the_loop(
+            lambda: client.compress_array(array, "auto", chunk_elements=4096),
+            threads,
+            loop,
+        )
+        del calls[:]
+        assert client.compress_array(array, "auto", chunk_elements=1024) == many
+    assert threads[-1] is not loop
+    assert len(calls) == 16 and loop not in calls
+
+
+def test_beside_a_slice_off_the_loop_an_auto_compress_selects_off_it(
+    placed, monkeypatch
+):
+    handle, threads = placed
+    loop = handle._thread
+    array = load("tpcH-order", 16384, 0)
+    expected = compress_array(array, "auto", chunk_elements=4096)
+    calls = _counting_decide(monkeypatch)
+    with _Wire(handle) as busy, ServiceClient(
+        handle.host, handle.port, pool_size=1
+    ) as client:
+        request = functools.partial(
+            client.compress_array, array, "auto", chunk_elements=4096
+        )
+        _until_on_the_loop(request, threads, loop)
+        seen = len(threads)
+        busy.send(_slow_frame(1))
+        _wait_for(lambda: len(threads) == seen + 1)
+        del calls[:]
+        assert request() == expected
+        assert select.select([busy.sock], [], [], 0)[0] == []  # dzip runs
+        assert threads[-1] is not loop
+        assert len(calls) == 4 and loop not in calls
+        busy.read(1)
+
+
+def test_a_forged_auto_compress_keeps_its_typed_error(placed):
+    # Selection on the loop fails over to the key-less path, where
+    # `_execute` raises the same typed error as ever.
+    from repro.encodings.varint import encode_uvarint
+    from repro.service.protocol import ERR_PROTOCOL, ERR_SELECTION
+
+    handle, _ = placed
+    array = load("tpcH-order", 16384, 0)
+    good = encode_compress_request(array, "auto", 4096)
+    code = len(good) - array.nbytes - len(encode_uvarint(array.size)) - 2
+    assert good[code] == 1  # the float64 dtype code
+    forged = {
+        "truncated array": (good[:-5], ERR_PROTOCOL),
+        # The wire has no int64 code: a dtype it cannot carry.
+        "non-float dtype": (
+            good[:code] + bytes([2]) + good[code + 1 :],
+            ERR_PROTOCOL,
+        ),
+        "learned policy": (
+            encode_compress_request(array, "auto", 4096, policy="learned"),
+            ERR_SELECTION,
+        ),
+    }
+    with _Wire(handle) as wire:
+        for request_id, (payload, expected) in enumerate(forged.values(), 1):
+            wire.send(encode_frame(COMPRESS, request_id, payload))
+            (answer,) = wire.read(1)
+            assert answer.frame_type == ERROR
+            assert decode_error(answer.payload)[0] == expected
+        wire.send(encode_frame(PING, 9, b"alive"))
+        assert wire.read(1)[0].payload == b"alive"
 
 
 def test_a_stream_with_a_long_index_is_parsed_and_decoded_off_the_loop(placed):

@@ -107,7 +107,8 @@ def test_latency_histogram_empty_and_invalid():
 def test_service_metrics_snapshot_shape():
     metrics = ServiceMetrics()
     metrics.connection_opened()
-    metrics.record_batch(3)
+    metrics.record_batch(3, inline=True)
+    metrics.record_batch(1, inline=False)
     metrics.record_request(
         "compress", 0.01, codec="gorilla", bytes_in=800, bytes_out=200
     )
@@ -120,7 +121,9 @@ def test_service_metrics_snapshot_shape():
     assert snapshot["codecs"]["gorilla"] == {
         "requests": 1, "bytes_in": 800, "bytes_out": 200,
     }
-    assert snapshot["batches"] == {"count": 1, "requests": 3, "mean_size": 3.0}
+    assert snapshot["batches"] == {
+        "count": 2, "requests": 4, "inline": 1, "mean_size": 2.0,
+    }
     assert snapshot["protocol_errors"] == 1
     import json
 
@@ -149,7 +152,7 @@ def test_service_metrics_concurrent_hammer_is_never_torn():
                 bytes_in=bytes_in,
                 bytes_out=bytes_out,
             )
-            metrics.record_batch(2)
+            metrics.record_batch(2, inline=index % 2 == 0)
             metrics.connection_closed()
 
     def _read() -> None:
@@ -194,7 +197,10 @@ def test_service_metrics_concurrent_hammer_is_never_torn():
         "bytes_out": total * bytes_out,
     }
     assert snapshot["batches"] == {
-        "count": total, "requests": total * 2, "mean_size": 2.0,
+        "count": total,
+        "requests": total * 2,
+        "inline": (writers + 1) // 2 * per_writer,
+        "mean_size": 2.0,
     }
     assert snapshot["connections"] == {"opened": total, "active": 0}
 

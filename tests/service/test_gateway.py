@@ -19,6 +19,7 @@ import pytest
 from repro.errors import AuthenticationError, QuotaExceededError
 from repro.service import ServiceClient, serve_background
 from repro.service.gateway import ObservabilityGateway, render_prometheus
+from repro.service.metrics import ServiceMetrics
 from repro.service.tenants import TenantConfig, TenantRegistry
 
 SAMPLE_RE = re.compile(
@@ -142,6 +143,22 @@ class TestRenderPrometheus:
         assert families["fcbench_queued_bytes"] == "gauge"
         assert 'fcbench_queue_depth{node="node-7"} 3\n' in text
         assert 'fcbench_queued_bytes{node="node-7"} 98304\n' in text
+
+    def test_slices_counted_by_where_they_ran(self):
+        metrics = ServiceMetrics()
+        for inline in (True, False, True):
+            metrics.record_batch(2, inline)
+        text = render_prometheus(metrics.snapshot(), node_id="node-7")
+        families = validate_exposition(text)
+        assert families["fcbench_slices_total"] == "counter"
+        assert (
+            'fcbench_slices_total{node="node-7",placement="loop"} 2\n' in text
+        )
+        assert (
+            'fcbench_slices_total{node="node-7",placement="executor"} 1\n'
+            in text
+        )
+        assert 'fcbench_batches_total{node="node-7"} 3\n' in text
 
     def test_node_label_threaded_through(self, stack):
         document = stack.server.stats_document()

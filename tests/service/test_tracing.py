@@ -201,6 +201,36 @@ def test_execute_span_crosses_the_process_pool(traced):
             assert wait["start"] <= execute["start"] + 1e-3
 
 
+def test_the_loop_time_of_placing_an_auto_compress_is_recorded():
+    # Selecting an `auto` compress runs on the loop between the queue
+    # wait and the execute span: its queue_wait span carries that time,
+    # and the request still renders the same stages, no more.
+    from repro.api import compress_array
+    from repro.data.loader import load
+
+    array = load("tpcH-order", 16384, 0)
+    with serve_background(trace=True) as handle:
+        with ServiceClient(handle.host, handle.port, trace=True) as client:
+            assert client.compress_array(
+                array, "auto", chunk_elements=4096
+            ) == compress_array(array, "auto", chunk_elements=4096)
+            document = client.trace(limit=100)
+    (wait,) = [
+        span
+        for span in document["spans"]
+        if span["name"] == "server.queue_wait"
+    ]
+    assert wait["attributes"]["loop_place_ms"] > 0
+    (root,) = build_trace_tree(document["spans"])
+    assert {child["name"] for child in root["children"]} == {
+        "server.parse",
+        "server.deadline",
+        "server.gate",
+        "server.queue_wait",
+        "server.execute",
+    }
+
+
 def test_stats_document_exposes_ring_counters_when_traced(traced):
     handle, document, _, _, _ = traced
     stats = handle.server.stats_document()["tracing"]
