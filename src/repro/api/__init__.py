@@ -5,8 +5,8 @@ seekable FCF frame format (:mod:`repro.api.frames`), streaming
 :class:`CompressSession`/:class:`DecompressSession` with chunk-parallel
 execution (:mod:`repro.api.session`), and the in-memory/file-object
 convenience wrappers.  The legacy one-shot
-``Compressor.compress/decompress`` methods, the paged block store, and
-the HDF5-like container are all thin layers over this package — see
+``Compressor.compress/decompress`` methods and the HDF5-like container
+(:mod:`repro.storage`) are thin layers over this package — see
 ``docs/streaming.md`` for the format specification and the migration
 guide.
 """

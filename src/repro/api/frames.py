@@ -5,8 +5,7 @@ compressed *chunk frames*.  Stream metadata (dtype, codec, chunk size)
 is written once in the header; a varint chunk index in the trailer maps
 every frame to its element count and byte extent, so a reader can seek
 straight to any chunk — O(1) random access once the index is loaded —
-instead of re-parsing per-page headers the way the pre-redesign
-``pagestore``/``container`` layers did.
+instead of re-parsing a header per chunk.
 
 Layout (all integers LEB128 varints unless noted)::
 

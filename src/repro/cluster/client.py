@@ -46,7 +46,6 @@ from repro.cluster.ring import HashRing
 from repro.errors import ClusterError, ProtocolError, ServerOverloadedError
 from repro.obs import SpanRecorder
 from repro.service.client import DEFAULT_CODEC, RequestSurface, ServiceClient
-from repro.service.protocol import DEFAULT_MAX_PAYLOAD
 from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
 
 __all__ = ["ClusterClient", "parse_seed", "DEFAULT_STREAM_ID"]
@@ -105,10 +104,7 @@ class ClusterClient(CompressionClient):
         Addresses to bootstrap the topology from — ``(host, port)``
         tuples or ``"host:port"`` strings.  Any cluster node or the
         supervisor's control endpoint works; they are tried in order.
-    replication:
-        Override the topology's replication factor (rarely needed —
-        the supervisor publishes the authoritative value).
-    pool_size, deadline, max_payload:
+    pool_size, deadline:
         Per-shard :class:`ServiceClient` knobs.  Per-node retries are
         disabled (``retry=0``): the cluster layer owns retry policy,
         and its retry is the next replica, not the same dead node.
@@ -159,10 +155,8 @@ class ClusterClient(CompressionClient):
         self,
         seeds,
         *,
-        replication: int | None = None,
         pool_size: int = 2,
         deadline: float = 30.0,
-        max_payload: int | None = None,
         attempt_timeout: float | None = None,
         token: str | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -175,14 +169,8 @@ class ClusterClient(CompressionClient):
         self.seeds = [parse_seed(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("at least one seed address is required")
-        if replication is not None and replication < 1:
-            raise ValueError("replication must be positive")
-        self._replication_override = replication
         self.pool_size = int(pool_size)
         self.deadline = float(deadline)
-        self.max_payload = (
-            DEFAULT_MAX_PAYLOAD if max_payload is None else int(max_payload)
-        )
         self.attempt_timeout = (
             float(attempt_timeout) if attempt_timeout is not None
             else self.deadline
@@ -254,7 +242,6 @@ class ClusterClient(CompressionClient):
                     retry=0,
                     deadline=self.deadline,
                     token=self.token,
-                    max_payload=self.max_payload,
                 ) as probe:
                     topology = probe.cluster_topology(deadline=deadline)
             except _FAILOVER_ERRORS as exc:
@@ -295,9 +282,7 @@ class ClusterClient(CompressionClient):
     @property
     def replication(self) -> int:
         with self._lock:
-            return self._replication_override or int(
-                self._topology.get("replication", 1)
-            )
+            return int(self._topology.get("replication", 1))
 
     def nodes_for(self, stream_id: str) -> list[str]:
         """The ordered replica set serving ``stream_id``."""
@@ -325,7 +310,6 @@ class ClusterClient(CompressionClient):
                     token=self.token,
                     propagate_deadline=self.propagate_deadline,
                     trace=self.recorder,
-                    max_payload=self.max_payload,
                 )
                 self._clients[node_id] = client
             return client

@@ -159,18 +159,6 @@ class Compressor(ABC):
             )
         return np.ascontiguousarray(array)
 
-    @staticmethod
-    def _unpack_header(blob: bytes) -> tuple[tuple[int, ...], np.dtype, int]:
-        """Parse the legacy one-shot header (delegates to the frame layer).
-
-        Note that header fields alone cannot be trusted: the declared
-        element count is additionally bounded against the payload length
-        (per-codec ``max_decode_expansion``) inside :meth:`decompress`.
-        """
-        from repro.api import frames
-
-        return frames.decode_legacy_header(blob)
-
 
 # ----------------------------------------------------------------------
 # Registry

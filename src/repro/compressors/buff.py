@@ -331,7 +331,9 @@ class BuffCompressor(Compressor):
         return _scatter(meta, matches, meta.outliers == np.float64(value))
 
     def _parse_blob(self, blob: bytes) -> _StreamMeta:
-        _, dtype, offset = self._unpack_header(blob)
+        from repro.api.frames import decode_legacy_header
+
+        _, dtype, offset = decode_legacy_header(blob)
         return _parse_stream(blob[offset:], dtype)
 
 

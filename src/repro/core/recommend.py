@@ -19,50 +19,8 @@ import numpy as np
 from repro.core.metrics import method_mean_cr, method_mean_wall_ms
 from repro.core.results import ResultSet
 from repro.data.catalog import domains
-from repro.select.policy import DEFAULT_CANDIDATES
 
-__all__ = [
-    "Recommendation",
-    "recommend",
-    "PROFILE_CANDIDATES",
-    "profile_candidates",
-]
-
-#: Static per-profile candidate sets for codec selection, derived from
-#: the section-7.3 recommendation logic: ``storage`` holds the
-#: per-domain compression-ratio winners as realized on this
-#: reproduction's corpus — the ``auto`` codec's default candidate set,
-#: kept in :mod:`repro.select.policy` — ``speed`` the shortest
-#: wall-time methods, ``general`` the paper's balanced picks.
-PROFILE_CANDIDATES: dict[str, tuple[str, ...]] = {
-    "storage": DEFAULT_CANDIDATES,
-    "speed": ("bitshuffle-lz4", "bitshuffle-zstd", "gorilla", "chimp"),
-    "general": ("bitshuffle-zstd", "mpc"),
-}
-
-
-def profile_candidates(
-    profile: str, results: ResultSet | None = None
-) -> tuple[str, ...]:
-    """Candidate codec set for a recommendation profile.
-
-    Without ``results`` the static section-7.3-derived table above is
-    returned; with a suite :class:`ResultSet` the set is derived from
-    the measured matrix via :func:`recommend`, so a retuned corpus
-    reshapes the candidates the ``auto`` codec considers.
-    """
-    if profile not in PROFILE_CANDIDATES:
-        known = ", ".join(sorted(PROFILE_CANDIDATES))
-        raise KeyError(f"unknown profile {profile!r}; known: {known}")
-    if results is None:
-        return PROFILE_CANDIDATES[profile]
-    derived = recommend(results)
-    chosen = {
-        "storage": sorted(set(derived.storage_by_domain.values())),
-        "speed": derived.fastest,
-        "general": derived.general,
-    }[profile]
-    return tuple(chosen) or PROFILE_CANDIDATES[profile]
+__all__ = ["Recommendation", "recommend"]
 
 
 @dataclass(frozen=True)

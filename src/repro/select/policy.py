@@ -51,8 +51,7 @@ __all__ = [
 #: Default candidate set: the storage profile of section 7.3 (the
 #: per-domain compression-ratio winners as realized on this
 #: reproduction's corpus: fpzip/HPC+OBS, BUFF and the entropy-backed
-#: coders/DB, bitshuffle+zstd for noisy TS).  ``repro.core.recommend``
-#: reads its ``storage`` profile from here.
+#: coders/DB, bitshuffle+zstd for noisy TS).
 DEFAULT_CANDIDATES = ("bitshuffle-zstd", "buff", "chimp", "dzip", "fpzip")
 
 POLICY_NAMES = ("heuristic", "measured")

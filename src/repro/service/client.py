@@ -47,7 +47,7 @@ from repro.obs import SpanRecorder
 from repro.service import protocol
 from repro.service.exchange import Exchange
 from repro.service.resilience import Deadline, RetryBudget, RetryPolicy
-from repro.service.protocol import DEFAULT_MAX_PAYLOAD, Frame
+from repro.service.protocol import Frame
 
 __all__ = ["ServiceClient", "AsyncServiceClient", "DEFAULT_CODEC"]
 
@@ -207,7 +207,6 @@ def _stamped(client, span, request_type, request_id, payload, deadline_ms=None):
         request_type,
         request_id,
         payload,
-        max_payload=client.max_payload,
         deadline_ms=deadline_ms,
         tenant_token=client.token,
         trace_context=ctx.to_wire() if ctx else None,
@@ -267,10 +266,11 @@ class ServiceClient(RequestSurface, CompressionClient):
     retry:
         Transparent re-dials after a transient transport failure
         (connection reset, broken pipe).  Requests are idempotent pure
-        functions, so replaying one is always safe.  Shorthand for a
-        default :class:`~repro.service.resilience.RetryPolicy` with
-        ``retry + 1`` attempts; ignored when ``retry_policy`` is
-        given.
+        functions, so replaying one is always safe.  The client paces
+        them with a default :class:`~repro.service.resilience.RetryPolicy`
+        of ``retry + 1`` attempts, and a default
+        :class:`~repro.service.resilience.RetryBudget` caps them at
+        about a tenth of its traffic.
     deadline:
         The *overall operation budget* in seconds: one budget that
         every attempt, backoff sleep, and re-dial spends from.  A
@@ -284,12 +284,6 @@ class ServiceClient(RequestSurface, CompressionClient):
         (``FLAG_TENANT``) — required when the server runs with a
         tenant registry, ignored otherwise.  ``None`` sends unflagged
         frames, parseable by any server version.
-    retry_policy:
-        Backoff schedule shared with the cluster client; see
-        :class:`~repro.service.resilience.RetryPolicy`.
-    retry_budget:
-        Token bucket bounding the client-wide retry fraction; one is
-        created when omitted.
     propagate_deadline:
         When true, every request carries its remaining budget (whole
         ms) in the flagged frame header so the server can reject or
@@ -325,9 +319,6 @@ class ServiceClient(RequestSurface, CompressionClient):
         deadline: float = 30.0,
         attempt_timeout: float | None = None,
         token: str | None = None,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        retry_policy: RetryPolicy | None = None,
-        retry_budget: RetryBudget | None = None,
         propagate_deadline: bool = False,
         trace: bool | SpanRecorder = False,
     ) -> None:
@@ -336,19 +327,14 @@ class ServiceClient(RequestSurface, CompressionClient):
         self.host = host
         self.port = int(port)
         self.pool_size = int(pool_size)
-        if retry_policy is None:
-            retry_policy = RetryPolicy(max_attempts=max(0, int(retry)) + 1)
-        self.retry_policy = retry_policy
-        self.retry_budget = (
-            retry_budget if retry_budget is not None else RetryBudget()
-        )
+        self.retry_policy = RetryPolicy(max_attempts=max(0, int(retry)) + 1)
+        self.retry_budget = RetryBudget()
         self.propagate_deadline = bool(propagate_deadline)
         self.token = token
         self.deadline = float(deadline)
         self.attempt_timeout = float(
             deadline if attempt_timeout is None else attempt_timeout
         )
-        self.max_payload = int(max_payload)
         self.recorder = SpanRecorder.for_option(trace)
         self._pool: list[_Connection] = []
         self._lock = threading.Lock()
@@ -523,13 +509,11 @@ class AsyncServiceClient(RequestSurface):
         reader,
         writer,
         *,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
         token: str | None = None,
         trace: bool | SpanRecorder = False,
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self.max_payload = int(max_payload)
         self._next_id = 0
         self._closed = False
         self._lock = asyncio.Lock()
@@ -543,16 +527,13 @@ class AsyncServiceClient(RequestSurface):
         port: int,
         *,
         attempt_timeout: float = 30.0,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
         token: str | None = None,
         trace: bool | SpanRecorder = False,
     ) -> "AsyncServiceClient":
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), attempt_timeout
         )
-        return cls(
-            reader, writer, max_payload=max_payload, token=token, trace=trace
-        )
+        return cls(reader, writer, token=token, trace=trace)
 
     async def _call(self, request_type: int, payload: bytes, decode, deadline):
         return decode((await self._request(request_type, payload, deadline)).payload)

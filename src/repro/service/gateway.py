@@ -178,10 +178,6 @@ def render_prometheus(document: dict, node_id: str | None = None) -> str:
 
     batches = document.get("batches", {})
     fam = family(
-        "fcbench_batches_total", "counter", "Heavy-op batches executed."
-    )
-    fam.add(base, batches.get("count", 0))
-    fam = family(
         "fcbench_batched_requests_total",
         "counter",
         "Requests served through batches.",

@@ -25,10 +25,12 @@ sans-I/O :class:`~repro.service.protocol.FrameParser`, and answers
   configured, every heavy request must carry a tenant token
   (``FLAG_TENANT`` on the frame): unknown tokens are answered with
   ``ERR_UNAUTHENTICATED``, over-budget tenants with a typed
-  ``ERR_QUOTA`` (deliberately not the retryable overload path), and
-  batches execute higher-priority tenants first.  Light probes (ping,
-  stats, health, topology) stay unauthenticated so supervisors and
-  dashboards need no credentials.
+  ``ERR_QUOTA`` (deliberately not the retryable overload path).  A
+  tenant's priority orders only frames that share one connection, and
+  every in-tree client carries one token per connection, so it never
+  reorders their traffic.  Light probes (ping, stats, health,
+  topology) stay unauthenticated so supervisors and dashboards need no
+  credentials.
 
 Malformed bytes never crash or hang the server: framing violations get
 a typed ``ERROR`` frame (code ``ERR_PROTOCOL``) and the connection is
@@ -75,7 +77,6 @@ from repro.service.protocol import (
     CLUSTER_TOPOLOGY,
     COMPRESS,
     DECOMPRESS,
-    DEFAULT_MAX_PAYLOAD,
     ERR_DEADLINE,
     ERR_PROTOCOL,
     ERR_UNAUTHENTICATED,
@@ -111,6 +112,9 @@ _OP_NAMES = dict(protocol.REQUEST_NAMES)
 #: Most requests one slice executes together, and most a connection
 #: holds unexecuted before it stops reading.
 _SLICE_MAX = 16
+#: Most payload bytes one slice executes together, and most a
+#: connection holds unexecuted before it stops reading (64 MiB).
+_SLICE_BYTES = 1 << 26
 #: Weight of a faster reading when it pulls a learned seconds-per-array-
 #: byte estimate down; a slower reading replaces the estimate outright.
 _COST_WEIGHT = 0.25
@@ -332,8 +336,9 @@ class _AdmissionGate:
     does not fit is shed — never queued, never executed.
 
     An empty gate always admits, whatever the request's size: the
-    per-frame ``max_payload`` bound already caps a single request, and
-    shedding a request that could never fit would livelock its retries.
+    per-frame ``protocol.DEFAULT_MAX_PAYLOAD`` bound already caps a
+    single request, and shedding a request that could never fit would
+    livelock its retries.
     """
 
     def __init__(self, max_requests: int, max_bytes: int) -> None:
@@ -457,8 +462,8 @@ class _Connection(asyncio.Protocol):
       pure function of its payload.
     * **No timer**: a light request (ping, stats, health, topology,
       trace) waits only for requests ahead of it on its connection.
-    * **Bounded**: reading pauses while the backlog holds 16 requests
-      or ``max_inflight_bytes``, executing while the write buffer is
+    * **Bounded**: reading pauses while the backlog holds ``_SLICE_MAX``
+      requests or ``_SLICE_BYTES``, executing while the write buffer is
       above its high-water mark.
     * **Drain answers what it admitted**: :meth:`shut` stops reading;
       the transport closes, flushed, once the backlog is answered.
@@ -470,7 +475,7 @@ class _Connection(asyncio.Protocol):
 
     def __init__(self, server: "CompressionServer") -> None:
         self.server = server
-        self.parser = FrameParser(server.max_payload)
+        self.parser = FrameParser(protocol.DEFAULT_MAX_PAYLOAD)
         self.transport: asyncio.Transport | None = None
         #: resolved by ``connection_lost`` — what :meth:`stop` waits on.
         self.closed = asyncio.get_running_loop().create_future()
@@ -573,28 +578,22 @@ class _Connection(asyncio.Protocol):
     # -- the backlog ---------------------------------------------------
     def _throttle(self) -> None:
         """Read only while the backlog has room (the backpressure bound)."""
-        server = self.server
-        if (
-            len(self.backlog) >= _SLICE_MAX
-            or self.backlog_bytes >= server.max_inflight_bytes
-        ):
+        if len(self.backlog) >= _SLICE_MAX or self.backlog_bytes >= _SLICE_BYTES:
             self.transport.pause_reading()
         elif not self.closing:
             self.transport.resume_reading()
 
     def _take_slice(self) -> list[_Pending]:
         """The backlog's front (by priority under tenancy), within bounds."""
-        server = self.server
         backlog = self.backlog
-        if server.tenants is not None and len(backlog) > 1:
+        if self.server.tenants is not None and len(backlog) > 1:
             backlog.sort(key=lambda item: -item.priority)
         end = 1
         total = len(backlog[0].frame.payload)
         while (
             end < len(backlog)
             and end < _SLICE_MAX
-            and total + len(backlog[end].frame.payload)
-            <= server.max_inflight_bytes
+            and total + len(backlog[end].frame.payload) <= _SLICE_BYTES
         ):
             total += len(backlog[end].frame.payload)
             end += 1
@@ -635,13 +634,6 @@ class CompressionServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port, published as
         :attr:`port` after :meth:`start`.
-    max_payload:
-        Per-frame payload bound; larger declared lengths are a
-        protocol error (the allocation never happens).
-    max_inflight_bytes:
-        Per-connection bound on the summed payload bytes of one
-        executing slice, and of the backlog waiting behind it — the
-        backpressure knob.
     max_queued_requests, max_queued_bytes:
         Server-wide admission gate over *all* connections' heavy
         requests that are admitted but not yet finished.  A heavy frame
@@ -649,9 +641,6 @@ class CompressionServer:
         error instead of being queued.
     shed_retry_after_ms:
         Backoff hint carried by shed responses.
-    metrics:
-        A :class:`~repro.service.metrics.ServiceMetrics` to record
-        into; one is created when omitted.
     node_id:
         This server's identity inside a cluster; defaults to
         ``host:port`` once the port is resolved.  Served in ``health``
@@ -665,9 +654,9 @@ class CompressionServer:
     tenants:
         A :class:`~repro.service.tenants.TenantRegistry`; when set,
         every heavy request must authenticate with a tenant token and
-        fit the tenant's quota window, and batches execute
-        higher-priority tenants first.  ``None`` (default) serves
-        everyone, untagged.
+        fit the tenant's quota window; a higher-priority tenant's
+        frames run first among those queued on one connection.
+        ``None`` (default) serves everyone, untagged.
     trace:
         Enable distributed tracing: every heavy request grows a span
         tree (parse → admission stages → queue wait → execute) in a
@@ -693,12 +682,9 @@ class CompressionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        max_inflight_bytes: int = 1 << 26,
         max_queued_requests: int = 256,
         max_queued_bytes: int = 1 << 28,
         shed_retry_after_ms: int = 50,
-        metrics: ServiceMetrics | None = None,
         node_id: str | None = None,
         topology: dict | None = None,
         tenants: TenantRegistry | None = None,
@@ -708,20 +694,16 @@ class CompressionServer:
         handlers: dict | None = None,
         refusal: str = _UNKNOWN_TYPE,
     ) -> None:
-        if max_inflight_bytes < 1:
-            raise ValueError("max_inflight_bytes must be positive")
         self.host = host
         self.port = port
         self.node_id = node_id
         self.topology = validate_topology(topology) if topology else None
         self.started_at = time.time()
-        self.max_payload = int(max_payload)
-        self.max_inflight_bytes = int(max_inflight_bytes)
         if shed_retry_after_ms < 0:
             raise ValueError("shed_retry_after_ms must be non-negative")
         self.shed_retry_after_ms = int(shed_retry_after_ms)
         self._admission = _AdmissionGate(max_queued_requests, max_queued_bytes)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.recorder = SpanRecorder(trace_capacity, enabled=bool(trace))
         self._log = get_logger("repro.service")
         self._slow = (

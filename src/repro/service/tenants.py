@@ -1,13 +1,16 @@
 """Tenancy: auth tokens, quotas, and priorities for the service.
 
 "Millions of users" means the server must know *who* is asking, how
-much of the machine they may consume, and who goes first when the
-coalescing queue is contended.  This module is the server-side source
-of truth for all three:
+much of the machine they may consume, and who goes first when frames
+queue behind each other.  This module is the server-side source of
+truth for all three:
 
 * :class:`TenantConfig` — one tenant's identity: auth token, priority
-  (higher jumps the batching queue), and per-window byte/request
-  budgets (``None`` = unlimited, ``0`` = always rejected).
+  (higher runs first among the frames queued on one connection), and
+  per-window byte/request budgets (``None`` = unlimited, ``0`` =
+  always rejected).  Priority never reorders frames across
+  connections, and every in-tree client carries one token per
+  connection, so it never reorders one client's traffic either.
 * :class:`TenantRegistry` — thread-safe token → tenant lookup, fixed-
   window quota accounting, and per-tenant usage counters.  The server
   consults it at admission, *before* the shared
@@ -68,7 +71,8 @@ class TenantConfig:
     token:
         Auth token the tenant's requests carry.
     priority:
-        Batch-ordering priority; higher serves first.
+        Backlog-ordering priority: among frames queued on one
+        connection, higher runs first.
     max_bytes_per_window, max_requests_per_window:
         Payload-byte and request budgets per window; ``None`` disables
         that budget and ``0`` rejects every request (a suspended tenant
@@ -142,7 +146,6 @@ class TenantRegistry:
         self._tenants: dict[str, TenantConfig] = {}
         self._by_token: dict[str, str] = {}
         self._usage: dict[str, _Usage] = {}
-        self.auth_failures = 0
         for tenant in tenants or []:
             self.add(tenant)
 
@@ -183,7 +186,6 @@ class TenantRegistry:
                 self._by_token.get(token) if token is not None else None
             )
             if tenant_id is None:
-                self.auth_failures += 1
                 raise AuthenticationError(
                     "request carried no tenant token"
                     if token is None
@@ -275,10 +277,7 @@ class TenantRegistry:
                     "total_requests": usage.total_requests,
                     "total_rejections": usage.total_rejections,
                 }
-            return {
-                "tenants": tenants,
-                "auth_failures": self.auth_failures,
-            }
+            return {"tenants": tenants}
 
     # -- persistence ---------------------------------------------------
     def to_json(self) -> str:

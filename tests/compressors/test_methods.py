@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.frames import decode_legacy_header
 from repro.compressors import get_compressor
 from repro.compressors.buff import PRECISION_BITS, BuffCompressor
 from repro.compressors.gfc import GFC_MAX_INPUT_BYTES
@@ -147,7 +148,7 @@ class TestBuff:
     def test_malformed_stream_is_a_typed_error(self, fields):
         comp = BuffCompressor()
         header = comp.compress(np.zeros(4))
-        header = header[: comp._unpack_header(header)[2]]
+        header = header[: decode_legacy_header(header)[2]]
         good = _buff_payload()
         assert_bit_exact(np.zeros(4), comp._decompress(good, (4,), np.dtype("f8")))
         assert comp.scan_equal(header + good, 0.0).all()

@@ -10,7 +10,7 @@ its name and checks what now carries the behaviour it pinned:
 * store freshness and stream-cell separation are properties of
   :func:`repro.core.suite.stored_cells` and ``fcbench cache``;
 * a per-domain winner over suite results is
-  :func:`repro.core.recommend.recommend` / ``profile_candidates``;
+  :func:`repro.core.recommend.recommend`;
 * candidate restriction and deterministic tie-breaks are
   :class:`MeasuredPolicy` / :func:`pick_smallest`;
 * a missing or malformed table became the typed refusal of the name
@@ -25,7 +25,7 @@ import pytest
 
 from repro.api import compress_array, open_stream
 from repro.cli import main
-from repro.core.recommend import profile_candidates, recommend
+from repro.core.recommend import recommend
 from repro.core.results import Measurement, ResultSet
 from repro.core.suite import cell_fields, open_store, stored_cells
 from repro.errors import SelectionError
@@ -247,14 +247,12 @@ def test_table_from_results():
     results.add(_measurement("chimp", "citytemp", 3.0))
     results.add(_measurement("fpzip", "citytemp", 9.0, ok=False))
     assert recommend(results).storage_by_domain == {"TS": "chimp"}
-    assert profile_candidates("storage", results) == ("chimp",)
 
 
 def test_table_from_results_with_nothing_usable():
-    # With no usable cell the storage profile falls back to the static
-    # set, which is the `auto` codec's default candidate set.
+    # With no usable cell there is no per-domain winner, and `auto`
+    # keeps its own default candidate set, which no result reshapes.
     results = ResultSet()
     results.add(_measurement("gorilla", "citytemp", 2.0, ok=False))
     assert recommend(results).storage_by_domain == {}
-    assert profile_candidates("storage", results) == DEFAULT_CANDIDATES
-    assert profile_candidates("storage") is DEFAULT_CANDIDATES
+    assert MeasuredPolicy().candidates == DEFAULT_CANDIDATES

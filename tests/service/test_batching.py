@@ -302,8 +302,9 @@ def test_budget_that_lapses_in_the_backlog_is_answered_not_executed():
 # ----------------------------------------------------------------------
 # (c) backpressure
 # ----------------------------------------------------------------------
-def test_reading_pauses_while_the_backlog_is_at_its_bound():
+def test_reading_pauses_while_the_backlog_is_at_its_bound(monkeypatch):
     bound = 32 * 1024
+    monkeypatch.setattr(server_module, "_SLICE_BYTES", bound)
     array = _small(3, 1024)
     frame_payload = encode_compress_request(array, "gorilla", 1024)
     count = 48 * bound // len(frame_payload)  # way past 10x the bound
@@ -314,9 +315,7 @@ def test_reading_pauses_while_the_backlog_is_at_its_bound():
     )
     peak = [0]
     done = threading.Event()
-    with serve_background(
-        max_inflight_bytes=bound, max_queued_requests=count
-    ) as handle, _Wire(handle) as wire:
+    with serve_background(max_queued_requests=count) as handle, _Wire(handle) as wire:
 
         def watch():
             while not done.is_set():

@@ -41,7 +41,6 @@ from repro.service.protocol import (
     raise_for_error,
     response_type,
 )
-from repro.service.resilience import RetryPolicy
 
 
 def _array(n=512):
@@ -274,15 +273,14 @@ def _pong(frame):
 
 
 def test_client_retries_shed_requests_honoring_the_hint():
-    stub = _StubServer([_overload(40), _pong])
+    # The hint is well above the default policy's first backoff (at most
+    # 50 ms), so only a client that honours the hint waits this long.
+    stub = _StubServer([_overload(200), _pong])
     try:
-        with ServiceClient(
-            stub.host, stub.port,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.001),
-        ) as client:
+        with ServiceClient(stub.host, stub.port, retry=2) as client:
             elapsed = client.ping()
         assert stub.handled == 2
-        assert elapsed >= 0.04  # waited out the server's 40 ms hint
+        assert elapsed >= 0.2  # waited out the server's 200 ms hint
     finally:
         stub.close()
 
@@ -290,10 +288,7 @@ def test_client_retries_shed_requests_honoring_the_hint():
 def test_overload_raises_typed_once_attempts_are_spent():
     stub = _StubServer([_overload(1), _overload(1)])
     try:
-        with ServiceClient(
-            stub.host, stub.port,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001),
-        ) as client:
+        with ServiceClient(stub.host, stub.port, retry=1) as client:
             with pytest.raises(ServerOverloadedError):
                 client.ping()
         assert stub.handled == 2
@@ -347,10 +342,7 @@ def test_no_fd_leak_on_retry_path():
     thread = threading.Thread(target=slam, daemon=True)
     thread.start()
     try:
-        with ServiceClient(
-            host, port,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.001),
-        ) as client:
+        with ServiceClient(host, port, retry=2) as client:
             baseline = _fd_count()
             for _ in range(6):
                 with pytest.raises(ProtocolError, match="attempt"):

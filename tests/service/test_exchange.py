@@ -274,8 +274,12 @@ def test_traced_drivers_stamp_their_own_span_context(method):
 # ----------------------------------------------------------------------
 # Regressions: what happens to the connection after a bad exchange
 # ----------------------------------------------------------------------
-def test_connection_closed_by_a_framing_error_is_never_pooled():
-    with serve_background(max_payload=4096) as server:
+def test_connection_closed_by_a_framing_error_is_never_pooled(monkeypatch):
+    # Only the server reads the constant when it opens a connection; the
+    # client's parser took the default at import, so this patch shrinks
+    # the server's limit alone.
+    monkeypatch.setattr(protocol, "DEFAULT_MAX_PAYLOAD", 4096)
+    with serve_background() as server:
         with ServiceClient(server.host, server.port, retry=0, pool_size=1) as client:
             assert client.ping() >= 0.0
             with pytest.raises(ProtocolError, match="limit is 4096"):

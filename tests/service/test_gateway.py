@@ -158,7 +158,6 @@ class TestRenderPrometheus:
             'fcbench_slices_total{node="node-7",placement="executor"} 1\n'
             in text
         )
-        assert 'fcbench_batches_total{node="node-7"} 3\n' in text
 
     def test_node_label_threaded_through(self, stack):
         document = stack.server.stats_document()

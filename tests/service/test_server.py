@@ -15,11 +15,13 @@ import pytest
 from repro.api import FORMAT_V2, compress_array, decompress_array
 from repro.api.session import DecompressSession
 from repro.compressors import compressor_names, get_compressor
+from repro.encodings.varint import encode_uvarint
 from repro.errors import CorruptStreamError, SelectionError
 from repro.select import HeuristicPolicy, resolve_policy
 from repro.service import ServiceClient, serve_background
 from repro.service.protocol import (
     COMPRESS,
+    DEFAULT_MAX_PAYLOAD,
     ERR_INTERNAL,
     ERR_PROTOCOL,
     ERR_SELECTION,
@@ -194,11 +196,12 @@ def test_no_traffic_and_no_environment_starts_a_process(monkeypatch):
     assert batches["requests"] == 48 + 64 and batches["mean_size"] > 1
 
 
-def test_backpressure_slicing_preserves_order_and_bytes():
+def test_backpressure_slicing_preserves_order_and_bytes(monkeypatch):
     # A server whose in-flight bound forces one-request slices must
     # still answer everything, in order, with identical bytes.
+    monkeypatch.setattr("repro.service.server._SLICE_BYTES", 1024)
     arrays = [np.linspace(s, s + 1, 500) for s in range(5)]
-    with serve_background(max_inflight_bytes=1024) as tiny:
+    with serve_background() as tiny:
         frames = _pipeline_compress(tiny.host, tiny.port, arrays)
         assert [f.request_id for f in frames] == [1, 2, 3, 4, 5]
         for frame, array in zip(frames, arrays):
@@ -421,18 +424,25 @@ def test_unknown_request_type_keeps_connection_alive(server):
 
 
 def test_oversized_frame_rejected_without_allocation(server):
-    with socket.create_connection((server.host, server.port), timeout=10) as sock:
-        head = b"FCS1" + bytes([PING]) + b"\x01"
-        # Declare ~2^40 payload bytes; never send them.
-        sock.sendall(head + b"\x80\x80\x80\x80\x80\x80\x80\x80\x3e")
-        chunks = []
-        while True:
-            data = sock.recv(1 << 16)
-            if not data:
-                break
-            chunks.append(data)
-    replies = FrameParser().feed(b"".join(chunks))
-    assert replies and replies[-1].frame_type == ERROR
+    # One byte past the protocol's one frame bound, and ~2^62 bytes.
+    for declared in (DEFAULT_MAX_PAYLOAD + 1, 0x3E << 56):
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            head = b"FCS1" + bytes([PING]) + b"\x01"
+            # Declare the payload length; never send the bytes.
+            sock.sendall(head + encode_uvarint(declared))
+            chunks = []
+            while True:
+                data = sock.recv(1 << 16)
+                if not data:
+                    break
+                chunks.append(data)
+        replies = FrameParser().feed(b"".join(chunks))
+        assert replies and replies[-1].frame_type == ERROR
+        code, message = decode_error(replies[-1].payload)
+        assert code == ERR_PROTOCOL
+        assert f"limit is {DEFAULT_MAX_PAYLOAD}" in message
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,6 @@ class TestRegistry:
             registry.authenticate("nope")
         with pytest.raises(AuthenticationError):
             registry.authenticate(None)
-        assert registry.snapshot()["auth_failures"] == 2
 
     def test_zero_quota_never_admissible(self):
         registry = _registry()
