@@ -4,7 +4,8 @@ Paper section 4.2.  MPC processes 1024-element chunks with four
 components selected by combinatorial search (138,240 candidates):
 
 1. ``LNV6s`` — subtract the 6th prior value within the chunk,
-2. ``BIT``   — bit-transpose the chunk (same operation as bitshuffle),
+2. ``BIT``   — bit-transpose each group of 64 (32) words, so that a
+   group's successive bit planes are consecutive words,
 3. ``LNV1s`` — subtract the previous word of the transposed stream,
 4. ``ZE``    — emit a zero-word bitmap plus the non-zero words.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import Compressor, MethodInfo, register
-from repro.compressors.util import float_bits
+from repro.compressors.util import float_bits, transpose_bit_tiles
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
 from repro.perf.cost import CostModel, KernelSpec, ParallelismSpec
@@ -28,55 +29,6 @@ __all__ = ["MpcCompressor"]
 
 _CHUNK = 1024
 _DELTA_LAG = 6
-
-
-def _bit_transpose_chunks(chunks: np.ndarray) -> np.ndarray:
-    """MPC's BIT component: bit transpose with plane-interleaved output.
-
-    Per chunk of L words, bit plane p of word group j becomes output
-    word ``j * width + p`` — i.e. consecutive output words are the
-    *same* word-group's successive bit planes.  This ordering is what
-    makes the following LNV1s delta effective: for small two's-
-    complement residuals, the sign-extension planes of a group are
-    identical words, so their pairwise differences are zero and ZE
-    removes them.
-    """
-    n_chunks, chunk_len = chunks.shape
-    width = chunks.dtype.itemsize * 8
-    groups = chunk_len // width
-    be = chunks.astype(chunks.dtype.newbyteorder(">"), copy=False)
-    bits = np.unpackbits(be.view(np.uint8).reshape(n_chunks, -1), axis=1)
-    planes = bits.reshape(n_chunks, chunk_len, width).transpose(0, 2, 1)
-    interleaved = planes.reshape(n_chunks, width, groups, width).transpose(
-        0, 2, 1, 3
-    )
-    packed = np.packbits(interleaved.reshape(n_chunks, -1), axis=1)
-    return (
-        packed.reshape(-1)
-        .view(chunks.dtype.newbyteorder(">"))
-        .astype(chunks.dtype)
-        .reshape(n_chunks, chunk_len)
-    )
-
-
-def _bit_untranspose_chunks(chunks: np.ndarray) -> np.ndarray:
-    """Invert :func:`_bit_transpose_chunks`."""
-    n_chunks, chunk_len = chunks.shape
-    width = chunks.dtype.itemsize * 8
-    groups = chunk_len // width
-    be = chunks.astype(chunks.dtype.newbyteorder(">"), copy=False)
-    bits = np.unpackbits(be.view(np.uint8).reshape(n_chunks, -1), axis=1)
-    interleaved = bits.reshape(n_chunks, groups, width, width).transpose(
-        0, 2, 1, 3
-    )
-    planes = interleaved.reshape(n_chunks, width, chunk_len).transpose(0, 2, 1)
-    packed = np.packbits(planes.reshape(n_chunks, -1), axis=1)
-    return (
-        packed.reshape(-1)
-        .view(chunks.dtype.newbyteorder(">"))
-        .astype(chunks.dtype)
-        .reshape(n_chunks, chunk_len)
-    )
 
 
 @register
@@ -128,8 +80,10 @@ class MpcCompressor(Compressor):
         # LNV6s: subtract the 6th prior value within the chunk.
         stage1 = chunks.copy()
         stage1[:, _DELTA_LAG:] = chunks[:, _DELTA_LAG:] - chunks[:, :-_DELTA_LAG]
-        # BIT: bit transpose per chunk.
-        stage2 = _bit_transpose_chunks(stage1)
+        # BIT: a group's bit planes become consecutive words, so the
+        # sign-extension planes of small residuals are equal words that
+        # LNV1s zeroes and ZE removes.
+        stage2 = transpose_bit_tiles(stage1)
         # LNV1s: subtract the previous word of the transposed stream.
         stage3 = stage2.copy()
         stage3[:, 1:] = stage2[:, 1:] - stage2[:, :-1]
@@ -165,7 +119,7 @@ class MpcCompressor(Compressor):
         stage3 = np.zeros((n_chunks, _CHUNK), dtype=uint_dtype)
         stage3[mask] = nonzero
         stage2 = np.cumsum(stage3, axis=1, dtype=uint_dtype)
-        stage1 = _bit_untranspose_chunks(stage2)
+        stage1 = transpose_bit_tiles(stage2)
         # Undo LNV6s: the lag-6 recurrence splits into 6 independent
         # prefix sums over the interleaved lanes (modular arithmetic
         # wraps identically to the scalar per-lane loop).

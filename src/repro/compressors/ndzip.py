@@ -29,6 +29,7 @@ from repro.compressors.util import (
     float_bits,
     sign_magnitude_map,
     sign_magnitude_unmap,
+    transpose_bit_tiles,
 )
 from repro.encodings.varint import decode_uvarint, encode_uvarint
 from repro.errors import CorruptStreamError
@@ -112,33 +113,14 @@ def _transpose_chunks(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         residuals = np.concatenate(
             [residuals, np.zeros(pad, dtype=residuals.dtype)]
         )
-    chunks = residuals.reshape(-1, width)
-    be = chunks.astype(chunks.dtype.newbyteorder(">"), copy=False)
-    bits = np.unpackbits(be.view(np.uint8), axis=1)  # (n, width*width)
-    matrix = bits.reshape(-1, width, width).transpose(0, 2, 1)
-    packed = np.packbits(matrix.reshape(-1, width * width), axis=1)
-    words = (
-        packed.reshape(-1)
-        .view(residuals.dtype.newbyteorder(">"))
-        .astype(residuals.dtype)
-    )
+    words = transpose_bit_tiles(residuals)
     return words, words != 0
 
 
 def _untranspose_chunks(
     words: np.ndarray, n_residuals: int
 ) -> np.ndarray:
-    width = words.dtype.itemsize * 8
-    be = words.astype(words.dtype.newbyteorder(">"), copy=False)
-    bits = np.unpackbits(be.view(np.uint8)).reshape(-1, width, width)
-    matrix = bits.transpose(0, 2, 1)
-    packed = np.packbits(matrix.reshape(-1, width * width), axis=1)
-    residuals = (
-        packed.reshape(-1)
-        .view(words.dtype.newbyteorder(">"))
-        .astype(words.dtype)
-    )
-    return residuals[:n_residuals]
+    return transpose_bit_tiles(words)[:n_residuals]
 
 
 class _NdzipBase(Compressor):

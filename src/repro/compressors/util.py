@@ -3,8 +3,9 @@
 These helpers implement the operations that recur across the surveyed
 methods: reinterpreting IEEE 754 values as integers, the monotonic
 sign-magnitude mapping used by prediction-based coders, vectorized
-leading/trailing-zero counts, and the bit-transpose that bitshuffle, MPC,
-and ndzip all rely on (paper sections 3.7, 3.8, 4.2).
+leading/trailing-zero counts, and the bit transposes of bitshuffle
+(whole blocks) and of MPC and ndzip (word-width tiles) (paper sections
+3.7, 3.8, 4.2).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "pack_record_fields",
     "bit_transpose",
     "bit_untranspose",
+    "transpose_bit_tiles",
 ]
 
 UINT_FOR_FLOAT = {
@@ -233,7 +235,8 @@ def bit_transpose(block: np.ndarray) -> np.ndarray:
     Input is a flat unsigned-int array; output is a uint8 array holding
     the transposed bit matrix: all values' bit 0 first (packed into
     bytes), then all bit 1, and so on.  This is the core of bitshuffle
-    (section 3.7) and MPC's BIT component (section 4.2).
+    (section 3.7); MPC and ndzip transpose word-width tiles instead
+    (:func:`transpose_bit_tiles`).
     """
     words = np.asarray(block)
     width = words.dtype.itemsize * 8
@@ -251,3 +254,52 @@ def bit_untranspose(packed: np.ndarray, n_values: int, dtype: np.dtype) -> np.nd
     matrix = bits.reshape(width, n_values).T
     be_bytes = np.packbits(matrix.reshape(-1))
     return be_bytes.view(dtype.newbyteorder(">")).astype(dtype)
+
+
+#: Hacker's Delight delta swaps that transpose an 8x8 bit matrix held in
+#: one ``uint64`` (row ``i`` in byte ``7 - i``, MSB first): each swaps
+#: the off-diagonal 1x1, 2x2 and then 4x4 sub-blocks.
+_DELTA_SWAPS = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
+
+
+def transpose_bit_tiles(words: np.ndarray) -> np.ndarray:
+    """Transpose every ``width x width`` bit tile of a uint32/uint64 array.
+
+    Tile ``k`` is words ``k * width`` to ``(k + 1) * width - 1``; its
+    row ``r`` is word ``r`` and its column ``c`` is bit ``c`` counted
+    from the MSB, so output word ``c`` holds bit ``c`` of every input
+    word, MSB first.  The operation is its own inverse.  This is MPC's
+    and ndzip's BIT stage (paper sections 3.8, 4.2).
+
+    It works on words and never expands to one byte per bit: each 8x8
+    bit block's eight bytes are gathered into one ``uint64``, three
+    delta swaps transpose the blocks in place, and block ``(R, C)`` of
+    a tile is scattered back as block ``(C, R)``.  Temporaries are
+    about three times the input.  A length that does not fill whole
+    tiles raises ``ValueError``.
+    """
+    width = words.dtype.itemsize * 8
+    if words.size % width:
+        raise ValueError(f"{words.size} words do not fill {width}-word tiles")
+    side = width // 8  # 8x8 blocks per tile side
+    le = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
+    # (tile, R, row in block, byte from the LSB); rows reversed so that
+    # row 0 lands in a block's top byte.
+    rows = le.view(np.uint8).reshape(-1, side, 8, side)[:, :, ::-1]
+    blocks = np.ascontiguousarray(rows.transpose(0, 1, 3, 2)).view("<u8")
+    swap = np.empty_like(blocks)
+    for shift, mask in _DELTA_SWAPS:
+        np.right_shift(blocks, shift, out=swap)
+        swap ^= blocks
+        swap &= mask
+        blocks ^= swap
+        swap <<= shift
+        blocks ^= swap
+    # Block (R, byte m) goes to block row side-1-m at byte side-1-R.
+    mirrored = blocks.view(np.uint8).reshape(-1, side, side, 8)[:, ::-1, ::-1, ::-1]
+    out = np.ascontiguousarray(mirrored.transpose(0, 2, 3, 1)).view(le.dtype)
+    return out.astype(words.dtype, copy=False).reshape(words.shape)
